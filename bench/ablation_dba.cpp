@@ -7,7 +7,7 @@
 //      larger caps.
 // All under skewed3 / BW set 1, at a fixed load near Firefly's knee so the
 // effects are visible.  Every ablation point is a ScenarioSpec variation on
-// one base spec; all points fan across the ScenarioRunner pool.
+// one base spec; all points fan across the execution backend.
 #include <chrono>
 #include <iostream>
 
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     spec.label = "channel_cap=" + std::to_string(cap);
     specs.push_back(spec);
   }
-  const auto results = scenario::ScenarioRunner(cli.backendOptions()).run(specs);
+  const auto results = scenario::makeBackend(cli.backendOptions())->run(specs);
   scenario::JsonRecorder recorder("ablation_dba");
   for (const auto& result : results) {
     scenario::recordRun(recorder, result.spec, result.metrics);

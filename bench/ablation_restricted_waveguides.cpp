@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     spec.label = w == 0 ? "unrestricted" : "writable=" + std::to_string(w);
     specs.push_back(spec);
   }
-  const auto results = scenario::ScenarioRunner(cli.backendOptions()).run(specs);
+  const auto results = scenario::makeBackend(cli.backendOptions())->run(specs);
   scenario::JsonRecorder recorder("ablation_restricted_waveguides");
 
   metrics::ReportTable table(

@@ -8,7 +8,7 @@
 // bandwidth +764.52%, EPM -10.85%.
 //
 // All 12 saturation searches are ScenarioSpecs fanned across the
-// ScenarioRunner pool; key=value overrides apply to every point.
+// execution backend; key=value overrides apply to every point.
 #include <chrono>
 #include <iostream>
 
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       specs.push_back(spec);
     }
   }
-  const auto peaks = scenario::ScenarioRunner(cli.backendOptions()).findPeaks(specs);
+  const auto peaks = scenario::makeBackend(cli.backendOptions())->findPeaks(specs);
 
   metrics::ReportTable bw("Figure 3-10(a): Firefly Peak Core Bandwidth (Gb/s/core)");
   bw.setHeader({"traffic", "BW set 1 (64)", "BW set 2 (256)", "BW set 3 (512)"});

@@ -7,7 +7,7 @@
 // one extra cycle for set 3" claim.
 //
 // All 24 saturation searches (3 sets x 4 patterns x 2 architectures) are
-// ScenarioSpecs fanned across the ScenarioRunner pool; the companion table
+// ScenarioSpecs fanned across the execution backend; the companion table
 // reuses the Firefly set-1 knees instead of re-searching them.
 #include <chrono>
 #include <iostream>
@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const scenario::ScenarioRunner runner(cli.backendOptions());
-  const auto peaks = runner.findPeaks(specs);
+  const auto backend = scenario::makeBackend(cli.backendOptions());
+  const auto peaks = backend->findPeaks(specs);
   const auto peakAt = [&](int set, std::size_t patternIndex, int arch) -> const auto& {
     return peaks[((set - 1) * 4 + patternIndex) * 2 + static_cast<std::size_t>(arch)];
   };
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
       spec.params.offeredLoad = peakAt(1, p, 0).search.peak.offeredLoad;
       points.push_back(spec);
     }
-    const auto dhetAtKnee = runner.run(points);
+    const auto dhetAtKnee = backend->run(points);
 
     metrics::ReportTable table(
         "Fig 3-3 companion: delivered Gb/s at a common load (Firefly knee), BW set 1");

@@ -5,7 +5,7 @@
 // per-category decomposition at skewed3 so the buffer-residency mechanism of
 // Section 3.4.1.2 is visible.
 //
-// All 24 saturation searches run in parallel on the ScenarioRunner pool.
+// All 24 saturation searches run in parallel on the execution backend.
 #include <chrono>
 #include <iostream>
 
@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const scenario::ScenarioRunner runner(cli.backendOptions());
-  const auto peaks = runner.findPeaks(specs);
+  const auto backend = scenario::makeBackend(cli.backendOptions());
+  const auto peaks = backend->findPeaks(specs);
 
   scenario::JsonRecorder recorder("fig3_4");
   std::size_t point = 0;
@@ -98,9 +98,9 @@ int main(int argc, char** argv) {
   splitSpec.params.pattern = "skewed3";
   splitSpec.params.offeredLoad = 0.0012;
   splitSpec.params.architecture = network::Architecture::kFirefly;
-  const auto firefly = scenario::ScenarioRunner::runOne(splitSpec);
+  const auto firefly = scenario::runScenario(splitSpec);
   splitSpec.params.architecture = network::Architecture::kDhetpnoc;
-  const auto dhet = scenario::ScenarioRunner::runOne(splitSpec);
+  const auto dhet = scenario::runScenario(splitSpec);
   using photonic::EnergyCategory;
   const auto row = [&](const char* name, EnergyCategory category) {
     split.addRow({name,

@@ -6,7 +6,7 @@
 // energy lower in every case, with the same trend regardless of the hotspot
 // percentage.
 //
-// The 10 saturation searches run in parallel on the ScenarioRunner pool.
+// The 10 saturation searches run in parallel on the execution backend.
 #include <chrono>
 #include <iostream>
 
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       specs.push_back(spec);
     }
   }
-  const auto peaks = scenario::ScenarioRunner(cli.backendOptions()).findPeaks(specs);
+  const auto peaks = scenario::makeBackend(cli.backendOptions())->findPeaks(specs);
 
   scenario::JsonRecorder recorder("fig3_5");
   metrics::ReportTable table("Figure 3-5: Peak Core Bandwidth and Packet Energy, BW set 1");

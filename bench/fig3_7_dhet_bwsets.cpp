@@ -5,7 +5,7 @@
 // budget while energy per message falls slightly.
 //
 // The 12 saturation searches are declared as ScenarioSpecs and fanned across
-// the ScenarioRunner pool; key=value overrides (seed=, measure=, ...) apply
+// the execution backend; key=value overrides (seed=, measure=, ...) apply
 // to every point, help=1 lists them.
 #include <chrono>
 #include <iostream>
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       specs.push_back(spec);
     }
   }
-  const auto peaks = scenario::ScenarioRunner(cli.backendOptions()).findPeaks(specs);
+  const auto peaks = scenario::makeBackend(cli.backendOptions())->findPeaks(specs);
 
   metrics::ReportTable bw("Figure 3-7(a): d-HetPNoC Peak Core Bandwidth (Gb/s/core)");
   bw.setHeader({"traffic", "BW set 1 (64)", "BW set 2 (256)", "BW set 3 (512)"});

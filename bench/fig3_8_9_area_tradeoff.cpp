@@ -5,7 +5,7 @@
 // Paper anchors (64 -> 512): total area +70%, peak bandwidth +751.31%,
 // packet energy -10.89%.
 //
-// The three saturation searches run in parallel on the ScenarioRunner pool.
+// The three saturation searches run in parallel on the execution backend.
 #include <chrono>
 #include <iostream>
 
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     spec.params.bandwidthSet = traffic::BandwidthSet::byIndex(set);
     specs.push_back(spec);
   }
-  const auto peaks = scenario::ScenarioRunner(cli.backendOptions()).findPeaks(specs);
+  const auto peaks = scenario::makeBackend(cli.backendOptions())->findPeaks(specs);
 
   const photonic::AreaParams areaParams;
   metrics::ReportTable table(

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     point.params.architecture = arch;
     points.push_back(point);
   }
-  const auto results = scenario::ScenarioRunner(cli.backendOptions()).run(points);
+  const auto results = scenario::makeBackend(cli.backendOptions())->run(points);
 
   for (const auto& result : results) {
     const metrics::RunMetrics& m = result.metrics;

@@ -20,7 +20,7 @@
 //   spec.set("arch", "dhetpnoc");
 //   spec.set("pattern", "skewed3");      // or "hotspot:frac=0.3,hot=5", ...
 //   spec.set("load", "0.004");
-//   metrics::RunMetrics m = scenario::ScenarioRunner::runOne(spec);
+//   metrics::RunMetrics m = scenario::runScenario(spec);
 //
 // or drive the network directly:
 //

@@ -8,7 +8,7 @@
 
 #include "scenario/dispatch/hosts_file.hpp"
 #include "scenario/spec_file.hpp"
-#include "scenario/subprocess_backend.hpp"
+#include "scenario/worker.hpp"
 #include "sim/suggest.hpp"
 #include "traffic/registry.hpp"
 #include "workload/registry.hpp"
@@ -23,7 +23,7 @@ void Cli::addKey(std::string key, std::string doc) {
 }
 
 CliStatus Cli::parse(int argc, char** argv, ScenarioSpec* spec) {
-  // Worker invocation: the SubprocessBackend re-execs this binary with one
+  // Worker invocation: the dispatch fleet re-execs this binary with one
   // flag; everything else (including the binary's own defaults) is ignored —
   // the jobs on stdin carry complete specs.
   if (argc > 1 && std::string_view(argv[1]) == kWorkerFlag) {
@@ -64,7 +64,7 @@ CliStatus Cli::parse(int argc, char** argv, ScenarioSpec* spec) {
                     " or JSON spec file\n");
       }
       std::printf("  backend=threads             execution backend: threads |"
-                  " processes | stream\n");
+                  " stream (processes = stream)\n");
       std::printf("  shards=0                    worker threads/processes (0 = auto:"
                   " PNOC_BENCH_THREADS, else hardware)\n");
       std::printf("  hosts=@hosts.json           stream across a hosts file"
@@ -177,11 +177,11 @@ void Cli::applyRunnerKeys() {
   if (!hosts.empty()) {
     // A hosts file only makes sense streaming; naming one selects the
     // backend rather than silently ignoring the fleet.
-    if (config_.contains("backend") &&
-        backendOptions_.kind != BackendKind::kStream) {
-      throw std::invalid_argument(
-          "hosts= requires backend=stream (got backend=" +
-          toString(backendOptions_.kind) + ")");
+    // (backend=processes means local workers, so it does not take one.)
+    const std::string backend = config_.getString("backend", "stream");
+    if (backend != "stream") {
+      throw std::invalid_argument("hosts= requires backend=stream (got backend=" +
+                                  backend + ")");
     }
     if (backendOptions_.workers != 0) {
       throw std::invalid_argument(

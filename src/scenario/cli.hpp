@@ -19,12 +19,13 @@
 //     case scenario::CliStatus::kWorker: return cli.workerExitCode();
 //     case scenario::CliStatus::kRun: break;
 //   }
-//   scenario::ScenarioRunner runner(cli.backendOptions());
+//   const auto backend = scenario::makeBackend(cli.backendOptions());
 //   const std::string jsonDir = cli.config().getString("json", ".");
 //
-// Every binary that parses through Cli is automatically a SubprocessBackend
-// worker host: invoked as `<binary> --pnoc-worker` it speaks the JSON job
-// protocol on stdin/stdout and exits (the kWorker status above).
+// Every binary that parses through Cli is automatically a dispatch worker
+// host: invoked as `<binary> --pnoc-worker` it speaks the JSON job protocol
+// on stdin/stdout (scenario/worker.hpp) and exits (the kWorker status
+// above).
 #pragma once
 
 #include <string>
@@ -41,7 +42,7 @@ enum class CliStatus {
   kRun,     // proceed; overrides applied
   kHelp,    // help=1 printed the key listing; exit 0
   kError,   // malformed/unknown input reported on stderr; exit non-zero
-  kWorker,  // ran as a subprocess protocol worker; exit workerExitCode()
+  kWorker,  // ran as a protocol worker; exit workerExitCode()
 };
 
 class Cli {

@@ -11,9 +11,11 @@
 //       connect_timeout_ms=30000 fail_soft=0
 //   * a hosts file's top-level "policy" object (hosts=@hosts.json), with
 //     CLI keys overriding the file's values key by key;
-//   * code, for tests and embedders (StreamingWorkerPool's constructor).
+//   * code, for tests and embedders (StreamingBackend's and FleetManager's
+//     constructors).
 //
-// The semantics each knob buys (implemented in streaming_worker_pool.cpp):
+// The semantics each knob buys (implemented in fleet.cpp; the fail-soft
+// choice in streaming_backend.cpp):
 //
 //   retries        redispatches a job gets after a fault killed its worker
 //                  (worker death, protocol corruption, deadline kill) before
@@ -37,8 +39,9 @@
 //                  bound on the success path's reap — a wedged worker can
 //                  never hang the dispatcher indefinitely.
 //   connect_timeout_ms  launch-to-handshake-ack budget per worker (per-host
-//                  override via a host entry's own connect_timeout_ms).
-//                  Transports launch CONCURRENTLY against this budget, so an
+//                  override via a host entry's own connect_timeout_ms; the
+//                  PNOC_STREAM_ACK_TIMEOUT_MS environment variable beats
+//                  both).  Launches are non-blocking fork/execs, so an
 //                  N-host ssh fleet starts in max, not sum, of connect
 //                  times.
 //   fail_soft      1: a job that exhausts `retries` (or fails in-band, or
@@ -46,7 +49,8 @@
 //                  failure outcome — the grid continues, pnoc_run records
 //                  the failure in the BENCH checkpoint, and resume=1 later
 //                  re-dispatches exactly those indices.  0 (default): the
-//                  first exhausted job aborts the dispatch (PR 4 behavior).
+//                  first failed job aborts the dispatch.  (The pnoc_serve
+//                  daemon is always fail-soft per unit.)
 #pragma once
 
 #include <cstdint>

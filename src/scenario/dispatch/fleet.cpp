@@ -1,27 +1,22 @@
-#include "service/fleet.hpp"
+#include "scenario/dispatch/fleet.hpp"
 
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "obs/trace.hpp"
 #include "scenario/wire.hpp"
 
-namespace pnoc::service {
+namespace pnoc::scenario::dispatch {
 namespace {
 
-using scenario::dispatch::backoffMsForAttempt;
-using scenario::dispatch::describeWaitStatus;
-using scenario::dispatch::terminateWorker;
-using scenario::dispatch::writeAllToWorker;
-
-/// PNOC_STREAM_ACK_TIMEOUT_MS overrides every connect/ack budget (shared
-/// with the batch dispatch layer, so tests tune both the same way).
+/// PNOC_STREAM_ACK_TIMEOUT_MS overrides every connect/ack budget (tests,
+/// very slow fleets); 0 / unset defers to the per-host and policy values.
 std::uint64_t envConnectTimeoutMs() {
   if (const char* env = std::getenv("PNOC_STREAM_ACK_TIMEOUT_MS")) {
     const long ms = std::strtol(env, nullptr, 10);
@@ -30,10 +25,20 @@ std::uint64_t envConnectTimeoutMs() {
   return 0;
 }
 
+/// "job 3" for a batch unit, "job 7 unit 3" for a daemon unit.
+std::string unitName(const UnitKey& key) {
+  if (key.job == 0) return "job " + std::to_string(key.unit);
+  return "job " + std::to_string(key.job) + " unit " + std::to_string(key.unit);
+}
+
+std::string describeWorker(const WorkerConnection& conn) {
+  return conn.description + " (pid " + std::to_string(conn.pid) + ")";
+}
+
 }  // namespace
 
-FleetManager::FleetManager(scenario::dispatch::FaultPolicy policy,
-                           Callbacks callbacks, obs::Registry* registry)
+FleetManager::FleetManager(FaultPolicy policy, Callbacks callbacks,
+                           obs::Registry* registry)
     : policy_(policy), callbacks_(std::move(callbacks)) {
   // A worker dying mid-write must surface as EPIPE, not SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
@@ -51,6 +56,12 @@ FleetManager::FleetManager(scenario::dispatch::FaultPolicy policy,
   statMaxInFlight_ = registry->gauge("fleet_max_in_flight");
 }
 
+FleetManager::~FleetManager() {
+  for (Slot& slot : slots_) {
+    terminateWorker(slot.conn, policy_.graceMs);
+  }
+}
+
 FleetManager::Stats FleetManager::stats() const {
   Stats s;
   s.retries = static_cast<unsigned>(statRetries_.value());
@@ -63,33 +74,36 @@ FleetManager::Stats FleetManager::stats() const {
   return s;
 }
 
+// Trace spans: worker-handshake (async, one per launch), dispatch (the job
+// line write), unit-execution (async, keyed by the unit's fixed wire index,
+// so successive attempts give sequential, never overlapping spans), and
+// retry / retry-backoff / respawn instants.
 void FleetManager::endHandshakeSpan(Slot& slot) {
   if (slot.handshakeSpanId == 0) return;
   if (obs::TraceWriter* writer = obs::trace()) {
-    writer->asyncEnd("worker-handshake", "fleet", slot.handshakeSpanId);
+    writer->asyncEnd("worker-handshake", "dispatch", slot.handshakeSpanId);
   }
   slot.handshakeSpanId = 0;
 }
 
 void FleetManager::endUnitSpan(const Flight& flight) {
   if (obs::TraceWriter* writer = obs::trace()) {
-    writer->asyncEnd("unit-execution", "fleet", flight.seq);
-  }
-}
-
-FleetManager::~FleetManager() {
-  for (Slot& slot : slots_) {
-    terminateWorker(slot.conn, policy_.graceMs);
+    writer->asyncEnd("unit-execution", "dispatch", flight.seq);
   }
 }
 
 void FleetManager::note(const std::string& text) {
-  std::fprintf(stderr, "pnoc_serve fleet: %s\n", text.c_str());
+  std::fprintf(stderr, "pnoc dispatch: %s\n", text.c_str());
+}
+
+void FleetManager::death(const std::string& text) {
+  lastDeath_ = text;
+  note(text);
 }
 
 std::uint64_t FleetManager::connectBudgetMs(const Slot& slot) const {
-  if (envConnectTimeoutMs() != 0) return envConnectTimeoutMs();
-  if (slot.transport != nullptr && slot.transport->connectTimeoutMs() != 0) {
+  if (const std::uint64_t env = envConnectTimeoutMs(); env != 0) return env;
+  if (slot.transport->connectTimeoutMs() != 0) {
     return slot.transport->connectTimeoutMs();
   }
   return policy_.connectTimeoutMs;
@@ -102,27 +116,26 @@ void FleetManager::startWorker(Slot& slot, std::uint64_t nowMs) {
     slot.state = SlotState::kDead;
     slot.launchFailed = true;
     statLaunchFailures_.inc();
-    note(slot.transport->describe() + " failed to launch: " + error.what());
+    death(slot.transport->describe() + " failed to launch: " + error.what());
     return;
   }
   slot.state = SlotState::kConnecting;
   slot.buffer.clear();
+  slot.waitStatus = -1;
   slot.connectDeadlineMs = nowMs + connectBudgetMs(slot);
   if (obs::TraceWriter* writer = obs::trace()) {
     slot.handshakeSpanId = ++nextHandshakeId_;
-    writer->asyncBegin("worker-handshake", "fleet", slot.handshakeSpanId);
+    writer->asyncBegin("worker-handshake", "dispatch", slot.handshakeSpanId);
   }
   // Handshake hello (carries this build's stamp); the ack is validated when
   // the worker's first line arrives.
-  if (!writeAllToWorker(slot.conn.stdinFd,
-                        scenario::wire::streamHelloLine() + "\n")) {
-    connectFailure(slot, slot.conn.description + " died at the handshake");
+  if (!writeAllToWorker(slot.conn.stdinFd, wire::streamHelloLine() + "\n")) {
+    connectFailure(slot, describeWorker(slot.conn) + " died at the handshake");
   }
 }
 
-std::size_t FleetManager::addWorker(
-    std::unique_ptr<scenario::dispatch::WorkerTransport> transport,
-    std::uint64_t nowMs) {
+std::size_t FleetManager::addWorker(std::unique_ptr<WorkerTransport> transport,
+                                    std::uint64_t nowMs) {
   Slot slot;
   slot.transport = std::move(transport);
   slots_.push_back(std::move(slot));
@@ -130,9 +143,7 @@ std::size_t FleetManager::addWorker(
   return slots_.size() - 1;
 }
 
-bool FleetManager::removeWorker(std::size_t worker, std::uint64_t nowMs,
-                                std::string* error) {
-  (void)nowMs;
+bool FleetManager::removeWorker(std::size_t worker, std::string* error) {
   if (worker >= slots_.size()) {
     if (error != nullptr) {
       *error = "no worker " + std::to_string(worker) + " (fleet has " +
@@ -147,20 +158,22 @@ bool FleetManager::removeWorker(std::size_t worker, std::uint64_t nowMs,
     }
     return false;
   }
-  // In-flight units return to the retry queue UNCHARGED — removal is an
-  // operator action, not a fault of the unit.
-  endHandshakeSpan(slot);
+  // In-flight units return UNCHARGED — removal is an operator action, not a
+  // fault of the unit.
   refundInFlight(slot);
-  terminateWorker(slot.conn, policy_.graceMs);
-  slot.state = SlotState::kRemoved;
+  killSlot(slot, SlotState::kRemoved);
   note("removed " + slot.transport->describe() + " (worker " +
        std::to_string(worker) + ")");
   return true;
 }
 
+/// Kills a worker with SIGTERM-grace-SIGKILL escalation and records how it
+/// ended.  Safe on already-exited workers (the reap returns at once) and on
+/// already-reaped ones (the recorded status stays).
 void FleetManager::killSlot(Slot& slot, SlotState endState) {
   endHandshakeSpan(slot);
-  terminateWorker(slot.conn, policy_.graceMs);
+  const int status = terminateWorker(slot.conn, policy_.graceMs);
+  if (status >= 0) slot.waitStatus = status;
   slot.state = endState;
   slot.buffer.clear();
   slot.frontDeadlineMs = 0;
@@ -170,12 +183,15 @@ void FleetManager::refundInFlight(Slot& slot) {
   // Order-preserving reverse push_front: the refunded units re-deal in the
   // order the dead worker would have executed them.
   while (!slot.inFlight.empty()) {
-    endUnitSpan(slot.inFlight.back());  // the re-deal gets a fresh seq/span
+    endUnitSpan(slot.inFlight.back());
     retryQueue_.push_front(std::move(slot.inFlight.back()));
     slot.inFlight.pop_back();
   }
 }
 
+/// A dead/corrupt/overdue worker loses its whole in-flight queue: the FRONT
+/// unit — the one the worker was executing — is charged a retry; the
+/// queued-behind units were never started and go back uncharged.
 void FleetManager::chargeFrontRefundRest(Slot& slot, const std::string& loudWho,
                                          const std::string& recordDetail,
                                          std::uint64_t nowMs) {
@@ -187,19 +203,25 @@ void FleetManager::chargeFrontRefundRest(Slot& slot, const std::string& loudWho,
   unitFaulted(std::move(front), loudWho, recordDetail, nowMs);
 }
 
+/// A fault cost `flight` its current dispatch: redispatch within the retry
+/// budget (after exponential backoff), else complete it as a failure.
+/// `loudWho` names worker and cause for stderr and loud errors;
+/// `recordDetail` is the deterministic (pid-free) cause a record carries.
 void FleetManager::unitFaulted(Flight flight, const std::string& loudWho,
                                const std::string& recordDetail,
                                std::uint64_t nowMs) {
   ++flight.attempts;
+  death(loudWho + " while running " + unitName(flight.unit.key));
   if (flight.attempts <= policy_.retries) {
     statRetries_.inc();
     const std::uint64_t backoff = backoffMsForAttempt(policy_, flight.attempts);
     if (obs::TraceWriter* writer = obs::trace()) {
-      writer->instant(backoff != 0 ? "retry-backoff" : "retry", "fleet");
+      writer->instant(backoff != 0 ? "retry-backoff" : "retry", "dispatch");
     }
-    note(loudWho + " while running job " + std::to_string(flight.unit.ref.job) +
-         " unit " + std::to_string(flight.unit.ref.unit) + "; redispatching" +
-         (backoff != 0 ? " after " + std::to_string(backoff) + " ms" : ""));
+    note("redispatching " + unitName(flight.unit.key) + " (attempt " +
+         std::to_string(flight.attempts + 1) + " of " +
+         std::to_string(policy_.retries + 1) +
+         (backoff != 0 ? " after " + std::to_string(backoff) + " ms)" : ")"));
     if (backoff == 0) {
       retryQueue_.push_front(std::move(flight));
     } else {
@@ -211,39 +233,57 @@ void FleetManager::unitFaulted(Flight flight, const std::string& loudWho,
                                 std::to_string(policy_.retries) + " exhausted)");
 }
 
+/// The terminal failure state: the unit completes AS a failed outcome with
+/// a deterministic error, so two identically-faulty runs record identical
+/// failures.
 void FleetManager::recordUnitFailure(const Flight& flight,
                                      const std::string& reason) {
-  // The fleet is fail-soft per unit: a multi-tenant daemon records the
-  // failure (the job's BENCH checkpoint keeps it re-dispatchable) and keeps
-  // serving every other unit.
   statFailedUnits_.inc();
-  scenario::ScenarioOutcome outcome;
+  ScenarioOutcome outcome;
   outcome.op = flight.unit.job.op;
   outcome.spec = flight.unit.job.spec;
   outcome.failed = true;
   outcome.error = reason;
-  note("job " + std::to_string(flight.unit.ref.job) + " unit " +
-       std::to_string(flight.unit.ref.unit) + " failed: " + reason);
-  if (callbacks_.unitDone) callbacks_.unitDone(flight.unit.ref, std::move(outcome));
+  note(unitName(flight.unit.key) + " failed: " + reason);
+  if (callbacks_.unitDone) callbacks_.unitDone(flight.unit.key, std::move(outcome));
 }
 
+/// A connect-class death (launch, handshake write, ack timeout, bad ack):
+/// the host never proved it can run units, so its slot is retired — no
+/// respawn — and anything it held goes back uncharged.
 void FleetManager::connectFailure(Slot& slot, const std::string& what) {
-  // The host never proved it can run jobs: retire the slot (no respawn) and
-  // refund anything dealt to it uncharged.
-  endHandshakeSpan(slot);
   killSlot(slot, SlotState::kDead);
   slot.launchFailed = true;
   statLaunchFailures_.inc();
   refundInFlight(slot);
-  note(what + "; continuing on the remaining workers");
+  death(what + "; continuing on the remaining workers");
 }
 
+/// A worker whose protocol is corrupt cannot be trusted with further units:
+/// kill it, charge the front unit a retry, and let the slot respawn.
+void FleetManager::protocolDeath(Slot& slot, const std::string& what,
+                                 const std::string& recordDetail,
+                                 std::uint64_t nowMs) {
+  statProtocolDeaths_.inc();
+  const std::string who = describeWorker(slot.conn) + " " + what;
+  killSlot(slot, SlotState::kDead);
+  if (slot.inFlight.empty()) {
+    death(who + " while idle");
+  } else {
+    chargeFrontRefundRest(slot, who, recordDetail, nowMs);
+  }
+  maybeRespawn(slot, nowMs);
+}
+
+/// Relaunches a dead slot through its original transport (bounded per
+/// slot): the fleet heals to full width instead of shrinking by one worker
+/// per crash.  Connect-class failures never respawn.
 void FleetManager::maybeRespawn(Slot& slot, std::uint64_t nowMs) {
   if (slot.launchFailed || slot.respawns >= policy_.respawns) return;
   ++slot.respawns;
   statRespawns_.inc();
   if (obs::TraceWriter* writer = obs::trace()) {
-    writer->instant("respawn", "fleet");
+    writer->instant("respawn", "dispatch");
   }
   note("respawning " + slot.transport->describe() + " (respawn " +
        std::to_string(slot.respawns) + " of " + std::to_string(policy_.respawns) +
@@ -265,20 +305,19 @@ void FleetManager::pump(std::uint64_t nowMs) {
       } else {
         std::optional<FleetUnit> unit =
             callbacks_.nextUnit ? callbacks_.nextUnit() : std::nullopt;
-        if (!unit) return;  // queue is dry — nothing to deal anywhere
+        if (!unit) return;  // nothing pends — nothing to deal anywhere
         flight.unit = std::move(*unit);
+        flight.seq = nextSeq_++;
       }
-      flight.seq = nextSeq_++;
-      const std::string line =
-          scenario::wire::jobLine(flight.seq, flight.unit.job) + "\n";
+      const std::string line = wire::jobLine(flight.seq, flight.unit.job) + "\n";
       bool written;
       {
-        const obs::ScopedSpan span("dispatch", "fleet");
+        const obs::ScopedSpan span("dispatch", "dispatch");
         written = writeAllToWorker(slot.conn.stdinFd, line);
       }
       if (written) {
         if (obs::TraceWriter* writer = obs::trace()) {
-          writer->asyncBegin("unit-execution", "fleet", flight.seq);
+          writer->asyncBegin("unit-execution", "dispatch", flight.seq);
         }
         if (slot.inFlight.empty() && policy_.jobDeadlineMs != 0) {
           slot.frontDeadlineMs = nowMs + policy_.jobDeadlineMs;
@@ -288,17 +327,10 @@ void FleetManager::pump(std::uint64_t nowMs) {
         slot.maxInFlight = std::max(slot.maxInFlight, inFlightNow);
         statMaxInFlight_.observeMax(inFlightNow);
       } else {
-        // Died taking the line: this unit goes back untouched; queued units
-        // are handled like any death — front charged, rest refunded.
+        // Died taking the line: this unit goes back untouched; the units
+        // already on the worker are handled like any death.
         retryQueue_.push_front(std::move(flight));
-        const std::string who = slot.conn.description;
-        killSlot(slot, SlotState::kDead);
-        if (slot.inFlight.empty()) {
-          note(who + " died while idle");
-        } else {
-          chargeFrontRefundRest(slot, who + " died", "worker death", nowMs);
-        }
-        maybeRespawn(slot, nowMs);
+        handleDeath(slot, nowMs);
       }
     }
   }
@@ -307,6 +339,8 @@ void FleetManager::pump(std::uint64_t nowMs) {
 std::vector<pollfd> FleetManager::pollFds() const {
   std::vector<pollfd> fds;
   for (const Slot& slot : slots_) {
+    // Idle workers are polled too: seeing an idle death's EOF promptly is
+    // what keeps it a tolerated (and healed) anomaly.
     if (slot.state == SlotState::kConnecting || slot.state == SlotState::kReady) {
       fds.push_back(pollfd{slot.conn.stdoutFd, POLLIN, 0});
     }
@@ -322,12 +356,8 @@ void FleetManager::onReadable(int fd, std::uint64_t nowMs) {
     }
     char buffer[65536];
     const ssize_t n = ::read(fd, buffer, sizeof buffer);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) return;
-      handleDeath(slot, nowMs);
-      return;
-    }
-    if (n == 0) {
+    if (n < 0 && (errno == EINTR || errno == EAGAIN)) return;
+    if (n <= 0) {
       handleDeath(slot, nowMs);
       return;
     }
@@ -348,41 +378,37 @@ void FleetManager::handleLine(Slot& slot, const std::string& line,
                               std::uint64_t nowMs) {
   if (slot.state == SlotState::kConnecting) {
     try {
-      scenario::wire::checkStreamAck(line);
+      wire::checkStreamAck(line);
     } catch (const std::runtime_error& error) {
       // Bad ack — wrong protocol version or mismatched build stamp: the
       // host runs SOMETHING, but not this build; retire it.
-      connectFailure(slot, slot.conn.description + ": " + error.what());
+      connectFailure(slot, describeWorker(slot.conn) + ": " + error.what());
       return;
     }
     slot.state = SlotState::kReady;
     endHandshakeSpan(slot);
     return;
   }
-  scenario::wire::WorkerReply reply;
+  wire::WorkerReply reply;
   try {
-    reply = scenario::wire::parseReplyLine(line);
+    reply = wire::parseReplyLine(line);
   } catch (const std::exception& error) {
-    statProtocolDeaths_.inc();
-    const std::string who = slot.conn.description;
-    killSlot(slot, SlotState::kDead);
-    note(who + " sent an unparseable reply (worker killed): " + error.what());
-    chargeFrontRefundRest(slot, who + " sent an unparseable reply",
-                          "worker-protocol death: unparseable reply", nowMs);
-    maybeRespawn(slot, nowMs);
+    protocolDeath(slot, std::string("sent an unparseable reply: ") + error.what(),
+                  "worker-protocol death: unparseable reply", nowMs);
     return;
   }
   // In-order pipeline: the reply must answer the FRONT of this worker's
   // queue (it executes stdin lines sequentially) — anything else is
   // corruption.
   if (slot.inFlight.empty() || reply.index != slot.inFlight.front().seq) {
-    statProtocolDeaths_.inc();
-    const std::string who = slot.conn.description;
-    killSlot(slot, SlotState::kDead);
-    note(who + " replied out of order (worker killed)");
-    chargeFrontRefundRest(slot, who + " replied out of order",
-                          "worker-protocol death: out-of-order reply", nowMs);
-    maybeRespawn(slot, nowMs);
+    protocolDeath(slot,
+                  "replied for wire index " + std::to_string(reply.index) +
+                      " while " +
+                      (slot.inFlight.empty()
+                           ? std::string("none")
+                           : std::to_string(slot.inFlight.front().seq)) +
+                      " was in flight",
+                  "worker-protocol death: out-of-order reply", nowMs);
     return;
   }
   Flight flight = std::move(slot.inFlight.front());
@@ -391,11 +417,9 @@ void FleetManager::handleLine(Slot& slot, const std::string& line,
   statUnitsCompleted_.inc();
   // The next queued unit is now the one the worker is executing: its
   // deadline budget starts here.
-  if (!slot.inFlight.empty() && policy_.jobDeadlineMs != 0) {
-    slot.frontDeadlineMs = nowMs + policy_.jobDeadlineMs;
-  } else if (slot.inFlight.empty()) {
-    slot.frontDeadlineMs = 0;
-  }
+  slot.frontDeadlineMs = !slot.inFlight.empty() && policy_.jobDeadlineMs != 0
+                             ? nowMs + policy_.jobDeadlineMs
+                             : 0;
   ++slot.completed;
   if (!reply.ok) {
     // In-band simulation failure: deterministic, never retried.
@@ -404,28 +428,30 @@ void FleetManager::handleLine(Slot& slot, const std::string& line,
   }
   reply.outcome.spec = flight.unit.job.spec;
   if (callbacks_.unitDone) {
-    callbacks_.unitDone(flight.unit.ref, std::move(reply.outcome));
+    callbacks_.unitDone(flight.unit.key, std::move(reply.outcome));
   }
 }
 
 void FleetManager::handleDeath(Slot& slot, std::uint64_t nowMs) {
-  const std::string who = slot.conn.description;
+  const std::string who = describeWorker(slot.conn);
   const bool connecting = slot.state == SlotState::kConnecting;
   const bool truncated = !slot.buffer.empty();
   killSlot(slot, SlotState::kDead);
+  const std::string end = slot.waitStatus >= 0
+                              ? describeWaitStatus(slot.waitStatus)
+                              : std::string("could not be reaped");
   if (connecting) {
-    connectFailure(slot, who + " died before the handshake ack");
+    connectFailure(slot, who + " " + end + " before the handshake ack");
     return;
   }
   if (truncated) statProtocolDeaths_.inc();
-  const std::string how =
-      truncated ? "died with a truncated reply line" : "died";
+  const std::string how = end + (truncated ? " with a truncated reply line" : "");
   if (slot.inFlight.empty()) {
-    note(who + " " + how + " while idle");
-    maybeRespawn(slot, nowMs);
-    return;
+    // Idle death loses no unit: reported, healed, never costs the run.
+    death(who + " " + how + " while idle");
+  } else {
+    chargeFrontRefundRest(slot, who + " " + how, "worker death: " + how, nowMs);
   }
-  chargeFrontRefundRest(slot, who + " " + how, "worker death", nowMs);
   maybeRespawn(slot, nowMs);
 }
 
@@ -445,7 +471,7 @@ void FleetManager::onTick(std::uint64_t nowMs) {
   releaseDelayed(nowMs);
   for (Slot& slot : slots_) {
     if (slot.state == SlotState::kConnecting && nowMs >= slot.connectDeadlineMs) {
-      connectFailure(slot, slot.conn.description +
+      connectFailure(slot, describeWorker(slot.conn) +
                                " did not acknowledge the streaming protocol"
                                " within " +
                                std::to_string(connectBudgetMs(slot)) +
@@ -453,23 +479,13 @@ void FleetManager::onTick(std::uint64_t nowMs) {
       continue;
     }
     if (slot.state == SlotState::kReady && !slot.inFlight.empty() &&
-        policy_.jobDeadlineMs != 0 && slot.frontDeadlineMs != 0 &&
-        nowMs >= slot.frontDeadlineMs) {
+        slot.frontDeadlineMs != 0 && nowMs >= slot.frontDeadlineMs) {
       statDeadlineKills_.inc();
-      const std::string who = slot.conn.description;
-      Flight front = std::move(slot.inFlight.front());
-      slot.inFlight.pop_front();
-      endUnitSpan(front);
+      const std::string who = describeWorker(slot.conn);
+      const std::string limit = std::to_string(policy_.jobDeadlineMs) + " ms";
       killSlot(slot, SlotState::kDead);
-      refundInFlight(slot);
-      note(who + " exceeded the " + std::to_string(policy_.jobDeadlineMs) +
-           " ms job deadline (worker killed)");
-      unitFaulted(std::move(front),
-                  who + " exceeded the " + std::to_string(policy_.jobDeadlineMs) +
-                      " ms job deadline",
-                  "job deadline exceeded (" +
-                      std::to_string(policy_.jobDeadlineMs) + " ms)",
-                  nowMs);
+      chargeFrontRefundRest(slot, who + " exceeded the " + limit + " job deadline",
+                            "job deadline exceeded (" + limit + ")", nowMs);
       maybeRespawn(slot, nowMs);
     }
   }
@@ -483,7 +499,7 @@ std::optional<std::uint64_t> FleetManager::nextDeadlineMs() const {
   for (const Slot& slot : slots_) {
     if (slot.state == SlotState::kConnecting) consider(slot.connectDeadlineMs);
     if (slot.state == SlotState::kReady && !slot.inFlight.empty() &&
-        policy_.jobDeadlineMs != 0 && slot.frontDeadlineMs != 0) {
+        slot.frontDeadlineMs != 0) {
       consider(slot.frontDeadlineMs);
     }
   }
@@ -493,7 +509,7 @@ std::optional<std::uint64_t> FleetManager::nextDeadlineMs() const {
 
 void FleetManager::dropUnitsForJob(std::uint64_t jobId) {
   const auto gone = [&](const Flight& flight) {
-    return flight.unit.ref.job == jobId;
+    return flight.unit.key.job == jobId;
   };
   retryQueue_.erase(std::remove_if(retryQueue_.begin(), retryQueue_.end(), gone),
                     retryQueue_.end());
@@ -502,6 +518,45 @@ void FleetManager::dropUnitsForJob(std::uint64_t jobId) {
                                   return gone(d.flight);
                                 }),
                  delayed_.end());
+}
+
+void FleetManager::failRemaining(const std::string& reason) {
+  std::deque<Flight> stranded = std::move(retryQueue_);
+  retryQueue_.clear();
+  for (DelayedFlight& delayed : delayed_) stranded.push_back(std::move(delayed.flight));
+  delayed_.clear();
+  for (const Flight& flight : stranded) recordUnitFailure(flight, reason);
+  while (callbacks_.nextUnit) {
+    std::optional<FleetUnit> unit = callbacks_.nextUnit();
+    if (!unit) break;
+    Flight flight;
+    flight.unit = std::move(*unit);
+    recordUnitFailure(flight, reason);
+  }
+}
+
+std::vector<std::string> FleetManager::closeWorkers() {
+  for (Slot& slot : slots_) {
+    if (slot.state == SlotState::kReady) closeConnection(slot.conn);
+    if (slot.state == SlotState::kConnecting) killSlot(slot, SlotState::kRemoved);
+  }
+  std::vector<std::string> failures;
+  for (Slot& slot : slots_) {
+    if (slot.state != SlotState::kReady) continue;
+    const std::string who = describeWorker(slot.conn);
+    bool killed = false;
+    const int status = reapWorkerWithin(slot.conn, policy_.graceMs, &killed);
+    slot.state = SlotState::kRemoved;
+    if (status < 0) {
+      failures.push_back(who + " could not be reaped");
+    } else if (killed) {
+      failures.push_back(who + " did not exit within " +
+                         std::to_string(policy_.graceMs) + " ms of EOF (killed)");
+    } else if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
+      failures.push_back(who + " " + describeWaitStatus(status));
+    }
+  }
+  return failures;
 }
 
 bool FleetManager::idle() const {
@@ -551,4 +606,4 @@ std::vector<FleetManager::WorkerStatus> FleetManager::workerStatus() const {
   return statuses;
 }
 
-}  // namespace pnoc::service
+}  // namespace pnoc::scenario::dispatch

@@ -1,12 +1,15 @@
 // StreamingBackend: the ExecutionBackend face of the dispatch subsystem
-// (`backend=stream` on every scenario binary and pnoc_run).
+// (`backend=stream`, and its alias `backend=processes`, on every scenario
+// binary and pnoc_run).
 //
-// Where SubprocessBackend deals the batch statically and waits for EOF,
-// this backend drives a StreamingWorkerPool: persistent workers, one job
-// in flight per worker, the next job dealt to whichever worker finishes
-// first.  Workers come from either
+// execute() is a short poll-loop driver over a FleetManager (fleet.hpp):
+// it feeds the fixed job vector through the fleet's nextUnit in index
+// order, collects results from unitDone, and decides what a failed unit
+// means — a thrown error naming the job and the worker (default), or a
+// structured failed outcome that lets the rest of the grid complete
+// (policy.failSoft).  Workers come from either
 //
-//   * N local re-execs of this binary (`shards=N`, like backend=processes), or
+//   * N local re-execs of this binary (`shards=N`), or
 //   * a hosts file (`hosts=@hosts.json`) expanding to launcher-wrapped
 //     workers on other machines/containers (dispatch/hosts_file.hpp),
 //
@@ -19,41 +22,46 @@
 #include <string>
 #include <vector>
 
+#include "scenario/dispatch/fleet.hpp"
 #include "scenario/dispatch/hosts_file.hpp"
-#include "scenario/dispatch/streaming_worker_pool.hpp"
 #include "scenario/execution_backend.hpp"
 
 namespace pnoc::scenario::dispatch {
 
 class StreamingBackend : public ExecutionBackend {
  public:
-  /// Local pool: `shards` workers (0 = auto, see resolveWorkerCount),
+  /// Local fleet: `shards` workers (0 = auto, see resolveWorkerCount),
   /// re-execing `workerExecutable` ("" = this binary).  `policy` governs
   /// every failure path (dispatch/fault_policy.hpp).
   explicit StreamingBackend(unsigned shards = 0, std::string workerExecutable = "",
                             FaultPolicy policy = {});
 
-  /// Hosts-file pool: one worker per slot listed in `hosts`.
+  /// Hosts-file fleet: one worker per slot listed in `hosts`.
   explicit StreamingBackend(std::vector<HostEntry> hosts, FaultPolicy policy = {});
 
   std::string name() const override { return "stream"; }
-  BackendCapabilities capabilities() const override {
-    return BackendCapabilities{/*crossProcess=*/true, /*deterministicMerge=*/true};
-  }
   unsigned workersFor(std::size_t jobCount) const override;
 
+  /// Executes the batch; results indexed like `jobs`.  Throws
+  /// std::runtime_error on an unrecoverable failure (a failed job without
+  /// fail_soft, a fleet with no live worker left without fail_soft, an
+  /// interrupt, a worker that exits nonzero at the close) after tearing the
+  /// fleet down with bounded SIGTERM-to-SIGKILL escalation.
   std::vector<ScenarioOutcome> execute(const std::vector<ScenarioJob>& jobs) override;
 
-  /// Dispatch stats of the most recent execute() (dynamic-dealing
-  /// distribution, retry count).
-  const StreamingWorkerPool::Stats& lastStats() const { return stats_; }
+  /// Fleet counters and per-worker status of the most recent execute().
+  const FleetManager::Stats& lastStats() const { return stats_; }
+  const std::vector<FleetManager::WorkerStatus>& lastWorkers() const {
+    return workers_;
+  }
 
  private:
   unsigned shards_ = 0;
   std::string workerExecutable_;
   std::vector<HostEntry> hosts_;  // empty: local workers
   FaultPolicy policy_;
-  StreamingWorkerPool::Stats stats_;
+  FleetManager::Stats stats_;
+  std::vector<FleetManager::WorkerStatus> workers_;
 };
 
 }  // namespace pnoc::scenario::dispatch

@@ -1,24 +1,23 @@
 #include "scenario/dispatch/worker_transport.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "scenario/subprocess_backend.hpp"
+#include "scenario/worker.hpp"
 
 namespace pnoc::scenario::dispatch {
 
+namespace {
+
+/// The running binary's path (/proc/self/exe — immune to argv[0] games).
 std::string selfExecutablePath() {
   char buffer[4096];
   const ssize_t len = ::readlink("/proc/self/exe", buffer, sizeof buffer - 1);
@@ -29,6 +28,8 @@ std::string selfExecutablePath() {
   return buffer;
 }
 
+/// The shared low-level spawn: fork, stdin/stdout onto fresh FD_CLOEXEC
+/// pipes, execvp(argv).  Throws std::runtime_error on pipe/fork failure.
 WorkerConnection spawnWorkerProcess(const std::vector<std::string>& argv,
                                     const std::string& description) {
   if (argv.empty()) {
@@ -37,8 +38,8 @@ WorkerConnection spawnWorkerProcess(const std::vector<std::string>& argv,
   int inPipe[2];   // parent writes jobs -> worker stdin
   int outPipe[2];  // worker stdout -> parent reads replies
   // Every pipe fd is born close-on-exec (pipe2, not pipe-then-fcntl, so a
-  // CONCURRENT launch thread's fork can never slip between the two calls
-  // and inherit a raw fd): a later-spawned worker forks while the earlier
+  // fork on another thread can never slip between the two calls and
+  // inherit a raw fd): a later-spawned worker forks while the earlier
   // workers' pipes are still open in the parent, and an inherited stdin
   // write end would keep an earlier worker's stdin from ever reaching EOF
   // (serializing the "parallel" workers, and deadlocking outright once a
@@ -81,6 +82,21 @@ WorkerConnection spawnWorkerProcess(const std::vector<std::string>& argv,
   return connection;
 }
 
+/// Blocking reap (EINTR-safe); returns the wait status and clears `pid`.
+/// Returns -1 when the pid was already reaped or never valid.
+int reapWorker(WorkerConnection& connection) {
+  if (connection.pid <= 0) return -1;
+  int status = 0;
+  pid_t reaped;
+  do {
+    reaped = ::waitpid(connection.pid, &status, 0);
+  } while (reaped < 0 && errno == EINTR);
+  connection.pid = -1;
+  return reaped < 0 ? -1 : status;
+}
+
+}  // namespace
+
 void closeConnection(WorkerConnection& connection) {
   for (int* fd : {&connection.stdinFd, &connection.stdoutFd}) {
     if (*fd >= 0) {
@@ -103,17 +119,6 @@ bool writeAllToWorker(int fd, const std::string& data) {
     written += static_cast<std::size_t>(n);
   }
   return true;
-}
-
-int reapWorker(WorkerConnection& connection) {
-  if (connection.pid <= 0) return -1;
-  int status = 0;
-  pid_t reaped;
-  do {
-    reaped = ::waitpid(connection.pid, &status, 0);
-  } while (reaped < 0 && errno == EINTR);
-  connection.pid = -1;
-  return reaped < 0 ? -1 : status;
 }
 
 int reapWorkerWithin(WorkerConnection& connection, std::uint64_t graceMs,
@@ -143,15 +148,11 @@ int reapWorkerWithin(WorkerConnection& connection, std::uint64_t graceMs,
   return reapWorker(connection);
 }
 
-int terminateWorker(WorkerConnection& connection, std::uint64_t graceMs,
-                    bool* killed) {
+int terminateWorker(WorkerConnection& connection, std::uint64_t graceMs) {
   closeConnection(connection);
-  if (connection.pid <= 0) {
-    if (killed != nullptr) *killed = false;
-    return -1;
-  }
+  if (connection.pid <= 0) return -1;
   ::kill(connection.pid, SIGTERM);
-  return reapWorkerWithin(connection, graceMs, killed);
+  return reapWorkerWithin(connection, graceMs);
 }
 
 std::string describeWaitStatus(int status) {
@@ -195,105 +196,6 @@ WorkerConnection CommandTransport::launch() const {
   argv.push_back(executable_.empty() ? selfExecutablePath() : executable_);
   argv.push_back(kWorkerFlag);
   return spawnWorkerProcess(argv, describe());
-}
-
-namespace {
-
-/// Launch state shared between the caller and the (possibly outliving)
-/// launch threads.  shared_ptr-owned so an abandoned thread can still write
-/// its cell and clean up after the caller has moved on.
-struct LaunchBoard {
-  std::mutex mutex;
-  std::condition_variable cv;
-  struct Cell {
-    bool done = false;
-    bool abandoned = false;
-    std::optional<WorkerConnection> connection;
-    std::string error;
-  };
-  std::vector<Cell> cells;
-};
-
-}  // namespace
-
-std::vector<LaunchOutcome> launchConcurrently(
-    const std::vector<std::unique_ptr<WorkerTransport>>& transports,
-    std::uint64_t defaultTimeoutMs) {
-  using Clock = std::chrono::steady_clock;
-  const auto board = std::make_shared<LaunchBoard>();
-  board->cells.resize(transports.size());
-  std::vector<Clock::time_point> deadlines;
-  deadlines.reserve(transports.size());
-  const auto start = Clock::now();
-  for (std::size_t t = 0; t < transports.size(); ++t) {
-    const std::uint64_t budget = transports[t]->connectTimeoutMs() != 0
-                                     ? transports[t]->connectTimeoutMs()
-                                     : defaultTimeoutMs;
-    deadlines.push_back(start + std::chrono::milliseconds(budget));
-    // Detached by design: a thread stuck inside a wedged launch() (an ssh
-    // that never times out, say) must not block the fleet; it parks until
-    // launch() returns, then tears its worker down under `abandoned`.
-    std::thread([board, t, transport = transports[t].get()] {
-      std::optional<WorkerConnection> connection;
-      std::string error;
-      try {
-        connection = transport->launch();
-      } catch (const std::exception& failure) {
-        error = failure.what();
-      }
-      std::lock_guard<std::mutex> lock(board->mutex);
-      LaunchBoard::Cell& cell = board->cells[t];
-      if (cell.abandoned) {
-        // The caller stopped waiting: this worker never joins the fleet,
-        // and the timeout verdict already written stands.
-        if (connection) terminateWorker(*connection, /*graceMs=*/0);
-      } else {
-        cell.connection = std::move(connection);
-        cell.error = std::move(error);
-      }
-      cell.done = true;
-      board->cv.notify_all();
-    }).detach();
-  }
-
-  std::vector<LaunchOutcome> outcomes(transports.size());
-  std::unique_lock<std::mutex> lock(board->mutex);
-  for (;;) {
-    // Wait until every cell is done or past its own deadline — the fleet
-    // starts after max(connect time, per-host timeout), never the sum.
-    Clock::time_point nextDeadline = Clock::time_point::max();
-    bool pending = false;
-    const auto now = Clock::now();
-    for (std::size_t t = 0; t < board->cells.size(); ++t) {
-      LaunchBoard::Cell& cell = board->cells[t];
-      if (cell.done || cell.abandoned) continue;
-      if (now >= deadlines[t]) {
-        cell.abandoned = true;
-        cell.error = transports[t]->describe() + " did not connect within " +
-                     std::to_string(std::chrono::duration_cast<std::chrono::milliseconds>(
-                                        deadlines[t] - start)
-                                        .count()) +
-                     " ms";
-        continue;
-      }
-      pending = true;
-      nextDeadline = std::min(nextDeadline, deadlines[t]);
-    }
-    if (!pending) break;
-    board->cv.wait_until(lock, nextDeadline);
-  }
-  for (std::size_t t = 0; t < board->cells.size(); ++t) {
-    LaunchBoard::Cell& cell = board->cells[t];
-    if (cell.connection) {
-      outcomes[t].connection = std::move(cell.connection);
-      cell.connection.reset();
-    } else {
-      outcomes[t].error = cell.error.empty()
-                              ? transports[t]->describe() + " failed to launch"
-                              : cell.error;
-    }
-  }
-  return outcomes;
 }
 
 }  // namespace pnoc::scenario::dispatch

@@ -5,22 +5,22 @@
 // is transport-agnostic.  Two implementations:
 //
 //   LocalProcessTransport - re-exec this binary (or a named executable)
-//                           with `--pnoc-worker`, exactly like
-//                           SubprocessBackend has always done
+//                           with `--pnoc-worker`
 //   CommandTransport      - prefix the worker command with an arbitrary
 //                           launcher argv (`ssh hostA`, `docker exec c`,
 //                           `env`), so the same protocol fans out across
 //                           machines or containers
 //
 // Both produce a WorkerConnection: a child pid plus the two pipe fds the
-// parent owns.  Pipe fds are FD_CLOEXEC so concurrently-launched workers
-// never inherit each other's ends (the pipe-inheritance deadlock fixed in
-// the subprocess backend applies to every transport).
+// parent owns.  launch() is a non-blocking fork/exec, so a slow host (an
+// ssh that takes seconds to connect) shows up as a late handshake ack that
+// the fleet's connect budget bounds, never as a blocked caller.  Pipe fds
+// are FD_CLOEXEC so workers never inherit each other's ends (an inherited
+// stdin write end would keep an earlier worker from ever seeing EOF).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,9 +60,6 @@ class WorkerTransport {
   std::uint64_t connectTimeoutMs_ = 0;
 };
 
-/// The running binary's path (/proc/self/exe — immune to argv[0] games).
-std::string selfExecutablePath();
-
 /// Re-exec `executable` ("" = this binary) as `<executable> --pnoc-worker`.
 class LocalProcessTransport : public WorkerTransport {
  public:
@@ -91,23 +88,14 @@ class CommandTransport : public WorkerTransport {
   std::string executable_;
 };
 
-/// The shared low-level spawn: fork, stdin/stdout onto fresh FD_CLOEXEC
-/// pipes, execvp(argv).  Throws std::runtime_error on pipe/fork failure.
-WorkerConnection spawnWorkerProcess(const std::vector<std::string>& argv,
-                                    const std::string& description);
-
 /// Closes both pipe fds (idempotent).
 void closeConnection(WorkerConnection& connection);
 
 /// Writes the whole buffer (EINTR-safe); returns false on EPIPE — the
 /// worker died, and its wait status tells the story — and throws
 /// std::runtime_error on any other error.  Callers must have SIGPIPE
-/// ignored (both backends do, process-wide, before their first write).
+/// ignored (FleetManager does, process-wide, on construction).
 bool writeAllToWorker(int fd, const std::string& data);
-
-/// Blocking reap (EINTR-safe); returns the wait status and clears `pid`.
-/// Returns -1 when the pid was already reaped or never valid.
-int reapWorker(WorkerConnection& connection);
 
 /// Bounded reap: waits up to `graceMs` (WNOHANG polling) for the worker to
 /// exit on its own; one still alive at expiry is SIGKILLed and reaped —
@@ -121,28 +109,9 @@ int reapWorkerWithin(WorkerConnection& connection, std::uint64_t graceMs,
 /// worker exit inside the grace), sends SIGTERM, then escalates per
 /// reapWorkerWithin.  A worker that ignores SIGTERM — or is wedged in a
 /// job — is SIGKILLed after `graceMs`, so teardown is always bounded.
-int terminateWorker(WorkerConnection& connection, std::uint64_t graceMs,
-                    bool* killed = nullptr);
+int terminateWorker(WorkerConnection& connection, std::uint64_t graceMs);
 
 /// "exited with status N" / "killed by signal N" for a wait status.
 std::string describeWaitStatus(int status);
-
-/// One transport's result from a concurrent fleet launch: a live
-/// connection, or the error that (or timeout which) prevented one.
-struct LaunchOutcome {
-  std::optional<WorkerConnection> connection;
-  std::string error;  // set when `connection` is empty
-};
-
-/// Launches every transport CONCURRENTLY, each against its own connect
-/// timeout (transport override, else `defaultTimeoutMs`), so an N-host ssh
-/// fleet pays max — not sum — of the connect times.  A transport whose
-/// launch() has not returned inside its budget is reported by name in
-/// `error` and abandoned: when the straggler eventually returns, its worker
-/// is torn down by the (detached) launch thread, never leaked and never
-/// joined into the fleet.  Outcomes are indexed like `transports`.
-std::vector<LaunchOutcome> launchConcurrently(
-    const std::vector<std::unique_ptr<WorkerTransport>>& transports,
-    std::uint64_t defaultTimeoutMs);
 
 }  // namespace pnoc::scenario::dispatch

@@ -7,7 +7,6 @@
 #include "network/network.hpp"
 #include "scenario/dispatch/streaming_backend.hpp"
 #include "scenario/in_process_backend.hpp"
-#include "scenario/subprocess_backend.hpp"
 
 namespace pnoc::scenario {
 namespace {
@@ -120,25 +119,16 @@ unsigned resolveWorkerCount(unsigned requested, std::size_t jobCount) {
 
 BackendKind parseBackendKind(const std::string& value) {
   if (value == "threads") return BackendKind::kThreads;
-  if (value == "processes") return BackendKind::kProcesses;
-  if (value == "stream") return BackendKind::kStream;
+  if (value == "stream" || value == "processes") return BackendKind::kStream;
   throw std::invalid_argument("'" + value +
                               "' is not a backend (threads | processes | stream)");
 }
 
 std::string toString(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kProcesses: return "processes";
-    case BackendKind::kStream: return "stream";
-    case BackendKind::kThreads: break;
-  }
-  return "threads";
+  return kind == BackendKind::kStream ? "stream" : "threads";
 }
 
 std::unique_ptr<ExecutionBackend> makeBackend(const BackendOptions& options) {
-  if (options.kind == BackendKind::kProcesses) {
-    return std::make_unique<SubprocessBackend>(options.workers);
-  }
   if (options.kind == BackendKind::kStream) {
     if (!options.hosts.empty()) {
       return std::make_unique<dispatch::StreamingBackend>(options.hosts,

@@ -6,11 +6,9 @@
 // business and must never change a single number.  Two implementations ship:
 //
 //   InProcessBackend   - std::thread pool in this address space (the default)
-//   SubprocessBackend  - shards the batch across N re-exec'd worker processes
-//                        speaking newline-delimited JSON on stdin/stdout
-//   StreamingBackend   - persistent worker pool (dispatch/): jobs stream one
-//                        NDJSON line at a time to whichever worker is free,
-//                        over local processes or hosts-file transports
+//   StreamingBackend   - worker fleet (dispatch/): jobs stream one NDJSON line
+//                        at a time to whichever worker is free, over local
+//                        re-exec'd processes or hosts-file transports
 //
 // The primitive is execute() over mixed ScenarioJob batches (fixed-load runs
 // and saturation searches can share one dispatch); run()/findPeaks() are the
@@ -66,28 +64,18 @@ struct ScenarioOutcome {
   std::string error;
 };
 
-struct BackendCapabilities {
-  /// Jobs may execute outside this address space (results cross a process
-  /// boundary through the wire format).
-  bool crossProcess = false;
-  /// Results are merged by input index and are bit-identical to executing
-  /// every job sequentially in this process (both shipped backends).
-  bool deterministicMerge = true;
-};
-
 class ExecutionBackend {
  public:
   /// Completed-job notification: (job index, its outcome).  A backend MAY
   /// invoke the observer as each job finishes — StreamingBackend does, from
   /// the caller's thread, which is what lets pnoc_run checkpoint a grid
-  /// mid-flight; the batch backends only deliver results at the end and
-  /// never call it.
+  /// mid-flight; InProcessBackend only delivers results at the end and
+  /// never calls it.
   using OutcomeObserver = std::function<void(std::size_t, const ScenarioOutcome&)>;
 
   virtual ~ExecutionBackend() = default;
 
   virtual std::string name() const = 0;
-  virtual BackendCapabilities capabilities() const = 0;
 
   /// Installs (or clears, with {}) the per-job completion observer.
   void setOutcomeObserver(OutcomeObserver observer) {
@@ -98,8 +86,9 @@ class ExecutionBackend {
   /// (environment defaults and batch-size clamping applied).
   virtual unsigned workersFor(std::size_t jobCount) const = 0;
 
-  /// Executes a mixed batch; results indexed like `jobs`.  The first job
-  /// failure surfaces as an exception after the batch completes.
+  /// Executes a mixed batch; results indexed like `jobs`.  A job failure
+  /// surfaces as an exception (unless a fail-soft policy turns it into a
+  /// failed outcome).
   virtual std::vector<ScenarioOutcome> execute(const std::vector<ScenarioJob>& jobs) = 0;
 
   /// Typed batch APIs over execute(); results indexed like `specs`.
@@ -131,10 +120,11 @@ metrics::PeakSearchOptions peakOptionsFor(const ScenarioSpec& spec);
 ///   uses 3 workers), with a floor of 1.
 unsigned resolveWorkerCount(unsigned requested, std::size_t jobCount);
 
-enum class BackendKind { kThreads, kProcesses, kStream };
+enum class BackendKind { kThreads, kStream };
 
-/// Parses "threads" | "processes" | "stream" (the `backend=` CLI value);
-/// throws std::invalid_argument otherwise.
+/// Parses "threads" | "stream" (the `backend=` CLI value), with
+/// "processes" an alias for "stream" (local worker processes unless a
+/// hosts file is given); throws std::invalid_argument otherwise.
 BackendKind parseBackendKind(const std::string& value);
 std::string toString(BackendKind kind);
 
@@ -151,7 +141,7 @@ struct BackendOptions {
   std::vector<dispatch::HostEntry> hosts;
   /// Fault policy for backend=stream: hosts-file "policy" object first,
   /// individual CLI keys (retries=, job_deadline_ms=, ...) layered on top.
-  /// The batch backends ignore it.  (Appended last so existing positional
+  /// The thread backend ignores it.  (Appended last so existing positional
   /// aggregate initializations keep meaning what they meant.)
   dispatch::FaultPolicy policy;
 };

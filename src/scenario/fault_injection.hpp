@@ -1,19 +1,18 @@
 // Deterministic fault injection for the dispatch layer's tests and smokes.
 //
 // PNOC_TEST_FAULT=<spec> makes a protocol worker misbehave in a precisely
-// scripted way when it receives a given job index — the generalization of
-// PR 4's one-off PNOC_TEST_STREAM_CRASH lockfile hook.  The worker loop
-// (runWorkerLoop) consults this module around every job; the parent-side
-// pool never reads the variable, so every injected fault exercises the REAL
-// recovery paths: death detection, deadline kills, retry/backoff, respawn,
-// fail-soft degradation.
+// scripted way when it receives a given job index.  The worker loop
+// (scenario/worker.hpp) consults this module around every job; the
+// parent-side fleet never reads the variable, so every injected fault
+// exercises the REAL recovery paths: death detection, deadline kills,
+// retry/backoff, respawn, fail-soft degradation.
 //
 // Spec grammar (comma-separated clauses, each applied at most once per
 // match):
 //
 //   <kind>@<index>[:opt=val]...
 //
-//   kind    crash      _exit before replying (like PNOC_TEST_STREAM_CRASH)
+//   kind    crash      _exit before replying
 //           hang       never reply: sleep until killed (ignoreterm=1 also
 //                      ignores SIGTERM, forcing the SIGKILL escalation)
 //           garbage    emit a non-JSON line instead of the reply
@@ -24,6 +23,8 @@
 //           slow       sleep ms= milliseconds, then reply normally
 //           exit       reply normally, then _exit(code=) (nonzero-exit)
 //   index   the wire job index the fault triggers on, or * for every job
+//           (a unit keeps its wire index across retries, and a batch's
+//           wire index is its job index)
 //   opts    once=<path>  claim an O_EXCL lock file first; only the first
 //                        claimant across the whole fleet injects, so a
 //                        retried job succeeds on the next worker

@@ -1,6 +1,5 @@
 // InProcessBackend: scenario execution on a std::thread pool in this address
-// space (the absorbed ScenarioRunner pool, now one of two ExecutionBackend
-// implementations).
+// space (one of two ExecutionBackend implementations).
 //
 // Scenario jobs are embarrassingly parallel — each builds its own
 // PhotonicNetwork (own engine, RNG streams, packet slab) — and results land
@@ -19,9 +18,6 @@ class InProcessBackend : public ExecutionBackend {
   explicit InProcessBackend(unsigned threads = 0) : threads_(threads) {}
 
   std::string name() const override { return "threads"; }
-  BackendCapabilities capabilities() const override {
-    return BackendCapabilities{/*crossProcess=*/false, /*deterministicMerge=*/true};
-  }
   unsigned workersFor(std::size_t jobCount) const override {
     return resolveWorkerCount(threads_, jobCount);
   }

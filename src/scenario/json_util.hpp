@@ -1,6 +1,6 @@
 // Minimal JSON machinery shared by the scenario layer's wire formats.
 //
-// ScenarioSpec, RunMetrics and the subprocess worker protocol all speak flat
+// ScenarioSpec, RunMetrics and the worker protocol all speak flat
 // or shallowly nested JSON; this header provides the one parser and the two
 // formatting helpers they share so every layer round-trips values the same
 // way:

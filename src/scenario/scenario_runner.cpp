@@ -1,29 +1,6 @@
 #include "scenario/scenario_runner.hpp"
 
-#include "scenario/in_process_backend.hpp"
-
 namespace pnoc::scenario {
-
-ScenarioRunner::ScenarioRunner(unsigned threads)
-    : backend_(std::make_unique<InProcessBackend>(threads)) {}
-
-ScenarioRunner::ScenarioRunner(const BackendOptions& options)
-    : backend_(makeBackend(options)) {}
-
-std::vector<ScenarioResult> ScenarioRunner::run(
-    const std::vector<ScenarioSpec>& specs) const {
-  return backend_->run(specs);
-}
-
-std::vector<ScenarioPeak> ScenarioRunner::findPeaks(
-    const std::vector<ScenarioSpec>& specs) const {
-  return backend_->findPeaks(specs);
-}
-
-std::vector<ScenarioOutcome> ScenarioRunner::execute(
-    const std::vector<ScenarioJob>& jobs) const {
-  return backend_->execute(jobs);
-}
 
 namespace {
 

@@ -208,8 +208,7 @@ std::string streamAckLine() {
 }
 
 bool parseStreamHello(const std::string& line, int& version) {
-  // Cheap reject before parsing: job lines start with {"op": and must not
-  // pay a parse attempt per line.
+  // Cheap reject before parsing: anything without the key is not a hello.
   if (line.find("\"pnoc_stream_hello\"") == std::string::npos) return false;
   try {
     const JsonValue value = JsonValue::parse(line);

@@ -5,17 +5,20 @@
 // protocol lines all serialize to single-line JSON that round-trips
 // BYTE-IDENTICALLY (doubles via shortest-exact formatting, 64-bit counters
 // as decimal integers, histograms as sparse bucket pairs).  That exactness
-// is what lets SubprocessBackend promise bit-identical merged results: a
+// is what lets every dispatch path promise bit-identical merged results: a
 // metric that crossed a process boundary is indistinguishable from one
 // computed in-process.
 //
-// Worker protocol (newline-delimited JSON over stdin/stdout):
+// Worker protocol (newline-delimited JSON over stdin/stdout, see
+// worker.hpp for the worker and dispatch/fleet.hpp for the parent):
+//   parent -> worker   {"pnoc_stream_hello":1,"build":"..."}   once, first
+//   worker -> parent   {"pnoc_stream_ack":1,"build":"..."}     once, first
 //   parent -> worker   {"op":"run"|"peak","index":N,"spec":{...}}
 //   worker -> parent   {"index":N,"op":"run","metrics":{...}}
 //                      {"index":N,"op":"peak","search":{...}}
 //                      {"index":N,"error":"<what>"}
-// The worker reads ALL jobs until stdin EOF before emitting anything, so
-// parent and worker never write concurrently on a full pipe.
+// The worker replies to each job line in order, flushing after each, so a
+// parent can deal the next job the moment a reply arrives.
 #pragma once
 
 #include <cstddef>
@@ -42,15 +45,13 @@ ScenarioResult scenarioResultFromJson(const std::string& json);
 std::string toJson(const ScenarioPeak& peak);
 ScenarioPeak scenarioPeakFromJson(const std::string& json);
 
-// --- streaming handshake (dispatch/streaming_worker_pool) ---
+// --- streaming handshake ---
 //
-// The batch protocol above needs no preamble: the worker slurps stdin to
-// EOF.  The streaming protocol keeps stdin open and deals one job at a
-// time, so both sides must agree to reply per line *before* the first job
-// — the parent's first stdin line is a hello carrying the protocol
-// version, the worker's first stdout line is the matching ack.  A version
-// mismatch (or anything else where the ack should be) fails the dispatch
-// loudly instead of hanging on a worker that will never flush.
+// Both sides agree on the protocol before the first job: the parent's
+// first stdin line is a hello carrying the protocol version and build
+// stamp, the worker's first stdout line is the matching ack.  A mismatch
+// (or anything else where the ack should be) retires the worker by name
+// instead of dealing it jobs it would answer wrongly.
 
 inline constexpr int kStreamProtocolVersion = 1;
 
@@ -58,8 +59,7 @@ inline constexpr int kStreamProtocolVersion = 1;
 std::string streamHelloLine();
 /// Worker -> parent, the first stdout line (carries the worker's version).
 std::string streamAckLine();
-/// True when `line` is a streaming hello (any version — the worker-side
-/// mode switch); fills `version`.
+/// True when `line` is a streaming hello (any version); fills `version`.
 bool parseStreamHello(const std::string& line, int& version);
 /// Validates a worker's ack line; throws std::runtime_error naming the
 /// problem when the line is not an ack or its version differs from ours.

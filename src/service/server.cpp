@@ -194,9 +194,9 @@ void ServeDaemon::start() {
   // --- the shared fleet ---
   FleetManager::Callbacks callbacks;
   callbacks.nextUnit = [this] { return nextUnit(); };
-  callbacks.unitDone = [this](const UnitRef& ref,
+  callbacks.unitDone = [this](const scenario::dispatch::UnitKey& key,
                               scenario::ScenarioOutcome outcome) {
-    unitDone(ref, std::move(outcome));
+    unitDone(UnitRef{key.job, key.unit}, std::move(outcome));
   };
   fleet_ = std::make_unique<FleetManager>(options_.policy, std::move(callbacks),
                                           &registry_);
@@ -589,7 +589,7 @@ void ServeDaemon::handleFleetRemove(Session& session,
                                     const scenario::JsonValue& request) {
   const std::uint64_t worker = request.at("worker").asU64();
   std::string error;
-  if (!fleet_->removeWorker(static_cast<std::size_t>(worker), nowMs(), &error)) {
+  if (!fleet_->removeWorker(static_cast<std::size_t>(worker), &error)) {
     send(session, errorReplyLine(error));
     return;
   }
@@ -606,7 +606,7 @@ std::optional<FleetUnit> ServeDaemon::nextUnit() {
   }
   const GridJob* job = queue_.find(ref->job);
   FleetUnit unit;
-  unit.ref = *ref;
+  unit.key = scenario::dispatch::UnitKey{ref->job, ref->unit};
   unit.job = scenario::ScenarioJob{job->op, job->grid[ref->unit]};
   return unit;
 }

@@ -53,13 +53,16 @@
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "scenario/dispatch/fleet.hpp"
 #include "scenario/execution_backend.hpp"
 #include "scenario/json_util.hpp"
-#include "service/fleet.hpp"
 #include "service/job_queue.hpp"
 #include "service/journal.hpp"
 
 namespace pnoc::service {
+
+using scenario::dispatch::FleetManager;
+using scenario::dispatch::FleetUnit;
 
 struct ServeOptions {
   std::string socketPath;

@@ -104,7 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
         DeterminismParam{"real-apps", Architecture::kDhetpnoc, 0.002}));
 
 TEST_P(Determinism, ResetReuseIsBitIdenticalToFreshNetwork) {
-  // The ScenarioRunner's saturation search reuses ONE built network across
+  // The scenario layer's saturation search reuses ONE built network across
   // load probes via reset(); that is only sound if reset()+run() replays a
   // fresh construction exactly.
   const auto& [pattern, arch, load] = GetParam();
@@ -126,7 +126,7 @@ TEST_P(Determinism, ResetReuseIsBitIdenticalToFreshNetwork) {
 }
 
 TEST(NetworkReset, LoadSweepOverOneNetworkMatchesFreshBuilds) {
-  // The exact reuse pattern of ScenarioRunner::findPeakOne: retarget the
+  // The exact reuse pattern of scenario::findScenarioPeak: retarget the
   // load, rewind, run — every point must equal a from-scratch network.
   auto params = baseParams("skewed3", Architecture::kDhetpnoc, 0.0005, 11, true);
   PhotonicNetwork reused(params);

@@ -1,15 +1,15 @@
-// Test main: plain gtest, plus the subprocess worker hook.
+// Test main: plain gtest, plus the protocol-worker hook.
 //
-// pnoc_tests doubles as its own SubprocessBackend worker executable — the
-// backend re-execs /proc/self/exe with --pnoc-worker, so the determinism
-// tests (subprocess results == in-process results) run entirely against the
-// binary ctest already built.
+// pnoc_tests doubles as its own worker executable — the dispatch fleet
+// re-execs /proc/self/exe with --pnoc-worker, so the cross-process tests
+// (streamed results == in-process results) run entirely against the binary
+// ctest already built.
 #include <gtest/gtest.h>
 
 #include <iostream>
 #include <string_view>
 
-#include "scenario/subprocess_backend.hpp"
+#include "scenario/worker.hpp"
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::string_view(argv[1]) == pnoc::scenario::kWorkerFlag) {

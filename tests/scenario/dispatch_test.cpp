@@ -1,5 +1,5 @@
-// Dispatch-subsystem tests: the streaming worker pool, its transports and
-// the checkpointed-resume machinery.
+// Dispatch-subsystem tests: the streaming backend over the worker fleet,
+// its transports and the checkpointed-resume machinery.
 //
 // The acceptance bar mirrors the backend tests one layer down: for the same
 // spec batch, StreamingBackend — any worker count, any transport, any
@@ -7,9 +7,8 @@
 // InProcessBackend; a dead worker's in-flight job is retried once on a
 // survivor; unrecoverable losses fail loudly naming the worker and job.
 //
-// Like the subprocess tests, every worker here is a re-exec of THIS test
-// binary (tests/main.cpp recognizes --pnoc-worker; the worker loop
-// auto-detects the streaming handshake).
+// Every worker here is a re-exec of THIS test binary (tests/main.cpp
+// recognizes --pnoc-worker).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -24,11 +23,9 @@
 #include "scenario/dispatch/checkpoint.hpp"
 #include "scenario/dispatch/hosts_file.hpp"
 #include "scenario/dispatch/streaming_backend.hpp"
-#include "scenario/dispatch/streaming_worker_pool.hpp"
 #include "scenario/in_process_backend.hpp"
 #include "scenario/json_record.hpp"
 #include "scenario/scenario_runner.hpp"
-#include "scenario/subprocess_backend.hpp"
 #include "scenario/wire.hpp"
 
 namespace pnoc::scenario {
@@ -212,18 +209,13 @@ TEST(HostsFile, TyposGetSuggestions) {
 
 // --- backend selection ---
 
-TEST(StreamingBackend, FactoryNameAndCapabilities) {
+TEST(StreamingBackend, FactoryAndName) {
   EXPECT_EQ(parseBackendKind("stream"), BackendKind::kStream);
   EXPECT_EQ(toString(BackendKind::kStream), "stream");
   const auto backend = makeBackend(BackendOptions{BackendKind::kStream, 3, ""});
   EXPECT_EQ(backend->name(), "stream");
-  EXPECT_TRUE(backend->capabilities().crossProcess);
-  EXPECT_TRUE(backend->capabilities().deterministicMerge);
   EXPECT_EQ(backend->workersFor(8), 3u);
   EXPECT_EQ(backend->workersFor(2), 2u);  // clamped to the batch
-
-  const ScenarioRunner runner(BackendOptions{BackendKind::kStream, 2, ""});
-  EXPECT_EQ(runner.backend().name(), "stream");
 }
 
 TEST(StreamingBackend, HostsFleetSizesWorkerCount) {
@@ -312,8 +304,10 @@ TEST(UnevenGrid, BenchRecordsByteIdenticalAcrossAllBackendsAndShards) {
   for (const unsigned shards : {1u, 2u, 3u}) {
     InProcessBackend threads(shards);
     EXPECT_EQ(recordLines(threads), expected) << "threads shards=" << shards;
-    SubprocessBackend processes(shards);
-    EXPECT_EQ(recordLines(processes), expected) << "processes shards=" << shards;
+    // backend=processes: the alias for local streamed workers.
+    const auto processes = makeBackend(
+        BackendOptions{parseBackendKind("processes"), shards, ""});
+    EXPECT_EQ(recordLines(*processes), expected) << "processes shards=" << shards;
     StreamingBackend stream(shards);
     EXPECT_EQ(recordLines(stream), expected) << "stream shards=" << shards;
   }
@@ -322,7 +316,7 @@ TEST(UnevenGrid, BenchRecordsByteIdenticalAcrossAllBackendsAndShards) {
 // Dynamic dealing: the worker stuck on the ~100x spec must NOT receive an
 // equal share of the batch — its sibling drains the cheap jobs meanwhile.
 // (Static round-robin would give each worker half.)
-TEST(StreamingWorkerPool, SlowWorkerGetsFewerJobs) {
+TEST(StreamingFleet, SlowWorkerGetsFewerJobs) {
   std::vector<ScenarioJob> jobs;
   jobs.push_back(
       {ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 60, 40000)});
@@ -333,10 +327,10 @@ TEST(StreamingWorkerPool, SlowWorkerGetsFewerJobs) {
   StreamingBackend streaming(2);
   const auto outcomes = streaming.execute(jobs);
   ASSERT_EQ(outcomes.size(), jobs.size());
-  const auto& perWorker = streaming.lastStats().jobsPerWorker;
+  const auto& perWorker = streaming.lastWorkers();
   ASSERT_EQ(perWorker.size(), 2u);
-  const unsigned lo = std::min(perWorker[0], perWorker[1]);
-  const unsigned hi = std::max(perWorker[0], perWorker[1]);
+  const unsigned lo = std::min(perWorker[0].completed, perWorker[1].completed);
+  const unsigned hi = std::max(perWorker[0].completed, perWorker[1].completed);
   EXPECT_EQ(lo + hi, jobs.size());
   EXPECT_LE(lo, 2u) << "the worker on the heavy spec should finish few jobs";
   EXPECT_GE(hi, 7u) << "its sibling should have drained the cheap jobs";
@@ -345,13 +339,13 @@ TEST(StreamingWorkerPool, SlowWorkerGetsFewerJobs) {
 
 // --- worker-death handling (loud failure + retry-once) ---
 
-TEST(StreamingWorkerPool, DeadWorkersInFlightJobIsRetriedOnASurvivor) {
-  // The crash hook kills whichever worker first receives job 2 — once: the
+TEST(StreamingFleet, DeadWorkersInFlightJobIsRetriedOnASurvivor) {
+  // The crash fault kills whichever worker first receives job 2 — once: the
   // O_EXCL lock file lets the retry run to completion on the survivor.
   const std::string lock = ::testing::TempDir() + "pnoc_crash_once_" +
                            std::to_string(::getpid()) + ".lock";
   std::remove(lock.c_str());
-  ScopedEnv crash("PNOC_TEST_STREAM_CRASH", ("2:" + lock).c_str());
+  ScopedEnv crash("PNOC_TEST_FAULT", ("crash@2:once=" + lock).c_str());
 
   std::vector<ScenarioJob> jobs;
   for (std::uint64_t s = 0; s < 5; ++s) {
@@ -361,7 +355,7 @@ TEST(StreamingWorkerPool, DeadWorkersInFlightJobIsRetriedOnASurvivor) {
   InProcessBackend inProcess(2);
   std::vector<ScenarioOutcome> expected;
   {
-    ScopedEnv noCrash("PNOC_TEST_STREAM_CRASH", nullptr);  // in-process reference
+    ScopedEnv noCrash("PNOC_TEST_FAULT", nullptr);  // in-process reference
     expected = inProcess.execute(jobs);
   }
 
@@ -372,12 +366,11 @@ TEST(StreamingWorkerPool, DeadWorkersInFlightJobIsRetriedOnASurvivor) {
   std::remove(lock.c_str());
 }
 
-TEST(StreamingWorkerPool, IdleDeathIsToleratedWithAllResultsDelivered) {
-  // The worker that handles job 0 replies and THEN dies (the "after:"
-  // crash-hook variant) — no job is lost, so the batch must complete on the
-  // survivors with every outcome intact, not fail at teardown over the dead
-  // worker's exit status.
-  ScopedEnv crash("PNOC_TEST_STREAM_CRASH", "after:0");
+TEST(StreamingFleet, IdleDeathIsToleratedWithAllResultsDelivered) {
+  // The worker that handles job 0 replies and THEN dies (the exit fault) —
+  // no job is lost, so the batch must complete on the survivors with every
+  // outcome intact, not fail at teardown over the dead worker's exit status.
+  ScopedEnv crash("PNOC_TEST_FAULT", "exit@0:code=57");
   std::vector<ScenarioJob> jobs;
   for (std::uint64_t s = 0; s < 5; ++s) {
     jobs.push_back(
@@ -390,10 +383,10 @@ TEST(StreamingWorkerPool, IdleDeathIsToleratedWithAllResultsDelivered) {
   expectSameOutcomes(actual, expected, "idle death");
 }
 
-TEST(StreamingWorkerPool, UnrecoverableDeathFailsLoudlyNamingTheJob) {
+TEST(StreamingFleet, UnrecoverableDeathFailsLoudlyNamingTheJob) {
   // No lock file: EVERY worker handed job 1 dies, so the one retry is spent
   // and the dispatch must fail naming the job instead of merging the rest.
-  ScopedEnv crash("PNOC_TEST_STREAM_CRASH", "1");
+  ScopedEnv crash("PNOC_TEST_FAULT", "crash@1");
   std::vector<ScenarioJob> jobs;
   for (std::uint64_t s = 0; s < 4; ++s) {
     jobs.push_back(
@@ -410,31 +403,9 @@ TEST(StreamingWorkerPool, UnrecoverableDeathFailsLoudlyNamingTheJob) {
   }
 }
 
-TEST(SubprocessBackend, DeadWorkerFailsLoudlyNamingUnansweredJobs) {
-  // Batch protocol has no retry: a worker dying on job 1 must fail the
-  // execute() naming the jobs that never got replies — silently merging the
-  // partial batch is the bug this guards against.
-  ScopedEnv crash("PNOC_TEST_STREAM_CRASH", "1");
-  std::vector<ScenarioJob> jobs;
-  for (std::uint64_t s = 0; s < 4; ++s) {
-    jobs.push_back(
-        {ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 90 + s, 400)});
-  }
-  SubprocessBackend subprocess(2);
-  try {
-    subprocess.execute(jobs);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("exited with status 57"), std::string::npos) << what;
-    EXPECT_NE(what.find("unanswered"), std::string::npos) << what;
-  }
-}
-
-TEST(StreamingWorkerPool, SilentWorkerFailsTheHandshakeInsteadOfHanging) {
+TEST(StreamingFleet, SilentWorkerFailsTheHandshakeInsteadOfHanging) {
   // `sleep` holds both pipes open and never writes — the observable
-  // behavior of an older-build batch worker waiting for a stdin EOF the
-  // streaming parent never sends.  The handshake deadline must fail the
+  // behavior of a worker that never answers the hello.  The handshake deadline must fail the
   // dispatch, not hang it (teardown SIGTERMs the sleeper).
   ScopedEnv timeout("PNOC_STREAM_ACK_TIMEOUT_MS", "300");
   StreamingBackend streaming({HostEntry{{"sh", "-c", "exec sleep 30"}, 1, ""}});
@@ -450,7 +421,7 @@ TEST(StreamingWorkerPool, SilentWorkerFailsTheHandshakeInsteadOfHanging) {
   }
 }
 
-TEST(StreamingWorkerPool, AllWorkersDeadFailsInsteadOfHanging) {
+TEST(StreamingFleet, AllWorkersDeadFailsInsteadOfHanging) {
   // A launcher that exits immediately gives EOF before any ack: no live
   // workers remain, and execute() must throw, not spin or hang.
   StreamingBackend streaming({HostEntry{{"false"}, 2, ""}});

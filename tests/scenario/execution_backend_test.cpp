@@ -1,22 +1,25 @@
 // ExecutionBackend tests: the worker-count policy lives in one place and
-// clamps sanely, and SubprocessBackend — any shard count — produces results
-// and BENCH records bit-identical to InProcessBackend for mixed
-// run/findPeaks batches (the acceptance bar for pluggable execution).
+// clamps sanely, the factory maps every backend= value, InProcessBackend
+// matches direct execution, and `backend=processes` (the alias for local
+// streamed workers) — any shard count — produces results and BENCH records
+// bit-identical to InProcessBackend for mixed run/findPeaks batches and
+// fails loudly instead of merging a partial batch.  Hosts-file fleets,
+// retries and resume live in dispatch_test.cpp.
 //
-// The subprocess tests re-exec THIS test binary: tests/main.cpp recognizes
+// The processes tests re-exec THIS test binary: tests/main.cpp recognizes
 // --pnoc-worker and runs the protocol worker loop.
 #include "scenario/execution_backend.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "scenario/in_process_backend.hpp"
 #include "scenario/json_record.hpp"
 #include "scenario/scenario_runner.hpp"
-#include "scenario/subprocess_backend.hpp"
 #include "scenario/wire.hpp"
 
 namespace pnoc::scenario {
@@ -34,31 +37,43 @@ ScenarioSpec quickSpec(const std::string& pattern, const std::string& arch,
   return spec;
 }
 
-/// Scoped PNOC_BENCH_THREADS override (restored on destruction).
-class ThreadsEnv {
+/// Scoped env override (restored on destruction).
+class ScopedEnv {
  public:
-  explicit ThreadsEnv(const char* value) {
-    const char* old = std::getenv("PNOC_BENCH_THREADS");
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
     hadOld_ = old != nullptr;
     if (hadOld_) old_ = old;
     if (value == nullptr) {
-      ::unsetenv("PNOC_BENCH_THREADS");
+      ::unsetenv(name);
     } else {
-      ::setenv("PNOC_BENCH_THREADS", value, 1);
+      ::setenv(name, value, 1);
     }
   }
-  ~ThreadsEnv() {
+  ~ScopedEnv() {
     if (hadOld_) {
-      ::setenv("PNOC_BENCH_THREADS", old_.c_str(), 1);
+      ::setenv(name_.c_str(), old_.c_str(), 1);
     } else {
-      ::unsetenv("PNOC_BENCH_THREADS");
+      ::unsetenv(name_.c_str());
     }
   }
 
  private:
+  std::string name_;
   bool hadOld_ = false;
   std::string old_;
 };
+
+/// Scoped PNOC_BENCH_THREADS override.
+class ThreadsEnv : public ScopedEnv {
+ public:
+  explicit ThreadsEnv(const char* value) : ScopedEnv("PNOC_BENCH_THREADS", value) {}
+};
+
+/// What `backend=processes shards=N` builds: local re-exec'd workers.
+std::unique_ptr<ExecutionBackend> processesBackend(unsigned shards) {
+  return makeBackend(BackendOptions{parseBackendKind("processes"), shards, ""});
+}
 
 TEST(ResolveWorkerCount, ExplicitRequestClampsToBatchSize) {
   EXPECT_EQ(resolveWorkerCount(4, 100), 4u);
@@ -93,20 +108,18 @@ TEST(ResolveWorkerCount, EnvPinsAutoCount) {
   EXPECT_EQ(resolveWorkerCount(5, 1000), 5u);  // explicit request wins
 }
 
-TEST(ExecutionBackend, FactoryAndCapabilities) {
+TEST(ExecutionBackend, FactoryAndProcessesAlias) {
   const auto threads = makeBackend(BackendOptions{BackendKind::kThreads, 2});
   EXPECT_EQ(threads->name(), "threads");
-  EXPECT_FALSE(threads->capabilities().crossProcess);
   EXPECT_EQ(threads->workersFor(8), 2u);
 
-  const auto processes = makeBackend(BackendOptions{BackendKind::kProcesses, 16});
-  EXPECT_EQ(processes->name(), "processes");
-  EXPECT_TRUE(processes->capabilities().crossProcess);
-  EXPECT_TRUE(processes->capabilities().deterministicMerge);
+  const auto processes =
+      makeBackend(BackendOptions{parseBackendKind("processes"), 16});
+  EXPECT_EQ(processes->name(), "stream");
   EXPECT_EQ(processes->workersFor(3), 3u);  // shards > specs.size() clamps
 
   EXPECT_EQ(parseBackendKind("threads"), BackendKind::kThreads);
-  EXPECT_EQ(parseBackendKind("processes"), BackendKind::kProcesses);
+  EXPECT_EQ(parseBackendKind("processes"), BackendKind::kStream);
   EXPECT_THROW(parseBackendKind("carrier-pigeons"), std::invalid_argument);
 }
 
@@ -123,7 +136,7 @@ TEST(InProcessBackend, MatchesDirectExecution) {
   }
 }
 
-// The acceptance bar: for the same spec batch and seeds, SubprocessBackend
+// The acceptance bar: for the same spec batch and seeds, backend=processes
 // (any shard count) and InProcessBackend produce identical merged metrics —
 // compared here through the exact wire serialization of every field.
 TEST(SubprocessBackend, MixedBatchMatchesInProcessBitForBit) {
@@ -137,8 +150,7 @@ TEST(SubprocessBackend, MixedBatchMatchesInProcessBitForBit) {
   const auto expected = inProcess.execute(jobs);
 
   for (const unsigned shards : {1u, 2u, 3u}) {
-    SubprocessBackend subprocess(shards);
-    const auto actual = subprocess.execute(jobs);
+    const auto actual = processesBackend(shards)->execute(jobs);
     ASSERT_EQ(actual.size(), expected.size()) << "shards=" << shards;
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(actual[i].op, expected[i].op);
@@ -177,9 +189,8 @@ TEST(SubprocessBackend, BenchRecordsMatchInProcessByteForByte) {
   };
 
   InProcessBackend inProcess(2);
-  SubprocessBackend subprocess(2);
   const std::string expected = recordLines(inProcess);
-  const std::string actual = recordLines(subprocess);
+  const std::string actual = recordLines(*processesBackend(2));
   ASSERT_FALSE(expected.empty());
   EXPECT_EQ(actual, expected);
 }
@@ -189,9 +200,9 @@ TEST(SubprocessBackend, ShardsBeyondBatchSizeStillWork) {
       quickSpec("uniform", "dhetpnoc", 0.001, 31),
       quickSpec("uniform", "firefly", 0.001, 32),
   };
-  SubprocessBackend subprocess(8);  // > specs.size(): clamps to 2 workers
-  EXPECT_EQ(subprocess.workersFor(specs.size()), 2u);
-  const auto results = subprocess.run(specs);
+  const auto processes = processesBackend(8);  // > specs.size(): clamps to 2
+  EXPECT_EQ(processes->workersFor(specs.size()), 2u);
+  const auto results = processes->run(specs);
   InProcessBackend inProcess(1);
   const auto expected = inProcess.run(specs);
   ASSERT_EQ(results.size(), 2u);
@@ -200,13 +211,11 @@ TEST(SubprocessBackend, ShardsBeyondBatchSizeStillWork) {
   }
 }
 
-// Regression test for the pipe-inheritance deadlock: a later-spawned worker
-// used to inherit an earlier worker's stdin write end (no FD_CLOEXEC), so
-// the earlier worker never saw EOF until the later one exited — and once the
-// later worker's replies outgrew the ~64 KiB pipe buffer while the parent
-// was still reading the earlier worker, everything hung forever.  Peak
-// replies are ~4 KiB each, so 44 jobs over 2 shards puts every worker's
-// output well past one pipe buffer.
+// Many large replies per worker: peak replies are ~4 KiB each, so 44 jobs
+// over 2 shards puts every worker's output well past one ~64 KiB pipe
+// buffer.  A parent that stopped draining one worker's stdout while it
+// waited on another (or a worker that inherited a sibling's pipe ends)
+// would hang here instead of completing.
 TEST(SubprocessBackend, LargeRepliesAcrossWorkersDoNotDeadlock) {
   std::vector<ScenarioSpec> specs;
   for (std::uint64_t seed = 0; seed < 44; ++seed) {
@@ -215,8 +224,7 @@ TEST(SubprocessBackend, LargeRepliesAcrossWorkersDoNotDeadlock) {
     spec.params.measureCycles = 400;
     specs.push_back(spec);
   }
-  SubprocessBackend subprocess(2);
-  const auto peaks = subprocess.findPeaks(specs);
+  const auto peaks = processesBackend(2)->findPeaks(specs);
   ASSERT_EQ(peaks.size(), specs.size());
   for (const auto& peak : peaks) {
     EXPECT_FALSE(peak.search.sweep.empty());
@@ -224,33 +232,48 @@ TEST(SubprocessBackend, LargeRepliesAcrossWorkersDoNotDeadlock) {
 }
 
 TEST(SubprocessBackend, EmptyBatchIsANoOp) {
-  SubprocessBackend subprocess(4);
-  EXPECT_TRUE(subprocess.run({}).empty());
-  EXPECT_TRUE(subprocess.findPeaks({}).empty());
+  const auto processes = processesBackend(4);
+  EXPECT_TRUE(processes->run({}).empty());
+  EXPECT_TRUE(processes->findPeaks({}).empty());
+  EXPECT_TRUE(processes->execute({}).empty());
 }
 
 TEST(SubprocessBackend, JobFailureSurfacesAsException) {
   // An unknown traffic family passes spec.set() (patterns are validated at
   // network build time) and explodes inside the worker; the backend must
-  // surface that as an exception, not silence or a crash.
+  // surface that as an exception naming the job, not silence or a crash.
+  ScenarioSpec good = quickSpec("uniform", "dhetpnoc", 0.001, 40);
   ScenarioSpec bad = quickSpec("uniform", "dhetpnoc", 0.001, 41);
   bad.params.pattern = "no-such-family";
-  SubprocessBackend subprocess(1);
-  EXPECT_THROW(subprocess.run({bad}), std::runtime_error);
+  try {
+    processesBackend(2)->run({good, bad});
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("job 1"), std::string::npos)
+        << error.what();
+  }
 }
 
-TEST(ScenarioRunner, FacadeSelectsBackendFromOptions) {
-  const ScenarioRunner threads(BackendOptions{BackendKind::kThreads, 3});
-  EXPECT_EQ(threads.backend().name(), "threads");
-  EXPECT_EQ(threads.backend().workersFor(100), 3u);
-
-  const ScenarioRunner processes(BackendOptions{BackendKind::kProcesses, 2});
-  EXPECT_EQ(processes.backend().name(), "processes");
-  EXPECT_TRUE(processes.backend().capabilities().crossProcess);
-
-  const ScenarioRunner legacy(4);  // unsigned ctor keeps meaning "threads"
-  EXPECT_EQ(legacy.backend().name(), "threads");
-  EXPECT_EQ(legacy.backend().workersFor(100), 4u);
+TEST(SubprocessBackend, DeadWorkerFailsLoudlyNamingUnansweredJobs) {
+  // A lone worker dies on job 1, and so does the respawned worker its retry
+  // goes to: execute() must fail naming the unanswered job and the worker's
+  // exit — silently merging the partial batch is the bug this guards
+  // against.
+  ScopedEnv crash("PNOC_TEST_FAULT", "crash@1");
+  std::vector<ScenarioJob> jobs;
+  for (std::uint64_t s = 0; s < 4; ++s) {
+    jobs.push_back(
+        {ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 90 + s)});
+  }
+  try {
+    processesBackend(1)->execute(jobs);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("job 1 failed"), std::string::npos) << what;
+    EXPECT_NE(what.find("exited with status 57"), std::string::npos) << what;
+    EXPECT_NE(what.find("retry budget of 1 exhausted"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -21,17 +21,13 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "scenario/dispatch/fault_policy.hpp"
 #include "scenario/dispatch/hosts_file.hpp"
 #include "scenario/dispatch/streaming_backend.hpp"
-#include "scenario/dispatch/streaming_worker_pool.hpp"
-#include "scenario/dispatch/worker_transport.hpp"
 #include "scenario/fault_injection.hpp"
 #include "scenario/in_process_backend.hpp"
-#include "scenario/subprocess_backend.hpp"
 #include "scenario/wire.hpp"
 
 namespace pnoc::scenario {
@@ -381,7 +377,7 @@ TEST(FaultMatrix, ExhaustedRetriesFailSoftIntoAFailureRecord) {
     EXPECT_EQ(wire::toJson(actual[i].metrics), wire::toJson(expected[i].metrics))
         << "job " << i << " must be untouched by job 1's failure";
   }
-  EXPECT_EQ(streaming.lastStats().failedJobs, 1u);
+  EXPECT_EQ(streaming.lastStats().failedUnits, 1u);
   EXPECT_EQ(observed.size(), jobs.size());
   EXPECT_TRUE(observerSawFailure);
 }
@@ -399,7 +395,7 @@ TEST(FaultMatrix, FailSoftFleetCollapseRecordsEveryJobAsFailed) {
     EXPECT_NE(outcomes[i].error.find("no live workers"), std::string::npos)
         << outcomes[i].error;
   }
-  EXPECT_EQ(streaming.lastStats().failedJobs, jobs.size());
+  EXPECT_EQ(streaming.lastStats().failedUnits, jobs.size());
 }
 
 TEST(FaultMatrix, LaunchFailureDegradesOntoTheSurvivingHost) {
@@ -416,80 +412,59 @@ TEST(FaultMatrix, LaunchFailureDegradesOntoTheSurvivingHost) {
   EXPECT_EQ(streaming.lastStats().launchFailures, 1u);
 }
 
-// --- concurrent launch ---
+// --- slow connects ---
 
-/// A transport whose launch() blocks for a fixed time before producing a
-/// real local worker — the stand-in for a slow-connecting ssh host.
-class BlockingTransport : public dispatch::WorkerTransport {
- public:
-  explicit BlockingTransport(unsigned delayMs, std::string name = "sleepy host")
-      : delayMs_(delayMs), name_(std::move(name)) {}
-  std::string describe() const override { return name_; }
-  dispatch::WorkerConnection launch() const override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delayMs_));
-    return dispatch::spawnWorkerProcess(
-        {dispatch::selfExecutablePath(), kWorkerFlag}, describe());
-  }
-
- private:
-  unsigned delayMs_;
-  std::string name_;
-};
-
-TEST(ConcurrentLaunch, FleetStartsInMaxNotSumOfConnectTimes) {
-  std::vector<std::unique_ptr<dispatch::WorkerTransport>> transports;
-  for (int t = 0; t < 4; ++t) {
-    transports.push_back(std::make_unique<BlockingTransport>(400));
-  }
-  const auto start = std::chrono::steady_clock::now();
-  auto outcomes = dispatch::launchConcurrently(transports, 5000);
-  const auto elapsedMs = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-  ASSERT_EQ(outcomes.size(), 4u);
-  for (auto& outcome : outcomes) {
-    ASSERT_TRUE(outcome.connection.has_value()) << outcome.error;
-    dispatch::terminateWorker(*outcome.connection, 1000);
-  }
-  // Serial connects would take >= 1600 ms; concurrent ones ~400 ms.  The
-  // generous bound keeps the assertion meaningful on a loaded CI box.
-  EXPECT_LT(elapsedMs, 1000) << "fleet launch must be concurrent, not serial";
+/// A hosts-file entry whose worker acks only after `sleepSeconds`: the
+/// launcher sleeps, then execs the real worker command — the stand-in for
+/// a slow-connecting ssh host.  launch() itself returns at once.
+HostEntry slowHost(const std::string& sleepSeconds,
+                   std::uint64_t connectTimeoutMs = 0) {
+  HostEntry host;
+  host.launcher = {"sh", "-c", "sleep " + sleepSeconds + "; exec \"$0\" \"$@\""};
+  host.connectTimeoutMs = connectTimeoutMs;
+  return host;
 }
 
-TEST(ConcurrentLaunch, PerHostTimeoutIsReportedByNameWhileTheFleetProceeds) {
-  std::vector<std::unique_ptr<dispatch::WorkerTransport>> transports;
-  transports.push_back(std::make_unique<BlockingTransport>(3000, "glacial host"));
-  transports.back()->setConnectTimeoutMs(200);
-  transports.push_back(std::make_unique<dispatch::LocalProcessTransport>());
+TEST(ConcurrentLaunch, BatchStartsInMaxNotSumOfFourSlowConnects) {
+  // Every job takes >= 300 ms, so each of the four workers takes exactly
+  // one — the batch can only finish near 0.4 + 0.3 s if the four 0.4 s
+  // connects overlapped (serial connects alone would take 1.6 s).
+  ScopedEnv fault("PNOC_TEST_FAULT", "slow@*:ms=300");
+  const auto jobs = smallBatch(430, 4);
+  const auto expected = inProcessReference(jobs);
+  StreamingBackend streaming(std::vector<HostEntry>(4, slowHost("0.4")),
+                             quickPolicy());
   const auto start = std::chrono::steady_clock::now();
-  auto outcomes = dispatch::launchConcurrently(transports, 5000);
+  const auto actual = streaming.execute(jobs);
   const auto elapsedMs = std::chrono::duration_cast<std::chrono::milliseconds>(
                              std::chrono::steady_clock::now() - start)
                              .count();
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_FALSE(outcomes[0].connection.has_value());
-  EXPECT_NE(outcomes[0].error.find("glacial host"), std::string::npos)
-      << outcomes[0].error;
-  EXPECT_NE(outcomes[0].error.find("did not connect within 200 ms"),
-            std::string::npos)
-      << outcomes[0].error;
-  ASSERT_TRUE(outcomes[1].connection.has_value()) << outcomes[1].error;
-  dispatch::terminateWorker(*outcomes[1].connection, 1000);
-  EXPECT_LT(elapsedMs, 2500)
-      << "the glacial host's own launch() must not gate the fleet";
+  expectSameOutcomes(actual, expected, "four slow connects");
+  ASSERT_EQ(streaming.lastWorkers().size(), 4u);
+  for (const auto& worker : streaming.lastWorkers()) {
+    EXPECT_EQ(worker.completed, 1u) << worker.description;
+  }
+  // The generous bound keeps the assertion meaningful on a loaded CI box.
+  EXPECT_LT(elapsedMs, 1400) << "fleet connects must overlap, not serialize";
 }
 
 TEST(ConcurrentLaunch, TimedOutHostIsDroppedAndTheBatchCompletesElsewhere) {
-  std::vector<std::unique_ptr<dispatch::WorkerTransport>> transports;
-  transports.push_back(std::make_unique<BlockingTransport>(3000, "glacial host"));
-  transports.back()->setConnectTimeoutMs(200);
-  transports.push_back(std::make_unique<dispatch::LocalProcessTransport>());
+  // The glacial host would ack after 3 s but has a 200 ms budget of its
+  // own; the local host runs the whole batch, which outlasts that budget
+  // (>= 3 x 150 ms), so the timeout verdict is reached mid-batch.
+  ScopedEnv fault("PNOC_TEST_FAULT", "slow@*:ms=150");
   const auto jobs = smallBatch(420, 3);
   const auto expected = inProcessReference(jobs);
-  dispatch::StreamingWorkerPool pool(std::move(transports), quickPolicy());
-  const auto actual = pool.execute(jobs);
+  StreamingBackend streaming(std::vector<HostEntry>{slowHost("3", 200), HostEntry{}},
+                             quickPolicy());
+  const auto start = std::chrono::steady_clock::now();
+  const auto actual = streaming.execute(jobs);
+  const auto elapsedMs = std::chrono::duration_cast<std::chrono::milliseconds>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
   expectSameOutcomes(actual, expected, "timed-out host");
-  EXPECT_EQ(pool.stats().launchFailures, 1u);
+  EXPECT_EQ(streaming.lastStats().launchFailures, 1u);
+  EXPECT_LT(elapsedMs, 2500) << "the glacial host must not gate the batch";
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Pipelined dealing (policy.pipeline > 1) and graceful-interrupt coverage
-// for the batch streaming pool: pipelining must change wall-clock behavior
+// for the streaming backend: pipelining must change wall-clock behavior
 // only — results stay byte-identical and in input order — and a pending
 // SIGINT/SIGTERM must abort the dispatch with a named exception so the
 // driver's failure path flushes its checkpoint.
@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "scenario/dispatch/streaming_worker_pool.hpp"
+#include "scenario/dispatch/streaming_backend.hpp"
 #include "scenario/execution_backend.hpp"
 #include "scenario/wire.hpp"
 #include "sim/interrupt.hpp"
@@ -60,15 +60,6 @@ std::vector<ScenarioJob> quickJobs(std::size_t count) {
   return jobs;
 }
 
-std::vector<std::unique_ptr<dispatch::WorkerTransport>> localWorkers(
-    std::size_t count) {
-  std::vector<std::unique_ptr<dispatch::WorkerTransport>> transports;
-  for (std::size_t w = 0; w < count; ++w) {
-    transports.push_back(std::make_unique<dispatch::LocalProcessTransport>());
-  }
-  return transports;
-}
-
 TEST(StreamingPipeline, DepthTwoIsByteIdenticalAndReachesTheDepth) {
   const std::vector<ScenarioJob> jobs = quickJobs(5);
   std::vector<ScenarioOutcome> expected;
@@ -79,10 +70,10 @@ TEST(StreamingPipeline, DepthTwoIsByteIdenticalAndReachesTheDepth) {
   ScopedEnv fault("PNOC_TEST_FAULT", "slow@*:ms=30");
   dispatch::FaultPolicy policy;
   policy.pipeline = 2;
-  dispatch::StreamingWorkerPool pool(localWorkers(1), policy);
-  const std::vector<ScenarioOutcome> actual = pool.execute(jobs);
+  dispatch::StreamingBackend backend(1, "", policy);
+  const std::vector<ScenarioOutcome> actual = backend.execute(jobs);
 
-  EXPECT_GE(pool.stats().maxInFlight, 2u);
+  EXPECT_GE(backend.lastStats().maxInFlight, 2u);
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t j = 0; j < expected.size(); ++j) {
     EXPECT_EQ(actual[j].spec.toJson(), expected[j].spec.toJson()) << "job " << j;
@@ -94,9 +85,9 @@ TEST(StreamingPipeline, DepthTwoIsByteIdenticalAndReachesTheDepth) {
 TEST(StreamingInterrupt, PendingInterruptAbortsTheDispatchByName) {
   sim::installInterruptHandlers();
   sim::raiseInterruptForTest();
-  dispatch::StreamingWorkerPool pool(localWorkers(1));
+  dispatch::StreamingBackend backend(1);
   try {
-    pool.execute(quickJobs(2));
+    backend.execute(quickJobs(2));
     sim::clearInterruptForTest();
     FAIL() << "a pending interrupt must abort the dispatch";
   } catch (const std::runtime_error& error) {
@@ -105,8 +96,8 @@ TEST(StreamingInterrupt, PendingInterruptAbortsTheDispatchByName) {
   sim::clearInterruptForTest();
   EXPECT_FALSE(sim::interruptRequested());
 
-  // Cleared: the same pool shape dispatches normally again.
-  dispatch::StreamingWorkerPool again(localWorkers(1));
+  // Cleared: the same backend shape dispatches normally again.
+  dispatch::StreamingBackend again(1);
   EXPECT_EQ(again.execute(quickJobs(1)).size(), 1u);
 }
 

@@ -1,4 +1,4 @@
-// ScenarioRunner tests: batch results must be independent of thread count
+// Scenario batch tests: batch results must be independent of thread count
 // and identical to direct PhotonicNetwork runs, and the reused-network
 // saturation search must equal a fresh-network-per-probe search bit for bit
 // (that equivalence is what makes the reset() fast path safe to ship).
@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "network/network.hpp"
+#include "scenario/cli.hpp"
+#include "scenario/in_process_backend.hpp"
 
 namespace pnoc::scenario {
 namespace {
@@ -38,7 +40,7 @@ TEST(ScenarioRunner, BatchRunMatchesDirectRuns) {
       quickSpec("skewed3", "dhetpnoc", 0.002, 5),
       quickSpec("tornado", "dhetpnoc", 0.001, 7),
   };
-  const auto batch = ScenarioRunner(2).run(specs);
+  const auto batch = InProcessBackend(2).run(specs);
   ASSERT_EQ(batch.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     network::PhotonicNetwork net(specs[i].params);
@@ -54,8 +56,8 @@ TEST(ScenarioRunner, ThreadCountCannotChangeResults) {
       quickSpec("bitcomp", "firefly", 0.001, 3),
       quickSpec("permutation:seed=4", "dhetpnoc", 0.001, 4),
   };
-  const auto sequential = ScenarioRunner(1).run(specs);
-  const auto parallel = ScenarioRunner(4).run(specs);
+  const auto sequential = InProcessBackend(1).run(specs);
+  const auto parallel = InProcessBackend(4).run(specs);
   ASSERT_EQ(sequential.size(), parallel.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     expectSameMetrics(sequential[i].metrics, parallel[i].metrics);
@@ -63,15 +65,15 @@ TEST(ScenarioRunner, ThreadCountCannotChangeResults) {
 }
 
 TEST(ScenarioRunner, ReusedNetworkPeakSearchMatchesFreshNetworks) {
-  // findPeakOne probes many loads over ONE network via reset(); the result
+  // findScenarioPeak probes many loads over ONE network via reset(); the result
   // must be identical to rebuilding a network per probe (the old, slow way).
   ScenarioSpec spec = quickSpec("skewed3", "dhetpnoc", 0.001, 7);
   spec.params.warmupCycles = 200;
   spec.params.measureCycles = 1500;
 
-  const auto reused = ScenarioRunner::findPeakOne(spec);
+  const auto reused = findScenarioPeak(spec);
 
-  const auto options = ScenarioRunner::peakOptions(spec);
+  const auto options = peakOptionsFor(spec);
   const auto fresh = metrics::findPeak(
       [&](double load) {
         auto params = spec.params;
@@ -93,9 +95,35 @@ TEST(ScenarioRunner, ReusedNetworkPeakSearchMatchesFreshNetworks) {
 
 TEST(ScenarioRunner, PeakOptionsScaleWithBandwidthSet) {
   ScenarioSpec spec;
-  EXPECT_DOUBLE_EQ(ScenarioRunner::peakOptions(spec).startLoad, 0.0002);
+  EXPECT_DOUBLE_EQ(peakOptionsFor(spec).startLoad, 0.0002);
   spec.set("set", "3");
-  EXPECT_DOUBLE_EQ(ScenarioRunner::peakOptions(spec).startLoad, 0.0008);
+  EXPECT_DOUBLE_EQ(peakOptionsFor(spec).startLoad, 0.0008);
+}
+
+TEST(ScenarioRunner, FacadeSelectsBackendFromOptions) {
+  // The path every scenario binary takes: runner keys -> Cli ->
+  // backendOptions() -> makeBackend().
+  const auto backendFor = [](std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "test_binary");
+    ScenarioSpec spec;
+    Cli cli("test_binary", "backend selection");
+    EXPECT_EQ(cli.parse(static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
+                        &spec),
+              CliStatus::kRun);
+    return makeBackend(cli.backendOptions());
+  };
+
+  const auto threads = backendFor({"backend=threads", "shards=3"});
+  EXPECT_EQ(threads->name(), "threads");
+  EXPECT_EQ(threads->workersFor(100), 3u);
+
+  const auto processes = backendFor({"backend=processes", "shards=2"});
+  EXPECT_EQ(processes->name(), "stream");  // the local-worker alias
+  EXPECT_EQ(processes->workersFor(100), 2u);
+
+  const auto legacy = backendFor({"shards=4"});  // no backend= keeps threads
+  EXPECT_EQ(legacy->name(), "threads");
+  EXPECT_EQ(legacy->workersFor(100), 4u);
 }
 
 TEST(ScenarioRecords, RecordsCarryScenarioIdentity) {

@@ -210,7 +210,7 @@ TEST(CliBackendKeys, BackendAndShardsParse) {
   ScenarioSpec spec;
   Cli cli("test_binary", "backend keys");
   ASSERT_EQ(cli.parse(3, const_cast<char**>(argv), &spec), CliStatus::kRun);
-  EXPECT_EQ(cli.backendOptions().kind, BackendKind::kProcesses);
+  EXPECT_EQ(cli.backendOptions().kind, BackendKind::kStream);  // the alias
   EXPECT_EQ(cli.backendOptions().workers, 4u);
 
   const char* bad[] = {"test_binary", "backend=smoke-signals"};

@@ -1,6 +1,6 @@
 // Wire-format tests: RunMetrics, PeakSearchResult and the scenario results
 // must round-trip through JSON byte-identically — that exactness is the
-// foundation of SubprocessBackend's bit-identical-merge guarantee (a metric
+// foundation of every dispatch path's bit-identical-merge guarantee (a metric
 // that crossed a process boundary must be indistinguishable from one
 // computed in-process).
 #include "scenario/wire.hpp"

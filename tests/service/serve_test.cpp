@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "scenario/dispatch/checkpoint.hpp"
+#include "scenario/dispatch/streaming_backend.hpp"
 #include "scenario/execution_backend.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -389,6 +390,51 @@ TEST(ServeDaemon, WorkerCrashHealsAndBytesStayIdentical) {
   EXPECT_EQ(readAll(harness.dir() + "/BENCH_crashy.json"),
             expectedBenchText(grid, expectedDir, "crashy"));
   std::remove(lock.c_str());
+}
+
+TEST(ServeDaemon, FailureRecordsMatchTheStreamingBackendByteForByte) {
+  // crash@1 without a once-lock kills every attempt of wire index 1.  Both
+  // drivers deal a fresh grid in index order and a unit keeps its wire
+  // index across retries, so unit 1 exhausts its retry budget in both —
+  // and both write the same failure record next to the three good ones.
+  ScopedEnv fault("PNOC_TEST_FAULT", "crash@1");
+  const std::vector<scenario::ScenarioSpec> grid = quickGrid(4, 1000);
+  scenario::dispatch::FaultPolicy policy;
+  policy.failSoft = true;
+  policy.backoffBaseMs = 0;
+
+  DaemonHarness harness;
+  harness.options.shards = 2;
+  harness.options.policy.failSoft = policy.failSoft;
+  harness.options.policy.backoffBaseMs = policy.backoffBaseMs;
+
+  std::vector<scenario::ScenarioJob> jobs;
+  for (const scenario::ScenarioSpec& spec : grid) {
+    jobs.push_back({scenario::ScenarioJob::Op::kRun, spec});
+  }
+  scenario::dispatch::StreamingBackend backend(2, "", policy);
+  const std::vector<scenario::ScenarioOutcome> outcomes = backend.execute(jobs);
+  ASSERT_EQ(outcomes.size(), grid.size());
+  EXPECT_TRUE(outcomes[1].failed);
+  std::vector<std::string> records;
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    records.push_back(scenario::dispatch::serializedOutcomeRecord(outcomes[i], i));
+  }
+  const std::string expectedDir = harness.dir() + "/expected";
+  ::mkdir(expectedDir.c_str(), 0755);
+  const std::string expected =
+      readAll(scenario::dispatch::writeBenchFile(expectedDir, "parity", records));
+  EXPECT_NE(expected.find("worker death: exited with status 57 (retry budget of 1"
+                          " exhausted)"),
+            std::string::npos)
+      << expected;
+
+  harness.start();
+  ServeClient client(harness.options.socketPath);
+  const std::uint64_t job =
+      client.request(submitLine(grid, harness.dir(), "parity")).at("job").asU64();
+  EXPECT_EQ(watchToTerminal(client, job), "failed");
+  EXPECT_EQ(readAll(harness.dir() + "/BENCH_parity.json"), expected);
 }
 
 TEST(ServeDaemon, FleetAddRescuesAFleetThatNeverLaunched) {

@@ -3,7 +3,7 @@
 //  1. gated and ungated engines produce bit-identical metrics (the one-cycle
 //     ejection deferral is exactly what buys this),
 //  2. reset()+run() replays a fresh network exactly,
-//  3. every execution backend (threads | processes | stream), at any shard
+//  3. every execution backend (threads | stream), at any shard
 //     count, produces byte-identical wire serializations.
 #include <gtest/gtest.h>
 
@@ -110,7 +110,6 @@ TEST(WorkloadBackends, AllBackendsAllShardCountsMatchBitForBit) {
   }
 
   for (const auto kind : {scenario::BackendKind::kThreads,
-                          scenario::BackendKind::kProcesses,
                           scenario::BackendKind::kStream}) {
     for (const unsigned shards : {1u, 2u, 3u}) {
       const auto backend =

@@ -361,16 +361,15 @@ int main(int argc, char** argv) {
   };
   std::vector<scenario::ScenarioOutcome> outcomes;
   try {
-    const scenario::ScenarioRunner runner(cli.backendOptions());
-    auto& backend = runner.backend();
+    const auto backend = scenario::makeBackend(cli.backendOptions());
     std::cout << "pnoc_run: " << grid.size() << " spec(s), mode=" << mode
-              << ", backend=" << backend.name() << " ("
-              << backend.workersFor(jobs.size()) << " worker(s))\n";
+              << ", backend=" << backend->name() << " ("
+              << backend->workersFor(jobs.size()) << " worker(s))\n";
 
-    // Streaming backends report each completed job: checkpoint the BENCH
+    // The streaming backend reports each completed job: checkpoint the BENCH
     // file after every completion, so a killed run resumes from its last
-    // finished job.  (Batch backends never fire this; they checkpoint only
-    // via the final write below.)
+    // finished job.  (The thread backend never fires this; it checkpoints
+    // only via the final write below.)
     if (checkpointing) {
       // Rewrites are throttled to ~1/s: a checkpoint exists to bound lost
       // work after a kill, and one second of it is a fine bound — rewriting
@@ -378,7 +377,7 @@ int main(int argc, char** argv) {
       // held back by the throttle flush in the final write below, or in the
       // failure path's flushCheckpoint.
       auto lastWrite = std::chrono::steady_clock::time_point{};
-      backend.setOutcomeObserver(
+      backend->setOutcomeObserver(
           [&, lastWrite](std::size_t jobIndex,
                          const scenario::ScenarioOutcome& outcome) mutable {
             checkpoint.rawByIndex[missing[jobIndex]] =
@@ -390,7 +389,7 @@ int main(int argc, char** argv) {
             flushCheckpoint();
           });
     }
-    if (!jobs.empty()) outcomes = runner.execute(jobs);
+    if (!jobs.empty()) outcomes = backend->execute(jobs);
   } catch (const std::exception& error) {
     std::cerr << "pnoc_run: " << error.what() << "\n";
     // Keep every completed job a failed dispatch had already delivered —
