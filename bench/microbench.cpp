@@ -11,6 +11,8 @@
 // Usage: microbench [minMs=<per-bench ms>] [json=<dir>] [load=...] [set=...]
 // (scenario keys shape the full-system benchmark's network; help=1 lists
 // everything).
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -48,6 +50,13 @@ Measurement timeLoop(const std::function<void()>& body, double minSeconds) {
     m.wallSeconds = std::chrono::duration<double>(Clock::now() - start).count();
   } while (m.wallSeconds < minSeconds);
   return m;
+}
+
+/// This process's peak resident set so far, in MB (ru_maxrss is KiB on Linux).
+double peakRssMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
 }  // namespace
@@ -293,13 +302,19 @@ int main(int argc, char** argv) {
         minSeconds);
     const double rebuildPerSec = static_cast<double>(rebuild.calls) / rebuild.wallSeconds;
     const double resetPerSec = static_cast<double>(reset.calls) / reset.wallSeconds;
+    // Recorded, not gated: the process high-water mark after the rebuild
+    // loop, which network storage (VC buffers above all) dominates.
+    const double rssMb = peakRssMb();
     std::printf("%-28s %-10s %-8s %14.0f %12.2f\n", "BM_NetworkRebuild", "-", "-",
                 rebuildPerSec, rebuild.wallSeconds * 1e3);
+    std::printf("%-28s %-10s %-8s %12.1fMB %12s\n", "BM_NetworkRebuild/peak_rss", "-",
+                "-", rssMb, "-");
     std::printf("%-28s %-10s %-8s %14.0f %12.2f\n", "BM_NetworkReset", "-", "-",
                 resetPerSec, reset.wallSeconds * 1e3);
     recorder.add("BM_NetworkRebuild")
         .number("items_per_sec", rebuildPerSec)
-        .number("wall_ms", rebuild.wallSeconds * 1e3);
+        .number("wall_ms", rebuild.wallSeconds * 1e3)
+        .number("peak_rss_mb", rssMb);
     recorder.add("BM_NetworkReset")
         .number("items_per_sec", resetPerSec)
         .number("wall_ms", reset.wallSeconds * 1e3)

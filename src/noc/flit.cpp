@@ -1,7 +1,5 @@
 #include "noc/flit.hpp"
 
-#include <cassert>
-
 namespace pnoc::noc {
 
 std::string toString(FlitType type) {
@@ -22,24 +20,6 @@ std::string toString(FlowKind kind) {
     case FlowKind::kReply: return "rep";
   }
   return "?";
-}
-
-Flit makeFlit(PacketHandle packet, std::uint32_t sequence) {
-  assert(packet != nullptr);
-  assert(sequence < packet->numFlits);
-  Flit flit;
-  flit.handle = packet;
-  flit.sequence = sequence;
-  if (packet->numFlits == 1) {
-    flit.type = FlitType::kHeadTail;
-  } else if (sequence == 0) {
-    flit.type = FlitType::kHead;
-  } else if (sequence == packet->numFlits - 1) {
-    flit.type = FlitType::kTail;
-  } else {
-    flit.type = FlitType::kBody;
-  }
-  return flit;
 }
 
 }  // namespace pnoc::noc

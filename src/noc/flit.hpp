@@ -8,9 +8,12 @@
 //
 // The descriptor is shared, not copied: flits carry a PacketHandle into a
 // PacketSlab (or any other stable storage), so the per-hop copy through link
-// pipes and VC buffers is 16 bytes instead of the full 48-byte descriptor.
+// pipes is a 16-byte flit instead of the full 48-byte descriptor.  VC buffers
+// store even less: one handle per VC and an 8-byte arrival cycle per flit,
+// rebuilding flits with makeFlit (src/noc/vc_buffer.hpp).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 
@@ -86,6 +89,22 @@ struct Flit {
 };
 
 /// Builds the flit at position `sequence` of the given packet.
-Flit makeFlit(PacketHandle packet, std::uint32_t sequence);
+inline Flit makeFlit(PacketHandle packet, std::uint32_t sequence) {
+  assert(packet != nullptr);
+  assert(sequence < packet->numFlits);
+  Flit flit;
+  flit.handle = packet;
+  flit.sequence = sequence;
+  if (packet->numFlits == 1) {
+    flit.type = FlitType::kHeadTail;
+  } else if (sequence == 0) {
+    flit.type = FlitType::kHead;
+  } else if (sequence == packet->numFlits - 1) {
+    flit.type = FlitType::kTail;
+  } else {
+    flit.type = FlitType::kBody;
+  }
+  return flit;
+}
 
 }  // namespace pnoc::noc

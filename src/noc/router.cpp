@@ -87,7 +87,7 @@ void ElectricalRouter::evaluate(Cycle cycle) {
     if (crossbar_.inputBusy(state.inPort)) continue;
     const VirtualChannel& channel = inputs_[state.inPort].vc(state.inVc);
     if (channel.empty()) continue;
-    const Flit& flit = channel.front();
+    const Flit flit = channel.front();
     assert(flit.packet().id == state.packet && "VC lock violated");
     if (!flitEligible(state.inPort, state.inVc, cycle)) continue;
     if (state.sink == nullptr || !state.sink->canAccept(flit)) continue;
@@ -120,14 +120,14 @@ void ElectricalRouter::evaluate(Cycle cycle) {
     // Iterate only the occupied VCs (ascending, same order as a full scan).
     for (std::uint32_t occ = inputs_[in].occupiedMask(); occ != 0; occ &= occ - 1) {
       const VcId vc = static_cast<VcId>(std::countr_zero(occ));
-      const VirtualChannel& channel = inputs_[in].vc(vc);
-      if (!channel.front().isHead()) continue;
+      const Flit front = inputs_[in].vc(vc).front();
+      if (!front.isHead()) continue;
       if (!flitEligible(in, vc, cycle)) continue;
-      const std::uint32_t out = routeFn_(channel.front().packet());
+      const std::uint32_t out = routeFn_(front.packet());
       assert(out < config_.numPorts);
       const OutputState& state = outputs_[out];
       if (state.owned || crossbar_.outputBusy(out)) continue;
-      if (state.sink == nullptr || !state.sink->canAccept(channel.front())) continue;
+      if (state.sink == nullptr || !state.sink->canAccept(front)) continue;
       vcRequests_[vc] = true;
       vcTargets_[vc] = out;
       any = true;
@@ -200,7 +200,7 @@ void ElectricalRouter::prepareBlockedPark(Cycle cycle) {
     for (std::uint32_t occ = inputs_[in].occupiedMask(); occ != 0; occ &= occ - 1) {
       const VcId vc = static_cast<VcId>(std::countr_zero(occ));
       const VirtualChannel& channel = inputs_[in].vc(vc);
-      const Flit& front = channel.front();
+      const Flit front = channel.front();
       if (!front.isHead()) continue;  // body stream, covered above
       if (!flitEligible(in, vc, cycle)) {
         nextEligible =

@@ -16,39 +16,6 @@ BufferStats& BufferStats::operator+=(const BufferStats& other) {
   return *this;
 }
 
-VirtualChannel::VirtualChannel(std::uint32_t capacityFlits) : entries_(capacityFlits) {
-  assert(capacityFlits > 0);
-}
-
-void VirtualChannel::push(const Flit& flit, Cycle now) {
-  assert(!full());
-  entries_.push_back(Entry{flit, now});
-  ++stats_.flitsWritten;
-  stats_.bitsWritten += flit.bits();
-  stats_.peakOccupancy = std::max<std::uint64_t>(stats_.peakOccupancy, entries_.size());
-}
-
-const Flit& VirtualChannel::front() const {
-  assert(!empty());
-  return entries_.front().flit;
-}
-
-Cycle VirtualChannel::frontArrival() const {
-  assert(!empty());
-  return entries_.front().enqueuedAt;
-}
-
-Flit VirtualChannel::pop(Cycle now) {
-  assert(!empty());
-  const Entry entry = entries_.front();
-  entries_.pop_front();
-  ++stats_.flitsRead;
-  stats_.bitsRead += entry.flit.bits();
-  const Cycle resident = (now >= entry.enqueuedAt) ? now - entry.enqueuedAt : 0;
-  stats_.bitCyclesResident += entry.flit.bits() * resident;
-  return entry.flit;
-}
-
 VcBufferBank::VcBufferBank(std::uint32_t numVcs, std::uint32_t depthFlits) {
   assert(numVcs > 0);
   assert(numVcs <= 32 && "VC state is tracked in 32-bit masks");

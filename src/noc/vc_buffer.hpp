@@ -7,11 +7,17 @@
 // as the reason d-HetPNoC's packet energy is lower under skewed traffic.  We
 // therefore track bit-cycles of residency explicitly.
 //
-// Capacities are fixed at construction, so the backing store is a
-// RingBuffer: one allocation per VC for the network's lifetime.
+// Wormhole switching locks a VC to one packet from head to tail, so a VC
+// only ever holds a contiguous run of one packet's flits.  It therefore
+// stores that run as a packet segment: the packet handle once, the front
+// flit's sequence number, and a RingBuffer of per-flit arrival cycles (8
+// bytes a slot, allocated once at construction).  Flits are rebuilt from the
+// handle and sequence with makeFlit when read.
 #pragma once
 
+#include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -34,43 +40,72 @@ struct BufferStats {
   BufferStats& operator+=(const BufferStats& other);
 };
 
-/// One virtual channel: a bounded FIFO of flits.
+/// One virtual channel: a bounded FIFO of flits, all from one packet.
 class VirtualChannel {
  public:
-  explicit VirtualChannel(std::uint32_t capacityFlits);
+  explicit VirtualChannel(std::uint32_t capacityFlits) : arrivals_(capacityFlits) {}
 
-  bool empty() const { return entries_.empty(); }
-  bool full() const { return entries_.full(); }
-  std::uint32_t capacity() const { return entries_.capacity(); }
-  std::uint32_t size() const { return entries_.size(); }
-  std::uint32_t freeSlots() const { return entries_.freeSlots(); }
+  bool empty() const { return arrivals_.empty(); }
+  bool full() const { return arrivals_.full(); }
+  std::uint32_t capacity() const { return arrivals_.capacity(); }
+  std::uint32_t size() const { return arrivals_.size(); }
+  std::uint32_t freeSlots() const { return arrivals_.freeSlots(); }
 
-  /// Enqueues a flit at the given cycle. Precondition: !full().
-  void push(const Flit& flit, Cycle now);
+  /// Enqueues a flit at the given cycle.  Preconditions: !full(), and a
+  /// non-empty VC only takes the next flit of the packet it holds.  An empty
+  /// VC takes any flit: a body can land in an empty (locked) VC mid-packet
+  /// when the consumer drained ahead of the source.
+  void push(const Flit& flit, Cycle now) {
+    assert(!full());
+    if (empty()) {
+      packet_ = flit.handle;
+      frontSequence_ = flit.sequence;
+    } else {
+      assert(flit.handle == packet_ && "a VC holds one packet's flits");
+      assert(flit.sequence == frontSequence_ + size() && "flits arrive in order");
+    }
+    arrivals_.push_back(now);
+    ++stats_.flitsWritten;
+    stats_.bitsWritten += flit.bits();
+    stats_.peakOccupancy = std::max<std::uint64_t>(stats_.peakOccupancy, size());
+  }
 
   /// Front flit without removing it. Precondition: !empty().
-  const Flit& front() const;
+  Flit front() const {
+    assert(!empty());
+    return makeFlit(packet_, frontSequence_);
+  }
 
   /// Cycle at which the front flit was enqueued. Precondition: !empty().
-  Cycle frontArrival() const;
+  Cycle frontArrival() const { return arrivals_.front(); }
 
   /// Dequeues the front flit at the given cycle. Precondition: !empty().
-  Flit pop(Cycle now);
+  Flit pop(Cycle now) {
+    const Flit flit = front();
+    const Cycle enqueuedAt = arrivals_.front();
+    arrivals_.pop_front();
+    ++frontSequence_;
+    ++stats_.flitsRead;
+    stats_.bitsRead += flit.bits();
+    const Cycle resident = (now >= enqueuedAt) ? now - enqueuedAt : 0;
+    stats_.bitCyclesResident += flit.bits() * resident;
+    return flit;
+  }
 
   /// Empties the channel and zeroes its statistics (network reset).
   void reset() {
-    entries_.clear();
+    arrivals_.clear();
+    packet_ = nullptr;
+    frontSequence_ = 0;
     stats_ = BufferStats{};
   }
 
   const BufferStats& stats() const { return stats_; }
 
  private:
-  struct Entry {
-    Flit flit;
-    Cycle enqueuedAt = 0;
-  };
-  sim::RingBuffer<Entry> entries_;
+  sim::RingBuffer<Cycle> arrivals_;  ///< enqueue cycle of each buffered flit
+  PacketHandle packet_ = nullptr;    ///< packet of every buffered flit
+  std::uint32_t frontSequence_ = 0;  ///< sequence number of the front flit
   BufferStats stats_;
 };
 

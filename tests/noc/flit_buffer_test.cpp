@@ -81,6 +81,67 @@ TEST(VirtualChannel, StatsCountBits) {
   EXPECT_EQ(vc.stats().peakOccupancy, 2u);
 }
 
+TEST(VirtualChannel, BodyIntoEmptyLockedVcStartsTheSegment) {
+  // The VC first carries a whole earlier packet.  Then the consumer drains
+  // the next packet's head ahead of the source: the VC is empty but still
+  // locked, and the next flit to arrive is a body.
+  BufferedPort port(1, 4);
+  const auto earlier = makePacket(10, 2);
+  port.accept(makeFlit(earlier, 0), 0);
+  port.accept(makeFlit(earlier, 1), 0);
+  port.pop(0, 1);
+  port.pop(0, 1);
+  const auto packet = makePacket(11, 4);
+  port.accept(makeFlit(packet, 0), 2);
+  port.pop(0, 3);
+  ASSERT_TRUE(port.bank().vc(0).empty());
+  ASSERT_TRUE(port.bank().isLocked(0));
+  port.accept(makeFlit(packet, 1), 7);
+  port.accept(makeFlit(packet, 2), 8);
+  const VirtualChannel& vc = port.bank().vc(0);
+  EXPECT_EQ(vc.front().sequence, 1u);
+  EXPECT_EQ(vc.front().type, FlitType::kBody);
+  EXPECT_EQ(vc.front().packet().id, 11u);
+  EXPECT_EQ(vc.frontArrival(), 7u);
+  EXPECT_EQ(port.pop(0, 9).sequence, 1u);
+  EXPECT_EQ(vc.front().sequence, 2u);
+  EXPECT_EQ(vc.frontArrival(), 8u);
+}
+
+TEST(VirtualChannel, PopRebuildsFlitTypes) {
+  VirtualChannel vc(4);
+  const auto packet = makePacket(12, 3);
+  for (std::uint32_t i = 0; i < 3; ++i) vc.push(makeFlit(packet, i), i);
+  EXPECT_EQ(vc.pop(5).type, FlitType::kHead);
+  EXPECT_EQ(vc.pop(5).type, FlitType::kBody);
+  const Flit tail = vc.pop(5);
+  EXPECT_EQ(tail.type, FlitType::kTail);
+  EXPECT_EQ(tail.handle, packet);
+
+  const auto single = makePacket(13, 1);
+  vc.push(makeFlit(single, 0), 6);
+  EXPECT_EQ(vc.front().type, FlitType::kHeadTail);
+  EXPECT_EQ(vc.pop(6).type, FlitType::kHeadTail);
+  EXPECT_TRUE(vc.empty());
+}
+
+#ifndef NDEBUG
+TEST(VirtualChannelDeathTest, RejectsAnotherPacketsFlit) {
+  VirtualChannel vc(4);
+  const auto first = makePacket(14, 3);
+  const auto second = makePacket(15, 3);
+  vc.push(makeFlit(first, 0), 0);
+  EXPECT_DEATH(vc.push(makeFlit(second, 1), 1), "one packet");
+}
+
+TEST(VirtualChannelDeathTest, RejectsOutOfOrderSequence) {
+  VirtualChannel vc(4);
+  const auto packet = makePacket(16, 4);
+  vc.push(makeFlit(packet, 0), 0);
+  EXPECT_DEATH(vc.push(makeFlit(packet, 2), 1), "in order");
+}
+#endif
+
 TEST(VcBufferBank, FindFreeSkipsLockedAndOccupied) {
   VcBufferBank bank(3, 2);
   EXPECT_EQ(bank.findFreeVcForNewPacket(), 0u);
