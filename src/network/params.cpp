@@ -33,6 +33,12 @@ void SimulationParameters::validate() const {
     throw std::invalid_argument(
         "core routers need clusterSize + 1 ports (local, peers, photonic uplink)");
   }
+  if (coreRouter.numPorts > 32) {
+    // The core router's busy-input, owned-output and arbiter request state
+    // are 32-bit masks, so clusterSize + 1 must fit in one.
+    throw std::invalid_argument(
+        "core routers support at most 32 ports (port state is tracked in 32-bit masks)");
+  }
   if (coreRouter.vcsPerPort == 0 || coreRouter.vcsPerPort > 32) {
     // VC occupancy, head-front, lock and bound-core state all live in 32-bit
     // masks (`1u << vc`); more than 32 VCs would shift out of range.

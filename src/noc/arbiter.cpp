@@ -1,66 +1,56 @@
 #include "noc/arbiter.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
 namespace pnoc::noc {
 
+namespace {
+
+std::uint32_t maskOf(std::uint32_t size) { return size == 32 ? ~0u : (1u << size) - 1; }
+
+}  // namespace
+
 RoundRobinArbiter::RoundRobinArbiter(std::uint32_t size) : size_(size) {
-  assert(size > 0);
+  assert(size > 0 && size <= 32);
 }
 
-std::uint32_t RoundRobinArbiter::grant(const std::vector<bool>& requests) {
-  assert(requests.size() == size_);
-  for (std::uint32_t offset = 0; offset < size_; ++offset) {
-    const std::uint32_t candidate = (nextPriority_ + offset) % size_;
-    if (requests[candidate]) {
-      nextPriority_ = (candidate + 1) % size_;
-      return candidate;
-    }
-  }
-  return kNoGrant;
+std::uint32_t RoundRobinArbiter::grant(std::uint32_t requestMask) {
+  assert((requestMask & ~maskOf(size_)) == 0);
+  if (requestMask == 0) return kNoGrant;
+  // First requester at or after nextPriority_, wrapping to the lowest one.
+  const std::uint32_t atOrAfter = requestMask >> nextPriority_;
+  const std::uint32_t winner =
+      atOrAfter != 0 ? nextPriority_ + static_cast<std::uint32_t>(std::countr_zero(atOrAfter))
+                     : static_cast<std::uint32_t>(std::countr_zero(requestMask));
+  nextPriority_ = winner + 1 == size_ ? 0 : winner + 1;
+  return winner;
 }
 
-MatrixArbiter::MatrixArbiter(std::uint32_t size)
-    : size_(size), matrix_(static_cast<std::size_t>(size) * size, false) {
-  assert(size > 0);
+MatrixArbiter::MatrixArbiter(std::uint32_t size) : size_(size), beatenBy_(size, 0) {
+  assert(size > 0 && size <= 32);
   reset();
 }
 
 void MatrixArbiter::reset() {
   // Initial priority: lower index beats higher index.
-  std::fill(matrix_.begin(), matrix_.end(), false);
-  for (std::uint32_t i = 0; i < size_; ++i) {
-    for (std::uint32_t j = i + 1; j < size_; ++j) matrix_[i * size_ + j] = true;
-  }
+  for (std::uint32_t i = 0; i < size_; ++i) beatenBy_[i] = (1u << i) - 1;
 }
 
-std::uint32_t MatrixArbiter::grant(const std::vector<bool>& requests) {
-  assert(requests.size() == size_);
-  std::uint32_t winner = kNoGrant;
-  for (std::uint32_t i = 0; i < size_; ++i) {
-    if (!requests[i]) continue;
-    bool dominated = false;
-    for (std::uint32_t j = 0; j < size_; ++j) {
-      if (j != i && requests[j] && beats(j, i)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) {
-      winner = i;
-      break;
-    }
-  }
-  if (winner != kNoGrant) {
+std::uint32_t MatrixArbiter::grant(std::uint32_t requestMask) {
+  assert((requestMask & ~maskOf(size_)) == 0);
+  // Lowest-index requester that no other requester beats.
+  for (std::uint32_t pending = requestMask; pending != 0; pending &= pending - 1) {
+    const auto winner = static_cast<std::uint32_t>(std::countr_zero(pending));
+    if ((beatenBy_[winner] & requestMask) != 0) continue;
     // Winner drops below everyone: clear its row, set its column.
-    for (std::uint32_t j = 0; j < size_; ++j) {
-      matrix_[winner * size_ + j] = false;
-      if (j != winner) matrix_[j * size_ + winner] = true;
-    }
+    const std::uint32_t winnerBit = 1u << winner;
+    for (std::uint32_t& column : beatenBy_) column &= ~winnerBit;
+    beatenBy_[winner] = maskOf(size_) & ~winnerBit;
+    return winner;
   }
-  return winner;
+  return kNoGrant;
 }
 
 std::unique_ptr<Arbiter> makeArbiter(const std::string& kind, std::uint32_t size) {

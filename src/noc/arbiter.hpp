@@ -2,11 +2,13 @@
 // output arbitration — paper Section 3.3.2).
 //
 // Two classic designs:
-//  * RoundRobinArbiter — rotating priority; starvation free, O(n) grant.
+//  * RoundRobinArbiter — rotating priority; starvation free.
 //  * MatrixArbiter     — least-recently-served priority matrix; fairer under
 //                        asymmetric request rates, O(n^2) state.
 // Both expose the same interface so the router can be instantiated with
-// either (the ablation benches compare them).
+// either (the ablation benches compare them).  Requests arrive as a bitmask
+// (at most 32 requestors), so a grant is a few mask operations and a
+// count-trailing-zeros rather than a scan.
 #pragma once
 
 #include <cstdint>
@@ -23,12 +25,14 @@ class Arbiter {
  public:
   virtual ~Arbiter() = default;
 
-  /// Number of requestors this arbiter serves.
+  /// Number of requestors this arbiter serves (1..32).
   virtual std::uint32_t size() const = 0;
 
-  /// Grants one of the requesting inputs (requests[i] == true) and updates
-  /// internal priority state. Returns kNoGrant if nothing is requesting.
-  virtual std::uint32_t grant(const std::vector<bool>& requests) = 0;
+  /// Grants one of the requesting inputs (bit i of `requestMask` set iff
+  /// input i requests; bits at or above size() must be clear) and updates
+  /// internal priority state.  Returns kNoGrant, leaving the state
+  /// untouched, if nothing is requesting.
+  virtual std::uint32_t grant(std::uint32_t requestMask) = 0;
 
   /// Restores the freshly-constructed priority state (network reset).
   virtual void reset() = 0;
@@ -41,7 +45,7 @@ class RoundRobinArbiter final : public Arbiter {
   explicit RoundRobinArbiter(std::uint32_t size);
 
   std::uint32_t size() const override { return size_; }
-  std::uint32_t grant(const std::vector<bool>& requests) override;
+  std::uint32_t grant(std::uint32_t requestMask) override;
   void reset() override { nextPriority_ = 0; }
   std::string name() const override { return "round-robin"; }
 
@@ -55,15 +59,15 @@ class MatrixArbiter final : public Arbiter {
   explicit MatrixArbiter(std::uint32_t size);
 
   std::uint32_t size() const override { return size_; }
-  std::uint32_t grant(const std::vector<bool>& requests) override;
+  std::uint32_t grant(std::uint32_t requestMask) override;
   void reset() override;
   std::string name() const override { return "matrix"; }
 
  private:
-  /// matrix_[i][j] == true means i has priority over j.
-  bool beats(std::uint32_t i, std::uint32_t j) const { return matrix_[i * size_ + j]; }
   std::uint32_t size_;
-  std::vector<bool> matrix_;
+  /// Column i of the priority matrix: bit j of beatenBy_[i] set iff j has
+  /// priority over i (the diagonal is always clear).
+  std::vector<std::uint32_t> beatenBy_;
 };
 
 /// Factory by name ("round-robin" | "matrix"); throws std::invalid_argument

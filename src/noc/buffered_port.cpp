@@ -14,7 +14,7 @@ void BufferedPort::notifyOwner(sim::Clocked* owner, std::uint32_t* bufferedCount
 
 bool BufferedPort::canAccept(const Flit& flit) const {
   if (flit.isHead()) return bank_.findFreeVcForNewPacket() != kNoVc;
-  const VcId vc = receivingVc_.find(flit.packet().id);
+  const VcId vc = receivingVc_.find(flit.handle);
   if (vc == kNoVc) return false;
   return !bank_.vc(vc).full();
 }
@@ -25,10 +25,10 @@ void BufferedPort::accept(const Flit& flit, Cycle now) {
   if (flit.isHead()) {
     vc = bank_.findFreeVcForNewPacket();
     bank_.lock(vc);
-    if (!flit.isTail()) receivingVc_.insert(flit.packet().id, vc);
+    if (!flit.isTail()) receivingVc_.insert(flit.handle, vc);
   } else {
-    vc = receivingVc_.find(flit.packet().id);
-    if (flit.isTail()) receivingVc_.erase(flit.packet().id);
+    vc = receivingVc_.find(flit.handle);
+    if (flit.isTail()) receivingVc_.erase(flit.handle);
   }
   bank_.push(vc, flit, now);
   if (bufferedCounter_ != nullptr) ++*bufferedCounter_;

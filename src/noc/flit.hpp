@@ -10,7 +10,8 @@
 // PacketSlab (or any other stable storage), so the per-hop copy through link
 // pipes is a 16-byte flit instead of the full 48-byte descriptor.  VC buffers
 // store even less: one handle per VC and an 8-byte arrival cycle per flit,
-// rebuilding flits with makeFlit (src/noc/vc_buffer.hpp).
+// rebuilding flits with makeFlit from the flit count cached when the VC's
+// segment opened (src/noc/vc_buffer.hpp).
 #pragma once
 
 #include <cassert>
@@ -88,23 +89,31 @@ struct Flit {
   Bits bits() const { return handle->bitsPerFlit; }
 };
 
-/// Builds the flit at position `sequence` of the given packet.
-inline Flit makeFlit(PacketHandle packet, std::uint32_t sequence) {
+/// Builds the flit at position `sequence` of a packet of `numFlits` flits.
+/// Takes the flit count explicitly so callers that cache it (a VC holding
+/// the packet's segment) never load the descriptor.
+inline Flit makeFlit(PacketHandle packet, std::uint32_t sequence, std::uint32_t numFlits) {
   assert(packet != nullptr);
-  assert(sequence < packet->numFlits);
+  assert(sequence < numFlits);
   Flit flit;
   flit.handle = packet;
   flit.sequence = sequence;
-  if (packet->numFlits == 1) {
+  if (numFlits == 1) {
     flit.type = FlitType::kHeadTail;
   } else if (sequence == 0) {
     flit.type = FlitType::kHead;
-  } else if (sequence == packet->numFlits - 1) {
+  } else if (sequence == numFlits - 1) {
     flit.type = FlitType::kTail;
   } else {
     flit.type = FlitType::kBody;
   }
   return flit;
+}
+
+/// Builds the flit at position `sequence` of the given packet.
+inline Flit makeFlit(PacketHandle packet, std::uint32_t sequence) {
+  assert(packet != nullptr);
+  return makeFlit(packet, sequence, packet->numFlits);
 }
 
 }  // namespace pnoc::noc

@@ -32,8 +32,13 @@ struct LinkStats {
 
 class Link final : public FlitSink, public sim::Clocked {
  public:
-  /// `latency` >= 1; capacity of the pipe equals the latency so a fully
-  /// pipelined stream sustains one flit per cycle.
+  /// `latency` >= 1; the pipe holds `latency` flits.  That does NOT sustain
+  /// one flit per cycle: under two-phase stepping the upstream decides in
+  /// evaluate() against the pipe as committed last cycle, so a slot freed
+  /// by a delivery in cycle t is refilled in cycle t+1 at the earliest.  An
+  /// upstream router streaming into the link gets latency/(latency+1) flits
+  /// per cycle: 0.5 at latency 1, 2 every 3 cycles at latency 2
+  /// (tests/noc/router_test.cpp pins these rates).
   Link(std::string name, std::uint32_t latency, double energyPerBitPj, FlitSink& downstream);
 
   // FlitSink (upstream side)

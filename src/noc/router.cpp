@@ -13,14 +13,12 @@ ElectricalRouter::ElectricalRouter(
       config_(config),
       routeFn_(std::move(routeFn)),
       outputs_(config.numPorts),
-      crossbar_(config.numPorts, config.numPorts),
+      route_(static_cast<std::size_t>(config.numPorts) * config.vcsPerPort, 0),
       receivingVc_(config.numPorts),
-      vcRequests_(config.vcsPerPort, false),
-      inputRequests_(config.numPorts, false),
-      vcTargets_(config.vcsPerPort, 0),
       selectedVc_(config.numPorts, kNoVc),
-      selectedOut_(config.numPorts, 0) {
+      requestsFor_(config.numPorts, 0) {
   assert(routeFn_ && "router requires a routing function");
+  assert(config.numPorts <= 32 && "port state is tracked in 32-bit masks");
   inputs_.reserve(config.numPorts);
   for (std::uint32_t p = 0; p < config.numPorts; ++p) {
     inputs_.emplace_back(config.vcsPerPort, config.vcDepthFlits);
@@ -41,7 +39,7 @@ bool ElectricalRouter::canAcceptFlit(std::uint32_t inputPort, const Flit& flit) 
   if (flit.isHead()) {
     return bank.findFreeVcForNewPacket() != kNoVc;
   }
-  const VcId vc = receivingVc_[inputPort].find(flit.packet().id);
+  const VcId vc = receivingVc_[inputPort].find(flit.handle);
   if (vc == kNoVc) return false;  // head was never accepted here
   return !bank.vc(vc).full();
 }
@@ -53,10 +51,13 @@ void ElectricalRouter::acceptFlit(std::uint32_t inputPort, const Flit& flit, Cyc
   if (flit.isHead()) {
     vc = bank.findFreeVcForNewPacket();
     bank.lock(vc);
-    if (!flit.isTail()) receivingVc_[inputPort].insert(flit.packet().id, vc);
+    const std::uint32_t out = routeFn_(flit.packet());
+    assert(out < config_.numPorts);
+    route_[inputPort * config_.vcsPerPort + vc] = static_cast<std::uint8_t>(out);
+    if (!flit.isTail()) receivingVc_[inputPort].insert(flit.handle, vc);
   } else {
-    vc = receivingVc_[inputPort].find(flit.packet().id);
-    if (flit.isTail()) receivingVc_[inputPort].erase(flit.packet().id);
+    vc = receivingVc_[inputPort].find(flit.handle);
+    if (flit.isTail()) receivingVc_[inputPort].erase(flit.handle);
   }
   bank.push(vc, flit, now);
   ++occupancy_;
@@ -64,98 +65,71 @@ void ElectricalRouter::acceptFlit(std::uint32_t inputPort, const Flit& flit, Cyc
   requestWake();
 }
 
-bool ElectricalRouter::flitEligible(std::uint32_t inPort, VcId vc, Cycle now) const {
-  const VirtualChannel& channel = inputs_[inPort].vc(vc);
-  if (channel.empty()) return false;
-  if (config_.pipelineLatency <= 1) return true;
-  return channel.frontArrival() + (config_.pipelineLatency - 1) <= now;
-}
-
 void ElectricalRouter::evaluate(Cycle cycle) {
-  // Empty router: no moves were pending (advance() cleared them) and the
-  // crossbar is only consulted after the reset below, so skip both phases'
-  // work outright.  This is the ungated engine's fast path; the gated engine
-  // does not call evaluate() on an empty router at all.
+  // Empty router: no moves were pending (advance() cleared them), so skip
+  // both phases' work outright.  This is the ungated engine's fast path; the
+  // gated engine does not call evaluate() on an empty router at all.
   if (occupancy_ == 0) return;
   pendingMoves_.clear();
-  crossbar_.reset();
+  std::uint32_t busyInputs = 0;
 
   // Stage 0: continue wormhole streams that already own an output port.
-  for (std::uint32_t out = 0; out < config_.numPorts; ++out) {
-    OutputState& state = outputs_[out];
-    if (!state.owned) continue;
-    if (crossbar_.inputBusy(state.inPort)) continue;
-    const VirtualChannel& channel = inputs_[state.inPort].vc(state.inVc);
-    if (channel.empty()) continue;
-    const Flit flit = channel.front();
-    assert(flit.packet().id == state.packet && "VC lock violated");
-    if (!flitEligible(state.inPort, state.inVc, cycle)) continue;
+  for (std::uint32_t owned = ownedMask_; owned != 0; owned &= owned - 1) {
+    const auto out = static_cast<std::uint32_t>(std::countr_zero(owned));
+    const OutputState& state = outputs_[out];
+    if ((busyInputs & bit(state.inPort)) != 0) continue;
+    const VcBufferBank& bank = inputs_[state.inPort];
+    if ((bank.occupiedMask() & bit(state.inVc)) == 0) continue;
+    if (!frontEligible(bank, state.inVc, cycle)) continue;
+    const Flit flit = bank.vc(state.inVc).front();
+    assert(flit.handle == state.packet && "VC lock violated");
     if (state.sink == nullptr || !state.sink->canAccept(flit)) continue;
-    crossbar_.connect(state.inPort, out);
+    busyInputs |= bit(state.inPort);
     pendingMoves_.push_back(Move{state.inPort, state.inVc, out});
   }
 
   // Streaming fast path: with no head flit at the front of any VC, stages
   // 1 and 2 cannot produce a grant — every front flit is body/tail traffic
   // that only moves through the owned outputs handled above.
-  bool anyHeadFronts = false;
-  for (const VcBufferBank& bank : inputs_) {
-    if (bank.headFrontCount() != 0) {
-      anyHeadFronts = true;
-      break;
-    }
-  }
-  if (!anyHeadFronts) {
+  std::uint32_t anyHeadFronts = 0;
+  for (const VcBufferBank& bank : inputs_) anyHeadFronts |= bank.headFrontMask();
+  if (anyHeadFronts == 0) {
     finishEvaluate(cycle);
     return;
   }
 
   // Stage 1 (input arbitration): each idle input picks one VC holding an
-  // eligible head flit whose route targets a free output that can accept it.
-  std::fill(selectedVc_.begin(), selectedVc_.end(), kNoVc);
+  // eligible head flit whose route targets an unowned output that can
+  // accept it.  Stage 0 only connects owned outputs, so "unowned" is also
+  // "not busy this cycle".
+  std::uint32_t requestedOutputs = 0;
   for (std::uint32_t in = 0; in < config_.numPorts; ++in) {
-    if (crossbar_.inputBusy(in)) continue;
-    std::fill(vcRequests_.begin(), vcRequests_.end(), false);
-    bool any = false;
-    // Iterate only the occupied VCs (ascending, same order as a full scan).
-    for (std::uint32_t occ = inputs_[in].occupiedMask(); occ != 0; occ &= occ - 1) {
-      const VcId vc = static_cast<VcId>(std::countr_zero(occ));
-      const Flit front = inputs_[in].vc(vc).front();
-      if (!front.isHead()) continue;
-      if (!flitEligible(in, vc, cycle)) continue;
-      const std::uint32_t out = routeFn_(front.packet());
-      assert(out < config_.numPorts);
-      const OutputState& state = outputs_[out];
-      if (state.owned || crossbar_.outputBusy(out)) continue;
-      if (state.sink == nullptr || !state.sink->canAccept(front)) continue;
-      vcRequests_[vc] = true;
-      vcTargets_[vc] = out;
-      any = true;
+    if ((busyInputs & bit(in)) != 0) continue;
+    const VcBufferBank& bank = inputs_[in];
+    std::uint32_t requests = 0;
+    for (std::uint32_t heads = bank.headFrontMask(); heads != 0; heads &= heads - 1) {
+      const auto vc = static_cast<VcId>(std::countr_zero(heads));
+      if (!frontEligible(bank, vc, cycle)) continue;
+      const std::uint32_t out = routeOf(in, vc);
+      if ((ownedMask_ & bit(out)) != 0) continue;
+      const FlitSink* sink = outputs_[out].sink;
+      if (sink == nullptr || !sink->canAccept(bank.vc(vc).front())) continue;
+      requests |= bit(vc);
     }
-    if (!any) continue;
-    const std::uint32_t vc = inputArbiters_[in]->grant(vcRequests_);
-    if (vc != kNoGrant) {
-      selectedVc_[in] = vc;
-      selectedOut_[in] = vcTargets_[vc];
-    }
+    if (requests == 0) continue;
+    const VcId vc = inputArbiters_[in]->grant(requests);
+    const std::uint32_t out = routeOf(in, vc);
+    selectedVc_[in] = vc;
+    if ((requestedOutputs & bit(out)) == 0) requestsFor_[out] = 0;
+    requestedOutputs |= bit(out);
+    requestsFor_[out] |= bit(in);
   }
 
-  // Stage 2 (output arbitration): each free output picks among the inputs
-  // whose selected head flit targets it.
-  for (std::uint32_t out = 0; out < config_.numPorts; ++out) {
-    if (outputs_[out].owned || crossbar_.outputBusy(out)) continue;
-    std::fill(inputRequests_.begin(), inputRequests_.end(), false);
-    bool any = false;
-    for (std::uint32_t in = 0; in < config_.numPorts; ++in) {
-      if (selectedVc_[in] != kNoVc && selectedOut_[in] == out) {
-        inputRequests_[in] = true;
-        any = true;
-      }
-    }
-    if (!any) continue;
-    const std::uint32_t in = outputArbiters_[out]->grant(inputRequests_);
-    if (in == kNoGrant) continue;
-    crossbar_.connect(in, out);
+  // Stage 2 (output arbitration): each requested output picks among the
+  // inputs whose selected head flit targets it (ascending output order).
+  for (std::uint32_t outs = requestedOutputs; outs != 0; outs &= outs - 1) {
+    const auto out = static_cast<std::uint32_t>(std::countr_zero(outs));
+    const std::uint32_t in = outputArbiters_[out]->grant(requestsFor_[out]);
     pendingMoves_.push_back(Move{in, selectedVc_[in], out});
   }
 
@@ -181,15 +155,15 @@ void ElectricalRouter::finishEvaluate(Cycle cycle) {
 void ElectricalRouter::prepareBlockedPark(Cycle cycle) {
   canSleepBlocked_ = false;
   Cycle nextEligible = kNoCycle;
+  const Cycle eligibleDelay = config_.pipelineLatency - 1;
   // Streams that own an output port (body/tail flits mid-wormhole).
-  for (std::uint32_t out = 0; out < config_.numPorts; ++out) {
-    const OutputState& state = outputs_[out];
-    if (!state.owned) continue;
-    const VirtualChannel& channel = inputs_[state.inPort].vc(state.inVc);
-    if (channel.empty()) continue;  // next body flit's acceptFlit() wakes us
-    if (!flitEligible(state.inPort, state.inVc, cycle)) {
-      nextEligible =
-          std::min(nextEligible, channel.frontArrival() + config_.pipelineLatency - 1);
+  for (std::uint32_t owned = ownedMask_; owned != 0; owned &= owned - 1) {
+    const OutputState& state = outputs_[std::countr_zero(owned)];
+    const VcBufferBank& bank = inputs_[state.inPort];
+    // An empty stream VC: the next body flit's acceptFlit() wakes us.
+    if ((bank.occupiedMask() & bit(state.inVc)) == 0) continue;
+    if (!frontEligible(bank, state.inVc, cycle)) {
+      nextEligible = std::min(nextEligible, bank.frontArrival(state.inVc) + eligibleDelay);
       continue;
     }
     // Eligible but stalled on the sink: ask it to wake us when it drains.
@@ -197,26 +171,23 @@ void ElectricalRouter::prepareBlockedPark(Cycle cycle) {
   }
   // Head flits waiting at the front of their VC.
   for (std::uint32_t in = 0; in < config_.numPorts; ++in) {
-    for (std::uint32_t occ = inputs_[in].occupiedMask(); occ != 0; occ &= occ - 1) {
-      const VcId vc = static_cast<VcId>(std::countr_zero(occ));
-      const VirtualChannel& channel = inputs_[in].vc(vc);
-      const Flit front = channel.front();
-      if (!front.isHead()) continue;  // body stream, covered above
-      if (!flitEligible(in, vc, cycle)) {
-        nextEligible =
-            std::min(nextEligible, channel.frontArrival() + config_.pipelineLatency - 1);
+    const VcBufferBank& bank = inputs_[in];
+    for (std::uint32_t heads = bank.headFrontMask(); heads != 0; heads &= heads - 1) {
+      const auto vc = static_cast<VcId>(std::countr_zero(heads));
+      if (!frontEligible(bank, vc, cycle)) {
+        nextEligible = std::min(nextEligible, bank.frontArrival(vc) + eligibleDelay);
         continue;
       }
-      const std::uint32_t out = routeFn_(front.packet());
-      const OutputState& state = outputs_[out];
+      const std::uint32_t out = routeOf(in, vc);
       // An owned output frees only when its stream moves, and moves only
       // happen while we are awake — the head rides on the owner's blockers.
-      if (state.owned) continue;
-      if (state.sink == nullptr) return;
+      if ((ownedMask_ & bit(out)) != 0) continue;
+      FlitSink* sink = outputs_[out].sink;
+      if (sink == nullptr) return;
       // A movable head implies a granted move, contradicting the zero-move
       // premise; stay polling rather than trust the analysis.
-      if (state.sink->canAccept(front)) return;
-      if (!state.sink->notifyOnDrain(*this)) return;
+      if (sink->canAccept(bank.vc(vc).front())) return;
+      if (!sink->notifyOnDrain(*this)) return;
     }
   }
   if (nextEligible != kNoCycle) scheduleWakeAt(nextEligible);
@@ -226,33 +197,31 @@ void ElectricalRouter::prepareBlockedPark(Cycle cycle) {
 void ElectricalRouter::advance(Cycle cycle) {
   for (const Move& move : pendingMoves_) {
     VcBufferBank& bank = inputs_[move.inPort];
+    const Bits bits = bank.vc(move.inVc).bitsPerFlit();
     const Flit flit = bank.pop(move.inVc, cycle);
     assert(occupancy_ > 0);
     --occupancy_;
-    crossbar_.traverse(move.inPort, flit);
     stats_.flitsRouted += 1;
-    stats_.bitsRouted += flit.bits();
-    stats_.energyPj += config_.routerEnergyPerBitPj * static_cast<double>(flit.bits());
+    stats_.bitsRouted += bits;
+    stats_.energyPj += config_.routerEnergyPerBitPj * static_cast<double>(bits);
 
     OutputState& state = outputs_[move.outPort];
     assert(state.sink != nullptr);
-    // Read everything we need from the descriptor before handing the flit
-    // over: an ejection sink releases the packet's slab slot when it
-    // consumes the tail, so the handle must not be dereferenced after
+    // An ejection sink releases the packet's slab slot when it consumes the
+    // tail, so the handle is only compared, never dereferenced, after
     // accept().
-    const PacketId packetId = flit.packet().id;
-    const bool isHead = flit.isHead();
-    const bool isTail = flit.isTail();
     state.sink->accept(flit, cycle);
 
-    if (isHead && !isTail) {
-      state.owned = true;
+    if (flit.isHead() && !flit.isTail()) {
+      ownedMask_ |= bit(move.outPort);
       state.inPort = move.inPort;
       state.inVc = move.inVc;
-      state.packet = packetId;
+      state.packet = flit.handle;
     }
-    if (isTail) {
-      if (state.owned && state.packet == packetId) state.owned = false;
+    if (flit.isTail()) {
+      if ((ownedMask_ & bit(move.outPort)) != 0 && state.packet == flit.handle) {
+        ownedMask_ &= ~bit(move.outPort);
+      }
       bank.unlock(move.inVc);
     }
   }
@@ -262,13 +231,12 @@ void ElectricalRouter::advance(Cycle cycle) {
 void ElectricalRouter::reset() {
   for (auto& bank : inputs_) bank.reset();
   for (OutputState& state : outputs_) {
-    state.owned = false;
     state.inPort = 0;
     state.inVc = kNoVc;
-    state.packet = 0;  // sink wiring survives
+    state.packet = nullptr;  // sink wiring survives
   }
-  crossbar_.reset();
-  crossbar_.resetStats();
+  ownedMask_ = 0;
+  std::fill(route_.begin(), route_.end(), std::uint8_t{0});
   for (auto& arbiter : inputArbiters_) arbiter->reset();
   for (auto& arbiter : outputArbiters_) arbiter->reset();
   for (auto& map : receivingVc_) map.clear();

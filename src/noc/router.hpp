@@ -21,19 +21,23 @@
 // notifyOnDrain), so a congested router sleeps instead of re-arbitrating
 // nothing every cycle.  Blocked cycles are arbitration no-ops (no grants,
 // no stats, no pointer movement), so parking them is bit-identical to
-// polling.  Arbitration scratch state lives in member buffers so evaluate()
-// allocates nothing on the hot path.
+// polling.
+//
+// The per-cycle decision reads only compact router- and bank-local state:
+// each packet is routed once, when its head is accepted, into one output
+// byte per (input port, VC); the bank's head-front mask, occupancy mask and
+// front-arrival array say which heads are eligible; arbitration grants on
+// request bitmasks, with the cycle's busy inputs and owned outputs as local
+// masks.  No packet descriptor is loaded and evaluate() allocates nothing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "noc/arbiter.hpp"
-#include "noc/crossbar.hpp"
 #include "noc/flit.hpp"
 #include "noc/vc_buffer.hpp"
 #include "sim/engine.hpp"
@@ -83,6 +87,10 @@ struct RouterStats {
 
 class ElectricalRouter final : public sim::Clocked {
  public:
+  /// `routeFn` maps a packet to its output port.  It must be a pure function
+  /// of the descriptor: the router calls it once per packet, when the head
+  /// flit is accepted, and reuses the answer until the head leaves.
+  /// At most 32 ports and 32 VCs per port (arbitration works on bitmasks).
   ElectricalRouter(std::string name, const RouterConfig& config,
                    std::function<std::uint32_t(const PacketDescriptor&)> routeFn);
 
@@ -120,11 +128,11 @@ class ElectricalRouter final : public sim::Clocked {
   std::uint32_t occupancy() const { return occupancy_; }
 
  private:
+  /// Wormhole stream holding an output port (its bit is set in ownedMask_).
   struct OutputState {
-    bool owned = false;
     std::uint32_t inPort = 0;
     VcId inVc = kNoVc;
-    PacketId packet = 0;
+    PacketHandle packet = nullptr;
     FlitSink* sink = nullptr;
   };
 
@@ -134,7 +142,16 @@ class ElectricalRouter final : public sim::Clocked {
     std::uint32_t outPort;
   };
 
-  bool flitEligible(std::uint32_t inPort, VcId vc, Cycle now) const;
+  static std::uint32_t bit(std::uint32_t index) { return 1u << index; }
+  /// True once vc's (non-empty) front has waited out the pipeline latency.
+  bool frontEligible(const VcBufferBank& bank, VcId vc, Cycle now) const {
+    return config_.pipelineLatency <= 1 ||
+           bank.frontArrival(vc) + (config_.pipelineLatency - 1) <= now;
+  }
+  /// Output port of the packet whose head opened VC `vc` of input `inPort`.
+  std::uint32_t routeOf(std::uint32_t inPort, VcId vc) const {
+    return route_[inPort * config_.vcsPerPort + vc];
+  }
   void finishEvaluate(Cycle cycle);
   void prepareBlockedPark(Cycle cycle);
 
@@ -143,7 +160,11 @@ class ElectricalRouter final : public sim::Clocked {
   std::function<std::uint32_t(const PacketDescriptor&)> routeFn_;
   std::vector<VcBufferBank> inputs_;
   std::vector<OutputState> outputs_;
-  Crossbar crossbar_;
+  /// Bit o set iff output o is held by a wormhole stream (outputs_[o]).
+  std::uint32_t ownedMask_ = 0;
+  /// [inPort * vcsPerPort + vc] routeFn_ result for the packet whose head
+  /// opened that VC; read while the head waits at the VC front.
+  std::vector<std::uint8_t> route_;
   /// Input-arbitration stage: one arbiter per input port picks among VCs.
   std::vector<std::unique_ptr<Arbiter>> inputArbiters_;
   /// Output-arbitration stage: one arbiter per output port picks among inputs.
@@ -160,13 +181,11 @@ class ElectricalRouter final : public sim::Clocked {
   /// wake source armed (drain notification or eligibility timer); cleared by
   /// any new work.
   bool canSleepBlocked_ = false;
-  // Arbitration scratch, sized once in the constructor (no per-cycle
-  // allocation).
-  std::vector<bool> vcRequests_;          // one slot per VC of a port
-  std::vector<bool> inputRequests_;       // one slot per input port
-  std::vector<std::uint32_t> vcTargets_;  // requested output per VC
-  std::vector<VcId> selectedVc_;          // per input port
-  std::vector<std::uint32_t> selectedOut_;
+  // Stage-1 results of the current evaluate(): the VC each granting input
+  // selected, and, for each output requested this cycle, the requesting
+  // inputs as a mask.
+  std::vector<VcId> selectedVc_;
+  std::vector<std::uint32_t> requestsFor_;
   RouterStats stats_;
 };
 

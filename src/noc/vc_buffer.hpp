@@ -10,9 +10,12 @@
 // Wormhole switching locks a VC to one packet from head to tail, so a VC
 // only ever holds a contiguous run of one packet's flits.  It therefore
 // stores that run as a packet segment: the packet handle once, the front
-// flit's sequence number, and a RingBuffer of per-flit arrival cycles (8
-// bytes a slot, allocated once at construction).  Flits are rebuilt from the
-// handle and sequence with makeFlit when read.
+// flit's sequence number, the packet's flit count and flit width (cached
+// when the segment opens, so reading or popping the front never loads the
+// descriptor), and a RingBuffer of per-flit arrival cycles (8 bytes a slot,
+// allocated once at construction).  Flits are rebuilt from the segment with
+// makeFlit when read.  Statistics and the front-arrival array the routers
+// scan live one level up, in the VcBufferBank.
 #pragma once
 
 #include <algorithm>
@@ -53,69 +56,74 @@ class VirtualChannel {
 
   /// Enqueues a flit at the given cycle.  Preconditions: !full(), and a
   /// non-empty VC only takes the next flit of the packet it holds.  An empty
-  /// VC takes any flit: a body can land in an empty (locked) VC mid-packet
-  /// when the consumer drained ahead of the source.
+  /// VC takes any flit and starts its segment there: a body can land in an
+  /// empty (locked) VC mid-packet when the consumer drained ahead of the
+  /// source.  Only a new packet loads the descriptor; the same packet's
+  /// later flits reuse the cached fields (packet_ is cleared when its tail
+  /// leaves, so a recycled handle always reloads).
   void push(const Flit& flit, Cycle now) {
     assert(!full());
     if (empty()) {
-      packet_ = flit.handle;
+      if (flit.handle != packet_) {
+        packet_ = flit.handle;
+        numFlits_ = flit.handle->numFlits;
+        bitsPerFlit_ = flit.handle->bitsPerFlit;
+      } else {
+        assert(flit.sequence == frontSequence_ && "flits arrive in order");
+      }
       frontSequence_ = flit.sequence;
     } else {
       assert(flit.handle == packet_ && "a VC holds one packet's flits");
       assert(flit.sequence == frontSequence_ + size() && "flits arrive in order");
     }
     arrivals_.push_back(now);
-    ++stats_.flitsWritten;
-    stats_.bitsWritten += flit.bits();
-    stats_.peakOccupancy = std::max<std::uint64_t>(stats_.peakOccupancy, size());
   }
 
   /// Front flit without removing it. Precondition: !empty().
   Flit front() const {
     assert(!empty());
-    return makeFlit(packet_, frontSequence_);
+    return makeFlit(packet_, frontSequence_, numFlits_);
   }
 
   /// Cycle at which the front flit was enqueued. Precondition: !empty().
   Cycle frontArrival() const { return arrivals_.front(); }
 
-  /// Dequeues the front flit at the given cycle. Precondition: !empty().
-  Flit pop(Cycle now) {
+  /// Width of the segment's flits (valid once a flit has been pushed; kept
+  /// after the segment empties).
+  Bits bitsPerFlit() const { return bitsPerFlit_; }
+
+  /// Dequeues the front flit. Precondition: !empty().
+  Flit pop() {
     const Flit flit = front();
-    const Cycle enqueuedAt = arrivals_.front();
     arrivals_.pop_front();
     ++frontSequence_;
-    ++stats_.flitsRead;
-    stats_.bitsRead += flit.bits();
-    const Cycle resident = (now >= enqueuedAt) ? now - enqueuedAt : 0;
-    stats_.bitCyclesResident += flit.bits() * resident;
+    if (flit.isTail()) packet_ = nullptr;  // the packet may now be released
     return flit;
   }
 
-  /// Empties the channel and zeroes its statistics (network reset).
+  /// Empties the channel and forgets its segment (network reset).
   void reset() {
     arrivals_.clear();
     packet_ = nullptr;
     frontSequence_ = 0;
-    stats_ = BufferStats{};
+    numFlits_ = 0;
+    bitsPerFlit_ = 0;
   }
-
-  const BufferStats& stats() const { return stats_; }
 
  private:
   sim::RingBuffer<Cycle> arrivals_;  ///< enqueue cycle of each buffered flit
-  PacketHandle packet_ = nullptr;    ///< packet of every buffered flit
+  PacketHandle packet_ = nullptr;    ///< packet of every buffered flit; null once its tail left
   std::uint32_t frontSequence_ = 0;  ///< sequence number of the front flit
-  BufferStats stats_;
+  std::uint32_t numFlits_ = 0;       ///< packet_->numFlits, cached
+  Bits bitsPerFlit_ = 0;             ///< packet_->bitsPerFlit, cached
 };
 
 /// Hot VC-front metadata for one bank, exposed as raw pointers so an owner
 /// (PhotonicNetwork's PhotonicHotState) can place every bank's slice in flat
 /// contiguous arrays.  The per-cycle transmit/ejection scans then read
 /// compact SoA memory instead of chasing bank->vc(id) object chains.  A bank
-/// not attached to shared storage keeps its masks in plain members and pays
-/// nothing for the mirroring (the electrical routers' banks stay exactly as
-/// cheap as before the SoA existed).
+/// not attached to shared storage keeps its masks in plain members and its
+/// front arrivals in its own array, and skips the mask/front-flit mirroring.
 struct VcHotSlice {
   std::uint32_t* occupied = nullptr;   ///< one word: bit i set iff VC i non-empty
   std::uint32_t* headFront = nullptr;  ///< one word: bit i set iff VC i's front is a head
@@ -127,18 +135,20 @@ struct VcHotSlice {
 /// and lock state fit in bitmasks).
 ///
 /// All mutation goes through the bank — push/pop/lock — so it can maintain
-/// an occupied-VC bitmask, a head-front bitmask and an O(1) flit count in
-/// the hot slice.  The hot arbitration loops iterate set bits of
-/// occupiedMask() instead of scanning every VC, free-VC lookup is a
-/// count-trailing-zeros, and front flits are read from the slice without
-/// touching the ring buffers at all.
+/// an occupied-VC bitmask, a head-front bitmask, an O(1) flit count, the
+/// bank's BufferStats and a per-VC front-arrival array.  The hot arbitration
+/// loops iterate set bits of the masks instead of scanning every VC,
+/// free-VC lookup is a count-trailing-zeros, and pipeline eligibility is one
+/// read of frontArrival(vc) — none of it touches a VC's ring buffer or a
+/// packet descriptor.
 class VcBufferBank {
  public:
   VcBufferBank(std::uint32_t numVcs, std::uint32_t depthFlits);
 
   // An attached external slice mirrors this bank's state; copying would
   // alias it, so banks move but never copy.  Moves keep the attachment (the
-  // external storage does not belong to the bank).
+  // external storage does not belong to the bank) and the front-arrival
+  // pointer (a moved vector keeps its heap buffer).
   VcBufferBank(const VcBufferBank&) = delete;
   VcBufferBank& operator=(const VcBufferBank&) = delete;
   VcBufferBank(VcBufferBank&&) = default;
@@ -148,10 +158,58 @@ class VcBufferBank {
   const VirtualChannel& vc(VcId id) const { return vcs_[id]; }
 
   /// Enqueues into VC `id`. Precondition: !vc(id).full().
-  void push(VcId id, const Flit& flit, Cycle now);
+  void push(VcId id, const Flit& flit, Cycle now) {
+    VirtualChannel& channel = vcs_[id];
+    const bool wasEmpty = channel.empty();
+    // Wormhole invariant: a head is the first flit of its packet into the
+    // VC, so "front is a head" holds from a head's push until it is popped.
+    if (flit.isHead()) {
+      assert(wasEmpty && "a head flit must open an empty VC");
+      headFrontMask_ |= bit(id);
+    }
+    channel.push(flit, now);
+    occupiedMask_ |= bit(id);
+    ++occupancy_;
+    ++stats_.flitsWritten;
+    stats_.bitsWritten += channel.bitsPerFlit();
+    stats_.peakOccupancy = std::max<std::uint64_t>(stats_.peakOccupancy, channel.size());
+    // The pushed flit becomes the front.  A non-head can land in an empty
+    // (locked) VC mid-packet when the consumer drained ahead of the source.
+    if (wasEmpty) frontArrival_[id] = now;
+    if (ext_.occupied != nullptr) {
+      *ext_.occupied = occupiedMask_;
+      *ext_.headFront = headFrontMask_;
+      if (wasEmpty) ext_.front[id] = flit;
+    }
+  }
 
   /// Dequeues the front flit of VC `id`. Precondition: !vc(id).empty().
-  Flit pop(VcId id, Cycle now);
+  Flit pop(VcId id, Cycle now) {
+    VirtualChannel& channel = vcs_[id];
+    const Cycle enqueuedAt = frontArrival_[id];
+    const Bits bits = channel.bitsPerFlit();
+    const Flit flit = channel.pop();
+    ++stats_.flitsRead;
+    stats_.bitsRead += bits;
+    stats_.bitCyclesResident += bits * (now >= enqueuedAt ? now - enqueuedAt : 0);
+    assert(occupancy_ > 0);
+    --occupancy_;
+    // A popped head exposes a body/tail (heads only open empty VCs, so a
+    // second head can never be queued behind one); a popped body/tail never
+    // exposes a head for the same reason.
+    if (flit.isHead()) headFrontMask_ &= ~bit(id);
+    if (channel.empty()) {
+      occupiedMask_ &= ~bit(id);
+    } else {
+      frontArrival_[id] = channel.frontArrival();
+    }
+    if (ext_.occupied != nullptr) {
+      *ext_.occupied = occupiedMask_;
+      *ext_.headFront = headFrontMask_;
+      if (!channel.empty()) ext_.front[id] = channel.front();
+    }
+    return flit;
+  }
 
   /// Bit i set iff vc(i) is non-empty.
   std::uint32_t occupiedMask() const { return occupiedMask_; }
@@ -162,21 +220,27 @@ class VcBufferBank {
   /// non-zero: pure body/tail streaming takes the owned-output fast path,
   /// and the transmit scan pre-intersects candidates with this mask.
   std::uint32_t headFrontMask() const { return headFrontMask_; }
-  std::uint32_t headFrontCount() const {
-    return static_cast<std::uint32_t>(std::popcount(headFrontMask_));
-  }
+
+  /// Cycle at which vc(id)'s front flit was enqueued, read from the bank's
+  /// contiguous front-arrival array. Precondition: vc(id) is non-empty.
+  Cycle frontArrival(VcId id) const { return frontArrival_[id]; }
 
   /// Mirrors this bank's hot metadata into externally owned storage (one
   /// slice of a network-wide SoA) from now on: push/pop keep the slice's
-  /// masks and front-flit copies current, so the owner can scan the flat
-  /// arrays instead of the banks.  Must be called while the bank is empty
+  /// masks and front-flit copies current, and the slice's frontArrival
+  /// array replaces the bank's own.  Must be called while the bank is empty
   /// (it is — attachment happens at construction); the external storage must
   /// outlive the bank.  Slice arrays must hold at least numVcs() elements.
   void attachHotState(const VcHotSlice& slice);
 
   /// First VC that can accept a new packet's head flit (empty and not
   /// reserved by an in-flight packet), or kNoVc.
-  VcId findFreeVcForNewPacket() const;
+  VcId findFreeVcForNewPacket() const {
+    // Lowest VC that is both empty and unlocked — identical to a linear scan.
+    const std::uint32_t freeBits = ~(occupiedMask_ | lockedMask_) & allVcsMask_;
+    if (freeBits == 0) return kNoVc;
+    return static_cast<VcId>(std::countr_zero(freeBits));
+  }
 
   /// Marks a VC reserved-by-packet (wormhole: one packet owns a VC from head
   /// to tail).
@@ -188,7 +252,9 @@ class VcBufferBank {
   /// flit would be dropped (paper Section 1.4 drop-and-retransmit).
   bool allBusy() const { return findFreeVcForNewPacket() == kNoVc; }
 
-  BufferStats aggregateStats() const;
+  /// Write/read/residency totals over every VC of the bank; peakOccupancy is
+  /// the largest size any single VC reached.
+  const BufferStats& aggregateStats() const { return stats_; }
 
   /// Empties every VC, drops all locks and zeroes statistics (network reset).
   void reset();
@@ -205,29 +271,37 @@ class VcBufferBank {
   std::uint32_t occupiedMask_ = 0;
   std::uint32_t headFrontMask_ = 0;
   std::uint32_t occupancy_ = 0;
+  BufferStats stats_;
+  /// [numVcs] front arrivals: ownFrontArrival_'s storage, or the attached
+  /// slice's frontArrival array (ownFrontArrival_ is then released).
+  Cycle* frontArrival_ = nullptr;
+  std::vector<Cycle> ownFrontArrival_;
   /// External SoA mirror; all pointers null when unattached (the common,
   /// electrical-router case — push/pop then skip the mirroring entirely).
   VcHotSlice ext_;
 };
 
-/// Maps in-flight packet ids to the VC receiving them at one port.  The live
+/// Maps in-flight packets to the VC receiving them at one port.  The live
 /// set is tiny (only packets mid-reception, usually 0-2), so a linear-scan
-/// vector beats a node-based map on every hot ingress path.
+/// vector beats a node-based map on every hot ingress path.  Keys are packet
+/// handles: unique while the packet is live, and an entry is erased when the
+/// packet's tail arrives, before its slab slot can be recycled.  Lookups
+/// therefore never dereference a descriptor.
 class PacketVcMap {
  public:
-  /// VC receiving `id`, or kNoVc.
-  VcId find(PacketId id) const {
-    for (const auto& [packet, vc] : entries_) {
-      if (packet == id) return vc;
+  /// VC receiving `packet`, or kNoVc.
+  VcId find(PacketHandle packet) const {
+    for (const auto& [handle, vc] : entries_) {
+      if (handle == packet) return vc;
     }
     return kNoVc;
   }
 
-  void insert(PacketId id, VcId vc) { entries_.emplace_back(id, vc); }
+  void insert(PacketHandle packet, VcId vc) { entries_.emplace_back(packet, vc); }
 
-  void erase(PacketId id) {
+  void erase(PacketHandle packet) {
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->first == id) {
+      if (it->first == packet) {
         *it = entries_.back();
         entries_.pop_back();
         return;
@@ -238,7 +312,7 @@ class PacketVcMap {
   void clear() { entries_.clear(); }
 
  private:
-  std::vector<std::pair<PacketId, VcId>> entries_;
+  std::vector<std::pair<PacketHandle, VcId>> entries_;
 };
 
 }  // namespace pnoc::noc

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "network/channel_policy.hpp"
 
 namespace pnoc::network {
@@ -55,6 +57,21 @@ TEST(Params, RejectsVcCountsOutsideMaskRange) {
   EXPECT_THROW(PhotonicNetwork net(params), std::invalid_argument);
   params.coreRouter.vcsPerPort = 0;
   EXPECT_THROW(params.validate(), std::invalid_argument);
+}
+
+TEST(Params, RejectsCoreRoutersWiderThanMaskRange) {
+  // Router arbitration keeps port state in 32-bit masks: 32 cores per
+  // cluster would need a 33-port router.
+  auto params = baseParams();
+  params.clusterSize = 32;
+  params.coreRouter.numPorts = 33;
+  try {
+    params.validate();
+    FAIL() << "a 33-port core router was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("at most 32 ports"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Params, AcceptsFullMaskWidthVcCount) {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "noc/buffered_port.hpp"
 #include "noc/flit.hpp"
 #include "noc/packet_slab.hpp"
 #include "noc/topology.hpp"
 #include "noc/vc_buffer.hpp"
+#include "sim/rng.hpp"
 
 namespace pnoc::noc {
 namespace {
@@ -46,9 +50,9 @@ TEST(VirtualChannel, FifoOrder) {
   VirtualChannel vc(4);
   const auto packet = makePacket(1, 3);
   for (std::uint32_t i = 0; i < 3; ++i) vc.push(makeFlit(packet, i), i);
-  EXPECT_EQ(vc.pop(5).sequence, 0u);
-  EXPECT_EQ(vc.pop(5).sequence, 1u);
-  EXPECT_EQ(vc.pop(5).sequence, 2u);
+  EXPECT_EQ(vc.pop().sequence, 0u);
+  EXPECT_EQ(vc.pop().sequence, 1u);
+  EXPECT_EQ(vc.pop().sequence, 2u);
   EXPECT_TRUE(vc.empty());
 }
 
@@ -63,22 +67,23 @@ TEST(VirtualChannel, CapacityAndFreeSlots) {
 }
 
 TEST(VirtualChannel, ResidencyBitCycles) {
-  VirtualChannel vc(4);
+  // Statistics are kept by the bank a VC belongs to.
+  VcBufferBank bank(1, 4);
   const auto packet = makePacket(1, 1, 32);
-  vc.push(makeFlit(packet, 0), 10);
-  vc.pop(25);  // resident 15 cycles
-  EXPECT_EQ(vc.stats().bitCyclesResident, 32u * 15u);
+  bank.push(0, makeFlit(packet, 0), 10);
+  bank.pop(0, 25);  // resident 15 cycles
+  EXPECT_EQ(bank.aggregateStats().bitCyclesResident, 32u * 15u);
 }
 
 TEST(VirtualChannel, StatsCountBits) {
-  VirtualChannel vc(4);
+  VcBufferBank bank(1, 4);
   const auto packet = makePacket(1, 2, 128);
-  vc.push(makeFlit(packet, 0), 0);
-  vc.push(makeFlit(packet, 1), 0);
-  vc.pop(1);
-  EXPECT_EQ(vc.stats().bitsWritten, 256u);
-  EXPECT_EQ(vc.stats().bitsRead, 128u);
-  EXPECT_EQ(vc.stats().peakOccupancy, 2u);
+  bank.push(0, makeFlit(packet, 0), 0);
+  bank.push(0, makeFlit(packet, 1), 0);
+  bank.pop(0, 1);
+  EXPECT_EQ(bank.aggregateStats().bitsWritten, 256u);
+  EXPECT_EQ(bank.aggregateStats().bitsRead, 128u);
+  EXPECT_EQ(bank.aggregateStats().peakOccupancy, 2u);
 }
 
 TEST(VirtualChannel, BodyIntoEmptyLockedVcStartsTheSegment) {
@@ -112,17 +117,48 @@ TEST(VirtualChannel, PopRebuildsFlitTypes) {
   VirtualChannel vc(4);
   const auto packet = makePacket(12, 3);
   for (std::uint32_t i = 0; i < 3; ++i) vc.push(makeFlit(packet, i), i);
-  EXPECT_EQ(vc.pop(5).type, FlitType::kHead);
-  EXPECT_EQ(vc.pop(5).type, FlitType::kBody);
-  const Flit tail = vc.pop(5);
+  EXPECT_EQ(vc.pop().type, FlitType::kHead);
+  EXPECT_EQ(vc.pop().type, FlitType::kBody);
+  const Flit tail = vc.pop();
   EXPECT_EQ(tail.type, FlitType::kTail);
   EXPECT_EQ(tail.handle, packet);
 
   const auto single = makePacket(13, 1);
   vc.push(makeFlit(single, 0), 6);
   EXPECT_EQ(vc.front().type, FlitType::kHeadTail);
-  EXPECT_EQ(vc.pop(6).type, FlitType::kHeadTail);
+  EXPECT_EQ(vc.pop().type, FlitType::kHeadTail);
   EXPECT_TRUE(vc.empty());
+}
+
+TEST(VirtualChannel, RecycledHandleReloadsTheSegment) {
+  // A VC caches numFlits/bitsPerFlit per packet.  Once a tail leaves, the
+  // slab may hand the same handle to a new packet: the VC must reload.
+  VcBufferBank bank(1, 4);
+  PacketSlab slab;
+  PacketDescriptor wide;
+  wide.id = 40;
+  wide.numFlits = 2;
+  wide.bitsPerFlit = 256;
+  const PacketHandle first = slab.intern(wide);
+  bank.push(0, makeFlit(first, 0), 0);
+  bank.pop(0, 1);  // the head leaves: segment stays open, VC empty
+  bank.push(0, makeFlit(first, 1), 2);
+  EXPECT_EQ(bank.vc(0).front().type, FlitType::kTail);
+  bank.pop(0, 3);
+  slab.release(first);
+  PacketDescriptor narrow;
+  narrow.id = 41;
+  narrow.numFlits = 3;
+  narrow.bitsPerFlit = 32;
+  const PacketHandle second = slab.intern(narrow);
+  ASSERT_EQ(second, first) << "the slab recycles the released slot";
+  bank.push(0, makeFlit(second, 0), 4);
+  bank.pop(0, 5);
+  bank.push(0, makeFlit(second, 1), 6);
+  EXPECT_EQ(bank.vc(0).front().type, FlitType::kBody);
+  EXPECT_EQ(bank.vc(0).bitsPerFlit(), 32u);
+  EXPECT_EQ(bank.aggregateStats().bitsWritten, 2 * 256u + 2 * 32u);
+  EXPECT_EQ(bank.aggregateStats().bitsRead, 2 * 256u + 32u);
 }
 
 #ifndef NDEBUG
@@ -138,6 +174,15 @@ TEST(VirtualChannelDeathTest, RejectsOutOfOrderSequence) {
   VirtualChannel vc(4);
   const auto packet = makePacket(16, 4);
   vc.push(makeFlit(packet, 0), 0);
+  EXPECT_DEATH(vc.push(makeFlit(packet, 2), 1), "in order");
+}
+
+TEST(VirtualChannelDeathTest, RejectsOutOfOrderSequenceIntoEmptyVc) {
+  // The packet's segment stays open while the VC runs empty mid-packet.
+  VirtualChannel vc(4);
+  const auto packet = makePacket(17, 4);
+  vc.push(makeFlit(packet, 0), 0);
+  vc.pop();
   EXPECT_DEATH(vc.push(makeFlit(packet, 2), 1), "in order");
 }
 #endif
@@ -163,6 +208,65 @@ TEST(VcBufferBank, AggregateStats) {
   EXPECT_EQ(stats.flitsWritten, 2u);
   EXPECT_EQ(stats.bitsWritten, 128u);
   EXPECT_EQ(bank.totalOccupancy(), 2u);
+}
+
+TEST(VcBufferBank, StatsEqualThePerVcSums) {
+  // Reference: the per-VC statistics each VirtualChannel used to keep,
+  // summed with BufferStats::operator+= (peakOccupancy takes the max).
+  // Random wormhole traffic over four VCs, packets of 1-5 flits and mixed
+  // widths, pops at random later cycles.
+  constexpr std::uint32_t kVcs = 4;
+  VcBufferBank bank(kVcs, 3);
+  BufferStats perVc[kVcs];
+  std::vector<Cycle> arrivals[kVcs];
+  std::vector<std::uint32_t> remaining(kVcs, 0);  // flits of the open packet
+  std::vector<PacketHandle> packets(kVcs, nullptr);
+  sim::Rng random(99);
+  PacketId nextId = 100;
+  Cycle now = 0;
+  for (int step = 0; step < 4000; ++step) {
+    now += random.nextBelow(3);
+    const auto vc = static_cast<VcId>(random.nextBelow(kVcs));
+    const VirtualChannel& channel = bank.vc(vc);
+    if (random.nextBool(0.5) && !channel.full()) {
+      if (remaining[vc] == 0) {
+        if (!channel.empty()) continue;  // a head opens an empty VC only
+        const auto flits = static_cast<std::uint32_t>(1 + random.nextBelow(5));
+        packets[vc] = makePacket(nextId++, flits, random.nextBool(0.5) ? 32 : 256);
+        remaining[vc] = flits;
+      }
+      const PacketHandle packet = packets[vc];
+      bank.push(vc, makeFlit(packet, packet->numFlits - remaining[vc]), now);
+      --remaining[vc];
+      perVc[vc].flitsWritten += 1;
+      perVc[vc].bitsWritten += packet->bitsPerFlit;
+      arrivals[vc].push_back(now);
+      perVc[vc].peakOccupancy =
+          std::max<std::uint64_t>(perVc[vc].peakOccupancy, arrivals[vc].size());
+    } else if (!channel.empty()) {
+      const Bits bits = channel.front().bits();
+      EXPECT_EQ(bank.frontArrival(vc), arrivals[vc].front());
+      bank.pop(vc, now);
+      perVc[vc].flitsRead += 1;
+      perVc[vc].bitsRead += bits;
+      perVc[vc].bitCyclesResident += bits * (now - arrivals[vc].front());
+      arrivals[vc].erase(arrivals[vc].begin());
+    }
+  }
+  BufferStats expected;
+  for (const BufferStats& stats : perVc) expected += stats;
+  const BufferStats& actual = bank.aggregateStats();
+  EXPECT_GT(expected.flitsRead, 1000u);
+  EXPECT_EQ(actual.peakOccupancy, 3u);
+  EXPECT_EQ(actual.flitsWritten, expected.flitsWritten);
+  EXPECT_EQ(actual.flitsRead, expected.flitsRead);
+  EXPECT_EQ(actual.bitsWritten, expected.bitsWritten);
+  EXPECT_EQ(actual.bitsRead, expected.bitsRead);
+  EXPECT_EQ(actual.bitCyclesResident, expected.bitCyclesResident);
+  EXPECT_EQ(actual.peakOccupancy, expected.peakOccupancy);
+  bank.reset();
+  EXPECT_EQ(bank.aggregateStats().flitsWritten, 0u);
+  EXPECT_EQ(bank.aggregateStats().peakOccupancy, 0u);
 }
 
 TEST(BufferedPort, HeadAllocatesVcAndBodyFollows) {

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
-#include "noc/crossbar.hpp"
 #include "noc/link.hpp"
 #include "noc/packet_slab.hpp"
 #include "sim/engine.hpp"
@@ -47,12 +47,15 @@ RouterConfig smallConfig() {
   return config;
 }
 
-/// Routes by destination core id modulo port count (test-only convention).
-std::uint32_t routeByDst(const PacketDescriptor& packet) { return packet.dstCore % 3; }
-
 class RouterTest : public ::testing::Test {
  protected:
-  RouterTest() : router("r", smallConfig(), routeByDst) {
+  /// Routes by destination core id modulo port count (test-only
+  /// convention), counting the calls per packet.
+  RouterTest()
+      : router("r", smallConfig(), [this](const PacketDescriptor& packet) -> std::uint32_t {
+          ++routeCalls[packet.id];
+          return packet.dstCore % 3;
+        }) {
     for (std::uint32_t p = 0; p < 3; ++p) router.connectOutput(p, sinks[p]);
     engine.add(router);
   }
@@ -65,6 +68,7 @@ class RouterTest : public ::testing::Test {
     }
   }
 
+  std::map<PacketId, int> routeCalls;
   sim::Engine engine;
   ElectricalRouter router;
   RecordingSink sinks[3];
@@ -150,17 +154,23 @@ TEST_F(RouterTest, EnergyChargedPerBit) {
   EXPECT_DOUBLE_EQ(router.stats().energyPj, 128 * 0.625);
 }
 
-TEST(Crossbar, ConnectAndTraverse) {
-  Crossbar crossbar(3, 3);
-  crossbar.connect(0, 2);
-  EXPECT_TRUE(crossbar.inputBusy(0));
-  EXPECT_TRUE(crossbar.outputBusy(2));
-  EXPECT_FALSE(crossbar.outputBusy(1));
-  const Flit flit = makeFlit(makePacket(1, 0, 1, 64), 0);
-  crossbar.traverse(0, flit);
-  EXPECT_EQ(crossbar.bitsSwitched(), 64u);
-  crossbar.reset();
-  EXPECT_FALSE(crossbar.inputBusy(0));
+TEST_F(RouterTest, RoutesEachPacketOnce) {
+  // Heads wait at their VC fronts for many cycles — behind a blocked sink,
+  // then behind each other on one output — yet each packet is routed once,
+  // when its head is accepted.
+  sinks[1].blocked = true;
+  injectPacket(0, makePacket(21, 1, 3));
+  injectPacket(1, makePacket(22, 1, 2));
+  injectPacket(2, makePacket(23, 4, 1));  // -> output 1
+  injectPacket(0, makePacket(24, 2, 2));  // -> output 2, free
+  engine.run(15);
+  sinks[1].blocked = false;
+  engine.run(30);
+  EXPECT_EQ(sinks[1].flits.size(), 6u);
+  EXPECT_EQ(sinks[2].flits.size(), 2u);
+  EXPECT_EQ(router.occupancy(), 0u);
+  ASSERT_EQ(routeCalls.size(), 4u);
+  for (const auto& [packet, calls] : routeCalls) EXPECT_EQ(calls, 1) << "packet " << packet;
 }
 
 TEST(Link, DeliversAfterLatency) {
@@ -204,6 +214,46 @@ TEST(Link, CountsEnergyPerBit) {
   engine.run(3);
   EXPECT_DOUBLE_EQ(link.stats().energyPj, 50.0);
   EXPECT_EQ(link.stats().bitsDelivered, 100u);
+}
+
+TEST(Link, RouterStreamIntoLinkDeliversLatencyOverLatencyPlusOne) {
+  // router -> link(latency L) -> sink, one 32-flit packet buffered up front.
+  // A link slot freed by a delivery in cycle t is only seen by the router
+  // in cycle t+1, so the stream delivers L flits every L+1 cycles, not one
+  // flit per cycle.  This pins the current rate; changing it changes every
+  // simulated number.
+  for (const std::uint32_t latency : {1u, 2u, 3u, 4u}) {
+    RouterConfig config;
+    config.numPorts = 2;
+    config.vcsPerPort = 2;
+    config.vcDepthFlits = 32;
+    config.pipelineLatency = 3;
+    ElectricalRouter router("r", config,
+                            [](const PacketDescriptor&) -> std::uint32_t { return 1; });
+    RecordingSink sink;
+    Link link("l", latency, 0.0, sink);
+    router.connectOutput(0, link);
+    router.connectOutput(1, link);
+    sim::Engine engine;
+    engine.add(router);
+    engine.add(link);
+    const PacketHandle packet = makePacket(30 + latency, 1, 32);
+    for (std::uint32_t i = 0; i < 32; ++i) router.acceptFlit(0, makeFlit(packet, i), 0);
+    engine.run(100);
+    const std::vector<Cycle>& at = sink.arrivals;
+    ASSERT_EQ(at.size(), 32u) << "latency " << latency;
+    // The head leaves the router pipeline at cycle 2 and crosses the link.
+    EXPECT_EQ(at[0], 2u + latency) << "latency " << latency;
+    for (std::size_t i = latency; i < at.size(); ++i) {
+      EXPECT_EQ(at[i] - at[i - latency], latency + 1) << "latency " << latency << " flit " << i;
+    }
+    if (latency == 1) {
+      EXPECT_EQ(at[31] - at[0], 62u);  // 0.5 flit per cycle
+    }
+    if (latency == 2) {
+      EXPECT_EQ(at[15] - at[0], 22u);  // 15 more flits in 22 cycles
+    }
+  }
 }
 
 }  // namespace

@@ -148,34 +148,36 @@ TEST(WakeOnDrain, BlockedRouterParksAndResumesWithoutLoss) {
 }
 
 TEST(PacketVcMap, InsertFindErase) {
+  const PacketHandle a = makePacket(7, 0, 2);
+  const PacketHandle b = makePacket(9, 0, 2);
   PacketVcMap map;
-  EXPECT_EQ(map.find(7), kNoVc);
-  map.insert(7, 2);
-  map.insert(9, 0);
-  EXPECT_EQ(map.find(7), 2u);
-  EXPECT_EQ(map.find(9), 0u);
-  map.erase(7);
-  EXPECT_EQ(map.find(7), kNoVc);
-  EXPECT_EQ(map.find(9), 0u);
+  EXPECT_EQ(map.find(a), kNoVc);
+  map.insert(a, 2);
+  map.insert(b, 0);
+  EXPECT_EQ(map.find(a), 2u);
+  EXPECT_EQ(map.find(b), 0u);
+  map.erase(a);
+  EXPECT_EQ(map.find(a), kNoVc);
+  EXPECT_EQ(map.find(b), 0u);
   map.clear();
-  EXPECT_EQ(map.find(9), kNoVc);
+  EXPECT_EQ(map.find(b), kNoVc);
 }
 
 TEST(VcBufferBank, TracksHeadFrontCount) {
   VcBufferBank bank(2, 4);
-  EXPECT_EQ(bank.headFrontCount(), 0u);
+  EXPECT_EQ(bank.headFrontMask(), 0u);
   const PacketHandle packet = makePacket(4, 0, 3);
   bank.push(0, makeFlit(packet, 0), 0);  // head
-  EXPECT_EQ(bank.headFrontCount(), 1u);
+  EXPECT_EQ(bank.headFrontMask(), 0b01u);
   bank.push(0, makeFlit(packet, 1), 0);  // body behind it
-  EXPECT_EQ(bank.headFrontCount(), 1u);
+  EXPECT_EQ(bank.headFrontMask(), 0b01u);
   bank.pop(0, 1);  // head leaves: body at front
-  EXPECT_EQ(bank.headFrontCount(), 0u);
+  EXPECT_EQ(bank.headFrontMask(), 0u);
   bank.pop(0, 2);
   bank.push(1, makeFlit(makePacket(5, 0, 1), 0), 3);  // single-flit head/tail
-  EXPECT_EQ(bank.headFrontCount(), 1u);
+  EXPECT_EQ(bank.headFrontMask(), 0b10u);
   bank.reset();
-  EXPECT_EQ(bank.headFrontCount(), 0u);
+  EXPECT_EQ(bank.headFrontMask(), 0u);
 }
 
 }  // namespace
