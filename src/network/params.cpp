@@ -49,6 +49,11 @@ void SimulationParameters::validate() const {
     throw std::invalid_argument(
         "VC depth must hold a whole packet (wormhole VC-per-packet discipline)");
   }
+  if (intraClusterLinkLatency == 0) {
+    // A link's pipe holds `latency` flits: a zero-latency link could never
+    // accept one, and every packet crossing it would stall forever.
+    throw std::invalid_argument("intra-cluster link latency must be at least one cycle");
+  }
   if (offeredLoad <= 0.0) {
     throw std::invalid_argument("offered load must be positive");
   }

@@ -13,7 +13,8 @@
 // flit's sequence number, the packet's flit count and flit width (cached
 // when the segment opens, so reading or popping the front never loads the
 // descriptor), and a RingBuffer of per-flit arrival cycles (8 bytes a slot,
-// allocated once at construction).  Flits are rebuilt from the segment with
+// grown on demand up to the VC depth, so a VC traffic never reaches holds
+// no storage).  Flits are rebuilt from the segment with
 // makeFlit when read.  Statistics and the front-arrival array the routers
 // scan live one level up, in the VcBufferBank.
 #pragma once

@@ -223,7 +223,6 @@ void Engine::stepFast() {
     statComponentSteps_.inc(components_.size());
   }
   statCycles_.inc();
-  if (onCycleEnd_) onCycleEnd_(now_);
   ++now_;
 }
 
@@ -351,7 +350,6 @@ void Engine::stepProfiled() {
   }
   prof.addCycle();
   statCycles_.inc();
-  if (onCycleEnd_) onCycleEnd_(now_);
   ++now_;
 }
 

@@ -36,7 +36,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -192,9 +191,6 @@ class Engine {
   void setActivityGating(bool enabled);
   bool activityGating() const { return gating_; }
 
-  /// Optional per-cycle observer invoked after both phases (tracing, stats).
-  void setOnCycleEnd(std::function<void(Cycle)> hook) { onCycleEnd_ = std::move(hook); }
-
  private:
   friend class Clocked;
 
@@ -259,7 +255,6 @@ class Engine {
   std::vector<std::vector<Timer>> level1_;  // [(cycle >> 8) & mask] -> coarse buckets
   std::vector<Timer> overflow_;             // beyond the level-1 horizon
   std::size_t pendingTimers_ = 0;
-  std::function<void(Cycle)> onCycleEnd_;
   // Registry-backed work counters; handles cache raw cell pointers so the
   // hot path is a plain uint64 add (metrics_ must precede the handles).
   obs::Registry metrics_;

@@ -1,25 +1,39 @@
-// Fixed-capacity ring buffer: the simulator's FIFO workhorse.
+// Bounded ring buffer: the simulator's FIFO workhorse.
 //
 // Link pipes, virtual channels and injection queues all have capacities that
 // are known at construction (link latency, VC depth, queue size), so a
-// std::deque's chunked heap allocation is pure overhead on the hot path.  The
-// ring buffer allocates its storage once and push/pop are an index bump each
-// — no allocation, no pointer chasing, cache-friendly iteration.
+// std::deque's chunked heap allocation is pure overhead on the hot path.
+// Push and pop are an index bump each — no pointer chasing, cache-friendly
+// iteration.
+//
+// Storage grows on demand up to that fixed capacity.  The paper's routers
+// carry 16 VCs x 64 flits per port, but traffic fills little of it (a new
+// packet takes the lowest free VC), so most rings would never touch storage
+// allocated at full depth.  A ring starts with no storage; a push that
+// finds the allocated block full grows it to min(capacity, 4) slots and
+// then doubles it up to capacity.
+// Storage never shrinks and clear() keeps it, so a network reset reuses what
+// earlier episodes grew.  capacity(), full() and freeSlots() always report
+// the constructor's bound: growth is invisible to flow control.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <utility>
 
 namespace pnoc::sim {
 
-/// Bounded FIFO over pre-allocated storage.  T must be default constructible
-/// and assignable.  Overflow/underflow are programming errors (asserted), as
-/// with the flow-control preconditions elsewhere in the simulator.
+/// Bounded FIFO over storage that grows on demand.  T must be default
+/// constructible and move-assignable.  Overflow/underflow are programming
+/// errors (asserted), as with the flow-control preconditions elsewhere in
+/// the simulator.  A push may reallocate, so it invalidates references
+/// returned by front() and at(): copy an element out before the next push.
 template <typename T>
 class RingBuffer {
  public:
-  explicit RingBuffer(std::uint32_t capacity) : data_(capacity), capacity_(capacity) {
+  explicit RingBuffer(std::uint32_t capacity) : capacity_(capacity) {
     assert(capacity > 0 && "a ring buffer needs at least one slot");
   }
 
@@ -31,6 +45,7 @@ class RingBuffer {
 
   void push_back(const T& value) {
     assert(!full());
+    if (size_ == allocated_) [[unlikely]] grow();
     data_[wrap(head_ + size_)] = value;
     ++size_;
   }
@@ -56,18 +71,33 @@ class RingBuffer {
     return data_[wrap(head_ + i)];
   }
 
+  /// Empties the buffer; the storage grown so far is kept for reuse.
   void clear() {
     head_ = 0;
     size_ = 0;
   }
 
  private:
+  static constexpr std::uint32_t kFirstBlock = 4;
+
   std::uint32_t wrap(std::uint32_t index) const {
-    return index >= capacity_ ? index - capacity_ : index;
+    return index >= allocated_ ? index - allocated_ : index;
   }
 
-  std::vector<T> data_;
+  /// Moves the live elements, front first, into a block twice the size
+  /// (the first block is kFirstBlock), clamped to capacity_.
+  void grow() {
+    const std::uint32_t next = std::min(capacity_, std::max(kFirstBlock, 2 * allocated_));
+    auto block = std::make_unique_for_overwrite<T[]>(next);
+    for (std::uint32_t i = 0; i < size_; ++i) block[i] = std::move(data_[wrap(head_ + i)]);
+    data_ = std::move(block);
+    allocated_ = next;
+    head_ = 0;
+  }
+
+  std::unique_ptr<T[]> data_;
   std::uint32_t capacity_;
+  std::uint32_t allocated_ = 0;
   std::uint32_t head_ = 0;
   std::uint32_t size_ = 0;
 };

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <memory>
 #include <string>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "network/channel_policy.hpp"
 
@@ -81,6 +87,17 @@ TEST(Params, AcceptsFullMaskWidthVcCount) {
   EXPECT_NO_THROW(params.validate());
   PhotonicNetwork net(params);
   net.step(200);
+}
+
+TEST(Params, RejectsZeroLinkLatency) {
+  // A link's pipe holds `latency` flits, so a zero-latency link is full
+  // forever and would silently deliver nothing.
+  auto params = baseParams();
+  params.intraClusterLinkLatency = 0;
+  EXPECT_THROW(params.validate(), std::invalid_argument);
+  EXPECT_THROW(PhotonicNetwork net(params), std::invalid_argument);
+  params.intraClusterLinkLatency = 1;
+  EXPECT_NO_THROW(params.validate());
 }
 
 TEST(FireflyPolicy, StaticEvenSplit) {
@@ -237,6 +254,30 @@ TEST(Network, SetOfferedLoadRetargetsInjectors) {
   net.reset();
   const auto high = net.run();
   EXPECT_GT(high.packetsOffered, low.packetsOffered * 4);
+}
+
+TEST(Network, ConstructionAllocatesLittleHeap) {
+  // Ring storage (VC arrival rings, link pipes, injection queues) grows on
+  // demand, so building a default network must not allocate the 16 VCs x 64
+  // flits per port the routers are sized for: eagerly, that alone was
+  // 3.3 MB of a 4.2 MB build.  Measured as the malloc arena delta
+  // (in-use arena bytes plus mmapped chunks) across construction.
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "ASan's allocator does not report through mallinfo2";
+#elif !defined(__GLIBC__)
+  GTEST_SKIP() << "needs glibc's mallinfo2";
+#else
+  const auto heapInUse = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  const SimulationParameters params;
+  const std::size_t before = heapInUse();
+  const auto net = std::make_unique<PhotonicNetwork>(params);
+  const std::size_t after = heapInUse();
+  ASSERT_GE(after, before);
+  EXPECT_LT(after - before, std::size_t{1536} * 1024) << "bytes allocated: " << after - before;
+#endif
 }
 
 class BandwidthSetSweep : public ::testing::TestWithParam<int> {};

@@ -8,6 +8,8 @@
 
 #include <stdexcept>
 
+#include "scenario/execution_backend.hpp"
+
 namespace pnoc::scenario {
 namespace {
 
@@ -124,6 +126,17 @@ TEST(ScenarioSpec, ParamsBuildAndRunThroughTheNetwork) {
   // A spec is a complete run description: the default spec must validate.
   ScenarioSpec spec;
   EXPECT_NO_THROW(spec.params.validate());
+}
+
+TEST(ScenarioSpec, ParamsRejectZeroLinkLatencyBeforeBuildingANetwork) {
+  // link_latency is a user key and parses as any u32, but a zero-latency
+  // link could never accept a flit: validation must refuse the spec before
+  // runScenario builds a network from it.
+  const ScenarioSpec spec =
+      ScenarioSpec::fromKeyValueText("link_latency=0\nwarmup=100\nmeasure=500\n");
+  EXPECT_EQ(spec.params.intraClusterLinkLatency, 0u);
+  EXPECT_THROW(spec.params.validate(), std::invalid_argument);
+  EXPECT_THROW(runScenario(spec), std::invalid_argument);
 }
 
 }  // namespace

@@ -64,14 +64,6 @@ TEST(Engine, CycleNumbersAreSequential) {
   EXPECT_EQ(log[4], "a.eval@2");
 }
 
-TEST(Engine, OnCycleEndHookFiresEachCycle) {
-  Engine engine;
-  std::vector<Cycle> cycles;
-  engine.setOnCycleEnd([&](Cycle c) { cycles.push_back(c); });
-  engine.run(4);
-  EXPECT_EQ(cycles, (std::vector<Cycle>{0, 1, 2, 3}));
-}
-
 /// Probe whose quiescence is externally controlled, for gating tests.
 class GatedProbe final : public Clocked {
  public:
