@@ -7,7 +7,8 @@
 // through a free list so steady-state traffic allocates nothing.
 //
 // Not thread safe: each PhotonicNetwork owns its own slab, and a network is
-// confined to one thread (the SweepRunner runs one network per worker).
+// confined to one thread (scenario::InProcessBackend runs one network per
+// worker thread).
 #pragma once
 
 #include <cstddef>

@@ -5,16 +5,17 @@
 // drain, evaluate, advance, park scan); within the two component phases the
 // time further splits by component KIND (policy token ring, photonic router,
 // electrical router, link, core).  The profiler is a bag of plain uint64
-// nanosecond accumulators the engine adds into from its profiled step path —
+// nanosecond accumulators the engine adds into from its profiling observer —
 // no locks, single writer, read via snapshot().
 //
-// The toggle is runtime but compile-time cheap: a null profiler pointer on
-// the engine selects the ORIGINAL unprofiled step path, so a disabled
-// profiler costs one pointer test per Engine::step() and nothing per
-// component.  Enabling it swaps in a step variant that brackets each phase
-// with steady_clock reads; results stay bit-identical either way (asserted
-// by tests/obs/profiler_test.cpp) because the profiled path replicates the
-// step semantics exactly and only adds timing.
+// The engine has one step body, templated on an observer that sees each
+// component step and the end of each phase.  Engine::run() picks the
+// observer once per call: without a profiler its hooks are empty and compile
+// away, so a disabled profiler costs one pointer test per run() and nothing
+// per cycle or component; with one, the hooks bracket each phase and each
+// same-kind component run with steady_clock reads.  Results stay
+// bit-identical either way (asserted by tests/obs/profiler_test.cpp) because
+// both runs execute the same body and the observer only adds timing.
 #pragma once
 
 #include <array>

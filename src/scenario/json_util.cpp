@@ -9,6 +9,11 @@
 namespace pnoc::scenario {
 namespace {
 
+// Deepest array/object nesting the parser accepts.  The committed JSON
+// documents nest at most 6 levels; the limit keeps a hostile line (e.g. a
+// daemon client sending 100k '[') from recursing off the stack.
+constexpr int kMaxDepth = 64;
+
 void skipSpace(const std::string& text, std::size_t& pos) {
   while (pos < text.size() &&
          std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
@@ -192,10 +197,18 @@ const JsonValue& JsonValue::at(const std::string& key) const {
 }
 
 JsonValue JsonValue::parsePrefix(const std::string& text, std::size_t& pos) {
+  return parseNested(text, pos, 0);
+}
+
+JsonValue JsonValue::parseNested(const std::string& text, std::size_t& pos,
+                                 int depth) {
   skipSpace(text, pos);
   if (pos >= text.size()) fail("truncated JSON", pos);
   JsonValue value;
   const char head = text[pos];
+  if ((head == '{' || head == '[') && depth == kMaxDepth) {
+    fail("JSON nested deeper than " + std::to_string(kMaxDepth) + " levels", pos);
+  }
   if (head == '{') {
     value.kind_ = Kind::kObject;
     ++pos;
@@ -210,7 +223,7 @@ JsonValue JsonValue::parsePrefix(const std::string& text, std::size_t& pos) {
       skipSpace(text, pos);
       if (pos >= text.size() || text[pos] != ':') fail("expected ':'", pos);
       ++pos;
-      value.members_.emplace_back(std::move(key), parsePrefix(text, pos));
+      value.members_.emplace_back(std::move(key), parseNested(text, pos, depth + 1));
       skipSpace(text, pos);
       if (pos >= text.size()) fail("unterminated object", pos);
       if (text[pos] == ',') {
@@ -233,7 +246,7 @@ JsonValue JsonValue::parsePrefix(const std::string& text, std::size_t& pos) {
       return value;
     }
     for (;;) {
-      value.items_.push_back(parsePrefix(text, pos));
+      value.items_.push_back(parseNested(text, pos, depth + 1));
       skipSpace(text, pos);
       if (pos >= text.size()) fail("unterminated array", pos);
       if (text[pos] == ',') {

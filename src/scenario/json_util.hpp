@@ -49,10 +49,16 @@ class JsonValue {
 
   /// Parses one value starting at `pos` (leading space skipped) and leaves
   /// `pos` just past it — the loop primitive for newline-delimited or
-  /// concatenated JSON streams.
+  /// concatenated JSON streams.  Arrays and objects nested more than 64
+  /// deep are rejected with std::invalid_argument, so hostile input cannot
+  /// exhaust the stack.
   static JsonValue parsePrefix(const std::string& text, std::size_t& pos);
 
  private:
+  // parsePrefix's recursion; `depth` counts the enclosing arrays/objects.
+  static JsonValue parseNested(const std::string& text, std::size_t& pos,
+                               int depth);
+
   Kind kind_ = Kind::kNull;
   std::string scalar_;  // raw text for number/bool/null, decoded for string
   std::vector<std::pair<std::string, JsonValue>> members_;

@@ -8,12 +8,64 @@ namespace pnoc::sim {
 
 namespace {
 
+using Phase = obs::CycleProfiler::Phase;
 using ProfClock = std::chrono::steady_clock;
 
 std::uint64_t elapsedNs(ProfClock::time_point from, ProfClock::time_point to) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
 }
+
+// Observer of an unprofiled run: every hook is empty, so
+// stepWith<NullObserver> compiles down to the bare step loop.
+struct NullObserver {
+  void step(std::uint32_t /*slot*/) {}
+  void endPhase(Phase /*phase*/) {}
+  void endCycle() {}
+};
+
+// Observer of a profiled run: charges each phase's wall time to its phase
+// bucket and each run of consecutive same-kind component steps to that kind.
+// A run ends when the kind changes or the phase ends.  Registration order
+// groups kinds, so runs are long and the clock is read a handful of times
+// per cycle, not once per component.
+class ProfileObserver {
+ public:
+  ProfileObserver(obs::CycleProfiler& profiler,
+                  const std::vector<obs::ComponentKind>& kinds)
+      : profiler_(profiler), kinds_(kinds), phaseStart_(ProfClock::now()),
+        runStart_(phaseStart_) {}
+
+  void step(std::uint32_t slot) {
+    const obs::ComponentKind kind = kinds_[slot];
+    if (runLen_ > 0 && kind != runKind_) flushRun(ProfClock::now());
+    runKind_ = kind;
+    ++runLen_;
+  }
+
+  void endPhase(Phase phase) {
+    const ProfClock::time_point now = ProfClock::now();
+    flushRun(now);
+    profiler_.addPhase(phase, elapsedNs(phaseStart_, now));
+    phaseStart_ = now;
+  }
+
+  void endCycle() { profiler_.addCycle(); }
+
+ private:
+  void flushRun(ProfClock::time_point now) {
+    if (runLen_ > 0) profiler_.addKind(runKind_, elapsedNs(runStart_, now), runLen_);
+    runStart_ = now;
+    runLen_ = 0;
+  }
+
+  obs::CycleProfiler& profiler_;
+  const std::vector<obs::ComponentKind>& kinds_;  // parallel to components_
+  ProfClock::time_point phaseStart_;
+  ProfClock::time_point runStart_;
+  obs::ComponentKind runKind_ = obs::ComponentKind::kOther;
+  std::uint64_t runLen_ = 0;
+};
 
 }  // namespace
 
@@ -163,46 +215,61 @@ void Engine::drainWakeQueue() {
   wakeQueue_.clear();
 }
 
-void Engine::runJoinersBefore(std::uint32_t limit) {
+template <class Observer>
+void Engine::runJoinersBefore(std::uint32_t limit, Observer& observer) {
   // Cold path: only entered when a requestWakeInCycle() actually spliced a
   // joiner ahead of `limit`.  Re-reads joiners_ each iteration because a
   // joiner's advance can insert further joiners (cascading hand-offs).
   while (joinerNext_ < joiners_.size() && joiners_[joinerNext_] < limit) {
     const std::uint32_t joiner = joiners_[joinerNext_++];
     advanceSlot_ = joiner;
+    observer.step(joiner);
     components_[joiner]->advance(now_);
   }
   nextJoiner_ = joinerNext_ < joiners_.size() ? joiners_[joinerNext_] : kNoJoiner;
 }
 
-void Engine::stepFast() {
+template <class Observer>
+void Engine::stepWith(Observer& observer) {
+  // With gating off every slot stays on activeSlots_ (add(), reset() and
+  // setActivityGating() put it there; wakes return early), so poll mode is
+  // this same body with the park scan skipped.
+  assert(gating_ || activeSlots_.size() == components_.size());
+  expireTimers();
+  observer.endPhase(Phase::kTimerExpire);
+  drainWakeQueue();
+  observer.endPhase(Phase::kWakeDrain);
+  for (const std::uint32_t slot : activeSlots_) {
+    observer.step(slot);
+    components_[slot]->evaluate(now_);
+  }
+  observer.endPhase(Phase::kEvaluate);
+  // Advance with same-cycle joins: a requestWakeInCycle() from the slot
+  // currently advancing splices later parked slots into this sweep at
+  // their registration-order position (see wakeInCycle()).  The hot loop
+  // pays one nextJoiner_ compare per slot; the drain itself is out of line.
+  advancing_ = true;
+  joinerNext_ = 0;
+  for (const std::uint32_t slot : activeSlots_) {
+    if (nextJoiner_ < slot) runJoinersBefore(slot, observer);
+    advanceSlot_ = slot;
+    observer.step(slot);
+    components_[slot]->advance(now_);
+  }
+  if (nextJoiner_ != kNoJoiner) runJoinersBefore(kNoJoiner, observer);
+  advancing_ = false;
+  observer.endPhase(Phase::kAdvance);
+  statComponentSteps_.inc(activeSlots_.size() + joiners_.size());
+  if (!joiners_.empty()) {
+    const std::size_t mid = activeSlots_.size();
+    activeSlots_.insert(activeSlots_.end(), joiners_.begin(), joiners_.end());
+    std::inplace_merge(activeSlots_.begin(),
+                       activeSlots_.begin() + static_cast<std::ptrdiff_t>(mid),
+                       activeSlots_.end());
+    joiners_.clear();
+    nextJoiner_ = kNoJoiner;
+  }
   if (gating_) {
-    expireTimers();
-    drainWakeQueue();
-    for (const std::uint32_t slot : activeSlots_) components_[slot]->evaluate(now_);
-    // Advance with same-cycle joins: a requestWakeInCycle() from the slot
-    // currently advancing splices later parked slots into this sweep at
-    // their registration-order position (see wakeInCycle()).  The hot loop
-    // pays one nextJoiner_ compare per slot; the drain itself is out of line.
-    advancing_ = true;
-    joinerNext_ = 0;
-    for (const std::uint32_t slot : activeSlots_) {
-      if (nextJoiner_ < slot) runJoinersBefore(slot);
-      advanceSlot_ = slot;
-      components_[slot]->advance(now_);
-    }
-    if (nextJoiner_ != kNoJoiner) runJoinersBefore(kNoJoiner);
-    advancing_ = false;
-    statComponentSteps_.inc(activeSlots_.size() + joiners_.size());
-    if (!joiners_.empty()) {
-      const std::size_t mid = activeSlots_.size();
-      activeSlots_.insert(activeSlots_.end(), joiners_.begin(), joiners_.end());
-      std::inplace_merge(activeSlots_.begin(),
-                         activeSlots_.begin() + static_cast<std::ptrdiff_t>(mid),
-                         activeSlots_.end());
-      joiners_.clear();
-      nextJoiner_ = kNoJoiner;
-    }
     // Park components that ended the cycle with nothing to do.  quiescent()
     // sees the post-advance state, including flits accepted this cycle; a
     // component woken DURING this cycle stays active (the wake arrived after
@@ -216,153 +283,22 @@ void Engine::stepFast() {
       }
     }
     activeSlots_.resize(kept);
-  } else {
-    expireTimers();  // keep the wheel draining so gating can toggle back on
-    for (Clocked* c : components_) c->evaluate(now_);
-    for (Clocked* c : components_) c->advance(now_);
-    statComponentSteps_.inc(components_.size());
   }
+  observer.endPhase(Phase::kParkScan);
+  observer.endCycle();
   statCycles_.inc();
   ++now_;
-}
-
-// The profiled step: IDENTICAL stepping semantics to stepFast(), plus
-// steady-clock brackets around each phase and around each run of
-// consecutive same-kind components (registration order groups kinds, so
-// runs are long and the extra clock reads are a handful per cycle, not per
-// component).  Any semantic change here must be mirrored in stepFast() —
-// tests/obs/profiler_test.cpp asserts bit-identical results between the two.
-void Engine::stepProfiled() {
-  obs::CycleProfiler& prof = *profiler_;
-  const ProfClock::time_point t0 = ProfClock::now();
-  if (gating_) {
-    expireTimers();
-    const ProfClock::time_point t1 = ProfClock::now();
-    prof.addPhase(obs::CycleProfiler::Phase::kTimerExpire, elapsedNs(t0, t1));
-    drainWakeQueue();
-    const ProfClock::time_point t2 = ProfClock::now();
-    prof.addPhase(obs::CycleProfiler::Phase::kWakeDrain, elapsedNs(t1, t2));
-
-    ProfClock::time_point runStart = t2;
-    obs::ComponentKind runKind = obs::ComponentKind::kOther;
-    std::uint64_t runLen = 0;
-    for (const std::uint32_t slot : activeSlots_) {
-      const obs::ComponentKind kind = kinds_[slot];
-      if (runLen > 0 && kind != runKind) {
-        const ProfClock::time_point now = ProfClock::now();
-        prof.addKind(runKind, elapsedNs(runStart, now), runLen);
-        runStart = now;
-        runLen = 0;
-      }
-      runKind = kind;
-      components_[slot]->evaluate(now_);
-      ++runLen;
-    }
-    ProfClock::time_point t3 = ProfClock::now();
-    if (runLen > 0) prof.addKind(runKind, elapsedNs(runStart, t3), runLen);
-    prof.addPhase(obs::CycleProfiler::Phase::kEvaluate, elapsedNs(t2, t3));
-
-    runStart = t3;
-    runLen = 0;
-    // Same-cycle join interleave — must stay mirrored with stepFast().
-    // Joiner advances are attributed to the joiner's own kind (flushing the
-    // current run if the kind changes), so profile buckets stay truthful.
-    advancing_ = true;
-    joinerNext_ = 0;
-    for (const std::uint32_t slot : activeSlots_) {
-      while (joinerNext_ < joiners_.size() && joiners_[joinerNext_] < slot) {
-        const std::uint32_t joiner = joiners_[joinerNext_++];
-        const obs::ComponentKind jkind = kinds_[joiner];
-        if (runLen > 0 && jkind != runKind) {
-          const ProfClock::time_point now = ProfClock::now();
-          prof.addKind(runKind, elapsedNs(runStart, now), runLen);
-          runStart = now;
-          runLen = 0;
-        }
-        runKind = jkind;
-        advanceSlot_ = joiner;
-        components_[joiner]->advance(now_);
-        ++runLen;
-      }
-      const obs::ComponentKind kind = kinds_[slot];
-      if (runLen > 0 && kind != runKind) {
-        const ProfClock::time_point now = ProfClock::now();
-        prof.addKind(runKind, elapsedNs(runStart, now), runLen);
-        runStart = now;
-        runLen = 0;
-      }
-      runKind = kind;
-      advanceSlot_ = slot;
-      components_[slot]->advance(now_);
-      ++runLen;
-    }
-    while (joinerNext_ < joiners_.size()) {
-      const std::uint32_t joiner = joiners_[joinerNext_++];
-      const obs::ComponentKind jkind = kinds_[joiner];
-      if (runLen > 0 && jkind != runKind) {
-        const ProfClock::time_point now = ProfClock::now();
-        prof.addKind(runKind, elapsedNs(runStart, now), runLen);
-        runStart = now;
-        runLen = 0;
-      }
-      runKind = jkind;
-      advanceSlot_ = joiner;
-      components_[joiner]->advance(now_);
-      ++runLen;
-    }
-    advancing_ = false;
-    const ProfClock::time_point t4 = ProfClock::now();
-    if (runLen > 0) prof.addKind(runKind, elapsedNs(runStart, t4), runLen);
-    prof.addPhase(obs::CycleProfiler::Phase::kAdvance, elapsedNs(t3, t4));
-
-    statComponentSteps_.inc(activeSlots_.size() + joiners_.size());
-    if (!joiners_.empty()) {
-      const std::size_t mid = activeSlots_.size();
-      activeSlots_.insert(activeSlots_.end(), joiners_.begin(), joiners_.end());
-      std::inplace_merge(activeSlots_.begin(),
-                         activeSlots_.begin() + static_cast<std::ptrdiff_t>(mid),
-                         activeSlots_.end());
-      joiners_.clear();
-      nextJoiner_ = kNoJoiner;  // consumed without the stepFast sentinel
-    }
-    std::size_t kept = 0;
-    for (const std::uint32_t slot : activeSlots_) {
-      if (components_[slot]->quiescent() && lastWakeCycle_[slot] != now_) {
-        active_[slot] = 0;
-      } else {
-        activeSlots_[kept++] = slot;
-      }
-    }
-    activeSlots_.resize(kept);
-    prof.addPhase(obs::CycleProfiler::Phase::kParkScan,
-                  elapsedNs(t4, ProfClock::now()));
-  } else {
-    expireTimers();
-    const ProfClock::time_point t1 = ProfClock::now();
-    prof.addPhase(obs::CycleProfiler::Phase::kTimerExpire, elapsedNs(t0, t1));
-    for (Clocked* c : components_) c->evaluate(now_);
-    const ProfClock::time_point t2 = ProfClock::now();
-    prof.addPhase(obs::CycleProfiler::Phase::kEvaluate, elapsedNs(t1, t2));
-    for (Clocked* c : components_) c->advance(now_);
-    const ProfClock::time_point t3 = ProfClock::now();
-    prof.addPhase(obs::CycleProfiler::Phase::kAdvance, elapsedNs(t2, t3));
-    statComponentSteps_.inc(components_.size());
-  }
-  prof.addCycle();
-  statCycles_.inc();
-  ++now_;
-}
-
-void Engine::step() {
-  if (profiler_ != nullptr) {
-    stepProfiled();
-  } else {
-    stepFast();
-  }
 }
 
 void Engine::run(Cycle cycles) {
-  for (Cycle i = 0; i < cycles; ++i) step();
+  // The observer is chosen once per call, so no cycle tests profiler_.
+  if (profiler_ == nullptr) {
+    NullObserver observer;
+    for (Cycle i = 0; i < cycles; ++i) stepWith(observer);
+  } else {
+    ProfileObserver observer(*profiler_, kinds_);
+    for (Cycle i = 0; i < cycles; ++i) stepWith(observer);
+  }
 }
 
 }  // namespace pnoc::sim

@@ -143,8 +143,8 @@ class Engine {
   /// Runs `cycles` more cycles.
   void run(Cycle cycles);
 
-  /// Runs exactly one cycle.
-  void step();
+  /// Runs exactly one cycle (run(1)).
+  void step() { run(1); }
 
   /// Returns the engine to its just-built state: cycle 0, every registered
   /// component active, wake queue empty, all pending timers dropped, stats
@@ -176,11 +176,12 @@ class Engine {
   obs::Registry& metrics() { return metrics_; }
   const obs::Registry& metrics() const { return metrics_; }
 
-  /// Attaches (or detaches, with nullptr) a cycle profiler.  When attached,
-  /// step() switches to a variant that brackets each phase and each
-  /// component-kind run with steady-clock reads; stepping semantics and
-  /// results are bit-identical either way.  Costs one pointer test per
-  /// cycle when detached.  The profiler must outlive the attachment.
+  /// Attaches (or detaches, with nullptr) a cycle profiler.  run() picks
+  /// the step body's observer once per call: with a profiler attached it
+  /// brackets each phase and each component-kind run with steady-clock
+  /// reads, without one the observer hooks are empty and compile away.  The
+  /// step body is the same either way, so results are bit-identical.  The
+  /// profiler must outlive the attachment.
   void setProfiler(obs::CycleProfiler* profiler) { profiler_ = profiler; }
   obs::CycleProfiler* profiler() const { return profiler_; }
 
@@ -242,9 +243,13 @@ class Engine {
   void placeTimer(const Timer& timer);
   void expireTimers();
   void drainWakeQueue();
-  void runJoinersBefore(std::uint32_t limit);
-  void stepFast();
-  void stepProfiled();
+  // The one step body.  `Observer` sees each component step and the end of
+  // each phase and cycle; engine.cpp instantiates it with an empty observer
+  // (the fast path) and with the profiler's.
+  template <class Observer>
+  void stepWith(Observer& observer);
+  template <class Observer>
+  void runJoinersBefore(std::uint32_t limit, Observer& observer);
 
   std::vector<Clocked*> components_;
   std::vector<char> active_;                // parallel to components_

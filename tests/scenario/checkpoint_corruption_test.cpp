@@ -9,6 +9,7 @@
 // and the merged file comes out byte-identical to an uninterrupted run.
 // Damage anywhere else still fails loudly.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <fstream>
 #include <sstream>
@@ -45,6 +46,9 @@ struct Fixture {
   std::vector<ScenarioSpec> grid;
   std::vector<std::string> records;
   std::string fullText;
+  // ctest runs each test in its own process, and each builds this fixture:
+  // a per-process name keeps them from reading each other's files.
+  std::string benchName = "corrupt_fixture_" + std::to_string(::getpid());
 
   Fixture() {
     for (int i = 0; i < 3; ++i) {
@@ -56,7 +60,7 @@ struct Fixture {
       records.push_back(dispatch::serializedOutcomeRecord(outcome, i));
     }
     const std::string dir = ::testing::TempDir();
-    const std::string path = dispatch::writeBenchFile(dir, "corrupt_fixture", records);
+    const std::string path = dispatch::writeBenchFile(dir, benchName, records);
     fullText = readAll(path);
     std::remove(path.c_str());
   }
@@ -106,7 +110,7 @@ TEST(CheckpointCorruption, ResumeThroughTornTailIsByteIdentical) {
   const std::string dir = ::testing::TempDir();
   // Write the torn checkpoint to disk the way a crashed tool would leave it.
   const std::size_t lastRecord = fix.fullText.rfind("\n  {");
-  const std::string benchPath = dir + "/BENCH_corrupt_fixture.json";
+  const std::string benchPath = dir + "/BENCH_" + fix.benchName + ".json";
   {
     std::ofstream out(benchPath);
     out << fix.fullText.substr(0, lastRecord + 14);
@@ -123,7 +127,7 @@ TEST(CheckpointCorruption, ResumeThroughTornTailIsByteIdentical) {
   }
   std::vector<std::string> merged;
   for (const auto& raw : checkpoint.rawByIndex) merged.push_back(*raw);
-  dispatch::writeBenchFile(dir, "corrupt_fixture", merged);
+  dispatch::writeBenchFile(dir, fix.benchName, merged);
   EXPECT_EQ(readAll(benchPath), fix.fullText);
   std::remove(benchPath.c_str());
 }

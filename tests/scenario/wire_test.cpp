@@ -185,6 +185,28 @@ TEST(JsonString, EscapeRoundTripIsByteIdentical) {
   EXPECT_EQ(JsonValue::parse(wire).asString(), raw);
 }
 
+TEST(JsonString, NestingDepthIsBounded) {
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  // 64 levels is the limit and parses, for arrays and objects alike.
+  EXPECT_EQ(JsonValue::parse(arrays(64)).kind(), JsonValue::Kind::kArray);
+  std::string objects = "1";
+  for (int i = 0; i < 64; ++i) objects = "{\"k\":" + objects + "}";
+  EXPECT_EQ(JsonValue::parse(objects).kind(), JsonValue::Kind::kObject);
+  // One level deeper throws, naming the offset of the offending bracket.
+  try {
+    JsonValue::parse(arrays(65));
+    FAIL() << "65 levels must be rejected";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("at offset 64"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_THROW(JsonValue::parse("{\"k\":" + objects + "}"), std::invalid_argument);
+  // A hostile line far past the limit is an error, not a stack overflow.
+  EXPECT_THROW(JsonValue::parse(arrays(100000)), std::invalid_argument);
+}
+
 TEST(Wire, MalformedInputIsRejected) {
   EXPECT_THROW(wire::runMetricsFromJson("{\"measured_cycles\":1}"),
                std::invalid_argument);  // missing fields

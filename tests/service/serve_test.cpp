@@ -534,6 +534,10 @@ TEST(ServeDaemon, ProtocolErrorsAreNamedAndSuggested) {
           "{\"op\":\"submit\",\"mode\":\"sideways\",\"specs\":[" +
           grid[0].toJson() + "]}"),
       std::runtime_error);
+  // A line nested 100,000 deep draws an error reply; the daemon keeps serving.
+  EXPECT_THROW(client.request(std::string(100000, '[') + std::string(100000, ']')),
+               std::runtime_error);
+  EXPECT_NO_THROW(client.request("{\"op\":\"status\"}"));
 }
 
 }  // namespace

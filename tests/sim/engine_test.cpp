@@ -353,6 +353,141 @@ TEST(EngineTimers, MidCycleWakePreventsParkingThatCycle) {
   EXPECT_EQ(log[2], "t.eval@1");
 }
 
+// --- same-cycle joins (requestWakeInCycle) ---
+
+/// Gated probe that, when armed, hands off to `targets` with
+/// requestWakeInCycle() from its advance phase.
+class JoinProbe final : public Clocked {
+ public:
+  JoinProbe(std::string name, std::vector<std::string>& log,
+            obs::ComponentKind kind = obs::ComponentKind::kOther)
+      : name_(std::move(name)), log_(&log), kind_(kind) {}
+  void evaluate(Cycle cycle) override {
+    log_->push_back(name_ + ".eval@" + std::to_string(cycle));
+  }
+  void advance(Cycle cycle) override {
+    log_->push_back(name_ + ".adv@" + std::to_string(cycle));
+    if (!armed) return;
+    armed = false;
+    for (Clocked* target : targets) target->requestWakeInCycle();
+  }
+  std::string name() const override { return name_; }
+  bool quiescent() const override { return idle; }
+  obs::ComponentKind profileKind() const override { return kind_; }
+
+  bool idle = false;
+  bool armed = false;
+  std::vector<Clocked*> targets;
+
+ private:
+  std::string name_;
+  std::vector<std::string>* log_;
+  obs::ComponentKind kind_;
+};
+
+/// a (core) hands off to the parked b (link) in cycle 1; c (core) stays
+/// active behind b.  Returns the call log of cycle 1 and fills `steps`.
+std::vector<std::string> runMidSweepJoin(obs::CycleProfiler* profiler,
+                                         std::uint64_t& steps) {
+  std::vector<std::string> log;
+  JoinProbe a("a", log, obs::ComponentKind::kCore);
+  JoinProbe b("b", log, obs::ComponentKind::kLink);
+  JoinProbe c("c", log, obs::ComponentKind::kCore);
+  Engine engine;
+  engine.setProfiler(profiler);
+  engine.add(a);
+  engine.add(b);
+  engine.add(c);
+  b.idle = true;
+  a.targets = {&b};
+  engine.step();  // b parks at the end of cycle 0
+  EXPECT_EQ(engine.activeCount(), 2u);
+  log.clear();
+  a.armed = true;
+  engine.step();
+  EXPECT_EQ(engine.activeCount(), 2u);  // the joiner parks again
+  steps = engine.stats().componentSteps;
+  return log;
+}
+
+TEST(Engine, SameCycleJoinAdvancesAtRegistrationPosition) {
+  std::uint64_t steps = 0;
+  const std::vector<std::string> log = runMidSweepJoin(nullptr, steps);
+  // b joins cycle 1's advance sweep between a and c, without evaluating.
+  const std::vector<std::string> expected = {"a.eval@1", "c.eval@1", "a.adv@1",
+                                             "b.adv@1", "c.adv@1"};
+  EXPECT_EQ(log, expected);
+  // Cycle 0 steps all three; cycle 1 steps a, c and the joiner b.
+  EXPECT_EQ(steps, 6u);
+}
+
+TEST(Engine, SameCycleJoinOnEarlierSlotIsDeferredToNextCycle) {
+  std::vector<std::string> log;
+  JoinProbe b("b", log);
+  JoinProbe a("a", log);
+  Engine engine;
+  engine.add(b);
+  engine.add(a);
+  b.idle = true;
+  a.targets = {&b};
+  engine.step();
+  log.clear();
+  a.armed = true;
+  engine.step();  // b precedes a: too late to join cycle 1
+  engine.step();
+  const std::vector<std::string> expected = {"a.eval@1", "a.adv@1", "b.eval@2",
+                                             "a.eval@2", "b.adv@2", "a.adv@2"};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(engine.stats().componentSteps, 5u);
+}
+
+TEST(Engine, CascadingJoinersRunInRegistrationOrder) {
+  // a wakes the parked b; b's advance wakes the parked d, which sits behind
+  // the always-active c and so joins at the tail of the sweep.
+  std::vector<std::string> log;
+  JoinProbe a("a", log);
+  JoinProbe b("b", log);
+  JoinProbe c("c", log);
+  JoinProbe d("d", log);
+  Engine engine;
+  engine.add(a);
+  engine.add(b);
+  engine.add(c);
+  engine.add(d);
+  b.idle = true;
+  d.idle = true;
+  a.targets = {&b};
+  b.targets = {&d};
+  engine.step();
+  log.clear();
+  a.armed = true;
+  b.armed = true;
+  engine.step();
+  const std::vector<std::string> expected = {"a.eval@1", "c.eval@1", "a.adv@1",
+                                             "b.adv@1", "c.adv@1", "d.adv@1"};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(engine.stats().componentSteps, 8u);  // 4 + a, c and both joiners
+  EXPECT_EQ(engine.activeCount(), 2u);
+}
+
+TEST(Engine, ProfiledSameCycleJoinKeepsOrderAndChargesJoinerKind) {
+  std::uint64_t plainSteps = 0;
+  const std::vector<std::string> plain = runMidSweepJoin(nullptr, plainSteps);
+  obs::CycleProfiler profiler;
+  std::uint64_t profiledSteps = 0;
+  const std::vector<std::string> profiled = runMidSweepJoin(&profiler, profiledSteps);
+  EXPECT_EQ(profiled, plain);
+  EXPECT_EQ(profiledSteps, plainSteps);
+
+  const obs::CycleProfiler::Snapshot snap = profiler.snapshot();
+  EXPECT_EQ(snap.cycles, 2u);
+  // Cores: 2 phases x 2 cycles x {a, c}.  Link b: both phases in cycle 0,
+  // then its joined advance in cycle 1.
+  EXPECT_EQ(snap.kindSteps[static_cast<std::size_t>(obs::ComponentKind::kCore)], 8u);
+  EXPECT_EQ(snap.kindSteps[static_cast<std::size_t>(obs::ComponentKind::kLink)], 3u);
+  EXPECT_EQ(snap.kindSteps[static_cast<std::size_t>(obs::ComponentKind::kOther)], 0u);
+}
+
 TEST(EngineStats, TracksStepsAndParkRate) {
   std::vector<std::string> log;
   GatedProbe busy("busy", log);
