@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
 
   // --- saturation fixed work: the blocked-regime gated record ---
   // The complement of BM_LowLoadTimerWheel: a hotspot pattern at a load deep
-  // into saturation, where the SoA mask scans (transmit candidate selection,
+  // into saturation, where the bank mask scans (transmit candidate selection,
   // per-core ejection rotation) and the reservation-retry machinery carry
   // the whole cycle.  Emitted as its own BENCH_microbench_sat.json document
   // so the committed baseline gates the saturated hot path independently of

@@ -82,11 +82,10 @@ void PhotonicNetwork::build() {
   photonicConfig.bitsPerLambdaPerCycle =
       params_.clock.bitsPerCycle(photonic::kBitsPerSecondPerWavelength);
   photonicConfig.energy = params_.energy;
-  hotState_.build(topology_.numClusters(), clusterSize, photonicConfig.vcsPerPort);
   for (ClusterId cluster = 0; cluster < topology_.numClusters(); ++cluster) {
     photonicConfig.cluster = cluster;
     photonicRouters_.push_back(std::make_unique<PhotonicRouter>(
-        "p" + std::to_string(cluster), photonicConfig, *policy_, &hotState_, cluster));
+        "p" + std::to_string(cluster), photonicConfig, *policy_));
   }
   std::vector<PhotonicRouter*> peers;
   for (auto& router : photonicRouters_) peers.push_back(router.get());

@@ -44,7 +44,6 @@
 #include "metrics/metrics.hpp"
 #include "network/channel_policy.hpp"
 #include "network/core_node.hpp"
-#include "network/hot_state.hpp"
 #include "network/params.hpp"
 #include "network/photonic_router.hpp"
 #include "noc/link.hpp"
@@ -164,12 +163,6 @@ class PhotonicNetwork {
   double totalSourceWeight_ = 0.0;
 
   std::vector<std::unique_ptr<noc::ElectricalRouter>> coreRouters_;
-  /// Flat SoA for the photonic routers' hot VC metadata (occupancy /
-  /// head-front / bound-core masks, front flits, arrival cycles), laid out
-  /// router-major so the per-cycle transmit and ejection scans walk
-  /// contiguous memory.  Declared before the routers, which cache pointers
-  /// into it.
-  PhotonicHotState hotState_;
   std::vector<std::unique_ptr<PhotonicRouter>> photonicRouters_;
   /// Link->router-port adapters; must outlive links_.
   std::vector<std::unique_ptr<noc::FlitSink>> adapters_;

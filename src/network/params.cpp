@@ -26,6 +26,14 @@ void SimulationParameters::validate() const {
     throw std::invalid_argument(
         "reserved wavelengths exceed the aggregate wavelength budget");
   }
+  if (numClusters() > 64) {
+    // A photonic router records the source clusters whose reservations it
+    // refused in a 64-bit waiter mask (`1 << cluster`), woken on its next
+    // receive-VC unlock; a 65th cluster would shift out of range.
+    throw std::invalid_argument(
+        "at most 64 clusters are supported (reservation waiters are tracked in a "
+        "64-bit mask)");
+  }
   if (bandwidthSet.packetFlits == 0 || bandwidthSet.flitBits == 0) {
     throw std::invalid_argument("packet geometry must be non-zero");
   }

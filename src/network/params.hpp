@@ -30,10 +30,10 @@ struct SimulationParameters {
   /// Reserved (minimum) wavelengths per cluster write channel, >= 1.
   std::uint32_t reservedPerCluster = 1;
   /// Ablation knob: overrides the token-ring hop latency of eq. (2) when
-  /// non-zero (bench/ablation_token_latency).
+  /// non-zero (swept by bench/ablation_dba).
   Cycle tokenHopCyclesOverride = 0;
   /// Ablation knob: overrides the bandwidth set's per-channel wavelength cap
-  /// when non-zero (bench/ablation_channel_cap).
+  /// when non-zero (swept by bench/ablation_dba).
   std::uint32_t maxChannelWavelengthsOverride = 0;
   /// Conclusion's waveguide-restricted variant: router x may only modulate
   /// on this many waveguides starting at waveguide (x mod NW).  0 = the

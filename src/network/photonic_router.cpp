@@ -32,15 +32,15 @@ bool parseDenyHook(std::uint32_t& cluster, Cycle& until) {
 }  // namespace
 
 PhotonicRouter::PhotonicRouter(std::string name, const PhotonicRouterConfig& config,
-                               const ChannelPolicy& policy, PhotonicHotState* hotState,
-                               std::uint32_t hotIndex)
+                               const ChannelPolicy& policy)
     : name_(std::move(name)),
       config_(config),
       policy_(&policy),
       receiveBank_(config.vcsPerPort, config.vcDepthFlits),
       receiveBindings_(config.vcsPerPort),
       ejection_(config.clusterSize, nullptr),
-      ejectionRoundRobin_(config.clusterSize, 0) {
+      ejectionRoundRobin_(config.clusterSize, 0),
+      coreBound_(config.clusterSize, 0) {
   assert(config.vcDepthFlits >= config.packetFlits &&
          "a receive VC must hold a whole packet");
   ingress_.reserve(config.clusterSize);
@@ -48,23 +48,6 @@ PhotonicRouter::PhotonicRouter(std::string name, const PhotonicRouterConfig& con
     ingress_.emplace_back(config.vcsPerPort, config.vcDepthFlits);
     ingress_.back().notifyOwner(this, &ingressFlits_);
   }
-  if (hotState == nullptr) {
-    ownedHot_ = std::make_unique<PhotonicHotState>();
-    ownedHot_->build(1, config.clusterSize, config.vcsPerPort);
-    hotState = ownedHot_.get();
-    hotIndex = 0;
-  }
-  for (std::uint32_t i = 0; i < config.clusterSize; ++i) {
-    ingress_[i].attachHotState(hotState->slice(hotIndex, i));
-  }
-  receiveBank_.attachHotState(hotState->slice(hotIndex, config.clusterSize));
-  ingressOccupied_ = hotState->ingressOccupied(hotIndex);
-  ingressHeads_ = hotState->ingressHeadFront(hotIndex);
-  ingressFront_ = hotState->ingressFront(hotIndex);
-  ingressFrontArrival_ = hotState->ingressFrontArrival(hotIndex);
-  recvOccupied_ = hotState->receiveOccupied(hotIndex);
-  recvFront_ = hotState->receiveFront(hotIndex);
-  coreBound_ = hotState->coreBound(hotIndex);
   parseDenyHook(denyCluster_, denyUntil_);
   restoreFreshState();
 }
@@ -154,24 +137,22 @@ void PhotonicRouter::processArrivals(Cycle cycle) {
     assert(!receiveBank_.vc(arrival.vc).full() &&
            "receive VC sized to a whole packet cannot overflow");
     receiveBank_.push(arrival.vc, arrival.flit, cycle);
-    ++receiveFlits_;
   }
   inFlight_.erase(std::remove_if(inFlight_.begin(), inFlight_.end(), due), inFlight_.end());
 }
 
 void PhotonicRouter::runEjection(Cycle cycle) {
-  if (receiveFlits_ == 0) return;  // nothing to eject
+  if (receiveBank_.totalOccupancy() == 0) return;  // nothing to eject
   // Per-core ejection engines: each local core's down link can take one flit
   // per cycle; round-robin over the receive VCs bound to that core.  The
   // scan rotates the (occupied & bound-to-core) bitmask so each candidate is
   // visited in exactly the order the naive VC walk would — just without
-  // touching the empty ones.  Masks and front flits come straight from the
-  // SoA slice: no bank pointer chasing on the hot path.
+  // touching the empty ones.
   const std::uint32_t numVcs = receiveBank_.numVcs();
   for (std::uint32_t core = 0; core < ejection_.size(); ++core) {
     noc::FlitSink* sink = ejection_[core];
     if (sink == nullptr) continue;
-    std::uint32_t candidates = *recvOccupied_ & coreBound_[core];
+    std::uint32_t candidates = receiveBank_.occupiedMask() & coreBound_[core];
     if (candidates == 0) continue;
     const std::uint32_t rr = ejectionRoundRobin_[core];
     std::uint32_t rotated =
@@ -183,13 +164,9 @@ void PhotonicRouter::runEjection(Cycle cycle) {
           (rr + static_cast<VcId>(std::countr_zero(rotated))) % numVcs;
       assert(receiveBindings_[vc].bound &&
              receiveBindings_[vc].dstCore % ejection_.size() == core);
-      const noc::Flit& front = recvFront_[vc];
-      if (!sink->canAccept(front)) continue;
+      if (!sink->canAccept(receiveBank_.vc(vc).front())) continue;
       const noc::Flit flit = receiveBank_.pop(vc, cycle);
-      assert(receiveFlits_ > 0);
-      --receiveFlits_;
       if (flit.isTail()) {
-        receiveBank_.unlock(vc);
         receiveBindings_[vc].bound = false;
         coreBound_[core] &= ~(1u << vc);
         // A VC just freed: fire the parked sources whose reservations this
@@ -233,7 +210,8 @@ bool PhotonicRouter::tryStartTransmission(Cycle cycle) {
   // the old scan skipped non-head fronts without any side effect anyway.
   for (std::uint32_t group = 0; group <= ports; ++group) {
     const std::uint32_t port = (txScanPort_ + group) % ports;
-    std::uint32_t candidates = ingressOccupied_[port] & ingressHeads_[port];
+    const noc::VcBufferBank& bank = ingress_[port].bank();
+    std::uint32_t candidates = bank.occupiedMask() & bank.headFrontMask();
     if (group == 0) {
       candidates &= ~((1u << txScanVc_) - 1);
     } else if (group == ports) {
@@ -241,7 +219,7 @@ bool PhotonicRouter::tryStartTransmission(Cycle cycle) {
     }
     for (; candidates != 0; candidates &= candidates - 1) {
       const VcId vc = static_cast<VcId>(std::countr_zero(candidates));
-      const noc::PacketDescriptor& packet = ingressFront_[port * vcs + vc].packet();
+      const noc::PacketDescriptor& packet = bank.vc(vc).front().packet();
       assert(packet.dstCluster != config_.cluster &&
              "intra-cluster packets must not reach the photonic router");
       const std::uint32_t lambdas = policy_->lambdasFor(config_.cluster, packet.dstCluster);
@@ -305,14 +283,14 @@ void PhotonicRouter::runTransmit(Cycle cycle) {
   }
   // Stream data: the channel moves lambdas * 5 bits per cycle.
   tx_.creditBits += static_cast<double>(tx_.lambdas) * config_.bitsPerLambdaPerCycle;
+  noc::BufferedPort& port = ingress_[tx_.inPort];
   const std::uint32_t vcBit = 1u << tx_.inVc;
   bool sentTail = false;
-  while ((ingressOccupied_[tx_.inPort] & vcBit) != 0 &&
+  while ((port.bank().occupiedMask() & vcBit) != 0 &&
          tx_.creditBits >= static_cast<double>(config_.flitBits)) {
-    assert(ingressFront_[tx_.inPort * config_.vcsPerPort + tx_.inVc].packet().id ==
-               tx_.packet.id &&
+    assert(port.bank().vc(tx_.inVc).front().packet().id == tx_.packet.id &&
            "VC lock violated");
-    const noc::Flit flit = ingress_[tx_.inPort].pop(tx_.inVc, cycle);
+    const noc::Flit flit = port.pop(tx_.inVc, cycle);
     tx_.creditBits -= static_cast<double>(flit.bits());
     photonic::chargePhotonicTransfer(ledger_, config_.energy, flit.bits());
     stats_.bitsTransmitted += flit.bits();
@@ -326,7 +304,7 @@ void PhotonicRouter::runTransmit(Cycle cycle) {
   if (sentTail) {
     ++stats_.packetsTransmitted;
     tx_ = Transmission{};
-  } else if ((ingressOccupied_[tx_.inPort] & vcBit) == 0) {
+  } else if ((port.bank().occupiedMask() & vcBit) == 0) {
     // Wormhole bubble: the source core has not yet delivered the next flit.
     // The wavelengths idle; unspent capacity cannot be banked.
     tx_.creditBits = 0.0;
@@ -356,7 +334,7 @@ void PhotonicRouter::updateParkEligibility(Cycle cycle) {
         scheduleWakeAt(tx_.reservationDoneAt);
         timerArmedFor_ = tx_.reservationDoneAt;
       }
-    } else if ((ingressOccupied_[tx_.inPort] & (1u << tx_.inVc)) != 0) {
+    } else if ((ingress_[tx_.inPort].bank().occupiedMask() & (1u << tx_.inVc)) != 0) {
       return;  // flits ready to stream next cycle: stay live
     } else {
       // Wormhole bubble: each polled cycle burns one busy cycle and zeroes
@@ -379,14 +357,14 @@ void PhotonicRouter::updateParkEligibility(Cycle cycle) {
     issued = txScanIssued_;
     failures = txScanFailures_;
   }
-  if (receiveFlits_ > 0) {
+  if (receiveBank_.totalOccupancy() > 0) {
     // Buffered receive flits: safe to park only if nothing ejected this
     // cycle (otherwise more progress is likely next cycle) and every stalled
     // down link can wake us when it drains.  Blocked polled cycles touch no
     // counters, so the receive side contributes zero replay constants.
     if (ejectedThisCycle_) return;
     for (std::uint32_t core = 0; core < ejection_.size(); ++core) {
-      if ((*recvOccupied_ & coreBound_[core]) == 0) continue;
+      if ((receiveBank_.occupiedMask() & coreBound_[core]) == 0) continue;
       noc::FlitSink* sink = ejection_[core];
       if (sink == nullptr || !sink->notifyOnDrain(*this)) return;
     }
@@ -409,12 +387,11 @@ void PhotonicRouter::restoreFreshState() {
   std::fill(receiveBindings_.begin(), receiveBindings_.end(), ReceiveBinding{});
   inFlight_.clear();
   std::fill(ejectionRoundRobin_.begin(), ejectionRoundRobin_.end(), VcId{0});
-  std::fill(coreBound_, coreBound_ + ejection_.size(), 0u);
+  std::fill(coreBound_.begin(), coreBound_.end(), 0u);
   tx_ = Transmission{};
   txScanPort_ = 0;
   txScanVc_ = 0;
   ingressFlits_ = 0;
-  receiveFlits_ = 0;
   park_ = ParkState{};
   canSleep_ = true;
   txScanBlocked_ = false;

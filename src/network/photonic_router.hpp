@@ -21,11 +21,12 @@
 // One transmission is in flight per write channel at a time (SWMR: the
 // cluster owns a single write channel whose width the DBA varies).
 //
-// Hot state lives in the network-owned PhotonicHotState SoA (occupancy,
-// head-front and bound-core masks, front flits and arrival cycles); the
-// router caches raw pointers into its slice, so the per-cycle scans touch
-// compact contiguous memory.  A router built standalone (unit tests) owns a
-// private single-router SoA with identical semantics.
+// The per-cycle scans read the VC banks themselves, as the electrical router
+// does: the transmit scan intersects each ingress bank's occupancy and
+// head-front masks, the ejection scan intersects the receive bank's
+// occupancy mask with a per-core mask of the receive VCs bound to that core,
+// and fronts come from bank.vc(v).front().  The banks also own the wormhole
+// VC locks: a receive VC reserved for a packet unlocks when its tail pops.
 //
 // Parking: instead of polling while blocked, the router computes per-cycle
 // replay constants — what a polled cycle would have added to its stats —
@@ -42,13 +43,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/reservation.hpp"
-#include "network/hot_state.hpp"
 #include "noc/buffered_port.hpp"
 #include "noc/flit.hpp"
 #include "noc/topology.hpp"
@@ -87,12 +86,8 @@ struct PhotonicRouterStats {
 
 class PhotonicRouter final : public sim::Clocked {
  public:
-  /// `hotState`/`hotIndex` place this router's hot VC metadata in a shared
-  /// network-wide SoA (PhotonicNetwork passes its own, indexed by cluster);
-  /// nullptr gives the router a private single-router SoA (unit tests).
   PhotonicRouter(std::string name, const PhotonicRouterConfig& config,
-                 const ChannelPolicy& policy, PhotonicHotState* hotState = nullptr,
-                 std::uint32_t hotIndex = 0);
+                 const ChannelPolicy& policy);
 
   /// Wiring: peers[c] is cluster c's photonic router (peers[self] unused).
   void setPeers(std::vector<PhotonicRouter*> peers);
@@ -130,8 +125,8 @@ class PhotonicRouter final : public sim::Clocked {
 
   /// Restores the freshly-constructed state — empty buffers, no in-flight
   /// photonic traffic, initial round-robin pointers, zeroed statistics and
-  /// energy ledger, no parked-replay state.  Peer/ejection wiring and the
-  /// SoA attachment are preserved.
+  /// energy ledger, no parked-replay state.  Peer/ejection wiring is
+  /// preserved.
   void reset() { restoreFreshState(); }
 
   /// Flushes the parked-stats replay up to (but excluding) `now`, so stats()
@@ -146,7 +141,8 @@ class PhotonicRouter final : public sim::Clocked {
   /// photonic-buffer term of eq. (4) is priced from these).
   noc::BufferStats bufferStats() const;
   std::uint32_t occupancy() const {
-    return ingressFlits_ + receiveFlits_ + static_cast<std::uint32_t>(inFlight_.size());
+    return ingressFlits_ + receiveBank_.totalOccupancy() +
+           static_cast<std::uint32_t>(inFlight_.size());
   }
 
  private:
@@ -197,8 +193,6 @@ class PhotonicRouter final : public sim::Clocked {
   std::string name_;
   PhotonicRouterConfig config_;
   const ChannelPolicy* policy_;
-  /// Private SoA when constructed without a shared one (unit tests).
-  std::unique_ptr<PhotonicHotState> ownedHot_;
   std::vector<noc::BufferedPort> ingress_;  // one per local core
   noc::VcBufferBank receiveBank_;
   std::vector<ReceiveBinding> receiveBindings_;
@@ -206,27 +200,17 @@ class PhotonicRouter final : public sim::Clocked {
   std::vector<PhotonicRouter*> peers_;
   std::vector<noc::FlitSink*> ejection_;  // one per local core
   std::vector<VcId> ejectionRoundRobin_;  // per-core RR pointer over receive VCs
-  // Cached raw pointers into the SoA slice (set once at construction):
-  // clusterSize adjacent words / rows each, so the hot scans stride
-  // contiguous memory.
-  std::uint32_t* ingressOccupied_ = nullptr;   // [clusterSize]
-  std::uint32_t* ingressHeads_ = nullptr;      // [clusterSize]
-  noc::Flit* ingressFront_ = nullptr;          // [clusterSize * vcsPerPort]
-  Cycle* ingressFrontArrival_ = nullptr;  // [clusterSize * vcsPerPort]
-  std::uint32_t* recvOccupied_ = nullptr;      // single word
-  noc::Flit* recvFront_ = nullptr;             // [vcsPerPort]
   /// Receive VCs currently bound to a packet for local core i (bitmask over
   /// the receive bank): the ejection scan intersects this with the occupied
-  /// mask instead of probing every VC's binding.  Lives in the SoA.
-  std::uint32_t* coreBound_ = nullptr;  // [clusterSize]
+  /// mask instead of probing every VC's binding.
+  std::vector<std::uint32_t> coreBound_;  // [clusterSize]
   Transmission tx_;
   std::uint32_t txScanPort_ = 0;  // RR over (port, vc) candidates
   std::uint32_t txScanVc_ = 0;
-  /// Flits buffered in the ingress ports (kept current by the ports' owner
-  /// hook) and in the receive bank (push/pop sites below) — split so the
-  /// transmit and ejection sides each have an O(1) nothing-to-do check.
+  /// Flits buffered across the ingress ports (kept current by the ports'
+  /// owner hook): the transmit side's O(1) nothing-to-do check, as the
+  /// receive bank's totalOccupancy() is the ejection side's.
   std::uint32_t ingressFlits_ = 0;
-  std::uint32_t receiveFlits_ = 0;
   // --- parking machinery ---
   ParkState park_;
   bool canSleep_ = true;

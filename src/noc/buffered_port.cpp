@@ -12,25 +12,10 @@ void BufferedPort::notifyOwner(sim::Clocked* owner, std::uint32_t* bufferedCount
   bufferedCounter_ = bufferedCounter;
 }
 
-bool BufferedPort::canAccept(const Flit& flit) const {
-  if (flit.isHead()) return bank_.findFreeVcForNewPacket() != kNoVc;
-  const VcId vc = receivingVc_.find(flit.handle);
-  if (vc == kNoVc) return false;
-  return !bank_.vc(vc).full();
-}
+bool BufferedPort::canAccept(const Flit& flit) const { return bank_.canAccept(flit); }
 
 void BufferedPort::accept(const Flit& flit, Cycle now) {
-  assert(canAccept(flit));
-  VcId vc = kNoVc;
-  if (flit.isHead()) {
-    vc = bank_.findFreeVcForNewPacket();
-    bank_.lock(vc);
-    if (!flit.isTail()) receivingVc_.insert(flit.handle, vc);
-  } else {
-    vc = receivingVc_.find(flit.handle);
-    if (flit.isTail()) receivingVc_.erase(flit.handle);
-  }
-  bank_.push(vc, flit, now);
+  bank_.accept(flit, now);
   if (bufferedCounter_ != nullptr) ++*bufferedCounter_;
   if (owner_ != nullptr) owner_->requestWake();
 }
@@ -44,13 +29,11 @@ bool BufferedPort::notifyOnDrain(sim::Clocked& waiter) {
 
 void BufferedPort::reset() {
   bank_.reset();
-  receivingVc_.clear();
   drainWaiter_ = nullptr;
 }
 
 Flit BufferedPort::pop(VcId vc, Cycle now) {
-  Flit flit = bank_.pop(vc, now);
-  if (flit.isTail()) bank_.unlock(vc);
+  const Flit flit = bank_.pop(vc, now);
   if (bufferedCounter_ != nullptr) {
     assert(*bufferedCounter_ > 0);
     --*bufferedCounter_;

@@ -1,8 +1,6 @@
-// A buffered ingress port: a FlitSink backed by a VC bank with wormhole
-// VC-per-packet allocation.  Head flits claim a free unlocked VC (locked
-// until the tail is *popped* by the consumer); body/tail flits follow their
-// packet's VC.  Used for the electrical ingress and photonic receive sides
-// of the photonic router.
+// A buffered ingress port: a FlitSink backed by a VC bank, which applies the
+// wormhole VC-per-packet rule (VcBufferBank::accept/pop).  Used for the
+// electrical ingress side of the photonic router.
 //
 // The port itself is not Clocked; its owner (the photonic router) is.  The
 // owner hook lets accept() wake the parked owner and keep its buffered-flit
@@ -34,21 +32,16 @@ class BufferedPort final : public FlitSink {
   VcBufferBank& bank() { return bank_; }
   const VcBufferBank& bank() const { return bank_; }
 
-  /// Repoints the bank's hot VC-front metadata at a slice of an external
-  /// SoA (see VcBufferBank::attachHotState).
-  void attachHotState(const VcHotSlice& slice) { bank_.attachHotState(slice); }
-
-  /// Consumer side: pops the front flit of `vc`; unlocks the VC when the
-  /// popped flit is a tail.
+  /// Consumer side: pops the front flit of `vc` (the bank unlocks the VC
+  /// when the popped flit is a tail).
   Flit pop(VcId vc, Cycle now);
 
-  /// Empties the bank and forgets in-progress packets (network reset).  The
+  /// Empties the bank and drops the drain waiter (network reset).  The
   /// owner hook is preserved; the owner resets its own buffered counter.
   void reset();
 
  private:
   VcBufferBank bank_;
-  PacketVcMap receivingVc_;
   sim::Clocked* owner_ = nullptr;
   std::uint32_t* bufferedCounter_ = nullptr;
   sim::Clocked* drainWaiter_ = nullptr;  // parked upstream awaiting buffer space

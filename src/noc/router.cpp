@@ -14,7 +14,6 @@ ElectricalRouter::ElectricalRouter(
       routeFn_(std::move(routeFn)),
       outputs_(config.numPorts),
       route_(static_cast<std::size_t>(config.numPorts) * config.vcsPerPort, 0),
-      receivingVc_(config.numPorts),
       selectedVc_(config.numPorts, kNoVc),
       requestsFor_(config.numPorts, 0) {
   assert(routeFn_ && "router requires a routing function");
@@ -35,31 +34,17 @@ void ElectricalRouter::connectOutput(std::uint32_t port, FlitSink& sink) {
 
 bool ElectricalRouter::canAcceptFlit(std::uint32_t inputPort, const Flit& flit) const {
   assert(inputPort < config_.numPorts);
-  const VcBufferBank& bank = inputs_[inputPort];
-  if (flit.isHead()) {
-    return bank.findFreeVcForNewPacket() != kNoVc;
-  }
-  const VcId vc = receivingVc_[inputPort].find(flit.handle);
-  if (vc == kNoVc) return false;  // head was never accepted here
-  return !bank.vc(vc).full();
+  return inputs_[inputPort].canAccept(flit);
 }
 
 void ElectricalRouter::acceptFlit(std::uint32_t inputPort, const Flit& flit, Cycle now) {
-  assert(canAcceptFlit(inputPort, flit));
-  VcBufferBank& bank = inputs_[inputPort];
-  VcId vc = kNoVc;
+  assert(inputPort < config_.numPorts);
+  const VcId vc = inputs_[inputPort].accept(flit, now);
   if (flit.isHead()) {
-    vc = bank.findFreeVcForNewPacket();
-    bank.lock(vc);
     const std::uint32_t out = routeFn_(flit.packet());
     assert(out < config_.numPorts);
     route_[inputPort * config_.vcsPerPort + vc] = static_cast<std::uint8_t>(out);
-    if (!flit.isTail()) receivingVc_[inputPort].insert(flit.handle, vc);
-  } else {
-    vc = receivingVc_[inputPort].find(flit.handle);
-    if (flit.isTail()) receivingVc_[inputPort].erase(flit.handle);
   }
-  bank.push(vc, flit, now);
   ++occupancy_;
   canSleepBlocked_ = false;  // new work: re-evaluate before parking again
   requestWake();
@@ -218,11 +203,9 @@ void ElectricalRouter::advance(Cycle cycle) {
       state.inVc = move.inVc;
       state.packet = flit.handle;
     }
-    if (flit.isTail()) {
-      if ((ownedMask_ & bit(move.outPort)) != 0 && state.packet == flit.handle) {
-        ownedMask_ &= ~bit(move.outPort);
-      }
-      bank.unlock(move.inVc);
+    if (flit.isTail() && (ownedMask_ & bit(move.outPort)) != 0 &&
+        state.packet == flit.handle) {
+      ownedMask_ &= ~bit(move.outPort);
     }
   }
   pendingMoves_.clear();
@@ -239,7 +222,6 @@ void ElectricalRouter::reset() {
   std::fill(route_.begin(), route_.end(), std::uint8_t{0});
   for (auto& arbiter : inputArbiters_) arbiter->reset();
   for (auto& arbiter : outputArbiters_) arbiter->reset();
-  for (auto& map : receivingVc_) map.clear();
   pendingMoves_.clear();
   occupancy_ = 0;
   zeroMoveStreak_ = 0;

@@ -5,9 +5,10 @@
 // evaluate() against the state committed at the end of the previous cycle and
 // applied in advance(), so a network of routers is order independent.
 //
-// Flow control is wormhole with per-packet VC locking: a head flit allocates
-// a free, unlocked VC at the input port; body flits follow on the same VC;
-// the lock is released when the tail leaves.  If no VC is available for an
+// Flow control is wormhole with per-packet VC locking, applied by each input
+// port's VcBufferBank: a head flit allocates a free, unlocked VC; body flits
+// follow on the same VC; the lock is released when the tail leaves.  The
+// router itself only records the head's route.  If no VC is available for an
 // arriving head flit, canAcceptFlit() is false and the source must retry —
 // the drop-and-retransmit behaviour of Section 1.4 is implemented at the
 // injection site, which counts the drop.
@@ -169,8 +170,6 @@ class ElectricalRouter final : public sim::Clocked {
   std::vector<std::unique_ptr<Arbiter>> inputArbiters_;
   /// Output-arbitration stage: one arbiter per output port picks among inputs.
   std::vector<std::unique_ptr<Arbiter>> outputArbiters_;
-  /// VC a partially received packet is being written to, per input port.
-  std::vector<PacketVcMap> receivingVc_;
   std::vector<Move> pendingMoves_;  // decided in evaluate, applied in advance
   std::uint32_t occupancy_ = 0;     // buffered flits across all ports/VCs
   /// Consecutive evaluate() calls that produced no move; the blocked-park

@@ -15,8 +15,9 @@
 // descriptor), and a RingBuffer of per-flit arrival cycles (8 bytes a slot,
 // grown on demand up to the VC depth, so a VC traffic never reaches holds
 // no storage).  Flits are rebuilt from the segment with
-// makeFlit when read.  Statistics and the front-arrival array the routers
-// scan live one level up, in the VcBufferBank.
+// makeFlit when read.  Statistics, the masks and front-arrival array the
+// routers scan, and the VC-per-packet locks live one level up, in the
+// VcBufferBank.
 #pragma once
 
 #include <algorithm>
@@ -119,169 +120,6 @@ class VirtualChannel {
   Bits bitsPerFlit_ = 0;             ///< packet_->bitsPerFlit, cached
 };
 
-/// Hot VC-front metadata for one bank, exposed as raw pointers so an owner
-/// (PhotonicNetwork's PhotonicHotState) can place every bank's slice in flat
-/// contiguous arrays.  The per-cycle transmit/ejection scans then read
-/// compact SoA memory instead of chasing bank->vc(id) object chains.  A bank
-/// not attached to shared storage keeps its masks in plain members and its
-/// front arrivals in its own array, and skips the mask/front-flit mirroring.
-struct VcHotSlice {
-  std::uint32_t* occupied = nullptr;   ///< one word: bit i set iff VC i non-empty
-  std::uint32_t* headFront = nullptr;  ///< one word: bit i set iff VC i's front is a head
-  Flit* front = nullptr;               ///< [numVcs] front flit of each occupied VC
-  Cycle* frontArrival = nullptr;       ///< [numVcs] enqueue cycle of each front flit
-};
-
-/// A bank of VCs forming one router input port (at most 32 VCs so occupancy
-/// and lock state fit in bitmasks).
-///
-/// All mutation goes through the bank — push/pop/lock — so it can maintain
-/// an occupied-VC bitmask, a head-front bitmask, an O(1) flit count, the
-/// bank's BufferStats and a per-VC front-arrival array.  The hot arbitration
-/// loops iterate set bits of the masks instead of scanning every VC,
-/// free-VC lookup is a count-trailing-zeros, and pipeline eligibility is one
-/// read of frontArrival(vc) — none of it touches a VC's ring buffer or a
-/// packet descriptor.
-class VcBufferBank {
- public:
-  VcBufferBank(std::uint32_t numVcs, std::uint32_t depthFlits);
-
-  // An attached external slice mirrors this bank's state; copying would
-  // alias it, so banks move but never copy.  Moves keep the attachment (the
-  // external storage does not belong to the bank) and the front-arrival
-  // pointer (a moved vector keeps its heap buffer).
-  VcBufferBank(const VcBufferBank&) = delete;
-  VcBufferBank& operator=(const VcBufferBank&) = delete;
-  VcBufferBank(VcBufferBank&&) = default;
-  VcBufferBank& operator=(VcBufferBank&&) = default;
-
-  std::uint32_t numVcs() const { return static_cast<std::uint32_t>(vcs_.size()); }
-  const VirtualChannel& vc(VcId id) const { return vcs_[id]; }
-
-  /// Enqueues into VC `id`. Precondition: !vc(id).full().
-  void push(VcId id, const Flit& flit, Cycle now) {
-    VirtualChannel& channel = vcs_[id];
-    const bool wasEmpty = channel.empty();
-    // Wormhole invariant: a head is the first flit of its packet into the
-    // VC, so "front is a head" holds from a head's push until it is popped.
-    if (flit.isHead()) {
-      assert(wasEmpty && "a head flit must open an empty VC");
-      headFrontMask_ |= bit(id);
-    }
-    channel.push(flit, now);
-    occupiedMask_ |= bit(id);
-    ++occupancy_;
-    ++stats_.flitsWritten;
-    stats_.bitsWritten += channel.bitsPerFlit();
-    stats_.peakOccupancy = std::max<std::uint64_t>(stats_.peakOccupancy, channel.size());
-    // The pushed flit becomes the front.  A non-head can land in an empty
-    // (locked) VC mid-packet when the consumer drained ahead of the source.
-    if (wasEmpty) frontArrival_[id] = now;
-    if (ext_.occupied != nullptr) {
-      *ext_.occupied = occupiedMask_;
-      *ext_.headFront = headFrontMask_;
-      if (wasEmpty) ext_.front[id] = flit;
-    }
-  }
-
-  /// Dequeues the front flit of VC `id`. Precondition: !vc(id).empty().
-  Flit pop(VcId id, Cycle now) {
-    VirtualChannel& channel = vcs_[id];
-    const Cycle enqueuedAt = frontArrival_[id];
-    const Bits bits = channel.bitsPerFlit();
-    const Flit flit = channel.pop();
-    ++stats_.flitsRead;
-    stats_.bitsRead += bits;
-    stats_.bitCyclesResident += bits * (now >= enqueuedAt ? now - enqueuedAt : 0);
-    assert(occupancy_ > 0);
-    --occupancy_;
-    // A popped head exposes a body/tail (heads only open empty VCs, so a
-    // second head can never be queued behind one); a popped body/tail never
-    // exposes a head for the same reason.
-    if (flit.isHead()) headFrontMask_ &= ~bit(id);
-    if (channel.empty()) {
-      occupiedMask_ &= ~bit(id);
-    } else {
-      frontArrival_[id] = channel.frontArrival();
-    }
-    if (ext_.occupied != nullptr) {
-      *ext_.occupied = occupiedMask_;
-      *ext_.headFront = headFrontMask_;
-      if (!channel.empty()) ext_.front[id] = channel.front();
-    }
-    return flit;
-  }
-
-  /// Bit i set iff vc(i) is non-empty.
-  std::uint32_t occupiedMask() const { return occupiedMask_; }
-
-  /// Bit i set iff vc(i)'s front flit is a packet head (a head is always the
-  /// first flit pushed into its VC, so the mask updates in O(1) on
-  /// push/pop).  The router's arbitration stages only matter when this is
-  /// non-zero: pure body/tail streaming takes the owned-output fast path,
-  /// and the transmit scan pre-intersects candidates with this mask.
-  std::uint32_t headFrontMask() const { return headFrontMask_; }
-
-  /// Cycle at which vc(id)'s front flit was enqueued, read from the bank's
-  /// contiguous front-arrival array. Precondition: vc(id) is non-empty.
-  Cycle frontArrival(VcId id) const { return frontArrival_[id]; }
-
-  /// Mirrors this bank's hot metadata into externally owned storage (one
-  /// slice of a network-wide SoA) from now on: push/pop keep the slice's
-  /// masks and front-flit copies current, and the slice's frontArrival
-  /// array replaces the bank's own.  Must be called while the bank is empty
-  /// (it is — attachment happens at construction); the external storage must
-  /// outlive the bank.  Slice arrays must hold at least numVcs() elements.
-  void attachHotState(const VcHotSlice& slice);
-
-  /// First VC that can accept a new packet's head flit (empty and not
-  /// reserved by an in-flight packet), or kNoVc.
-  VcId findFreeVcForNewPacket() const {
-    // Lowest VC that is both empty and unlocked — identical to a linear scan.
-    const std::uint32_t freeBits = ~(occupiedMask_ | lockedMask_) & allVcsMask_;
-    if (freeBits == 0) return kNoVc;
-    return static_cast<VcId>(std::countr_zero(freeBits));
-  }
-
-  /// Marks a VC reserved-by-packet (wormhole: one packet owns a VC from head
-  /// to tail).
-  void lock(VcId id) { lockedMask_ |= bit(id); }
-  void unlock(VcId id) { lockedMask_ &= ~bit(id); }
-  bool isLocked(VcId id) const { return (lockedMask_ & bit(id)) != 0; }
-
-  /// True if every VC is either non-empty or locked: a newly arriving head
-  /// flit would be dropped (paper Section 1.4 drop-and-retransmit).
-  bool allBusy() const { return findFreeVcForNewPacket() == kNoVc; }
-
-  /// Write/read/residency totals over every VC of the bank; peakOccupancy is
-  /// the largest size any single VC reached.
-  const BufferStats& aggregateStats() const { return stats_; }
-
-  /// Empties every VC, drops all locks and zeroes statistics (network reset).
-  void reset();
-
-  /// Total flits currently buffered across all VCs (O(1)).
-  std::uint32_t totalOccupancy() const { return occupancy_; }
-
- private:
-  static std::uint32_t bit(VcId id) { return 1u << id; }
-
-  std::vector<VirtualChannel> vcs_;
-  std::uint32_t allVcsMask_ = 0;
-  std::uint32_t lockedMask_ = 0;
-  std::uint32_t occupiedMask_ = 0;
-  std::uint32_t headFrontMask_ = 0;
-  std::uint32_t occupancy_ = 0;
-  BufferStats stats_;
-  /// [numVcs] front arrivals: ownFrontArrival_'s storage, or the attached
-  /// slice's frontArrival array (ownFrontArrival_ is then released).
-  Cycle* frontArrival_ = nullptr;
-  std::vector<Cycle> ownFrontArrival_;
-  /// External SoA mirror; all pointers null when unattached (the common,
-  /// electrical-router case — push/pop then skip the mirroring entirely).
-  VcHotSlice ext_;
-};
-
 /// Maps in-flight packets to the VC receiving them at one port.  The live
 /// set is tiny (only packets mid-reception, usually 0-2), so a linear-scan
 /// vector beats a node-based map on every hot ingress path.  Keys are packet
@@ -314,6 +152,157 @@ class PacketVcMap {
 
  private:
   std::vector<std::pair<PacketHandle, VcId>> entries_;
+};
+
+/// A bank of VCs forming one router input port (at most 32 VCs so occupancy
+/// and lock state fit in bitmasks), and the one home of the wormhole
+/// VC-per-packet rule: accept() gives an arriving head the lowest free VC
+/// and locks it, body and tail flits follow their packet's VC, and pop()
+/// releases the lock when the tail leaves.
+///
+/// All mutation goes through the bank — accept/push/pop/lock — so it can
+/// maintain an occupied-VC bitmask, a head-front bitmask, an O(1) flit
+/// count, the bank's BufferStats and a per-VC front-arrival array.  The hot
+/// arbitration and transmit/ejection loops iterate set bits of the masks
+/// instead of scanning every VC, free-VC lookup is a count-trailing-zeros,
+/// and pipeline eligibility is one read of frontArrival(vc) — none of it
+/// touches a VC's ring buffer or a packet descriptor.
+class VcBufferBank {
+ public:
+  VcBufferBank(std::uint32_t numVcs, std::uint32_t depthFlits);
+
+  std::uint32_t numVcs() const { return static_cast<std::uint32_t>(vcs_.size()); }
+  const VirtualChannel& vc(VcId id) const { return vcs_[id]; }
+
+  /// Wormhole ingress check: a head needs a free VC, a body or tail needs
+  /// room in the VC its packet's head claimed here.
+  bool canAccept(const Flit& flit) const {
+    if (flit.isHead()) return findFreeVcForNewPacket() != kNoVc;
+    const VcId id = receiving_.find(flit.handle);
+    return id != kNoVc && !vcs_[id].full();
+  }
+
+  /// Buffers an arriving flit and returns its VC: a head claims and locks
+  /// the lowest free VC, a body or tail follows its packet.
+  /// Precondition: canAccept(flit).
+  VcId accept(const Flit& flit, Cycle now) {
+    assert(canAccept(flit));
+    VcId id = kNoVc;
+    if (flit.isHead()) {
+      id = findFreeVcForNewPacket();
+      lock(id);
+      if (!flit.isTail()) receiving_.insert(flit.handle, id);
+    } else {
+      id = receiving_.find(flit.handle);
+      if (flit.isTail()) receiving_.erase(flit.handle);
+    }
+    push(id, flit, now);
+    return id;
+  }
+
+  /// Enqueues into VC `id`, which the caller has locked for the flit's
+  /// packet (accept() does both).  Precondition: !vc(id).full().
+  void push(VcId id, const Flit& flit, Cycle now) {
+    VirtualChannel& channel = vcs_[id];
+    const bool wasEmpty = channel.empty();
+    // Wormhole invariant: a head is the first flit of its packet into the
+    // VC, so "front is a head" holds from a head's push until it is popped.
+    if (flit.isHead()) {
+      assert(wasEmpty && "a head flit must open an empty VC");
+      headFrontMask_ |= bit(id);
+    }
+    channel.push(flit, now);
+    occupiedMask_ |= bit(id);
+    ++occupancy_;
+    ++stats_.flitsWritten;
+    stats_.bitsWritten += channel.bitsPerFlit();
+    stats_.peakOccupancy = std::max<std::uint64_t>(stats_.peakOccupancy, channel.size());
+    // The pushed flit becomes the front.  A non-head can land in an empty
+    // (locked) VC mid-packet when the consumer drained ahead of the source.
+    if (wasEmpty) frontArrival_[id] = now;
+  }
+
+  /// Dequeues the front flit of VC `id`; a tail leaving unlocks the VC.
+  /// Precondition: !vc(id).empty().
+  Flit pop(VcId id, Cycle now) {
+    VirtualChannel& channel = vcs_[id];
+    const Cycle enqueuedAt = frontArrival_[id];
+    const Bits bits = channel.bitsPerFlit();
+    const Flit flit = channel.pop();
+    ++stats_.flitsRead;
+    stats_.bitsRead += bits;
+    stats_.bitCyclesResident += bits * (now >= enqueuedAt ? now - enqueuedAt : 0);
+    assert(occupancy_ > 0);
+    --occupancy_;
+    // A popped head exposes a body/tail (heads only open empty VCs, so a
+    // second head can never be queued behind one); a popped body/tail never
+    // exposes a head for the same reason.
+    if (flit.isHead()) headFrontMask_ &= ~bit(id);
+    if (flit.isTail()) lockedMask_ &= ~bit(id);
+    if (channel.empty()) {
+      occupiedMask_ &= ~bit(id);
+    } else {
+      frontArrival_[id] = channel.frontArrival();
+    }
+    return flit;
+  }
+
+  /// Bit i set iff vc(i) is non-empty.
+  std::uint32_t occupiedMask() const { return occupiedMask_; }
+
+  /// Bit i set iff vc(i)'s front flit is a packet head (a head is always the
+  /// first flit pushed into its VC, so the mask updates in O(1) on
+  /// push/pop).  The router's arbitration stages only matter when this is
+  /// non-zero: pure body/tail streaming takes the owned-output fast path,
+  /// and the transmit scan pre-intersects candidates with this mask.
+  std::uint32_t headFrontMask() const { return headFrontMask_; }
+
+  /// Cycle at which vc(id)'s front flit was enqueued, read from the bank's
+  /// contiguous front-arrival array. Precondition: vc(id) is non-empty.
+  Cycle frontArrival(VcId id) const { return frontArrival_[id]; }
+
+  /// First VC that can accept a new packet's head flit (empty and not
+  /// reserved by an in-flight packet), or kNoVc.
+  VcId findFreeVcForNewPacket() const {
+    // Lowest VC that is both empty and unlocked — identical to a linear scan.
+    const std::uint32_t freeBits = ~(occupiedMask_ | lockedMask_) & allVcsMask_;
+    if (freeBits == 0) return kNoVc;
+    return static_cast<VcId>(std::countr_zero(freeBits));
+  }
+
+  /// Marks a VC reserved-by-packet ahead of its flits (the photonic receive
+  /// side reserves a VC per packet before pushing into it); the tail's
+  /// pop() releases it.
+  void lock(VcId id) { lockedMask_ |= bit(id); }
+  bool isLocked(VcId id) const { return (lockedMask_ & bit(id)) != 0; }
+
+  /// True if every VC is either non-empty or locked: a newly arriving head
+  /// flit would be dropped (paper Section 1.4 drop-and-retransmit).
+  bool allBusy() const { return findFreeVcForNewPacket() == kNoVc; }
+
+  /// Write/read/residency totals over every VC of the bank; peakOccupancy is
+  /// the largest size any single VC reached.
+  const BufferStats& aggregateStats() const { return stats_; }
+
+  /// Empties every VC, drops all locks and in-progress packets and zeroes
+  /// statistics (network reset).
+  void reset();
+
+  /// Total flits currently buffered across all VCs (O(1)).
+  std::uint32_t totalOccupancy() const { return occupancy_; }
+
+ private:
+  static std::uint32_t bit(VcId id) { return 1u << id; }
+
+  std::vector<VirtualChannel> vcs_;
+  std::uint32_t allVcsMask_ = 0;
+  std::uint32_t lockedMask_ = 0;
+  std::uint32_t occupiedMask_ = 0;
+  std::uint32_t headFrontMask_ = 0;
+  std::uint32_t occupancy_ = 0;
+  BufferStats stats_;
+  std::vector<Cycle> frontArrival_;  ///< [numVcs] enqueue cycle of each front flit
+  PacketVcMap receiving_;            ///< VC of each packet accept() is mid-way through
 };
 
 }  // namespace pnoc::noc

@@ -93,12 +93,23 @@ TEST(ParkingEquivalence, ReservationDenyStormMatchesPollMode) {
 TEST(ParkingEquivalence, SaturatedHotspotMatchesPollMode) {
   // Natural reservation failures: two hot destination clusters at a load far
   // beyond their receive-VC turnover (skewed3 spreads wide enough that the
-  // DBA keeps up; the two-cluster hotspot reliably exhausts VCs).
-  const auto params = baseParams("skewed-hotspot2", 0.02, 7);
-  const Outcome gated = runWith(params, true);
-  const Outcome polled = runWith(params, false);
-  ASSERT_GT(gated.reservationFailures, 0u) << "hotspot never saturated";
-  expectEquivalent(gated, polled);
+  // DBA keeps up; the two-cluster hotspot reliably exhausts VCs).  The
+  // second input is the widest legal geometry, 64 clusters on Firefly with
+  // bandwidth set 3: refused sources then set reservation-waiter bits up to
+  // 63, the top of the 64-bit mask.
+  auto wide = baseParams("skewed-hotspot2", 0.02, 7);
+  wide.architecture = Architecture::kFirefly;
+  wide.bandwidthSet = traffic::BandwidthSet::set3();
+  wide.numCores = 256;
+  ASSERT_EQ(wide.numClusters(), 64u);
+  for (const SimulationParameters& params :
+       {baseParams("skewed-hotspot2", 0.02, 7), wide}) {
+    SCOPED_TRACE(params.numClusters());
+    const Outcome gated = runWith(params, true);
+    const Outcome polled = runWith(params, false);
+    ASSERT_GT(gated.reservationFailures, 0u) << "hotspot never saturated";
+    expectEquivalent(gated, polled);
+  }
 }
 
 TEST(ParkingEquivalence, LowLoadBubblesMatchPollMode) {

@@ -80,6 +80,25 @@ TEST(Params, RejectsCoreRoutersWiderThanMaskRange) {
   }
 }
 
+TEST(Params, RejectsMoreClustersThanTheWaiterMask) {
+  // A photonic router keeps the clusters whose reservations it refused in a
+  // 64-bit waiter mask: a 65th cluster would shift out of range.  Bandwidth
+  // set 3 has the wavelength budget for it (65 reserved <= 512), so only the
+  // cluster limit can refuse this geometry.
+  auto params = baseParams();
+  params.bandwidthSet = traffic::BandwidthSet::set3();
+  params.numCores = 260;  // 65 clusters of 4
+  try {
+    params.validate();
+    FAIL() << "a 65-cluster network was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("64-bit mask"), std::string::npos)
+        << error.what();
+  }
+  params.numCores = 256;  // 64 clusters: the widest legal mask
+  EXPECT_NO_THROW(params.validate());
+}
+
 TEST(Params, AcceptsFullMaskWidthVcCount) {
   // 32 VCs exactly fills the mask (`~0u`), the widest legal configuration.
   auto params = baseParams();

@@ -214,7 +214,10 @@ TEST(VcBufferBank, StatsEqualThePerVcSums) {
   // Reference: the per-VC statistics each VirtualChannel used to keep,
   // summed with BufferStats::operator+= (peakOccupancy takes the max).
   // Random wormhole traffic over four VCs, packets of 1-5 flits and mixed
-  // widths, pops at random later cycles.
+  // widths, pops at random later cycles.  After every step the bank's
+  // occupancy and head-front masks and its flit count must also equal a
+  // per-VC scan: the routers' transmit, ejection and arbitration scans read
+  // only those.
   constexpr std::uint32_t kVcs = 4;
   VcBufferBank bank(kVcs, 3);
   BufferStats perVc[kVcs];
@@ -224,7 +227,23 @@ TEST(VcBufferBank, StatsEqualThePerVcSums) {
   sim::Rng random(99);
   PacketId nextId = 100;
   Cycle now = 0;
+  auto expectMasksMatchScan = [&bank] {
+    std::uint32_t occupied = 0;
+    std::uint32_t heads = 0;
+    std::uint32_t flits = 0;
+    for (VcId vc = 0; vc < kVcs; ++vc) {
+      const VirtualChannel& channel = bank.vc(vc);
+      flits += channel.size();
+      if (channel.empty()) continue;
+      occupied |= 1u << vc;
+      if (channel.front().isHead()) heads |= 1u << vc;
+    }
+    EXPECT_EQ(bank.occupiedMask(), occupied);
+    EXPECT_EQ(bank.headFrontMask(), heads);
+    EXPECT_EQ(bank.totalOccupancy(), flits);
+  };
   for (int step = 0; step < 4000; ++step) {
+    expectMasksMatchScan();
     now += random.nextBelow(3);
     const auto vc = static_cast<VcId>(random.nextBelow(kVcs));
     const VirtualChannel& channel = bank.vc(vc);
@@ -253,6 +272,7 @@ TEST(VcBufferBank, StatsEqualThePerVcSums) {
       arrivals[vc].erase(arrivals[vc].begin());
     }
   }
+  expectMasksMatchScan();
   BufferStats expected;
   for (const BufferStats& stats : perVc) expected += stats;
   const BufferStats& actual = bank.aggregateStats();
@@ -267,6 +287,32 @@ TEST(VcBufferBank, StatsEqualThePerVcSums) {
   bank.reset();
   EXPECT_EQ(bank.aggregateStats().flitsWritten, 0u);
   EXPECT_EQ(bank.aggregateStats().peakOccupancy, 0u);
+}
+
+TEST(VcBufferBank, AcceptClaimsFollowsAndPopReleases) {
+  // The wormhole ingress rule: a head claims and locks the lowest free VC,
+  // its body follows it, a body whose head never arrived is refused, and
+  // the tail's pop frees the VC for the next head.
+  VcBufferBank bank(2, 4);
+  const auto first = makePacket(20, 2);
+  const auto second = makePacket(21, 2);
+  const auto stray = makePacket(22, 3);
+  EXPECT_FALSE(bank.canAccept(makeFlit(stray, 1)));
+  ASSERT_TRUE(bank.canAccept(makeFlit(first, 0)));
+  EXPECT_EQ(bank.accept(makeFlit(first, 0), 0), VcId{0});
+  EXPECT_TRUE(bank.isLocked(0));
+  bank.pop(0, 1);  // the head leaves ahead of its tail: VC 0 stays locked
+  EXPECT_TRUE(bank.isLocked(0));
+  EXPECT_EQ(bank.accept(makeFlit(second, 0), 1), VcId{1});
+  ASSERT_TRUE(bank.canAccept(makeFlit(first, 1)));
+  EXPECT_EQ(bank.accept(makeFlit(first, 1), 2), VcId{0});
+  EXPECT_FALSE(bank.canAccept(makeFlit(stray, 0))) << "every VC is claimed";
+  EXPECT_TRUE(bank.pop(0, 3).isTail());
+  EXPECT_FALSE(bank.isLocked(0));
+  EXPECT_FALSE(bank.canAccept(makeFlit(first, 1))) << "the tail closed the packet";
+  ASSERT_TRUE(bank.canAccept(makeFlit(stray, 0)));
+  EXPECT_EQ(bank.accept(makeFlit(stray, 0), 4), VcId{0});
+  EXPECT_TRUE(bank.isLocked(1)) << "the second packet still holds VC 1";
 }
 
 TEST(BufferedPort, HeadAllocatesVcAndBodyFollows) {
