@@ -5,14 +5,14 @@
 namespace pnoc::network {
 
 CoreNode::CoreNode(const Config& config, const noc::ClusterTopology& topology,
-                   const traffic::TrafficPattern& pattern, noc::ElectricalRouter& router,
+                   const traffic::TrafficPattern& pattern, noc::FlitSink& injectionPort,
                    noc::PacketSlab& slab, sim::Rng rng, PacketId* nextPacketId,
                    std::unique_ptr<workload::CoreWorkload> coreWorkload,
                    workload::TraceRecorder* recorder)
     : config_(config),
       topology_(&topology),
       pattern_(&pattern),
-      router_(&router),
+      injectionPort_(&injectionPort),
       slab_(&slab),
       rng_(rng),
       nextPacketId_(nextPacketId),
@@ -30,6 +30,7 @@ void CoreNode::reset(sim::Rng rng) {
   queue_.clear();
   flitCursor_ = 0;
   stats_ = CoreStats{};
+  packetLatencies_ = metrics::LatencyHistogram{};
   requestLatencies_ = metrics::LatencyHistogram{};
   requestLatencySum_ = 0;
   timerScheduledFor_ = kNoCycle;  // the engine reset dropped any pending timer
@@ -158,7 +159,8 @@ bool CoreNode::submitPacket(const workload::PacketRequest& request, Cycle cycle)
   return true;
 }
 
-void CoreNode::onFlitEjected(const noc::Flit& flit, Cycle now) {
+void CoreNode::accept(const noc::Flit& flit, Cycle now) {
+  assert(flit.packet().dstCore == config_.core && "flit ejected at the wrong core");
   ++stats_.flitsEjected;
   if (!flit.isTail()) return;
   ++stats_.packetsEjected;
@@ -179,40 +181,29 @@ void CoreNode::onFlitEjected(const noc::Flit& flit, Cycle now) {
     // land next cycle, on gated and ungated engines alike).
     requestWake();
   }
+  stats_.bitsEjected += packet.totalBits();
+  const Cycle latency = now >= packet.createdAt ? now - packet.createdAt : 0;
+  stats_.packetLatencyCyclesSum += latency;
+  packetLatencies_.record(latency);
+  // The tail is the packet's last flit anywhere in the system: its
+  // descriptor slot can be recycled.
+  slab_->release(flit.handle);
 }
 
 void CoreNode::injectFlits(Cycle cycle) {
   if (queue_.empty()) return;
   const noc::PacketHandle packet = queue_.front();
   const noc::Flit flit = noc::makeFlit(packet, flitCursor_);
-  if (!router_->canAcceptFlit(config_.localPort, flit)) {
+  if (!injectionPort_->canAccept(flit)) {
     if (flit.isHead()) ++stats_.headRetries;  // dropped header, retransmit
     return;
   }
-  router_->acceptFlit(config_.localPort, flit, cycle);
+  injectionPort_->accept(flit, cycle);
   ++stats_.flitsInjected;
   ++flitCursor_;
   if (flitCursor_ >= packet->numFlits) {
     queue_.pop_front();
     flitCursor_ = 0;
-  }
-}
-
-void EjectionSink::accept(const noc::Flit& flit, Cycle now) {
-  assert(flit.packet().dstCore == core_ && "flit ejected at the wrong core");
-  ++flitsReceived_;
-  // Destination-side core accounting (and the workload model's ejection
-  // callback) run BEFORE the tail releases the descriptor slot.
-  if (coreNode_ != nullptr) coreNode_->onFlitEjected(flit, now);
-  if (flit.isTail()) {
-    ++packetsDelivered_;
-    bitsDelivered_ += flit.packet().totalBits();
-    const Cycle latency = (now >= flit.packet().createdAt) ? now - flit.packet().createdAt : 0;
-    latencySum_ += latency;
-    latencies_.record(latency);
-    // The tail is the packet's last flit anywhere in the system: its
-    // descriptor slot can be recycled.
-    if (slab_ != nullptr) slab_->release(flit.handle);
   }
 }
 

@@ -1,5 +1,8 @@
-// A processing core: packet source with a finite injection queue, plus the
-// ejection sink that terminates packets at their destination.
+// A processing core: packet source with a finite injection queue, and the
+// sink that terminates the packets addressed to it.  The core injects into
+// its electrical router's input port 0 and is itself the FlitSink on that
+// router's output port 0 (paper Figure 3-1: one router per core), so every
+// delivery counter lives here, in CoreStats.
 //
 // Two injection regimes:
 //
@@ -7,7 +10,7 @@
 // pattern's per-core weight: the core offers a packet with per-cycle
 // probability offeredLoad * normalizedWeight; if the injection queue is full
 // the offer is refused (counted — this is how saturation shows up at the
-// sources).  Queued packets are pushed into the core's electrical router one
+// sources).  Queued packets are pushed into the core's router input port one
 // flit per cycle; a head flit that finds every VC busy is dropped and
 // retransmitted the next cycle (Section 1.4), counted as a retry.
 //
@@ -41,7 +44,6 @@
 
 #include "noc/flit.hpp"
 #include "noc/packet_slab.hpp"
-#include "noc/router.hpp"
 #include "noc/topology.hpp"
 #include "sim/engine.hpp"
 #include "sim/ring_buffer.hpp"
@@ -61,16 +63,22 @@ struct CoreStats {
   std::uint64_t headRetries = 0;  // header flit dropped by a full router port
   std::uint64_t flitsInjected = 0;
   /// Flits/packets fully ejected at THIS core (the destination side of the
-  /// conservation invariant: sum injected == sum ejected + in flight).
+  /// conservation invariant: sum injected == sum ejected + in flight), the
+  /// delivered packets' bits and their latencies (tail ejection minus
+  /// creation) summed.
   std::uint64_t flitsEjected = 0;
   std::uint64_t packetsEjected = 0;
+  Bits bitsEjected = 0;
+  std::uint64_t packetLatencyCyclesSum = 0;
   // --- flow counters (all zero in open loop) ---
   std::uint64_t requestsIssued = 0;     // kRequest packets enqueued here
   std::uint64_t repliesGenerated = 0;   // kReply packets enqueued here
   std::uint64_t requestsCompleted = 0;  // kReply tails ejected here
 };
 
-class CoreNode final : public sim::Clocked, public workload::CoreContext {
+class CoreNode final : public sim::Clocked,
+                       public workload::CoreContext,
+                       public noc::FlitSink {
  public:
   struct Config {
     CoreId core = 0;
@@ -78,13 +86,14 @@ class CoreNode final : public sim::Clocked, public workload::CoreContext {
     std::uint32_t queueCapacityPackets = 8;
     std::uint32_t packetFlits = 64;
     Bits flitBits = 32;
-    std::uint32_t localPort = 0;  // router port used for injection
   };
 
+  /// The core injects into `injectionPort` (its router's input port 0) and
+  /// releases each delivered packet's descriptor back to `slab`.
   /// `coreWorkload` switches the core into workload mode (nullptr: open
   /// loop); `recorder` captures every enqueued packet (nullptr: off).
   CoreNode(const Config& config, const noc::ClusterTopology& topology,
-           const traffic::TrafficPattern& pattern, noc::ElectricalRouter& router,
+           const traffic::TrafficPattern& pattern, noc::FlitSink& injectionPort,
            noc::PacketSlab& slab, sim::Rng rng, PacketId* nextPacketId,
            std::unique_ptr<workload::CoreWorkload> coreWorkload = nullptr,
            workload::TraceRecorder* recorder = nullptr);
@@ -111,6 +120,9 @@ class CoreNode final : public sim::Clocked, public workload::CoreContext {
   }
 
   const CoreStats& stats() const { return stats_; }
+  /// Per-packet latency (tail ejection minus creation) of every packet
+  /// delivered here.
+  const metrics::LatencyHistogram& packetLatencies() const { return packetLatencies_; }
   std::uint32_t queuedPackets() const { return queue_.size(); }
 
   /// Cycle of the next pre-scheduled offer (kNoCycle when the core can never
@@ -139,11 +151,13 @@ class CoreNode final : public sim::Clocked, public workload::CoreContext {
   /// on).  Workload mode ignores load entirely: a closed loop paces itself.
   void setInjectionProbability(double probability);
 
-  /// Destination-side delivery accounting, called by this core's
-  /// EjectionSink for every ejected flit (before the slab slot is released).
-  /// On a tail flit this completes flows and hands the packet to the
-  /// workload model, whose reaction lands at `now`+1 or later.
-  void onFlitEjected(const noc::Flit& flit, Cycle now);
+  // --- noc::FlitSink (the router's ejection port) ---
+  bool canAccept(const noc::Flit&) const override { return true; }
+  /// Destination-side delivery accounting for every ejected flit.  On a
+  /// tail it completes flows, hands the packet to the workload model (whose
+  /// reaction lands at `now`+1 or later), counts the delivered packet and
+  /// finally releases the descriptor's slab slot.
+  void accept(const noc::Flit& flit, Cycle now) override;
 
   // --- workload::CoreContext (the model's view of its host) ---
   CoreId coreId() const override { return config_.core; }
@@ -166,7 +180,7 @@ class CoreNode final : public sim::Clocked, public workload::CoreContext {
   Config config_;
   const noc::ClusterTopology* topology_;
   const traffic::TrafficPattern* pattern_;
-  noc::ElectricalRouter* router_;
+  noc::FlitSink* injectionPort_;
   noc::PacketSlab* slab_;
   sim::Rng rng_;
   PacketId* nextPacketId_;
@@ -178,55 +192,9 @@ class CoreNode final : public sim::Clocked, public workload::CoreContext {
   Cycle timerScheduledFor_ = kNoCycle;  // engine timer already set for this cycle
   bool redrawPending_ = false;          // probability changed; re-draw next cycle
   CoreStats stats_;
+  metrics::LatencyHistogram packetLatencies_;
   metrics::LatencyHistogram requestLatencies_;
   std::uint64_t requestLatencySum_ = 0;
-};
-
-/// Terminates packets at the destination core: counts delivered packets,
-/// bits and latency (tail arrival minus creation).  When given a slab it
-/// releases each packet's descriptor as the tail flit is consumed, so
-/// steady-state traffic recycles slab slots instead of growing it.  When
-/// attached to its CoreNode it also feeds every flit to the core's
-/// destination-side accounting (and through it the workload model) BEFORE
-/// the descriptor is recycled.
-class EjectionSink final : public noc::FlitSink {
- public:
-  explicit EjectionSink(CoreId core, noc::PacketSlab* slab = nullptr)
-      : core_(core), slab_(slab) {}
-
-  bool canAccept(const noc::Flit&) const override { return true; }
-  void accept(const noc::Flit& flit, Cycle now) override;
-
-  CoreId core() const { return core_; }
-
-  /// Attaches the destination core (PhotonicNetwork wiring; the sink is
-  /// built before its core).
-  void setCoreNode(CoreNode* core) { coreNode_ = core; }
-
-  /// Zeroes every delivery counter and the latency histogram (network reset).
-  void reset() {
-    packetsDelivered_ = 0;
-    bitsDelivered_ = 0;
-    latencySum_ = 0;
-    flitsReceived_ = 0;
-    latencies_ = metrics::LatencyHistogram{};
-  }
-
-  std::uint64_t packetsDelivered() const { return packetsDelivered_; }
-  Bits bitsDelivered() const { return bitsDelivered_; }
-  std::uint64_t latencyCyclesSum() const { return latencySum_; }
-  std::uint64_t flitsReceived() const { return flitsReceived_; }
-  const metrics::LatencyHistogram& latencies() const { return latencies_; }
-
- private:
-  CoreId core_;
-  noc::PacketSlab* slab_;
-  CoreNode* coreNode_ = nullptr;
-  std::uint64_t packetsDelivered_ = 0;
-  Bits bitsDelivered_ = 0;
-  std::uint64_t latencySum_ = 0;
-  std::uint64_t flitsReceived_ = 0;
-  metrics::LatencyHistogram latencies_;
 };
 
 }  // namespace pnoc::network

@@ -7,29 +7,6 @@
 #include "workload/registry.hpp"
 
 namespace pnoc::network {
-namespace {
-
-/// Adapts an ElectricalRouter input port to the FlitSink interface so links
-/// can feed it.
-class RouterInputAdapter final : public noc::FlitSink {
- public:
-  RouterInputAdapter(noc::ElectricalRouter& router, std::uint32_t port)
-      : router_(&router), port_(port) {}
-
-  bool canAccept(const noc::Flit& flit) const override {
-    return router_->canAcceptFlit(port_, flit);
-  }
-  void accept(const noc::Flit& flit, Cycle now) override {
-    router_->acceptFlit(port_, flit, now);
-  }
-
- private:
-  noc::ElectricalRouter* router_;
-  std::uint32_t port_;
-};
-
-}  // namespace
-
 PhotonicNetwork::PhotonicNetwork(const SimulationParameters& params)
     : params_(params), topology_(params.numCores, params.clusterSize) {
   params_.validate();
@@ -66,7 +43,6 @@ void PhotonicNetwork::build() {
     };
     coreRouters_.push_back(std::make_unique<noc::ElectricalRouter>(
         "r" + std::to_string(core), routerConfig, route));
-    sinks_.push_back(std::make_unique<EjectionSink>(core, &slab_));
   }
 
   // --- photonic routers, one per cluster ---
@@ -91,25 +67,20 @@ void PhotonicNetwork::build() {
   for (auto& router : photonicRouters_) peers.push_back(router.get());
   for (auto& router : photonicRouters_) router->setPeers(peers);
 
-  // --- wiring ---
+  // --- wiring (port 0 of each router is its core: wired with the cores) ---
   for (CoreId core = 0; core < params_.numCores; ++core) {
     const ClusterId cluster = topology_.clusterOf(core);
     const std::uint32_t local = topology_.localIndex(core);
     noc::ElectricalRouter& router = *coreRouters_[core];
 
-    // Port 0: local ejection.
-    router.connectOutput(0, *sinks_[core]);
-
     // Ports 1..clusterSize-1: links to intra-cluster peers.
     for (std::uint32_t peerLocal = 0; peerLocal < clusterSize; ++peerLocal) {
       if (peerLocal == local) continue;
       const CoreId peerCore = topology_.coreAt(cluster, peerLocal);
-      adapters_.push_back(std::make_unique<RouterInputAdapter>(
-          *coreRouters_[peerCore], peerPort(peerLocal, local)));
       links_.push_back(std::make_unique<noc::Link>(
           "l" + std::to_string(core) + "-" + std::to_string(peerCore),
           params_.intraClusterLinkLatency, params_.linkEnergyPerBitPj,
-          *adapters_.back()));
+          coreRouters_[peerCore]->inputPort(peerPort(peerLocal, local))));
       router.connectOutput(peerPort(local, peerLocal), *links_.back());
     }
 
@@ -120,10 +91,9 @@ void PhotonicNetwork::build() {
     router.connectOutput(uplinkPort, *links_.back());
 
     // Downlink from the photonic router into this router's uplink port.
-    adapters_.push_back(std::make_unique<RouterInputAdapter>(router, uplinkPort));
     links_.push_back(std::make_unique<noc::Link>(
         "down" + std::to_string(core), params_.intraClusterLinkLatency,
-        params_.linkEnergyPerBitPj, *adapters_.back()));
+        params_.linkEnergyPerBitPj, router.inputPort(uplinkPort)));
     photonicRouters_[cluster]->connectEjection(local, *links_.back());
   }
 
@@ -159,17 +129,23 @@ void PhotonicNetwork::build() {
     config.queueCapacityPackets = params_.injectionQueuePackets;
     config.packetFlits = params_.bandwidthSet.packetFlits;
     config.flitBits = params_.bandwidthSet.flitBits;
-    config.localPort = 0;
     const double normalized =
         pattern_->sourceWeight(core) * params_.numCores / totalSourceWeight_;
     config.injectionProbability = std::min(1.0, params_.offeredLoad * normalized);
     cores_.push_back(std::make_unique<CoreNode>(
-        config, topology_, *pattern_, *coreRouters_[core], slab_, seeder.split(),
-        &nextPacketId_,
+        config, topology_, *pattern_, coreRouters_[core]->inputPort(0), slab_,
+        seeder.split(), &nextPacketId_,
         workload_ != nullptr ? workload_->makeCoreWorkload(core) : nullptr,
         recorder));
-    sinks_[core]->setCoreNode(cores_.back().get());
+    coreRouters_[core]->connectOutput(0, *cores_.back());
   }
+
+  // Every output, ejection slot and peer list must be wired before the
+  // first cycle; an unwired one would silently strand the flits routed to
+  // it.  (A link's downstream is a constructor reference, so it cannot be
+  // missing.)
+  for (const auto& router : coreRouters_) router->validateWiring();
+  for (const auto& router : photonicRouters_) router->validateWiring();
 
   // --- engine registration (deterministic order) ---
   engine_.setActivityGating(params_.activityGating);
@@ -192,7 +168,6 @@ void PhotonicNetwork::reset() {
   for (auto& router : photonicRouters_) router->reset();
   for (auto& router : coreRouters_) router->reset();
   for (auto& link : links_) link->reset();
-  for (auto& sink : sinks_) sink->reset();
   // Re-seed the cores exactly as build() did: one seeder stream split once
   // per core, in core order, so reset()+run() replays a fresh network.
   sim::Rng seeder(params_.seed);
@@ -219,14 +194,12 @@ PhotonicNetwork::Totals PhotonicNetwork::collectTotals() const {
     router->syncParkedStats(engine_.now());
   }
   Totals totals;
-  for (const auto& sink : sinks_) {
-    totals.packetsDelivered += sink->packetsDelivered();
-    totals.bitsDelivered += sink->bitsDelivered();
-    totals.latencySum += sink->latencyCyclesSum();
-    totals.latency += sink->latencies();
-  }
   for (const auto& core : cores_) {
     const CoreStats& stats = core->stats();
+    totals.packetsDelivered += stats.packetsEjected;
+    totals.bitsDelivered += stats.bitsEjected;
+    totals.latencySum += stats.packetLatencyCyclesSum;
+    totals.latency += core->packetLatencies();
     totals.packetsOffered += stats.packetsOffered;
     totals.packetsRefused += stats.packetsRefused;
     totals.packetsGenerated += stats.packetsGenerated;
@@ -322,7 +295,7 @@ std::uint64_t PhotonicNetwork::totalFlitsInjected() const {
 
 std::uint64_t PhotonicNetwork::totalFlitsEjected() const {
   std::uint64_t total = 0;
-  for (const auto& sink : sinks_) total += sink->flitsReceived();
+  for (const auto& core : cores_) total += core->stats().flitsEjected;
   return total;
 }
 

@@ -8,6 +8,13 @@
 //   * 16 photonic routers joined by the SWMR photonic crossbar, with the
 //     channel-allocation policy (Firefly static / d-HetPNoC token DBA)
 //     injected as a strategy object,
+//   * each core on port 0 of its router: it injects into the router's input
+//     port 0 and is the FlitSink on its output port 0, where it terminates
+//     its packets and keeps every delivery counter.
+// Links feed router input ports (noc::FlitSink) directly; there is no
+// adapter or sink object between routers, links and cores.  Construction
+// ends by validating the wiring: an unwired router output, ejection slot or
+// peer list throws std::logic_error naming it.
 // and runs warmup + measurement windows, returning RunMetrics with the
 // paper's quantities (delivered bandwidth, packet energy decomposition,
 // congestion counters).
@@ -109,7 +116,7 @@ class PhotonicNetwork {
   /// Total flits currently buffered anywhere in the system.
   std::uint64_t occupancy() const;
 
-  /// Flits injected by all cores / ejected at all sinks since construction
+  /// Flits injected by / ejected at all cores since construction
   /// (conservation invariant: injected == ejected + occupancy()).
   std::uint64_t totalFlitsInjected() const;
   std::uint64_t totalFlitsEjected() const;
@@ -164,11 +171,8 @@ class PhotonicNetwork {
 
   std::vector<std::unique_ptr<noc::ElectricalRouter>> coreRouters_;
   std::vector<std::unique_ptr<PhotonicRouter>> photonicRouters_;
-  /// Link->router-port adapters; must outlive links_.
-  std::vector<std::unique_ptr<noc::FlitSink>> adapters_;
   std::vector<std::unique_ptr<noc::Link>> links_;
   std::vector<std::unique_ptr<CoreNode>> cores_;
-  std::vector<std::unique_ptr<EjectionSink>> sinks_;
 };
 
 }  // namespace pnoc::network

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 #include "network/channel_policy.hpp"
 
@@ -43,10 +44,10 @@ PhotonicRouter::PhotonicRouter(std::string name, const PhotonicRouterConfig& con
       coreBound_(config.clusterSize, 0) {
   assert(config.vcDepthFlits >= config.packetFlits &&
          "a receive VC must hold a whole packet");
+  noc::PortOwner& owner = *this;
   ingress_.reserve(config.clusterSize);
   for (std::uint32_t i = 0; i < config.clusterSize; ++i) {
-    ingress_.emplace_back(config.vcsPerPort, config.vcDepthFlits);
-    ingress_.back().notifyOwner(this, &ingressFlits_);
+    ingress_.emplace_back(owner, i, config.vcsPerPort, config.vcDepthFlits);
   }
   parseDenyHook(denyCluster_, denyUntil_);
   restoreFreshState();
@@ -62,9 +63,26 @@ void PhotonicRouter::connectEjection(std::uint32_t localIndex, noc::FlitSink& si
   ejection_[localIndex] = &sink;
 }
 
+void PhotonicRouter::validateWiring() const {
+  if (peers_.size() <= config_.cluster) {
+    throw std::logic_error(name_ + ": peer photonic routers are not wired");
+  }
+  for (std::uint32_t core = 0; core < ejection_.size(); ++core) {
+    if (ejection_[core] == nullptr) {
+      throw std::logic_error(name_ + ": ejection slot " + std::to_string(core) +
+                             " is not wired");
+    }
+  }
+}
+
 noc::FlitSink& PhotonicRouter::inputPort(std::uint32_t localIndex) {
   assert(localIndex < ingress_.size());
   return ingress_[localIndex];
+}
+
+void PhotonicRouter::onFlitBuffered(std::uint32_t, VcId, const noc::Flit&) {
+  ++ingressFlits_;
+  requestWake();
 }
 
 VcId PhotonicRouter::tryReserveReceiveVc(PacketId packet, CoreId dstCore, Cycle cycle) {
@@ -151,7 +169,7 @@ void PhotonicRouter::runEjection(Cycle cycle) {
   const std::uint32_t numVcs = receiveBank_.numVcs();
   for (std::uint32_t core = 0; core < ejection_.size(); ++core) {
     noc::FlitSink* sink = ejection_[core];
-    if (sink == nullptr) continue;
+    assert(sink != nullptr && "ejection slot wired (validateWiring)");
     std::uint32_t candidates = receiveBank_.occupiedMask() & coreBound_[core];
     if (candidates == 0) continue;
     const std::uint32_t rr = ejectionRoundRobin_[core];
@@ -290,7 +308,9 @@ void PhotonicRouter::runTransmit(Cycle cycle) {
          tx_.creditBits >= static_cast<double>(config_.flitBits)) {
     assert(port.bank().vc(tx_.inVc).front().packet().id == tx_.packet.id &&
            "VC lock violated");
-    const noc::Flit flit = port.pop(tx_.inVc, cycle);
+    const noc::Flit flit = port.bank().pop(tx_.inVc, cycle);
+    assert(ingressFlits_ > 0);
+    --ingressFlits_;
     tx_.creditBits -= static_cast<double>(flit.bits());
     photonic::chargePhotonicTransfer(ledger_, config_.energy, flit.bits());
     stats_.bitsTransmitted += flit.bits();
@@ -366,7 +386,8 @@ void PhotonicRouter::updateParkEligibility(Cycle cycle) {
     for (std::uint32_t core = 0; core < ejection_.size(); ++core) {
       if ((receiveBank_.occupiedMask() & coreBound_[core]) == 0) continue;
       noc::FlitSink* sink = ejection_[core];
-      if (sink == nullptr || !sink->notifyOnDrain(*this)) return;
+      assert(sink != nullptr && "ejection slot wired (validateWiring)");
+      if (!sink->notifyOnDrain(*this)) return;
     }
   }
   park_.issuedPerCycle = issued;
@@ -382,7 +403,7 @@ void PhotonicRouter::restoreFreshState() {
   // reset(): every field that construction establishes is re-established
   // here, so reset can never miss a new member (the bug class this replaces
   // was member-by-member re-zeroing drifting out of sync with the header).
-  for (auto& port : ingress_) port.reset();
+  for (noc::BufferedPort& port : ingress_) port.bank().reset();
   receiveBank_.reset();
   std::fill(receiveBindings_.begin(), receiveBindings_.end(), ReceiveBinding{});
   inFlight_.clear();

@@ -84,15 +84,21 @@ struct PhotonicRouterStats {
   std::uint64_t reservationCyclesSpent = 0;
 };
 
-class PhotonicRouter final : public sim::Clocked {
+class PhotonicRouter final : public sim::Clocked, private noc::PortOwner {
  public:
   PhotonicRouter(std::string name, const PhotonicRouterConfig& config,
                  const ChannelPolicy& policy);
+  // The ingress ports hold a reference back to the router.
+  PhotonicRouter(const PhotonicRouter&) = delete;
+  PhotonicRouter& operator=(const PhotonicRouter&) = delete;
 
   /// Wiring: peers[c] is cluster c's photonic router (peers[self] unused).
   void setPeers(std::vector<PhotonicRouter*> peers);
   /// Wiring: down link delivering ejected flits to local core `localIndex`.
   void connectEjection(std::uint32_t localIndex, noc::FlitSink& sink);
+  /// Throws std::logic_error naming the first unwired ejection slot, or the
+  /// missing peer list.
+  void validateWiring() const;
 
   /// Electrical ingress from local core `localIndex`'s uplink.
   noc::FlitSink& inputPort(std::uint32_t localIndex);
@@ -181,6 +187,8 @@ class PhotonicRouter final : public sim::Clocked {
     std::uint64_t resWaitPerCycle = 0;
   };
 
+  /// PortOwner: counts the buffered ingress flit and wakes.
+  void onFlitBuffered(std::uint32_t port, VcId vc, const noc::Flit& flit) override;
   void processArrivals(Cycle cycle);
   void runEjection(Cycle cycle);
   void runTransmit(Cycle cycle);
@@ -207,9 +215,9 @@ class PhotonicRouter final : public sim::Clocked {
   Transmission tx_;
   std::uint32_t txScanPort_ = 0;  // RR over (port, vc) candidates
   std::uint32_t txScanVc_ = 0;
-  /// Flits buffered across the ingress ports (kept current by the ports'
-  /// owner hook): the transmit side's O(1) nothing-to-do check, as the
-  /// receive bank's totalOccupancy() is the ejection side's.
+  /// Flits buffered across the ingress ports (counted by the ports' owner
+  /// hook, uncounted on pop): the transmit side's O(1) nothing-to-do check,
+  /// as the receive bank's totalOccupancy() is the ejection side's.
   std::uint32_t ingressFlits_ = 0;
   // --- parking machinery ---
   ParkState park_;

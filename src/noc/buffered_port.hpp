@@ -1,50 +1,53 @@
-// A buffered ingress port: a FlitSink backed by a VC bank, which applies the
-// wormhole VC-per-packet rule (VcBufferBank::accept/pop).  Used for the
-// electrical ingress side of the photonic router.
+// A router input port: the FlitSink that links and injecting cores feed,
+// backed by a VC bank that applies the wormhole VC-per-packet rule
+// (VcBufferBank::accept/pop).  Both routers build their inputs from it — the
+// electrical router one per port, the photonic router one per local core.
 //
-// The port itself is not Clocked; its owner (the photonic router) is.  The
-// owner hook lets accept() wake the parked owner and keep its buffered-flit
-// count current, so the owner's quiescence check is O(1).
+// The port itself is not Clocked; its owner (the router) is.  Every accepted
+// flit is reported to the owner together with the VC it took, so the owner
+// can wake, keep its buffered-flit count current (its quiescence check stays
+// O(1)) and, on a head, record the packet's route.  The owner reads and pops
+// the bank directly.
 #pragma once
 
-#include "noc/router.hpp"
+#include <cstdint>
+
+#include "noc/flit.hpp"
 #include "noc/vc_buffer.hpp"
-#include "sim/engine.hpp"
+#include "sim/types.hpp"
 
 namespace pnoc::noc {
 
+/// The component a BufferedPort feeds.
+class PortOwner {
+ public:
+  /// `flit` was just buffered in VC `vc` of the owner's input `port`.
+  virtual void onFlitBuffered(std::uint32_t port, VcId vc, const Flit& flit) = 0;
+
+ protected:
+  ~PortOwner() = default;
+};
+
 class BufferedPort final : public FlitSink {
  public:
-  BufferedPort(std::uint32_t numVcs, std::uint32_t depthFlits);
-
-  /// Registers the Clocked component fed by this port.  Every accept() wakes
-  /// `owner` and, when non-null, increments `bufferedCounter` (the owner
-  /// decrements it on pop()).
-  void notifyOwner(sim::Clocked* owner, std::uint32_t* bufferedCounter);
+  /// Input `index` of `owner`, `numVcs` VCs of `depthFlits` flits each.
+  BufferedPort(PortOwner& owner, std::uint32_t index, std::uint32_t numVcs,
+               std::uint32_t depthFlits)
+      : bank_(numVcs, depthFlits), owner_(&owner), index_(index) {}
 
   // FlitSink
-  bool canAccept(const Flit& flit) const override;
-  void accept(const Flit& flit, Cycle now) override;
-  /// Wake-on-drain: a blocked upstream parks and is woken by the next pop()
-  /// (one-shot; an ingress port has a single upstream feeder).
-  bool notifyOnDrain(sim::Clocked& waiter) override;
+  bool canAccept(const Flit& flit) const override { return bank_.canAccept(flit); }
+  void accept(const Flit& flit, Cycle now) override {
+    owner_->onFlitBuffered(index_, bank_.accept(flit, now), flit);
+  }
 
   VcBufferBank& bank() { return bank_; }
   const VcBufferBank& bank() const { return bank_; }
 
-  /// Consumer side: pops the front flit of `vc` (the bank unlocks the VC
-  /// when the popped flit is a tail).
-  Flit pop(VcId vc, Cycle now);
-
-  /// Empties the bank and drops the drain waiter (network reset).  The
-  /// owner hook is preserved; the owner resets its own buffered counter.
-  void reset();
-
  private:
   VcBufferBank bank_;
-  sim::Clocked* owner_ = nullptr;
-  std::uint32_t* bufferedCounter_ = nullptr;
-  sim::Clocked* drainWaiter_ = nullptr;  // parked upstream awaiting buffer space
+  PortOwner* owner_;
+  std::uint32_t index_;
 };
 
 }  // namespace pnoc::noc

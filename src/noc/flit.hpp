@@ -20,6 +20,10 @@
 
 #include "sim/types.hpp"
 
+namespace pnoc::sim {
+class Clocked;
+}  // namespace pnoc::sim
+
 namespace pnoc::noc {
 
 enum class FlitType : std::uint8_t {
@@ -115,5 +119,27 @@ inline Flit makeFlit(PacketHandle packet, std::uint32_t sequence) {
   assert(packet != nullptr);
   return makeFlit(packet, sequence, packet->numFlits);
 }
+
+/// Anything a flit can be handed to: a router input port, a link, a core
+/// terminating its packets.  Upstream components (router outputs, links,
+/// injecting cores) hold a FlitSink& and never know which it is.
+class FlitSink {
+ public:
+  virtual ~FlitSink() = default;
+  /// Must be side-effect free; if it returns true, accept() in the same
+  /// cycle must succeed.
+  virtual bool canAccept(const Flit& flit) const = 0;
+  virtual void accept(const Flit& flit, Cycle now) = 0;
+
+  /// Wake-on-drain: arranges a one-shot `waiter.requestWake()` the next time
+  /// this sink frees acceptance capacity (a link pipe slot).  Returns false
+  /// when the sink cannot provide the notification — the caller must then
+  /// keep polling instead of parking.  Re-registering the same waiter is
+  /// idempotent; the registration is consumed by the first drain event.
+  virtual bool notifyOnDrain(sim::Clocked& waiter) {
+    (void)waiter;
+    return false;
+  }
+};
 
 }  // namespace pnoc::noc

@@ -16,7 +16,6 @@
 #include <string>
 
 #include "noc/flit.hpp"
-#include "noc/router.hpp"
 #include "sim/engine.hpp"
 #include "sim/ring_buffer.hpp"
 #include "sim/types.hpp"

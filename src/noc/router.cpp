@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 
 namespace pnoc::noc {
 
@@ -18,9 +19,10 @@ ElectricalRouter::ElectricalRouter(
       requestsFor_(config.numPorts, 0) {
   assert(routeFn_ && "router requires a routing function");
   assert(config.numPorts <= 32 && "port state is tracked in 32-bit masks");
+  PortOwner& owner = *this;
   inputs_.reserve(config.numPorts);
   for (std::uint32_t p = 0; p < config.numPorts; ++p) {
-    inputs_.emplace_back(config.vcsPerPort, config.vcDepthFlits);
+    inputs_.emplace_back(owner, p, config.vcsPerPort, config.vcDepthFlits);
     inputArbiters_.push_back(makeArbiter(config.arbiter, config.vcsPerPort));
     outputArbiters_.push_back(makeArbiter(config.arbiter, config.numPorts));
   }
@@ -32,18 +34,20 @@ void ElectricalRouter::connectOutput(std::uint32_t port, FlitSink& sink) {
   outputs_[port].sink = &sink;
 }
 
-bool ElectricalRouter::canAcceptFlit(std::uint32_t inputPort, const Flit& flit) const {
-  assert(inputPort < config_.numPorts);
-  return inputs_[inputPort].canAccept(flit);
+void ElectricalRouter::validateWiring() const {
+  for (std::uint32_t port = 0; port < config_.numPorts; ++port) {
+    if (outputs_[port].sink == nullptr) {
+      throw std::logic_error(name_ + ": output port " + std::to_string(port) +
+                             " is not wired");
+    }
+  }
 }
 
-void ElectricalRouter::acceptFlit(std::uint32_t inputPort, const Flit& flit, Cycle now) {
-  assert(inputPort < config_.numPorts);
-  const VcId vc = inputs_[inputPort].accept(flit, now);
+void ElectricalRouter::onFlitBuffered(std::uint32_t port, VcId vc, const Flit& flit) {
   if (flit.isHead()) {
     const std::uint32_t out = routeFn_(flit.packet());
     assert(out < config_.numPorts);
-    route_[inputPort * config_.vcsPerPort + vc] = static_cast<std::uint8_t>(out);
+    route_[port * config_.vcsPerPort + vc] = static_cast<std::uint8_t>(out);
   }
   ++occupancy_;
   canSleepBlocked_ = false;  // new work: re-evaluate before parking again
@@ -63,12 +67,12 @@ void ElectricalRouter::evaluate(Cycle cycle) {
     const auto out = static_cast<std::uint32_t>(std::countr_zero(owned));
     const OutputState& state = outputs_[out];
     if ((busyInputs & bit(state.inPort)) != 0) continue;
-    const VcBufferBank& bank = inputs_[state.inPort];
+    const VcBufferBank& bank = inputs_[state.inPort].bank();
     if ((bank.occupiedMask() & bit(state.inVc)) == 0) continue;
     if (!frontEligible(bank, state.inVc, cycle)) continue;
     const Flit flit = bank.vc(state.inVc).front();
     assert(flit.handle == state.packet && "VC lock violated");
-    if (state.sink == nullptr || !state.sink->canAccept(flit)) continue;
+    if (!state.sink->canAccept(flit)) continue;
     busyInputs |= bit(state.inPort);
     pendingMoves_.push_back(Move{state.inPort, state.inVc, out});
   }
@@ -77,7 +81,7 @@ void ElectricalRouter::evaluate(Cycle cycle) {
   // 1 and 2 cannot produce a grant — every front flit is body/tail traffic
   // that only moves through the owned outputs handled above.
   std::uint32_t anyHeadFronts = 0;
-  for (const VcBufferBank& bank : inputs_) anyHeadFronts |= bank.headFrontMask();
+  for (const BufferedPort& port : inputs_) anyHeadFronts |= port.bank().headFrontMask();
   if (anyHeadFronts == 0) {
     finishEvaluate(cycle);
     return;
@@ -90,7 +94,7 @@ void ElectricalRouter::evaluate(Cycle cycle) {
   std::uint32_t requestedOutputs = 0;
   for (std::uint32_t in = 0; in < config_.numPorts; ++in) {
     if ((busyInputs & bit(in)) != 0) continue;
-    const VcBufferBank& bank = inputs_[in];
+    const VcBufferBank& bank = inputs_[in].bank();
     std::uint32_t requests = 0;
     for (std::uint32_t heads = bank.headFrontMask(); heads != 0; heads &= heads - 1) {
       const auto vc = static_cast<VcId>(std::countr_zero(heads));
@@ -98,7 +102,8 @@ void ElectricalRouter::evaluate(Cycle cycle) {
       const std::uint32_t out = routeOf(in, vc);
       if ((ownedMask_ & bit(out)) != 0) continue;
       const FlitSink* sink = outputs_[out].sink;
-      if (sink == nullptr || !sink->canAccept(bank.vc(vc).front())) continue;
+      assert(sink != nullptr && "output wired (validateWiring)");
+      if (!sink->canAccept(bank.vc(vc).front())) continue;
       requests |= bit(vc);
     }
     if (requests == 0) continue;
@@ -144,19 +149,19 @@ void ElectricalRouter::prepareBlockedPark(Cycle cycle) {
   // Streams that own an output port (body/tail flits mid-wormhole).
   for (std::uint32_t owned = ownedMask_; owned != 0; owned &= owned - 1) {
     const OutputState& state = outputs_[std::countr_zero(owned)];
-    const VcBufferBank& bank = inputs_[state.inPort];
-    // An empty stream VC: the next body flit's acceptFlit() wakes us.
+    const VcBufferBank& bank = inputs_[state.inPort].bank();
+    // An empty stream VC: the next body flit's arrival at the port wakes us.
     if ((bank.occupiedMask() & bit(state.inVc)) == 0) continue;
     if (!frontEligible(bank, state.inVc, cycle)) {
       nextEligible = std::min(nextEligible, bank.frontArrival(state.inVc) + eligibleDelay);
       continue;
     }
     // Eligible but stalled on the sink: ask it to wake us when it drains.
-    if (state.sink == nullptr || !state.sink->notifyOnDrain(*this)) return;
+    if (!state.sink->notifyOnDrain(*this)) return;
   }
   // Head flits waiting at the front of their VC.
   for (std::uint32_t in = 0; in < config_.numPorts; ++in) {
-    const VcBufferBank& bank = inputs_[in];
+    const VcBufferBank& bank = inputs_[in].bank();
     for (std::uint32_t heads = bank.headFrontMask(); heads != 0; heads &= heads - 1) {
       const auto vc = static_cast<VcId>(std::countr_zero(heads));
       if (!frontEligible(bank, vc, cycle)) {
@@ -168,7 +173,7 @@ void ElectricalRouter::prepareBlockedPark(Cycle cycle) {
       // happen while we are awake — the head rides on the owner's blockers.
       if ((ownedMask_ & bit(out)) != 0) continue;
       FlitSink* sink = outputs_[out].sink;
-      if (sink == nullptr) return;
+      assert(sink != nullptr && "output wired (validateWiring)");
       // A movable head implies a granted move, contradicting the zero-move
       // premise; stay polling rather than trust the analysis.
       if (sink->canAccept(bank.vc(vc).front())) return;
@@ -181,7 +186,7 @@ void ElectricalRouter::prepareBlockedPark(Cycle cycle) {
 
 void ElectricalRouter::advance(Cycle cycle) {
   for (const Move& move : pendingMoves_) {
-    VcBufferBank& bank = inputs_[move.inPort];
+    VcBufferBank& bank = inputs_[move.inPort].bank();
     const Bits bits = bank.vc(move.inVc).bitsPerFlit();
     const Flit flit = bank.pop(move.inVc, cycle);
     assert(occupancy_ > 0);
@@ -191,8 +196,7 @@ void ElectricalRouter::advance(Cycle cycle) {
     stats_.energyPj += config_.routerEnergyPerBitPj * static_cast<double>(bits);
 
     OutputState& state = outputs_[move.outPort];
-    assert(state.sink != nullptr);
-    // An ejection sink releases the packet's slab slot when it consumes the
+    // The ejecting core releases the packet's slab slot when it consumes the
     // tail, so the handle is only compared, never dereferenced, after
     // accept().
     state.sink->accept(flit, cycle);
@@ -212,7 +216,7 @@ void ElectricalRouter::advance(Cycle cycle) {
 }
 
 void ElectricalRouter::reset() {
-  for (auto& bank : inputs_) bank.reset();
+  for (BufferedPort& port : inputs_) port.bank().reset();
   for (OutputState& state : outputs_) {
     state.inPort = 0;
     state.inVc = kNoVc;
@@ -231,7 +235,7 @@ void ElectricalRouter::reset() {
 
 BufferStats ElectricalRouter::aggregateBufferStats() const {
   BufferStats total;
-  for (const auto& bank : inputs_) total += bank.aggregateStats();
+  for (const BufferedPort& port : inputs_) total += port.bank().aggregateStats();
   return total;
 }
 

@@ -5,24 +5,30 @@
 // evaluate() against the state committed at the end of the previous cycle and
 // applied in advance(), so a network of routers is order independent.
 //
+// Wiring: every input is a BufferedPort (inputPort(p)) that a link or the
+// local core feeds directly, and every output is a FlitSink — a link or, on
+// the ejection port, the destination core itself.  validateWiring() refuses
+// a router with an unwired output.
+//
 // Flow control is wormhole with per-packet VC locking, applied by each input
 // port's VcBufferBank: a head flit allocates a free, unlocked VC; body flits
 // follow on the same VC; the lock is released when the tail leaves.  The
-// router itself only records the head's route.  If no VC is available for an
-// arriving head flit, canAcceptFlit() is false and the source must retry —
-// the drop-and-retransmit behaviour of Section 1.4 is implemented at the
-// injection site, which counts the drop.
+// router itself only records the head's route, when the port reports the
+// head's VC.  If no VC is available for an arriving head flit, the port's
+// canAccept() is false and the source must retry — the drop-and-retransmit
+// behaviour of Section 1.4 is implemented at the injection site, which
+// counts the drop.
 //
 // An empty router (no buffered flits) is quiescent and is parked by the
-// engine; acceptFlit() wakes it.  A router that is occupied but FULLY
-// blocked — every buffered stream either waits out the router pipeline
-// latency or stalls on a downstream sink that cannot accept — also parks:
-// it schedules an engine timer for the earliest pipeline-eligibility cycle
-// and registers wake-on-drain with each blocking sink (FlitSink::
-// notifyOnDrain), so a congested router sleeps instead of re-arbitrating
-// nothing every cycle.  Blocked cycles are arbitration no-ops (no grants,
-// no stats, no pointer movement), so parking them is bit-identical to
-// polling.
+// engine; every flit an input port accepts wakes it.  A router that is
+// occupied but FULLY blocked — every buffered stream either waits out the
+// router pipeline latency or stalls on a downstream link that cannot
+// accept — also parks: it schedules an engine timer for the earliest
+// pipeline-eligibility cycle and registers wake-on-drain with each blocking
+// link (FlitSink::notifyOnDrain), so a congested router sleeps instead of
+// re-arbitrating nothing every cycle.  Blocked cycles are arbitration no-ops
+// (no grants, no stats, no pointer movement), so parking them is
+// bit-identical to polling.
 //
 // The per-cycle decision reads only compact router- and bank-local state:
 // each packet is routed once, when its head is accepted, into one output
@@ -32,6 +38,7 @@
 // masks.  No packet descriptor is loaded and evaluate() allocates nothing.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -39,33 +46,13 @@
 #include <vector>
 
 #include "noc/arbiter.hpp"
+#include "noc/buffered_port.hpp"
 #include "noc/flit.hpp"
 #include "noc/vc_buffer.hpp"
 #include "sim/engine.hpp"
 #include "sim/types.hpp"
 
 namespace pnoc::noc {
-
-/// Downstream consumer of flits leaving a router output port.
-class FlitSink {
- public:
-  virtual ~FlitSink() = default;
-  /// Must be side-effect free; if it returns true, accept() in the same
-  /// cycle must succeed.
-  virtual bool canAccept(const Flit& flit) const = 0;
-  virtual void accept(const Flit& flit, Cycle now) = 0;
-
-  /// Wake-on-drain: arranges a one-shot `waiter.requestWake()` the next time
-  /// this sink frees acceptance capacity (a link pipe slot, a buffered VC
-  /// entry).  Returns false when the sink cannot provide the notification —
-  /// the caller must then keep polling instead of parking.  Re-registering
-  /// the same waiter is idempotent; the registration is consumed by the
-  /// first drain event.
-  virtual bool notifyOnDrain(sim::Clocked& waiter) {
-    (void)waiter;
-    return false;
-  }
-};
 
 struct RouterConfig {
   std::uint32_t numPorts = 5;       // 4 cores + 1 photonic uplink in a cluster
@@ -86,7 +73,7 @@ struct RouterStats {
   Picojoule energyPj = 0.0;
 };
 
-class ElectricalRouter final : public sim::Clocked {
+class ElectricalRouter final : public sim::Clocked, private PortOwner {
  public:
   /// `routeFn` maps a packet to its output port.  It must be a pure function
   /// of the descriptor: the router calls it once per packet, when the head
@@ -94,16 +81,23 @@ class ElectricalRouter final : public sim::Clocked {
   /// At most 32 ports and 32 VCs per port (arbitration works on bitmasks).
   ElectricalRouter(std::string name, const RouterConfig& config,
                    std::function<std::uint32_t(const PacketDescriptor&)> routeFn);
+  // The input ports hold a reference back to the router.
+  ElectricalRouter(const ElectricalRouter&) = delete;
+  ElectricalRouter& operator=(const ElectricalRouter&) = delete;
 
   /// Wires output port `port` to a sink. All ports must be wired before the
-  /// first cycle runs.
+  /// first cycle runs (validateWiring() checks).
   void connectOutput(std::uint32_t port, FlitSink& sink);
 
-  /// Ingress: true if the flit can be buffered at the input port this cycle.
-  bool canAcceptFlit(std::uint32_t inputPort, const Flit& flit) const;
+  /// Throws std::logic_error naming the first output port left unwired.
+  void validateWiring() const;
 
-  /// Ingress: buffers the flit. Precondition: canAcceptFlit() is true.
-  void acceptFlit(std::uint32_t inputPort, const Flit& flit, Cycle now);
+  /// Ingress: input port `port`, which the upstream link or injecting core
+  /// feeds.  A head is refused while every VC of the port is busy.
+  FlitSink& inputPort(std::uint32_t port) {
+    assert(port < config_.numPorts);
+    return inputs_[port];
+  }
 
   // sim::Clocked
   void evaluate(Cycle cycle) override;
@@ -153,13 +147,15 @@ class ElectricalRouter final : public sim::Clocked {
   std::uint32_t routeOf(std::uint32_t inPort, VcId vc) const {
     return route_[inPort * config_.vcsPerPort + vc];
   }
+  /// PortOwner: records a head's route, counts the flit and wakes.
+  void onFlitBuffered(std::uint32_t port, VcId vc, const Flit& flit) override;
   void finishEvaluate(Cycle cycle);
   void prepareBlockedPark(Cycle cycle);
 
   std::string name_;
   RouterConfig config_;
   std::function<std::uint32_t(const PacketDescriptor&)> routeFn_;
-  std::vector<VcBufferBank> inputs_;
+  std::vector<BufferedPort> inputs_;
   std::vector<OutputState> outputs_;
   /// Bit o set iff output o is held by a wormhole stream (outputs_[o]).
   std::uint32_t ownedMask_ = 0;

@@ -171,32 +171,6 @@ metrics::PeakSearchResult peakSearchFromJson(const std::string& json) {
   return peakSearchFromJson(JsonValue::parse(json));
 }
 
-std::string toJson(const ScenarioResult& result) {
-  return "{\"spec\":" + result.spec.toJson() +
-         ",\"metrics\":" + toJson(result.metrics) + "}";
-}
-
-ScenarioResult scenarioResultFromJson(const std::string& json) {
-  const JsonValue value = JsonValue::parse(json);
-  ScenarioResult result;
-  result.spec.applyJsonObject(value.at("spec"));
-  result.metrics = runMetricsFromJson(value.at("metrics"));
-  return result;
-}
-
-std::string toJson(const ScenarioPeak& peak) {
-  return "{\"spec\":" + peak.spec.toJson() + ",\"search\":" + toJson(peak.search) +
-         "}";
-}
-
-ScenarioPeak scenarioPeakFromJson(const std::string& json) {
-  const JsonValue value = JsonValue::parse(json);
-  ScenarioPeak peak;
-  peak.spec.applyJsonObject(value.at("spec"));
-  peak.search = peakSearchFromJson(value.at("search"));
-  return peak;
-}
-
 std::string streamHelloLine() {
   return "{\"pnoc_stream_hello\":" + std::to_string(kStreamProtocolVersion) +
          ",\"build\":\"" + std::string(kBuildVersion) + "\"}";

@@ -1,13 +1,12 @@
 // The scenario wire format: full JSON serialization for run results, the
 // half of the interchange format ScenarioSpec's JSON round-trip started.
 //
-// RunMetrics, PeakSearchResult, ScenarioResult/ScenarioPeak and the worker
-// protocol lines all serialize to single-line JSON that round-trips
-// BYTE-IDENTICALLY (doubles via shortest-exact formatting, 64-bit counters
-// as decimal integers, histograms as sparse bucket pairs).  That exactness
-// is what lets every dispatch path promise bit-identical merged results: a
-// metric that crossed a process boundary is indistinguishable from one
-// computed in-process.
+// RunMetrics, PeakSearchResult and the worker protocol lines all serialize
+// to single-line JSON that round-trips BYTE-IDENTICALLY (doubles via
+// shortest-exact formatting, 64-bit counters as decimal integers,
+// histograms as sparse bucket pairs).  That exactness is what lets every
+// dispatch path promise bit-identical merged results: a metric that crossed
+// a process boundary is indistinguishable from one computed in-process.
 //
 // Worker protocol (newline-delimited JSON over stdin/stdout, see
 // worker.hpp for the worker and dispatch/fleet.hpp for the parent):
@@ -38,12 +37,6 @@ metrics::RunMetrics runMetricsFromJson(const std::string& json);
 std::string toJson(const metrics::PeakSearchResult& search);
 metrics::PeakSearchResult peakSearchFromJson(const JsonValue& value);
 metrics::PeakSearchResult peakSearchFromJson(const std::string& json);
-
-std::string toJson(const ScenarioResult& result);
-ScenarioResult scenarioResultFromJson(const std::string& json);
-
-std::string toJson(const ScenarioPeak& peak);
-ScenarioPeak scenarioPeakFromJson(const std::string& json);
 
 // --- streaming handshake ---
 //

@@ -48,10 +48,10 @@ INSTANTIATE_TEST_SUITE_P(
         ConservationParam{"real-apps", Architecture::kDhetpnoc, 0.002, 1},
         ConservationParam{"real-apps", Architecture::kFirefly, 0.002, 3}));
 
-// Closed-loop conservation, asserted from the CORE-side counters: CoreStats
-// now counts ejected flits/packets, so the invariant can be stated entirely
-// over per-core stats — injected == ejected + in-flight — without consulting
-// the sinks (which is what makes it checkable per core, not just globally).
+// Closed-loop conservation, asserted from the per-core counters: CoreStats
+// counts ejected flits/packets, so the invariant can be stated entirely over
+// per-core stats — injected == ejected + in-flight — which makes it
+// checkable per core, not just globally.
 using WorkloadConservationParam = std::tuple<const char*, const char*, Architecture>;
 
 class WorkloadConservation
@@ -103,26 +103,36 @@ INSTANTIATE_TEST_SUITE_P(
         WorkloadConservationParam{"closed:window=4", "real-apps",
                                   Architecture::kDhetpnoc}));
 
-TEST(WorkloadConservationOpenLoop, CoreEjectionCountersShadowTheSinks) {
-  // The satellite bugfix also holds in the classic open loop: the new
-  // CoreStats ejection counters mirror the sinks exactly.
+TEST(WorkloadConservationOpenLoop, CoreDeliveryCountersSumToRunMetrics) {
+  // Each core is its own ejection sink, so the per-core delivery counters
+  // are the only ones: with no warmup the measured window starts at cycle
+  // 0, and RunMetrics' delivered packets, bits and latency must equal the
+  // per-core sums exactly.
   SimulationParameters params;
   params.pattern = "skewed3";
   params.offeredLoad = 0.002;
-  params.warmupCycles = 200;
+  params.warmupCycles = 0;
   params.measureCycles = 2000;
   PhotonicNetwork net(params);
-  net.run();
-  std::uint64_t flitsEjected = 0;
+  const metrics::RunMetrics metrics = net.run();
+  std::uint64_t packets = 0, bits = 0, latencySum = 0, latencyCount = 0;
+  std::uint64_t flitsInjected = 0, flitsEjected = 0;
   for (CoreId core = 0; core < params.numCores; ++core) {
-    flitsEjected += net.core(core).stats().flitsEjected;
+    const CoreStats& stats = net.core(core).stats();
+    packets += stats.packetsEjected;
+    bits += stats.bitsEjected;
+    latencySum += stats.packetLatencyCyclesSum;
+    latencyCount += net.core(core).packetLatencies().count();
+    flitsInjected += stats.flitsInjected;
+    flitsEjected += stats.flitsEjected;
   }
-  ASSERT_GT(flitsEjected, 0u);
+  ASSERT_GT(packets, 0u);
+  EXPECT_EQ(metrics.packetsDelivered, packets);
+  EXPECT_EQ(metrics.bitsDelivered, bits);
+  EXPECT_EQ(metrics.latencyCyclesSum, latencySum);
+  EXPECT_EQ(metrics.latency.count(), latencyCount);
+  EXPECT_EQ(latencyCount, packets);
   EXPECT_EQ(flitsEjected, net.totalFlitsEjected());
-  std::uint64_t flitsInjected = 0;
-  for (CoreId core = 0; core < params.numCores; ++core) {
-    flitsInjected += net.core(core).stats().flitsInjected;
-  }
   EXPECT_EQ(flitsInjected, flitsEjected + net.occupancy());
 }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "network/channel_policy.hpp"
 #include "noc/packet_slab.hpp"
 #include "sim/engine.hpp"
@@ -105,6 +108,26 @@ TEST_F(PhotonicRouterTest, DeliversPacketToDestinationCoreSink) {
   EXPECT_EQ(destinationSinks[0].flits.size(), 0u);
   EXPECT_EQ(source.stats().packetsTransmitted, 1u);
   EXPECT_EQ(source.stats().bitsTransmitted, 256u);
+}
+
+TEST(PhotonicRouterWiring, UnwiredPeersAndEjectionSlotsAreNamed) {
+  StubPolicy policy(4);
+  PhotonicRouter router("p1", smallConfig(1), policy);
+  CountingSink sink;
+  const auto refusal = [&router]() -> std::string {
+    try {
+      router.validateWiring();
+    } catch (const std::logic_error& error) {
+      return error.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(refusal(), "p1: peer photonic routers are not wired");
+  router.setPeers({&router, &router});
+  for (const std::uint32_t core : {0u, 1u, 3u}) router.connectEjection(core, sink);
+  EXPECT_EQ(refusal(), "p1: ejection slot 2 is not wired");
+  router.connectEjection(2, sink);
+  EXPECT_EQ(refusal(), "");
 }
 
 TEST_F(PhotonicRouterTest, SerializationMatchesChannelWidth) {

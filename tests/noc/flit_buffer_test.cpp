@@ -24,6 +24,20 @@ PacketHandle makePacket(PacketId id, std::uint32_t numFlits, Bits bitsPerFlit = 
   return slab.intern(packet);
 }
 
+/// Port owner that records every report a BufferedPort makes.
+class RecordingOwner final : public PortOwner {
+ public:
+  struct Report {
+    std::uint32_t port;
+    VcId vc;
+    std::uint32_t sequence;
+  };
+  void onFlitBuffered(std::uint32_t port, VcId vc, const Flit& flit) override {
+    reports.push_back(Report{port, vc, flit.sequence});
+  }
+  std::vector<Report> reports;
+};
+
 TEST(Flit, TypesByPosition) {
   const auto packet = makePacket(1, 4);
   EXPECT_EQ(makeFlit(packet, 0).type, FlitType::kHead);
@@ -90,15 +104,16 @@ TEST(VirtualChannel, BodyIntoEmptyLockedVcStartsTheSegment) {
   // The VC first carries a whole earlier packet.  Then the consumer drains
   // the next packet's head ahead of the source: the VC is empty but still
   // locked, and the next flit to arrive is a body.
-  BufferedPort port(1, 4);
+  RecordingOwner owner;
+  BufferedPort port(owner, 0, 1, 4);
   const auto earlier = makePacket(10, 2);
   port.accept(makeFlit(earlier, 0), 0);
   port.accept(makeFlit(earlier, 1), 0);
-  port.pop(0, 1);
-  port.pop(0, 1);
+  port.bank().pop(0, 1);
+  port.bank().pop(0, 1);
   const auto packet = makePacket(11, 4);
   port.accept(makeFlit(packet, 0), 2);
-  port.pop(0, 3);
+  port.bank().pop(0, 3);
   ASSERT_TRUE(port.bank().vc(0).empty());
   ASSERT_TRUE(port.bank().isLocked(0));
   port.accept(makeFlit(packet, 1), 7);
@@ -108,7 +123,7 @@ TEST(VirtualChannel, BodyIntoEmptyLockedVcStartsTheSegment) {
   EXPECT_EQ(vc.front().type, FlitType::kBody);
   EXPECT_EQ(vc.front().packet().id, 11u);
   EXPECT_EQ(vc.frontArrival(), 7u);
-  EXPECT_EQ(port.pop(0, 9).sequence, 1u);
+  EXPECT_EQ(port.bank().pop(0, 9).sequence, 1u);
   EXPECT_EQ(vc.front().sequence, 2u);
   EXPECT_EQ(vc.frontArrival(), 8u);
 }
@@ -316,7 +331,8 @@ TEST(VcBufferBank, AcceptClaimsFollowsAndPopReleases) {
 }
 
 TEST(BufferedPort, HeadAllocatesVcAndBodyFollows) {
-  BufferedPort port(2, 4);
+  RecordingOwner owner;
+  BufferedPort port(owner, 0, 2, 4);
   const auto packet = makePacket(7, 3);
   ASSERT_TRUE(port.canAccept(makeFlit(packet, 0)));
   port.accept(makeFlit(packet, 0), 0);
@@ -324,33 +340,36 @@ TEST(BufferedPort, HeadAllocatesVcAndBodyFollows) {
   port.accept(makeFlit(packet, 2), 2);
   // All flits of the packet must land in the same VC, in order.
   EXPECT_EQ(port.bank().vc(0).size(), 3u);
-  EXPECT_EQ(port.pop(0, 3).sequence, 0u);
-  EXPECT_EQ(port.pop(0, 3).sequence, 1u);
-  EXPECT_EQ(port.pop(0, 3).sequence, 2u);
+  EXPECT_EQ(port.bank().pop(0, 3).sequence, 0u);
+  EXPECT_EQ(port.bank().pop(0, 3).sequence, 1u);
+  EXPECT_EQ(port.bank().pop(0, 3).sequence, 2u);
 }
 
 TEST(BufferedPort, RejectsBodyWithoutHead) {
-  BufferedPort port(2, 4);
+  RecordingOwner owner;
+  BufferedPort port(owner, 0, 2, 4);
   const auto packet = makePacket(8, 3);
   EXPECT_FALSE(port.canAccept(makeFlit(packet, 1)));
 }
 
 TEST(BufferedPort, TailPopUnlocksVc) {
-  BufferedPort port(1, 4);
+  RecordingOwner owner;
+  BufferedPort port(owner, 0, 1, 4);
   const auto first = makePacket(1, 2);
   port.accept(makeFlit(first, 0), 0);
   port.accept(makeFlit(first, 1), 0);
   // Only one VC and it is locked: a second packet's head must be refused.
   const auto second = makePacket(2, 2);
   EXPECT_FALSE(port.canAccept(makeFlit(second, 0)));
-  port.pop(0, 1);
+  port.bank().pop(0, 1);
   EXPECT_FALSE(port.canAccept(makeFlit(second, 0)));  // tail not yet popped
-  port.pop(0, 1);
+  port.bank().pop(0, 1);
   EXPECT_TRUE(port.canAccept(makeFlit(second, 0)));
 }
 
 TEST(BufferedPort, TwoPacketsUseDistinctVcs) {
-  BufferedPort port(2, 4);
+  RecordingOwner owner;
+  BufferedPort port(owner, 0, 2, 4);
   const auto a = makePacket(1, 2);
   const auto b = makePacket(2, 2);
   port.accept(makeFlit(a, 0), 0);
@@ -359,6 +378,28 @@ TEST(BufferedPort, TwoPacketsUseDistinctVcs) {
   port.accept(makeFlit(b, 1), 1);
   EXPECT_EQ(port.bank().vc(0).front().packet().id, 1u);
   EXPECT_EQ(port.bank().vc(1).front().packet().id, 2u);
+}
+
+TEST(BufferedPort, ReportsEachAcceptedFlitsVcToItsOwner) {
+  // The owner learns the VC every flit took (the electrical router records
+  // a head's route under it), and nothing for a refused flit.
+  RecordingOwner owner;
+  BufferedPort port(owner, /*index=*/3, /*numVcs=*/2, /*depthFlits=*/4);
+  const auto a = makePacket(1, 2);
+  const auto b = makePacket(2, 2);
+  port.accept(makeFlit(a, 0), 0);
+  port.accept(makeFlit(b, 0), 0);
+  port.accept(makeFlit(b, 1), 1);
+  ASSERT_FALSE(port.canAccept(makeFlit(makePacket(3, 2), 0)));  // both VCs held
+  port.accept(makeFlit(a, 1), 2);
+  ASSERT_EQ(owner.reports.size(), 4u);
+  const std::vector<std::pair<VcId, std::uint32_t>> expected = {
+      {0, 0}, {1, 0}, {1, 1}, {0, 1}};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(owner.reports[i].port, 3u) << i;
+    EXPECT_EQ(owner.reports[i].vc, expected[i].first) << i;
+    EXPECT_EQ(owner.reports[i].sequence, expected[i].second) << i;
+  }
 }
 
 TEST(ClusterTopology, PaperConfiguration) {

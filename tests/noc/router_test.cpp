@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "noc/link.hpp"
@@ -63,8 +64,8 @@ class RouterTest : public ::testing::Test {
   void injectPacket(std::uint32_t port, PacketHandle packet) {
     for (std::uint32_t i = 0; i < packet->numFlits; ++i) {
       const Flit flit = makeFlit(packet, i);
-      ASSERT_TRUE(router.canAcceptFlit(port, flit));
-      router.acceptFlit(port, flit, engine.now());
+      ASSERT_TRUE(router.inputPort(port).canAccept(flit));
+      router.inputPort(port).accept(flit, engine.now());
     }
   }
 
@@ -139,12 +140,12 @@ TEST_F(RouterTest, HeadRefusedWhenAllVcsBusy) {
   injectPacket(0, makePacket(1, 1, 2));
   injectPacket(0, makePacket(2, 1, 2));
   const Flit head = makeFlit(makePacket(3, 1, 2), 0);
-  EXPECT_FALSE(router.canAcceptFlit(0, head));
+  EXPECT_FALSE(router.inputPort(0).canAccept(head));
 }
 
 TEST_F(RouterTest, BodyWithoutHeadRefused) {
   const Flit body = makeFlit(makePacket(9, 1, 3), 1);
-  EXPECT_FALSE(router.canAcceptFlit(0, body));
+  EXPECT_FALSE(router.inputPort(0).canAccept(body));
 }
 
 TEST_F(RouterTest, EnergyChargedPerBit) {
@@ -171,6 +172,70 @@ TEST_F(RouterTest, RoutesEachPacketOnce) {
   EXPECT_EQ(router.occupancy(), 0u);
   ASSERT_EQ(routeCalls.size(), 4u);
   for (const auto& [packet, calls] : routeCalls) EXPECT_EQ(calls, 1) << "packet " << packet;
+}
+
+TEST(RouterInputPort, LinkFeedsHeadRoutingAndBodyFollow) {
+  // link -> router.inputPort(1), as the network wires every router input.
+  // Each head is routed once, when the port reports the VC it claimed; the
+  // body and tail follow it to the same output, in order.
+  std::map<PacketId, int> routeCalls;
+  ElectricalRouter router("r", smallConfig(),
+                          [&routeCalls](const PacketDescriptor& packet) -> std::uint32_t {
+                            ++routeCalls[packet.id];
+                            return packet.dstCore % 3;
+                          });
+  RecordingSink sinks[3];
+  for (std::uint32_t p = 0; p < 3; ++p) router.connectOutput(p, sinks[p]);
+  Link link("l", /*latency=*/1, 0.0, router.inputPort(1));
+  sim::Engine engine;
+  engine.add(router);
+  engine.add(link);
+
+  const PacketHandle first = makePacket(41, 2, 4);   // -> output 2
+  const PacketHandle second = makePacket(42, 3, 3);  // -> output 0
+  std::vector<Flit> feed;
+  for (std::uint32_t i = 0; i < 4; ++i) feed.push_back(makeFlit(first, i));
+  for (std::uint32_t i = 0; i < 3; ++i) feed.push_back(makeFlit(second, i));
+  std::size_t next = 0;
+  for (int cycle = 0; cycle < 60; ++cycle) {
+    if (next < feed.size() && link.canAccept(feed[next])) {
+      link.accept(feed[next++], engine.now());
+    }
+    engine.step();
+  }
+
+  ASSERT_EQ(next, feed.size());
+  EXPECT_EQ(link.stats().flitsDelivered, 7u);
+  ASSERT_EQ(sinks[2].flits.size(), 4u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(sinks[2].flits[i].handle, first) << i;
+    EXPECT_EQ(sinks[2].flits[i].sequence, i) << i;
+  }
+  ASSERT_EQ(sinks[0].flits.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(sinks[0].flits[i].handle, second) << i;
+    EXPECT_EQ(sinks[0].flits[i].sequence, i) << i;
+  }
+  EXPECT_TRUE(sinks[1].flits.empty());
+  EXPECT_EQ(routeCalls[41], 1);
+  EXPECT_EQ(routeCalls[42], 1);
+  EXPECT_EQ(router.occupancy(), 0u);
+}
+
+TEST(RouterWiring, UnwiredOutputIsNamed) {
+  ElectricalRouter router("r7", smallConfig(),
+                          [](const PacketDescriptor&) -> std::uint32_t { return 0; });
+  RecordingSink sink;
+  router.connectOutput(0, sink);
+  router.connectOutput(2, sink);
+  try {
+    router.validateWiring();
+    FAIL() << "an unwired output must be refused";
+  } catch (const std::logic_error& error) {
+    EXPECT_STREQ(error.what(), "r7: output port 1 is not wired");
+  }
+  router.connectOutput(1, sink);
+  EXPECT_NO_THROW(router.validateWiring());
 }
 
 TEST(Link, DeliversAfterLatency) {
@@ -238,7 +303,7 @@ TEST(Link, RouterStreamIntoLinkDeliversLatencyOverLatencyPlusOne) {
     engine.add(router);
     engine.add(link);
     const PacketHandle packet = makePacket(30 + latency, 1, 32);
-    for (std::uint32_t i = 0; i < 32; ++i) router.acceptFlit(0, makeFlit(packet, i), 0);
+    for (std::uint32_t i = 0; i < 32; ++i) router.inputPort(0).accept(makeFlit(packet, i), 0);
     engine.run(100);
     const std::vector<Cycle>& at = sink.arrivals;
     ASSERT_EQ(at.size(), 32u) << "latency " << latency;

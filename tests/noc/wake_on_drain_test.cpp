@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "noc/buffered_port.hpp"
 #include "noc/link.hpp"
 #include "noc/packet_slab.hpp"
 #include "noc/router.hpp"
@@ -80,30 +79,6 @@ TEST(WakeOnDrain, LinkWakesWaiterWhenSlotFrees) {
   EXPECT_EQ(waiter.activations.size(), before + 1);
 }
 
-TEST(WakeOnDrain, BufferedPortWakesWaiterOnPop) {
-  BufferedPort port(/*numVcs=*/1, /*depthFlits=*/2);
-  Waiter waiter;
-  sim::Engine engine;
-  engine.add(waiter);
-  engine.step();
-  EXPECT_EQ(engine.activeCount(), 0u);
-
-  const PacketHandle packet = makePacket(2, 0, 3);
-  port.accept(makeFlit(packet, 0), 0);
-  port.accept(makeFlit(packet, 1), 0);
-  ASSERT_FALSE(port.canAccept(makeFlit(packet, 2)));  // VC full
-  EXPECT_TRUE(port.notifyOnDrain(waiter));
-  engine.run(2);
-  const std::size_t before = waiter.activations.size();
-
-  port.pop(0, engine.now());  // frees a slot: one-shot wake
-  engine.step();
-  EXPECT_EQ(waiter.activations.size(), before + 1);
-  port.pop(0, engine.now());  // no registration left: no wake
-  engine.run(2);
-  EXPECT_EQ(waiter.activations.size(), before + 1);
-}
-
 TEST(WakeOnDrain, BlockedRouterParksAndResumesWithoutLoss) {
   // router -> link(latency 1, capacity 1) -> gate sink.  With the sink
   // blocked the link fills, the router stalls with buffered flits and must
@@ -127,8 +102,8 @@ TEST(WakeOnDrain, BlockedRouterParksAndResumesWithoutLoss) {
   sink.blocked = true;
   const PacketHandle packet = makePacket(3, 1, 6);
   for (std::uint32_t i = 0; i < 6; ++i) {
-    ASSERT_TRUE(router.canAcceptFlit(0, makeFlit(packet, i)));
-    router.acceptFlit(0, makeFlit(packet, i), engine.now());
+    ASSERT_TRUE(router.inputPort(0).canAccept(makeFlit(packet, i)));
+    router.inputPort(0).accept(makeFlit(packet, i), engine.now());
   }
   engine.run(20);
   // Head moved into the link, then everything stalled: the router must be

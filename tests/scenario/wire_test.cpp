@@ -109,22 +109,6 @@ TEST(Wire, PeakSearchResultRoundTripIsByteIdentical) {
   EXPECT_EQ(back.peak.offeredLoad, original.peak.offeredLoad);
 }
 
-TEST(Wire, ScenarioResultAndPeakRoundTrip) {
-  ScenarioResult result;
-  result.spec.set("pattern", "skewed3");
-  result.spec.set("load", "0.00125");
-  result.spec.label = "wire \"quoted\" label";
-  result.metrics = syntheticMetrics();
-  const std::string resultJson = wire::toJson(result);
-  EXPECT_EQ(wire::toJson(wire::scenarioResultFromJson(resultJson)), resultJson);
-
-  ScenarioPeak peak;
-  peak.spec.set("arch", "firefly");
-  peak.search = syntheticSearch();
-  const std::string peakJson = wire::toJson(peak);
-  EXPECT_EQ(wire::toJson(wire::scenarioPeakFromJson(peakJson)), peakJson);
-}
-
 TEST(Wire, JobAndReplyLinesRoundTrip) {
   ScenarioJob job;
   job.op = ScenarioJob::Op::kFindPeak;
