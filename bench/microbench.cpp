@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
     gatingSpeedups.emplace_back(pattern, speedup);
   }
 
-  // --- low-load fixed work: the timer-wheel regime CI gates on ---
+  // --- low-load fixed work: the timer-driven regime CI gates on ---
   // A FIXED cycle count (not a timed loop) so the wall time is a genuine
   // perf signal: this is the load regime where cores sleep whole geometric
   // arrival gaps and blocked routers park on drain wakes, and the committed
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
   // per-core ejection rotation) and the reservation-retry machinery carry
   // the whole cycle.  Emitted as its own BENCH_microbench_sat.json document
   // so the committed baseline gates the saturated hot path independently of
-  // the low-load timer-wheel record.
+  // the low-load timer-driven record.
   {
     const Cycle kSatCycles = 100000;
     scenario::ScenarioSpec spec = base;

@@ -20,21 +20,6 @@ std::uint32_t FireflyPolicy::lambdasFor(ClusterId src, ClusterId dst) const {
   return lambdasPerChannel_;
 }
 
-std::vector<photonic::WavelengthId> FireflyPolicy::wavelengthsFor(ClusterId src,
-                                                                  ClusterId dst) const {
-  // Static assignment: cluster `src` owns the first lambdasPerChannel_
-  // wavelengths of its dedicated waveguide; readers already know this, so the
-  // reservation flit carries no identifiers (maxReservationIdentifiers()==0).
-  assert(src != dst);
-  (void)dst;
-  std::vector<photonic::WavelengthId> ids;
-  ids.reserve(lambdasPerChannel_);
-  for (std::uint32_t l = 0; l < lambdasPerChannel_; ++l) {
-    ids.push_back(photonic::WavelengthId{src, l});
-  }
-  return ids;
-}
-
 DhetpnocPolicy::DhetpnocPolicy(const noc::ClusterTopology& topology,
                                const traffic::BandwidthSet& set,
                                const traffic::TrafficPattern& pattern,
@@ -104,16 +89,6 @@ void DhetpnocPolicy::publishDemands(const traffic::TrafficPattern& pattern) {
 std::uint32_t DhetpnocPolicy::lambdasFor(ClusterId src, ClusterId dst) const {
   assert(src != dst);
   return controllers_[src]->lambdasFor(dst);
-}
-
-std::vector<photonic::WavelengthId> DhetpnocPolicy::wavelengthsFor(ClusterId src,
-                                                                   ClusterId dst) const {
-  // Section 3.3.1: the specific wavelengths are chosen among the allocated
-  // ones based on the current-table entry for the destination.
-  const std::uint32_t count = lambdasFor(src, dst);
-  const auto& owned = controllers_[src]->ownedWavelengths();
-  assert(count <= owned.size());
-  return {owned.begin(), owned.begin() + count};
 }
 
 std::uint32_t DhetpnocPolicy::maxReservationIdentifiers() const {

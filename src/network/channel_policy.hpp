@@ -1,7 +1,8 @@
 // Channel allocation policies: the single point where Firefly and d-HetPNoC
 // differ.  The shared network assembly asks the policy how many wavelengths
-// (and which identifiers) a source cluster may use toward a destination; the
-// d-HetPNoC policy additionally owns the token ring and DBA controllers.
+// a source cluster may use toward a destination and how many identifiers a
+// reservation flit may carry; the d-HetPNoC policy additionally owns the
+// token ring and DBA controllers.
 #pragma once
 
 #include <cstdint>
@@ -26,11 +27,6 @@ class ChannelPolicy {
 
   /// Wavelengths the source may use for a packet to `dst` right now.
   virtual std::uint32_t lambdasFor(ClusterId src, ClusterId dst) const = 0;
-
-  /// Identifiers carried in the reservation flit for this pair (empty for
-  /// Firefly, whose channel assignment is static and known to all readers).
-  virtual std::vector<photonic::WavelengthId> wavelengthsFor(ClusterId src,
-                                                             ClusterId dst) const = 0;
 
   /// Worst-case identifier count a reservation flit may carry (sizes the
   /// reservation serialization latency per Section 3.4.1.1).
@@ -71,8 +67,6 @@ class FireflyPolicy final : public ChannelPolicy {
 
   std::string name() const override { return "Firefly"; }
   std::uint32_t lambdasFor(ClusterId src, ClusterId dst) const override;
-  std::vector<photonic::WavelengthId> wavelengthsFor(ClusterId src,
-                                                     ClusterId dst) const override;
   std::uint32_t maxReservationIdentifiers() const override { return 0; }
   std::uint32_t numDataWaveguides() const override { return numClusters_; }
 
@@ -94,8 +88,6 @@ class DhetpnocPolicy final : public ChannelPolicy {
 
   std::string name() const override { return "d-HetPNoC"; }
   std::uint32_t lambdasFor(ClusterId src, ClusterId dst) const override;
-  std::vector<photonic::WavelengthId> wavelengthsFor(ClusterId src,
-                                                     ClusterId dst) const override;
   std::uint32_t maxReservationIdentifiers() const override;
   std::uint32_t numDataWaveguides() const override;
   void attachTo(sim::Engine& engine) override;

@@ -8,7 +8,9 @@
 
 namespace pnoc::network {
 PhotonicNetwork::PhotonicNetwork(const SimulationParameters& params)
-    : params_(params), topology_(params.numCores, params.clusterSize) {
+    : params_(params),
+      topology_(params.numCores, params.clusterSize),
+      engine_(params.activityGating) {
   params_.validate();
   pattern_ = traffic::makePattern(params_.pattern, topology_, params_.bandwidthSet);
   policy_ = makePolicy(params_, topology_, *pattern_);
@@ -148,7 +150,6 @@ void PhotonicNetwork::build() {
   for (const auto& router : photonicRouters_) router->validateWiring();
 
   // --- engine registration (deterministic order) ---
-  engine_.setActivityGating(params_.activityGating);
   if (params_.profile) {
     profiler_ = std::make_unique<obs::CycleProfiler>();
     engine_.setProfiler(profiler_.get());

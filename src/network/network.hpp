@@ -14,8 +14,8 @@
 // Links feed router input ports (noc::FlitSink) directly; there is no
 // adapter or sink object between routers, links and cores.  Construction
 // ends by validating the wiring: an unwired router output, ejection slot or
-// peer list throws std::logic_error naming it.
-// and runs warmup + measurement windows, returning RunMetrics with the
+// peer list throws std::logic_error naming it.  run() steps the network
+// through warmup + measurement windows and returns RunMetrics with the
 // paper's quantities (delivered bandwidth, packet energy decomposition,
 // congestion counters).
 //

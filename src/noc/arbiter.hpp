@@ -6,9 +6,9 @@
 //  * MatrixArbiter     — least-recently-served priority matrix; fairer under
 //                        asymmetric request rates, O(n^2) state.
 // Both expose the same interface so the router can be instantiated with
-// either (the ablation benches compare them).  Requests arrive as a bitmask
-// (at most 32 requestors), so a grant is a few mask operations and a
-// count-trailing-zeros rather than a scan.
+// either (RouterConfig::arbiter, the `arbiter=` scenario key, selects one).
+// Requests arrive as a bitmask (at most 32 requestors), so a grant is a few
+// mask operations and a count-trailing-zeros rather than a scan.
 #pragma once
 
 #include <cstdint>

@@ -233,10 +233,4 @@ void ElectricalRouter::reset() {
   stats_ = RouterStats{};
 }
 
-BufferStats ElectricalRouter::aggregateBufferStats() const {
-  BufferStats total;
-  for (const BufferedPort& port : inputs_) total += port.bank().aggregateStats();
-  return total;
-}
-
 }  // namespace pnoc::noc

@@ -112,7 +112,6 @@ class ElectricalRouter final : public sim::Clocked, private PortOwner {
 
   const RouterConfig& config() const { return config_; }
   const RouterStats& stats() const { return stats_; }
-  BufferStats aggregateBufferStats() const;
 
   /// Restores the freshly-constructed state — empty buffers, initial
   /// arbitration priorities, zeroed statistics; wiring is preserved.

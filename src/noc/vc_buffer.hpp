@@ -276,10 +276,6 @@ class VcBufferBank {
   void lock(VcId id) { lockedMask_ |= bit(id); }
   bool isLocked(VcId id) const { return (lockedMask_ & bit(id)) != 0; }
 
-  /// True if every VC is either non-empty or locked: a newly arriving head
-  /// flit would be dropped (paper Section 1.4 drop-and-retransmit).
-  bool allBusy() const { return findFreeVcForNewPacket() == kNoVc; }
-
   /// Write/read/residency totals over every VC of the bank; peakOccupancy is
   /// the largest size any single VC reached.
   const BufferStats& aggregateStats() const { return stats_; }

@@ -43,7 +43,7 @@ const char* toString(ComponentKind kind);
 class CycleProfiler {
  public:
   enum class Phase : std::uint8_t {
-    kTimerExpire = 0,  // timer-wheel fires
+    kTimerExpire = 0,  // timer-heap pops due this cycle
     kWakeDrain,        // sorted wake-queue merge
     kEvaluate,         // phase 1 across all components
     kAdvance,          // phase 2 across all components

@@ -69,15 +69,6 @@ class ProfileObserver {
 
 }  // namespace
 
-Engine::Engine()
-    : level0_(kWheelSlots),
-      level1_(kWheelSlots),
-      statCycles_(metrics_.counter("engine_cycles_total")),
-      statComponentSteps_(metrics_.counter("engine_component_steps_total")),
-      statWakes_(metrics_.counter("engine_wakes_total")),
-      statTimersScheduled_(metrics_.counter("engine_timers_scheduled_total")),
-      statTimersFired_(metrics_.counter("engine_timers_fired_total")) {}
-
 void Engine::add(Clocked& component) {
   component.engine_ = this;
   component.slot_ = static_cast<std::uint32_t>(components_.size());
@@ -99,104 +90,40 @@ void Engine::reset() {
     lastWakeCycle_[slot] = kNoCycle;
     activeSlots_.push_back(slot);
   }
-  for (auto& bucket : level0_) bucket.clear();
-  for (auto& bucket : level1_) bucket.clear();
-  overflow_.clear();
-  pendingTimers_ = 0;
+  timers_.clear();
   joiners_.clear();
   joinerNext_ = 0;
   nextJoiner_ = kNoJoiner;
   advancing_ = false;
-  metrics_.reset();
+  stats_ = EngineStats{};
   if (profiler_ != nullptr) profiler_->reset();
-}
-
-EngineStats Engine::stats() const {
-  EngineStats s;
-  s.cycles = statCycles_.value();
-  s.componentSteps = statComponentSteps_.value();
-  s.wakes = statWakes_.value();
-  s.timersScheduled = statTimersScheduled_.value();
-  s.timersFired = statTimersFired_.value();
-  return s;
-}
-
-void Engine::setActivityGating(bool enabled) {
-  gating_ = enabled;
-  // Re-activate everything: correct for both directions (when enabling, the
-  // first parked components drop out at the end of the next cycle).  Timers
-  // stay scheduled — fires on active components are dropped, and components
-  // that park again rely on their still-pending timers.  Stats survive the
-  // toggle: the counters describe the whole run, not one gating regime.
-  activeSlots_.clear();
-  for (std::uint32_t slot = 0; slot < components_.size(); ++slot) {
-    active_[slot] = 1;
-    activeSlots_.push_back(slot);
-  }
-  wakeQueue_.clear();
-  joiners_.clear();
-  joinerNext_ = 0;
-  nextJoiner_ = kNoJoiner;
 }
 
 void Engine::scheduleAt(std::uint32_t slot, Cycle cycle) {
   // A timer fires at the start of its cycle; anything due now or earlier can
   // only take effect next cycle (same contract as requestWake()).
   const Cycle due = std::max(cycle, now_ + 1);
-  placeTimer(Timer{slot, due});
-  ++pendingTimers_;
-  statTimersScheduled_.inc();
-}
-
-void Engine::placeTimer(const Timer& timer) {
-  // Level-0 window: the 256 cycles containing now_.  Buckets at or before
-  // now_'s index were already expired this lap, and due > now_ always holds,
-  // so placement by masked index is unambiguous.
-  const Cycle level0End = (now_ & ~kWheelMask) + kWheelSlots;
-  if (timer.due < level0End) {
-    level0_[timer.due & kWheelMask].push_back(timer);
-    return;
-  }
-  const Cycle level1End = (now_ & ~(kLevel1Span - 1)) + kLevel1Span;
-  if (timer.due < level1End) {
-    level1_[(timer.due >> kWheelBits) & kWheelMask].push_back(timer);
-    return;
-  }
-  overflow_.push_back(timer);
+  timers_.push_back(Timer{slot, due});
+  std::push_heap(timers_.begin(), timers_.end(), laterDue);
+  ++stats_.timersScheduled;
 }
 
 void Engine::expireTimers() {
-  if (pendingTimers_ == 0) return;
-  const Cycle cycle = now_;
-  if ((cycle & kWheelMask) == 0) {
-    if ((cycle & (kLevel1Span - 1)) == 0 && !overflow_.empty()) {
-      // New level-1 lap: rebin overflow timers that now fit the horizon.
-      std::vector<Timer> pending;
-      pending.swap(overflow_);
-      for (const Timer& timer : pending) placeTimer(timer);
-    }
-    // New level-0 window: cascade its coarse bucket into one-cycle buckets.
-    auto& coarse = level1_[(cycle >> kWheelBits) & kWheelMask];
-    for (const Timer& timer : coarse) {
-      level0_[timer.due & kWheelMask].push_back(timer);
-    }
-    coarse.clear();
-  }
-  auto& bucket = level0_[cycle & kWheelMask];
-  if (bucket.empty()) return;
-  for (const Timer& timer : bucket) {
-    assert(timer.due == cycle && "timer landed in the wrong bucket");
-    assert(pendingTimers_ > 0);
-    --pendingTimers_;
+  while (!timers_.empty() && timers_.front().due <= now_) {
+    assert(timers_.front().due == now_ && "timer missed its cycle");
+    const std::uint32_t slot = timers_.front().slot;
+    std::pop_heap(timers_.begin(), timers_.end(), laterDue);
+    timers_.pop_back();
     // A fire on an active component is dropped: the timer fires at the
     // START of the cycle, so an active component will run its phases this
-    // cycle anyway and re-park / re-schedule on its own authority.
-    if (gating_ && !active_[timer.slot]) {
-      wakeQueue_.push_back(timer.slot);
-      statTimersFired_.inc();
+    // cycle anyway and re-park / re-schedule on its own authority.  Timers
+    // popped within one cycle come out in no particular order;
+    // drainWakeQueue() sorts them into registration order.
+    if (gating_ && !active_[slot]) {
+      wakeQueue_.push_back(slot);
+      ++stats_.timersFired;
     }
   }
-  bucket.clear();
 }
 
 void Engine::drainWakeQueue() {
@@ -207,7 +134,7 @@ void Engine::drainWakeQueue() {
     if (active_[slot]) continue;  // duplicates collapse here
     active_[slot] = 1;
     activeSlots_.push_back(slot);
-    statWakes_.inc();
+    ++stats_.wakes;
   }
   std::inplace_merge(activeSlots_.begin(),
                      activeSlots_.begin() + static_cast<std::ptrdiff_t>(mid),
@@ -231,9 +158,9 @@ void Engine::runJoinersBefore(std::uint32_t limit, Observer& observer) {
 
 template <class Observer>
 void Engine::stepWith(Observer& observer) {
-  // With gating off every slot stays on activeSlots_ (add(), reset() and
-  // setActivityGating() put it there; wakes return early), so poll mode is
-  // this same body with the park scan skipped.
+  // With gating off every slot stays on activeSlots_ (add() and reset() put
+  // it there; wakes return early), so poll mode is this same body with the
+  // park scan skipped.
   assert(gating_ || activeSlots_.size() == components_.size());
   expireTimers();
   observer.endPhase(Phase::kTimerExpire);
@@ -259,7 +186,7 @@ void Engine::stepWith(Observer& observer) {
   if (nextJoiner_ != kNoJoiner) runJoinersBefore(kNoJoiner, observer);
   advancing_ = false;
   observer.endPhase(Phase::kAdvance);
-  statComponentSteps_.inc(activeSlots_.size() + joiners_.size());
+  stats_.componentSteps += activeSlots_.size() + joiners_.size();
   if (!joiners_.empty()) {
     const std::size_t mid = activeSlots_.size();
     activeSlots_.insert(activeSlots_.end(), joiners_.begin(), joiners_.end());
@@ -286,7 +213,7 @@ void Engine::stepWith(Observer& observer) {
   }
   observer.endPhase(Phase::kParkScan);
   observer.endCycle();
-  statCycles_.inc();
+  ++stats_.cycles;
   ++now_;
 }
 

@@ -23,14 +23,15 @@
 // exactly equivalent to stepping it — the gated and ungated engines produce
 // bit-identical runs (asserted by tests/integration/determinism_test.cpp).
 //
-// Timer wheel: a parked component that knows WHEN its next work arrives
-// (a core's pre-drawn packet arrival, a router waiting out its pipeline
+// Timers: a parked component that knows WHEN its next work arrives (a
+// core's pre-drawn packet arrival, a router waiting out its pipeline
 // latency) calls scheduleWakeAt(cycle) and sleeps for the whole gap instead
-// of polling.  Timers live in a two-level bucketed wheel (O(1) schedule and
-// expiry; far-future timers cascade down as their window approaches) and
-// fire at the START of their cycle, merging into the same sorted wake-queue
-// drain as ordinary wakes — activation order stays registration order, so
-// timer-driven runs are deterministic and bit-identical to polling.
+// of polling.  Timers live in one binary min-heap on due cycle (O(log n)
+// schedule and expiry; the perfbench workloads schedule fewer than one per
+// cycle) and fire at the START of their cycle, merging into the same sorted
+// wake-queue drain as ordinary wakes — activation order stays registration
+// order whatever order the heap pops them in, so timer-driven runs are
+// deterministic and bit-identical to polling.
 #pragma once
 
 #include <algorithm>
@@ -40,7 +41,6 @@
 #include <vector>
 
 #include "obs/profiler.hpp"
-#include "obs/registry.hpp"
 #include "sim/types.hpp"
 
 namespace pnoc::sim {
@@ -74,10 +74,10 @@ class Clocked {
   void requestWake();
 
   /// Schedules a wake so this component runs AT `cycle` (clamped to the next
-  /// cycle if already due).  The timer survives parking and activity-gating
-  /// toggles; it is dropped by Engine::reset().  Scheduling is idempotent in
-  /// effect (a fire on an already-active component is a no-op), so callers
-  /// may re-schedule defensively.  No-op before engine registration.
+  /// cycle if already due).  The timer survives parking; it is dropped by
+  /// Engine::reset().  Scheduling is idempotent in effect (a fire on an
+  /// already-active component is a no-op), so callers may re-schedule
+  /// defensively.  No-op before engine registration.
   void scheduleWakeAt(Cycle cycle);
 
   /// Same-cycle wake for advance-phase hand-offs between components whose
@@ -111,11 +111,9 @@ class Clocked {
 };
 
 /// Counters describing how much work the engine actually did — the park rate
-/// they imply is the whole point of activity gating + the timer wheel, so the
-/// microbench records it per run.  This is a VALUE SNAPSHOT built from the
-/// engine's obs::Registry counters (Engine::metrics() exposes the registry
-/// itself for exposition); the hot loop increments plain uint64 registry
-/// cells, exactly as cheap as the bare struct this used to be.
+/// they imply is the whole point of activity gating + timers, so the
+/// microbench and perfbench record it per run.  The engine increments these
+/// fields directly; Engine::reset() zeroes them.
 struct EngineStats {
   std::uint64_t cycles = 0;             ///< cycles stepped since construction/reset
   std::uint64_t componentSteps = 0;     ///< sum over cycles of components stepped
@@ -133,7 +131,10 @@ struct EngineStats {
 
 class Engine {
  public:
-  Engine();
+  /// `activityGating` off steps every component every cycle (the classic
+  /// polling engine); on, quiescent components park.  Fixed for the engine's
+  /// lifetime.
+  explicit Engine(bool activityGating = true) : gating_(activityGating) {}
 
   /// Registers a component. The engine does not own components; callers keep
   /// them alive for the engine's lifetime (they are typically members of the
@@ -165,16 +166,10 @@ class Engine {
   }
 
   /// Timers scheduled and not yet fired (tests / introspection).
-  std::size_t pendingTimerCount() const { return pendingTimers_; }
+  std::size_t pendingTimerCount() const { return timers_.size(); }
 
-  /// Snapshot of the work counters (a view over metrics(); see EngineStats).
-  EngineStats stats() const;
-
-  /// The engine's metric registry — engine_* counters live here; exposition
-  /// layers (microbench, service) snapshot it.  Single-writer: only the
-  /// stepping thread increments.
-  obs::Registry& metrics() { return metrics_; }
-  const obs::Registry& metrics() const { return metrics_; }
+  /// Snapshot of the work counters since construction or the last reset().
+  EngineStats stats() const { return stats_; }
 
   /// Attaches (or detaches, with nullptr) a cycle profiler.  run() picks
   /// the step body's observer once per call: with a profiler attached it
@@ -185,27 +180,19 @@ class Engine {
   void setProfiler(obs::CycleProfiler* profiler) { profiler_ = profiler; }
   obs::CycleProfiler* profiler() const { return profiler_; }
 
-  /// Enables/disables activity gating (default on).  Disabling re-activates
-  /// every component, restoring the classic step-everything behaviour.
-  /// Pending timers are kept: their fires are no-ops while everything is
-  /// active, and they resume waking parked components when gating returns.
-  void setActivityGating(bool enabled);
+  /// The constructor's activity-gating flag.
   bool activityGating() const { return gating_; }
 
  private:
   friend class Clocked;
 
-  // Two-level timer wheel: 256 one-cycle buckets, 256 256-cycle buckets
-  // (horizon 65536), and an overflow list rebinned once per level-1 lap.
-  static constexpr std::uint32_t kWheelBits = 8;
-  static constexpr std::uint32_t kWheelSlots = 1u << kWheelBits;
-  static constexpr Cycle kWheelMask = kWheelSlots - 1;
-  static constexpr Cycle kLevel1Span = static_cast<Cycle>(kWheelSlots) * kWheelSlots;
-
   struct Timer {
     std::uint32_t slot;
     Cycle due;
   };
+  // Heap order for timers_: the std heap algorithms keep the "largest"
+  // element on top, so ordering by later-due puts the earliest timer there.
+  static bool laterDue(const Timer& a, const Timer& b) { return a.due > b.due; }
 
   void wake(std::uint32_t slot) {
     if (!gating_) return;
@@ -234,13 +221,12 @@ class Engine {
                                  joiners_.end(), slot);
       joiners_.insert(it, slot);
       nextJoiner_ = joiners_[joinerNext_];
-      statWakes_.inc();
+      ++stats_.wakes;
       return;
     }
     wakeQueue_.push_back(slot);
   }
   void scheduleAt(std::uint32_t slot, Cycle cycle);
-  void placeTimer(const Timer& timer);
   void expireTimers();
   void drainWakeQueue();
   // The one step body.  `Observer` sees each component step and the end of
@@ -256,18 +242,8 @@ class Engine {
   std::vector<Cycle> lastWakeCycle_;        // parallel; kNoCycle = never
   std::vector<std::uint32_t> activeSlots_;  // sorted registration order
   std::vector<std::uint32_t> wakeQueue_;    // wakes land next cycle
-  std::vector<std::vector<Timer>> level0_;  // [cycle & mask] -> timers due that cycle
-  std::vector<std::vector<Timer>> level1_;  // [(cycle >> 8) & mask] -> coarse buckets
-  std::vector<Timer> overflow_;             // beyond the level-1 horizon
-  std::size_t pendingTimers_ = 0;
-  // Registry-backed work counters; handles cache raw cell pointers so the
-  // hot path is a plain uint64 add (metrics_ must precede the handles).
-  obs::Registry metrics_;
-  obs::Counter statCycles_;
-  obs::Counter statComponentSteps_;
-  obs::Counter statWakes_;
-  obs::Counter statTimersScheduled_;
-  obs::Counter statTimersFired_;
+  std::vector<Timer> timers_;               // heap, earliest due on top
+  EngineStats stats_;
   obs::CycleProfiler* profiler_ = nullptr;
   std::vector<obs::ComponentKind> kinds_;  // parallel to components_
   // Same-cycle join state: valid only while the advance loop runs.  Joins
@@ -281,7 +257,7 @@ class Engine {
   std::uint32_t advanceSlot_ = 0;  // slot currently advancing
   bool advancing_ = false;
   Cycle now_ = 0;
-  bool gating_ = true;
+  bool gating_;
 };
 
 inline void Clocked::requestWake() {

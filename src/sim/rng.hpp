@@ -45,7 +45,7 @@ class Rng {
 
   /// Number of failing Bernoulli(p) trials before the first success, drawn
   /// by RUNNING the trials themselves (one nextBool per trial).  The result
-  /// is geometric by construction, and — crucially for the timer-wheel
+  /// is geometric by construction, and — crucially for the timer-driven
   /// injectors — the stream position afterwards is exactly where per-trial
   /// sampling would have left it, so pre-drawing a whole inter-arrival gap
   /// is bit-identical to flipping the coin every cycle.  p >= 1 returns 0

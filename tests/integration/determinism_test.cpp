@@ -92,7 +92,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, Determinism,
     ::testing::Values(
         // Low load is where gating actually parks components — 0.001 is the
-        // timer-wheel regime, where cores sleep whole geometric gaps and
+        // timer-driven regime, where cores sleep whole geometric gaps and
         // blocked routers park on drain wakes; saturated skewed traffic
         // exercises wormhole stalls, reservation retries and DBA churn with
         // most components active.

@@ -1,4 +1,4 @@
-// The timer-wheel engine's two load-bearing equivalence claims:
+// The timer-driven engine's two load-bearing equivalence claims:
 //
 //  1. Geometric arrival pre-scheduling is LAW-IDENTICAL to per-cycle
 //     Bernoulli injection — in fact bit-identical, because each gap is drawn

@@ -21,12 +21,6 @@ class StubPolicy final : public ChannelPolicy {
   explicit StubPolicy(std::uint32_t lambdas) : lambdas_(lambdas) {}
   std::string name() const override { return "stub"; }
   std::uint32_t lambdasFor(ClusterId, ClusterId) const override { return lambdas_; }
-  std::vector<photonic::WavelengthId> wavelengthsFor(ClusterId,
-                                                     ClusterId) const override {
-    std::vector<photonic::WavelengthId> ids;
-    for (std::uint32_t l = 0; l < lambdas_; ++l) ids.push_back({0, l});
-    return ids;
-  }
   std::uint32_t maxReservationIdentifiers() const override { return lambdas_; }
   std::uint32_t numDataWaveguides() const override { return 1; }
   std::uint32_t lambdas_;
@@ -243,12 +237,14 @@ class EnvGuard {
 /// A minimal two-router rig built per test (unlike the fixture, construction
 /// happens inside the test body so EnvGuard hooks are visible to it).
 struct Rig {
-  explicit Rig(bool gating) : policy(4), source("p0", smallConfig(0), policy),
-                              destination("p1", smallConfig(1), policy) {
+  explicit Rig(bool gating)
+      : policy(4),
+        source("p0", smallConfig(0), policy),
+        destination("p1", smallConfig(1), policy),
+        engine(gating) {
     source.setPeers({&source, &destination});
     destination.setPeers({&source, &destination});
     for (std::uint32_t i = 0; i < 4; ++i) destination.connectEjection(i, sinks[i]);
-    engine.setActivityGating(gating);
     engine.add(source);
     engine.add(destination);
   }

@@ -142,8 +142,7 @@ TEST(Engine, ActiveComponentsKeepRegistrationOrderAfterWake) {
 TEST(Engine, GatingOffStepsQuiescentComponents) {
   std::vector<std::string> log;
   GatedProbe probe("p", log);
-  Engine engine;
-  engine.setActivityGating(false);
+  Engine engine(/*activityGating=*/false);
   engine.add(probe);
   probe.idle = true;
   engine.run(3);
@@ -151,20 +150,7 @@ TEST(Engine, GatingOffStepsQuiescentComponents) {
   EXPECT_EQ(engine.activeCount(), 1u);
 }
 
-TEST(Engine, DisablingGatingReactivatesParkedComponents) {
-  std::vector<std::string> log;
-  GatedProbe probe("p", log);
-  Engine engine;
-  engine.add(probe);
-  probe.idle = true;
-  engine.step();
-  EXPECT_EQ(engine.activeCount(), 0u);
-  engine.setActivityGating(false);
-  engine.step();
-  EXPECT_EQ(log.size(), 4u);
-}
-
-// --- timer wheel ---
+// --- timers ---
 
 /// Runs the engine until `cycle` has been stepped (now() == cycle + 1).
 void runThrough(Engine& engine, Cycle cycle) {
@@ -189,16 +175,16 @@ TEST(EngineTimers, WakesParkedComponentAtScheduledCycle) {
   EXPECT_EQ(engine.stats().timersFired, 1u);
 }
 
-TEST(EngineTimers, FarFutureSchedulesCrossWheelLevels) {
-  // 3 lands in the level-0 window, 700 needs a level-1 cascade, 70000 is
-  // beyond the 65536-cycle horizon and sits in overflow until its lap.
+TEST(EngineTimers, FarFutureSchedulesFireInDueOrder) {
+  // Scheduled out of due order and far apart: each fires exactly at its
+  // cycle, and the far one waits out the whole gap.
   std::vector<std::string> log;
   GatedProbe probe("p", log);
   Engine engine;
   engine.add(probe);
   probe.idle = true;
   engine.step();
-  for (const Cycle due : {Cycle{3}, Cycle{700}, Cycle{70000}}) {
+  for (const Cycle due : {Cycle{700}, Cycle{70000}, Cycle{3}}) {
     probe.scheduleWakeAt(due);
   }
   EXPECT_EQ(engine.pendingTimerCount(), 3u);
@@ -296,23 +282,38 @@ TEST(EngineTimers, ResetDropsPendingTimers) {
   EXPECT_EQ(log[0], "p.eval@0");
 }
 
-TEST(EngineTimers, SurviveGatingToggle) {
+TEST(EngineTimers, SameCycleTimersActivateInRegistrationOrder) {
+  // Timers due the same cycle, scheduled in reverse registration order from
+  // different earlier cycles, must activate in registration order, exactly
+  // as a polling engine would step them.
   std::vector<std::string> log;
-  GatedProbe probe("p", log);
+  GatedProbe a("a", log);
+  GatedProbe b("b", log);
+  GatedProbe c("c", log);
   Engine engine;
-  engine.add(probe);
-  probe.idle = true;
+  engine.add(a);
+  engine.add(b);
+  engine.add(c);
+  a.idle = true;
+  b.idle = true;
+  c.idle = true;
+  engine.step();  // all three parked after cycle 0
+  c.scheduleWakeAt(6);
   engine.step();
-  probe.scheduleWakeAt(1000);
-  engine.setActivityGating(false);
-  engine.run(3);  // everything steps anyway; the timer must survive
-  EXPECT_EQ(engine.pendingTimerCount(), 1u);
-  engine.setActivityGating(true);
-  engine.step();  // probe parks again (idle)
+  b.scheduleWakeAt(6);
+  b.scheduleWakeAt(6);  // two timers on one slot for one cycle
+  engine.step();
+  a.scheduleWakeAt(6);
   log.clear();
-  runThrough(engine, 1001);
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0], "p.eval@1000");
+  const EngineStats before = engine.stats();
+  runThrough(engine, 6);
+  const std::vector<std::string> expected = {"a.eval@6", "b.eval@6", "c.eval@6",
+                                             "a.adv@6",  "b.adv@6",  "c.adv@6"};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(engine.pendingTimerCount(), 0u);
+  // Both of b's timers fire on a parked component, but b activates once.
+  EXPECT_EQ(engine.stats().timersFired - before.timersFired, 4u);
+  EXPECT_EQ(engine.stats().wakes - before.wakes, 3u);
 }
 
 TEST(EngineTimers, MidCycleWakePreventsParkingThatCycle) {
