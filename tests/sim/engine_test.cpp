@@ -150,6 +150,26 @@ TEST(Engine, GatingOffStepsQuiescentComponents) {
   EXPECT_EQ(engine.activeCount(), 1u);
 }
 
+TEST(Engine, ConstructorFlagFixesActivityGating) {
+  std::vector<std::string> log;
+  GatedProbe gated("g", log);
+  GatedProbe polled("p", log);
+  EXPECT_FALSE(gated.activityGated());  // not attached to any engine yet
+  Engine gatedEngine;
+  Engine pollEngine(/*activityGating=*/false);
+  gatedEngine.add(gated);
+  pollEngine.add(polled);
+  EXPECT_TRUE(gatedEngine.activityGating());
+  EXPECT_FALSE(pollEngine.activityGating());
+  EXPECT_TRUE(gated.activityGated());
+  EXPECT_FALSE(polled.activityGated());
+  // reset() keeps the engine's gating mode.
+  gatedEngine.reset();
+  pollEngine.reset();
+  EXPECT_TRUE(gated.activityGated());
+  EXPECT_FALSE(polled.activityGated());
+}
+
 // --- timers ---
 
 /// Runs the engine until `cycle` has been stepped (now() == cycle + 1).
@@ -194,6 +214,27 @@ TEST(EngineTimers, FarFutureSchedulesFireInDueOrder) {
   EXPECT_EQ(log[4], "p.eval@700");
   EXPECT_EQ(log[6], "p.eval@70000");
   EXPECT_EQ(engine.pendingTimerCount(), 0u);
+}
+
+TEST(EngineTimers, UngatedEngineConsumesTimersWithoutWaking) {
+  // With gating off every component is already active, so a timer expires
+  // at its cycle without counting a fire or a wake, and never lingers.
+  std::vector<std::string> log;
+  GatedProbe probe("p", log);
+  Engine engine(/*activityGating=*/false);
+  engine.add(probe);
+  probe.idle = true;
+  engine.step();
+  probe.scheduleWakeAt(4);
+  EXPECT_EQ(engine.pendingTimerCount(), 1u);
+  runThrough(engine, 4);
+  EXPECT_EQ(engine.pendingTimerCount(), 0u);
+  EXPECT_EQ(log.size(), 10u);  // both phases on each of cycles 0..4
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.timersScheduled, 1u);
+  EXPECT_EQ(stats.timersFired, 0u);
+  EXPECT_EQ(stats.wakes, 0u);
+  EXPECT_EQ(engine.activeCount(), 1u);
 }
 
 TEST(EngineTimers, PastDueClampsToNextCycle) {
