@@ -324,7 +324,6 @@ int main(int argc, char** argv) {
 
   // --- DBA token handling ---
   {
-    photonic::WavelengthAllocationMap map(8, 64);
     core::Token token(512, 16);
     core::DbaConfig dbaConfig;
     dbaConfig.maxChannelWavelengths = 64;
@@ -333,7 +332,7 @@ int main(int argc, char** argv) {
     for (ClusterId c = 0; c < 16; ++c) {
       tables.push_back(std::make_unique<core::RouterTables>(c, 16, 4));
       controllers.push_back(
-          std::make_unique<core::DbaController>(c, dbaConfig, *tables[c], map));
+          std::make_unique<core::DbaController>(c, dbaConfig, *tables[c]));
       core::WavelengthTable demand(16);
       for (ClusterId d = 0; d < 16; ++d) {
         if (d != c) demand.set(d, 8 * (c % 4 + 1));

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
         static_cast<std::uint32_t>(cli.config().getInt("routers", 16));
     params.lambdasPerWaveguide =
         static_cast<std::uint32_t>(cli.config().getInt("lambdas_per_wg", 64));
-    params.mrrRadiusUm = cli.config().getDouble("radius_um", 5.0);
+    params.mrrRadiusUm = cli.config().getDouble("radius_um", photonic::kMrrRadiusUm);
     maxWavelengths = static_cast<std::uint32_t>(cli.config().getInt("max_wavelengths", 512));
     restrict_ = static_cast<std::uint32_t>(cli.config().getInt("restrict", 2));
   } catch (const std::invalid_argument& error) {

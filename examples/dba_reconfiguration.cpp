@@ -84,10 +84,15 @@ int main(int argc, char** argv) {
             << policy->tokenRing().hopLatency() << " cycle(s) (eq. (2)).\n";
 
   // Safety invariant after churn: every data wavelength has at most one owner.
-  const auto& map = policy->allocationMap();
+  const core::Token& token = policy->tokenRing().token();
   std::uint32_t owned = 0;
-  for (ClusterId c = 0; c < 16; ++c) owned += map.ownedCount(c);
-  std::cout << "allocation check: " << owned << " owned + " << map.freeCount()
-            << " free = " << map.totalWavelengths() << " total\n";
-  return owned + map.freeCount() == map.totalWavelengths() ? 0 : 1;
+  for (ClusterId c = 0; c < 16; ++c) owned += policy->controller(c).ownedCount();
+  std::cout << "allocation check: " << owned << " owned + " << token.freeCount()
+            << " free = " << token.totalWavelengths() << " total\n";
+  const std::string violation = policy->ownershipViolation();
+  if (!violation.empty()) {
+    std::cerr << "ownership violation: " << violation << "\n";
+    return 1;
+  }
+  return 0;
 }

@@ -15,11 +15,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/tables.hpp"
 #include "core/token.hpp"
-#include "photonic/waveguide.hpp"
 #include "photonic/wavelength.hpp"
 #include "sim/types.hpp"
 
@@ -47,17 +48,17 @@ struct DbaStats {
 
 class DbaController final : public TokenClient {
  public:
-  /// Pre-allocates this cluster's reserved wavelengths (flat indices
-  /// [self * reservedPerCluster, (self+1) * reservedPerCluster)) in the map.
-  DbaController(ClusterId self, const DbaConfig& config, RouterTables& tables,
-                photonic::WavelengthAllocationMap& map);
+  /// Owns this cluster's reserved wavelengths (flat indices
+  /// [self * reservedPerCluster, (self+1) * reservedPerCluster)) from the
+  /// start; they sit below every token bit, so the token never trades them.
+  DbaController(ClusterId self, const DbaConfig& config, RouterTables& tables);
 
   // TokenClient
   void onToken(Token& token, Cycle now) override;
 
   /// Back to the freshly-constructed state: only the reserved wavelengths
-  /// owned (re-claimed in the shared map), no defects, zeroed statistics.
-  /// The caller clears the map and token first (DhetpnocPolicy::reset()).
+  /// owned, zeroed statistics.  The caller clears the token too
+  /// (DhetpnocPolicy::reset()).
   void reset();
 
   /// Wavelengths currently usable toward `dst` (the current-table entry).
@@ -69,30 +70,34 @@ class DbaController final : public TokenClient {
   const std::vector<photonic::WavelengthId>& ownedWavelengths() const { return owned_; }
 
   std::uint32_t ownedCount() const { return static_cast<std::uint32_t>(owned_.size()); }
+  /// Length of the reserved prefix of ownedWavelengths().
+  std::uint32_t reservedCount() const { return config_.reservedPerCluster; }
   const DbaStats& stats() const { return stats_; }
   ClusterId self() const { return self_; }
 
-  /// Fault injection: marks a wavelength defective (e.g. an MRR whose heater
-  /// failed).  A defective wavelength the cluster owns is released at the
-  /// next token visit and never re-acquired; defective reserved wavelengths
-  /// keep their slot (they are this cluster's problem by construction) but
-  /// are excluded from the current table via the owned count.
-  void markDefective(const photonic::WavelengthId& id);
-  bool isDefective(const photonic::WavelengthId& id) const;
-
  private:
   void refreshCurrentTable();
-  /// Whether this controller is allowed to acquire the given token bit under
+  /// Whether this controller is allowed to acquire the given flat index under
   /// the waveguide restriction (always true when unrestricted).
-  bool mayAcquire(std::uint32_t flatIndex) const;
+  bool mayAcquire(std::uint32_t flatIndex, std::uint32_t numWaveguides) const;
 
   ClusterId self_;
   DbaConfig config_;
   RouterTables* tables_;
-  photonic::WavelengthAllocationMap* map_;
   std::vector<photonic::WavelengthId> owned_;  // reserved entries stay at the front
-  std::vector<photonic::WavelengthId> defective_;
   DbaStats stats_;
 };
+
+/// The ownership invariant of eq. (1), computed from its only home — the
+/// token bits and each controller's owned list.  `controllers` must be every
+/// client of the token.  Returns the first violation as text naming the
+/// wavelength, or an empty string when:
+///   - each owned list starts with its cluster's reserved prefix;
+///   - no flat index is owned twice;
+///   - every dynamically owned wavelength has its token bit set;
+///   - every set token bit has exactly one owner;
+///   - owned + token.freeCount() == token.totalWavelengths().
+std::string ownershipViolation(const Token& token,
+                               const std::vector<std::unique_ptr<DbaController>>& controllers);
 
 }  // namespace pnoc::core

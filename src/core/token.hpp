@@ -14,7 +14,6 @@
 #include <functional>
 #include <vector>
 
-#include "photonic/waveguide.hpp"
 #include "photonic/wavelength.hpp"
 #include "sim/clock.hpp"
 #include "sim/engine.hpp"
@@ -65,8 +64,8 @@ Cycle tokenHopCycles(std::uint32_t tokenBits, std::uint32_t lambdasPerWaveguide,
 class TokenClient {
  public:
   virtual ~TokenClient() = default;
-  /// Called when the token arrives; the client may acquire/release
-  /// wavelengths by mutating the token and the shared allocation map.
+  /// Called when the token arrives; the client acquires/releases
+  /// wavelengths by setting/clearing token bits and recording what it owns.
   virtual void onToken(Token& token, Cycle now) = 0;
 };
 

@@ -26,11 +26,7 @@ DhetpnocPolicy::DhetpnocPolicy(const noc::ClusterTopology& topology,
                                const sim::Clock& clock, std::uint32_t reservedPerCluster,
                                Cycle tokenHopOverride, std::uint32_t channelCapOverride,
                                std::uint32_t writableWaveguides)
-    : topology_(&topology),
-      set_(set),
-      map_(photonic::dataWaveguidesNeeded(set.totalWavelengths,
-                                          photonic::kMaxWavelengthsPerWaveguide),
-           photonic::kMaxWavelengthsPerWaveguide) {
+    : topology_(&topology), set_(set) {
   dbaConfig_.maxChannelWavelengths =
       channelCapOverride != 0 ? channelCapOverride : set.maxChannelWavelengths;
   dbaConfig_.reservedPerCluster = reservedPerCluster;
@@ -52,7 +48,7 @@ DhetpnocPolicy::DhetpnocPolicy(const noc::ClusterTopology& topology,
     tables_.push_back(
         std::make_unique<core::RouterTables>(c, numClusters, topology.clusterSize()));
     controllers_.push_back(
-        std::make_unique<core::DbaController>(c, dbaConfig_, *tables_[c], map_));
+        std::make_unique<core::DbaController>(c, dbaConfig_, *tables_[c]));
     ring_->addClient(*controllers_[c]);
   }
   grantWaiters_.assign(numClusters, nullptr);
@@ -95,7 +91,10 @@ std::uint32_t DhetpnocPolicy::maxReservationIdentifiers() const {
   return dbaConfig_.maxChannelWavelengths;
 }
 
-std::uint32_t DhetpnocPolicy::numDataWaveguides() const { return map_.numWaveguides(); }
+std::uint32_t DhetpnocPolicy::numDataWaveguides() const {
+  return photonic::dataWaveguidesNeeded(set_.totalWavelengths,
+                                        photonic::kMaxWavelengthsPerWaveguide);
+}
 
 void DhetpnocPolicy::attachTo(sim::Engine& engine) { engine.add(*ring_); }
 
@@ -108,10 +107,9 @@ bool DhetpnocPolicy::armGrantWake(ClusterId src, sim::Clocked& waiter) const {
 }
 
 void DhetpnocPolicy::reset(const traffic::TrafficPattern& pattern) {
-  // Mirror construction: empty map and token, zeroed tables, controllers
-  // re-claiming their reserved wavelengths (in cluster order), then the
-  // pattern's demands published.
-  map_.clear();
+  // Mirror construction: an all-free token, zeroed tables, controllers
+  // owning only their reserved wavelengths, then the pattern's demands
+  // published.
   ring_->reset();
   for (auto& tables : tables_) tables->reset();
   for (auto& controller : controllers_) controller->reset();
@@ -123,8 +121,8 @@ const core::DbaController& DhetpnocPolicy::controller(ClusterId cluster) const {
   return *controllers_[cluster];
 }
 
-void DhetpnocPolicy::injectWavelengthFault(const photonic::WavelengthId& id) {
-  for (auto& controller : controllers_) controller->markDefective(id);
+std::string DhetpnocPolicy::ownershipViolation() const {
+  return core::ownershipViolation(ring_->token(), controllers_);
 }
 
 std::unique_ptr<ChannelPolicy> makePolicy(const SimulationParameters& params,

@@ -13,7 +13,6 @@
 #include "core/dba.hpp"
 #include "core/token.hpp"
 #include "noc/topology.hpp"
-#include "photonic/waveguide.hpp"
 #include "sim/engine.hpp"
 #include "traffic/pattern.hpp"
 
@@ -98,22 +97,21 @@ class DhetpnocPolicy final : public ChannelPolicy {
   const core::DbaController& controller(ClusterId cluster) const;
   core::RouterTables& tables(ClusterId cluster) { return *tables_[cluster]; }
   const core::TokenRing& tokenRing() const { return *ring_; }
-  const photonic::WavelengthAllocationMap& allocationMap() const { return map_; }
   core::DbaConfig dbaConfig() const { return dbaConfig_; }
+
+  /// core::ownershipViolation() over this policy's token and controllers:
+  /// empty while wavelength ownership is consistent, else the first
+  /// violation naming the wavelength.
+  std::string ownershipViolation() const;
 
   /// Re-publishes demand tables from a (possibly different) traffic pattern —
   /// models a task-remapping event at runtime.
   void publishDemands(const traffic::TrafficPattern& pattern);
 
-  /// Fault injection: marks one wavelength defective chip-wide.  The owning
-  /// controller quarantines it at its next token visit.
-  void injectWavelengthFault(const photonic::WavelengthId& id);
-
  private:
   const noc::ClusterTopology* topology_;
   traffic::BandwidthSet set_;
   core::DbaConfig dbaConfig_;
-  photonic::WavelengthAllocationMap map_;
   std::vector<std::unique_ptr<core::RouterTables>> tables_;
   std::vector<std::unique_ptr<core::DbaController>> controllers_;
   std::unique_ptr<core::TokenRing> ring_;

@@ -19,10 +19,13 @@
 
 namespace pnoc::photonic {
 
+/// Micro-ring resonator radius in um [28].
+inline constexpr double kMrrRadiusUm = 5.0;
+
 struct AreaParams {
   std::uint32_t numPhotonicRouters = 16;  // NPR (Table 3-3: 16 clusters)
   std::uint32_t lambdasPerWaveguide = kMaxWavelengthsPerWaveguide;  // lambda_W
-  double mrrRadiusUm = 5.0;  // [28]
+  double mrrRadiusUm = kMrrRadiusUm;
 };
 
 /// Ring counts broken down by function, mirroring the terms of the equations.
@@ -60,6 +63,6 @@ DeviceCounts restrictedDhetpnocCounts(const AreaParams& params,
                                       std::uint32_t waveguidesPerRouter);
 
 /// Total electro-optic device area in mm^2, eqs. (23)/(24): rings * pi * r^2.
-double areaMm2(const DeviceCounts& counts, double mrrRadiusUm = 5.0);
+double areaMm2(const DeviceCounts& counts, double mrrRadiusUm = kMrrRadiusUm);
 
 }  // namespace pnoc::photonic

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/tables.hpp"
@@ -52,14 +53,14 @@ TEST(RouterTables, RequestUpdatesWhenDemandChanges) {
 /// 1 reserved per cluster, per-channel cap 8.
 class DbaFixture : public ::testing::Test {
  protected:
-  DbaFixture() : map_(1, 64), token_(64, 16) {
+  DbaFixture() : token_(64, 16) {
     DbaConfig config;
     config.maxChannelWavelengths = 8;
     config.reservedPerCluster = 1;
     for (ClusterId c = 0; c < kClusters; ++c) {
       tables_.push_back(std::make_unique<RouterTables>(c, kClusters, kCoresPerCluster));
       controllers_.push_back(
-          std::make_unique<DbaController>(c, config, *tables_[c], map_));
+          std::make_unique<DbaController>(c, config, *tables_[c]));
     }
   }
 
@@ -72,20 +73,15 @@ class DbaFixture : public ::testing::Test {
     for (auto& controller : controllers_) controller->onToken(token_, 0);
   }
 
-  /// The safety invariant: the map and token agree, and nothing is owned
-  /// twice (the map asserts that internally; here we check totals).
+  /// The safety invariant: the token and the owned lists agree and nothing
+  /// is owned twice, plus the starvation guard.
   void checkInvariants() {
-    std::uint32_t owned = 0;
-    for (ClusterId c = 0; c < kClusters; ++c) owned += map_.ownedCount(c);
-    EXPECT_EQ(owned + map_.freeCount(), 64u);
-    EXPECT_EQ(map_.freeCount(), token_.freeCount());
+    EXPECT_EQ(ownershipViolation(token_, controllers_), "");
     for (ClusterId c = 0; c < kClusters; ++c) {
-      EXPECT_EQ(controllers_[c]->ownedCount(), map_.ownedCount(c));
       EXPECT_GE(controllers_[c]->ownedCount(), 1u);  // starvation guard
     }
   }
 
-  photonic::WavelengthAllocationMap map_;
   Token token_;
   std::vector<std::unique_ptr<RouterTables>> tables_;
   std::vector<std::unique_ptr<DbaController>> controllers_;
@@ -94,7 +90,7 @@ class DbaFixture : public ::testing::Test {
 TEST_F(DbaFixture, ReservedWavelengthPreallocated) {
   for (ClusterId c = 0; c < kClusters; ++c) {
     EXPECT_EQ(controllers_[c]->ownedCount(), 1u);
-    EXPECT_EQ(map_.owner(photonic::unflatten(c, 64)), std::optional<ClusterId>(c));
+    EXPECT_EQ(controllers_[c]->ownedWavelengths().front(), photonic::unflatten(c, 64));
   }
   checkInvariants();
 }
@@ -106,7 +102,7 @@ TEST_F(DbaFixture, UniformDemandConvergesToEvenSplit) {
     EXPECT_EQ(controllers_[c]->ownedCount(), 4u) << "cluster " << c;
     EXPECT_EQ(controllers_[c]->lambdasFor((c + 1) % kClusters), 4u);
   }
-  EXPECT_EQ(map_.freeCount(), 0u);  // 16 * 4 = 64, fully allocated
+  EXPECT_EQ(token_.freeCount(), 0u);  // 16 * 4 = 64, fully allocated
   checkInvariants();
 }
 
@@ -119,7 +115,7 @@ TEST_F(DbaFixture, SkewedDemandSatisfiedWithinBudget) {
     EXPECT_EQ(controllers_[c]->ownedCount(), classDemand[c % 4]) << "cluster " << c;
     EXPECT_EQ(controllers_[c]->stats().shortfallVisits, 0u);
   }
-  EXPECT_EQ(map_.freeCount(), 4u);
+  EXPECT_EQ(token_.freeCount(), 4u);
   checkInvariants();
 }
 
@@ -144,7 +140,7 @@ TEST_F(DbaFixture, ReleasesWhenDemandDrops) {
 TEST_F(DbaFixture, ReleasedWavelengthsBecomeAcquirable) {
   for (ClusterId c = 0; c < kClusters; ++c) setDemand(c, 4);
   rotate();
-  EXPECT_EQ(map_.freeCount(), 0u);
+  EXPECT_EQ(token_.freeCount(), 0u);
   // Cluster 5 shrinks; cluster 2 wants more.  Cluster 2 holds the token
   // BEFORE cluster 5 releases in the same rotation, so it only sees the
   // freed wavelengths one rotation later — exactly the retry behaviour
@@ -174,7 +170,7 @@ TEST_F(DbaFixture, OversubscriptionRetriesAcrossRotations) {
   }
   EXPECT_EQ(total, 64u);  // everything allocated
   EXPECT_TRUE(anyShortfall);
-  EXPECT_EQ(map_.freeCount(), 0u);
+  EXPECT_EQ(token_.freeCount(), 0u);
   checkInvariants();
   // A second rotation cannot violate safety.
   rotate();
@@ -205,7 +201,7 @@ TEST_F(DbaFixture, OwnedWavelengthsKeepReservedFirst) {
 
 TEST_F(DbaFixture, RandomDemandChurnPreservesInvariants) {
   // Property test: random demand updates and rotations never violate the
-  // allocation invariants (no double ownership, token/map agreement, floor).
+  // allocation invariants (no double ownership, token/owned-list agreement, floor).
   sim::Rng rng(99);
   for (int round = 0; round < 200; ++round) {
     const auto cluster = static_cast<ClusterId>(rng.nextBelow(kClusters));
@@ -221,15 +217,19 @@ TEST(DbaController, MultiWaveguideAcquisitionSpansWaveguides) {
   // single waveguide's remaining capacity and must spread (Section 3.2.1:
   // "Multiple wavelengths for a particular cluster could be spread over
   // multiple waveguides").
-  photonic::WavelengthAllocationMap map(8, 64);
   Token token(512, 16);
   DbaConfig config;
   config.maxChannelWavelengths = 64;
-  RouterTables tables(0, 16, 4);
-  DbaController controller(0, config, tables, map);
+  std::vector<std::unique_ptr<RouterTables>> tables;
+  std::vector<std::unique_ptr<DbaController>> controllers;
+  for (ClusterId c = 0; c < 16; ++c) {
+    tables.push_back(std::make_unique<RouterTables>(c, 16, 4));
+    controllers.push_back(std::make_unique<DbaController>(c, config, *tables[c]));
+  }
   WavelengthTable demand(16);
   demand.set(1, 64);
-  tables.updateDemand(0, demand);
+  tables[0]->updateDemand(0, demand);
+  DbaController& controller = *controllers[0];
   controller.onToken(token, 0);
   EXPECT_EQ(controller.ownedCount(), 64u);
   bool spansMultiple = false;
@@ -240,6 +240,58 @@ TEST(DbaController, MultiWaveguideAcquisitionSpansWaveguides) {
     }
   }
   EXPECT_TRUE(spansMultiple);
+  EXPECT_EQ(ownershipViolation(token, controllers), "");
+}
+
+/// Each test damages a consistent rig through the public Token API only and
+/// requires ownershipViolation() to name the damaged wavelength.
+class DbaOwnership : public DbaFixture {
+ protected:
+  /// Cluster `cluster` acquires one dynamic wavelength; returns it.
+  photonic::WavelengthId acquireOne(ClusterId cluster) {
+    setDemand(cluster, 2);
+    controllers_[cluster]->onToken(token_, 0);
+    EXPECT_EQ(controllers_[cluster]->ownedCount(), 2u);
+    return controllers_[cluster]->ownedWavelengths().back();
+  }
+
+  std::uint32_t bitOf(const photonic::WavelengthId& id) const {
+    return token_.tokenBitFor(photonic::flatten(id, 64));
+  }
+
+  static bool names(const std::string& violation, const photonic::WavelengthId& id) {
+    return violation.find(photonic::toString(id)) != std::string::npos;
+  }
+};
+
+TEST_F(DbaOwnership, NamesDoubleOwnedWavelength) {
+  const photonic::WavelengthId stolen = acquireOne(0);
+  ASSERT_EQ(ownershipViolation(token_, controllers_), "");
+  token_.markFree(bitOf(stolen));
+  EXPECT_EQ(acquireOne(1), stolen);  // the first free bit again
+  const std::string violation = ownershipViolation(token_, controllers_);
+  EXPECT_TRUE(names(violation, stolen)) << violation;
+  EXPECT_NE(violation.find("cluster 0 and cluster 1"), std::string::npos) << violation;
+}
+
+TEST_F(DbaOwnership, NamesAllocatedBitWithoutOwner) {
+  acquireOne(0);
+  ASSERT_EQ(ownershipViolation(token_, controllers_), "");
+  const photonic::WavelengthId orphan = photonic::unflatten(63, 64);
+  token_.markAllocated(bitOf(orphan));
+  const std::string violation = ownershipViolation(token_, controllers_);
+  EXPECT_TRUE(names(violation, orphan)) << violation;
+  EXPECT_NE(violation.find("no cluster owns it"), std::string::npos) << violation;
+}
+
+TEST_F(DbaOwnership, NamesOwnedWavelengthWithFreeBit) {
+  const photonic::WavelengthId held = acquireOne(4);
+  ASSERT_EQ(ownershipViolation(token_, controllers_), "");
+  token_.markFree(bitOf(held));
+  const std::string violation = ownershipViolation(token_, controllers_);
+  EXPECT_TRUE(names(violation, held)) << violation;
+  EXPECT_NE(violation.find("cluster 4"), std::string::npos) << violation;
+  EXPECT_NE(violation.find("token bit is free"), std::string::npos) << violation;
 }
 
 }  // namespace

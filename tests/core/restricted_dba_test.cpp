@@ -1,8 +1,5 @@
-// Tests of the two d-HetPNoC extensions beyond the paper's main design:
-//  * the waveguide-restricted variant from the thesis conclusion (router x
-//    may only modulate waveguides x .. x+k-1 mod NW), and
-//  * wavelength fault injection (a broken MRR's channel is quarantined via
-//    the token and traffic continues on the remaining wavelengths).
+// Tests of the waveguide-restricted d-HetPNoC variant from the thesis
+// conclusion: router x may only modulate waveguides x .. x+k-1 mod NW.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -26,20 +23,21 @@ WavelengthTable demandAll(std::uint32_t numClusters, ClusterId self, std::uint32
 
 /// Set-3-like rig: 512 wavelengths over 8 waveguides, 16 clusters.
 struct Rig {
-  explicit Rig(std::uint32_t writableWaveguides) : map(8, 64), token(512, 16) {
+  explicit Rig(std::uint32_t writableWaveguides) : token(512, 16) {
     DbaConfig config;
     config.maxChannelWavelengths = 64;
     config.reservedPerCluster = 1;
     config.writableWaveguides = writableWaveguides;
     for (ClusterId c = 0; c < 16; ++c) {
       tables.push_back(std::make_unique<RouterTables>(c, 16, 4));
-      controllers.push_back(std::make_unique<DbaController>(c, config, *tables[c], map));
+      controllers.push_back(std::make_unique<DbaController>(c, config, *tables[c]));
     }
   }
+  /// One full token rotation; ownership must stay consistent.
   void rotate(Cycle now = 0) {
     for (auto& controller : controllers) controller->onToken(token, now);
+    EXPECT_EQ(ownershipViolation(token, controllers), "");
   }
-  photonic::WavelengthAllocationMap map;
   Token token;
   std::vector<std::unique_ptr<RouterTables>> tables;
   std::vector<std::unique_ptr<DbaController>> controllers;
@@ -96,37 +94,6 @@ TEST(RestrictedDba, RestrictionReducesSatisfactionUnderContention) {
             restricted.controllers[0]->ownedCount());
 }
 
-TEST(FaultInjection, DefectiveDynamicWavelengthIsQuarantined) {
-  Rig rig(0);
-  rig.tables[0]->updateDemand(0, demandAll(16, 0, 8));
-  rig.rotate();
-  ASSERT_EQ(rig.controllers[0]->ownedCount(), 8u);
-  // Break a dynamically held wavelength of cluster 0.
-  const photonic::WavelengthId broken = rig.controllers[0]->ownedWavelengths().back();
-  rig.controllers[0]->markDefective(broken);
-  rig.rotate();
-  // Released from the map, replaced by a healthy one, never re-acquired.
-  EXPECT_EQ(rig.controllers[0]->ownedCount(), 8u);
-  for (const auto& id : rig.controllers[0]->ownedWavelengths()) {
-    EXPECT_NE(id, broken);
-  }
-  EXPECT_TRUE(rig.map.isFree(broken));
-  // Quarantined in the token: still marked allocated there.
-  EXPECT_TRUE(rig.token.isAllocated(
-      rig.token.tokenBitFor(photonic::flatten(broken, 64))));
-}
-
-TEST(FaultInjection, NoClusterEverAcquiresAQuarantinedWavelength) {
-  Rig rig(0);
-  photonic::WavelengthId broken{1, 7};
-  for (auto& controller : rig.controllers) controller->markDefective(broken);
-  for (ClusterId c = 0; c < 16; ++c) {
-    rig.tables[c]->updateDemand(0, demandAll(16, c, 32));
-  }
-  for (int round = 0; round < 4; ++round) rig.rotate();
-  EXPECT_TRUE(rig.map.isFree(broken));
-}
-
 }  // namespace
 }  // namespace pnoc::core
 
@@ -140,37 +107,20 @@ TEST(RestrictedDbaSystem, FullSystemRunsRestricted) {
   params.pattern = "skewed3";
   params.offeredLoad = 0.004;
   params.writableWaveguides = 2;
-  params.warmupCycles = 500;
-  params.measureCycles = 3000;
-  PhotonicNetwork net(params);
-  const auto m = net.run();
-  EXPECT_GT(m.packetsDelivered, 100u);
-  EXPECT_EQ(net.totalFlitsInjected(), net.totalFlitsEjected() + net.occupancy());
-}
-
-TEST(FaultInjectionSystem, TrafficContinuesAfterWavelengthFaults) {
-  SimulationParameters params;
-  params.architecture = Architecture::kDhetpnoc;
-  params.pattern = "skewed3";
-  params.offeredLoad = 0.001;
-  params.warmupCycles = 200;
-  params.measureCycles = 0;
+  // Seven 500-cycle windows: one of warmup, then 3000 measured cycles, with
+  // wavelength ownership checked after each window.
+  params.warmupCycles = 0;
+  params.measureCycles = 500;
   PhotonicNetwork net(params);
   auto* policy = dynamic_cast<DhetpnocPolicy*>(&net.policy());
   ASSERT_NE(policy, nullptr);
-  net.step(500);
-  const auto deliveredBefore = net.totalFlitsEjected();
-  // Break several dynamically allocatable wavelengths.
-  for (std::uint32_t lambda = 20; lambda < 26; ++lambda) {
-    policy->injectWavelengthFault({0, lambda});
+  std::uint64_t delivered = 0;
+  for (int window = 0; window < 7; ++window) {
+    const auto m = net.run();
+    if (window > 0) delivered += m.packetsDelivered;
+    EXPECT_EQ(policy->ownershipViolation(), "") << "cycle " << (window + 1) * 500;
   }
-  net.step(2000);
-  EXPECT_GT(net.totalFlitsEjected(), deliveredBefore + 1000u);
-  // Safety: ownership + free + (implicitly quarantined) never exceeds total.
-  const auto& map = policy->allocationMap();
-  std::uint32_t owned = 0;
-  for (ClusterId c = 0; c < 16; ++c) owned += map.ownedCount(c);
-  EXPECT_LE(owned + map.freeCount(), map.totalWavelengths());
+  EXPECT_GT(delivered, 100u);
   EXPECT_EQ(net.totalFlitsInjected(), net.totalFlitsEjected() + net.occupancy());
 }
 

@@ -161,8 +161,9 @@ TEST_P(SeedSweep, DhetpnocNeverLosesUnderHeavySkew) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep, ::testing::Values(1u, 7u, 1234u, 987654321u));
 
 TEST(AllocationSafety, HoldsUnderLiveTraffic) {
-  // The DBA's central invariant — no wavelength double-owned, token and map
-  // in agreement — checked while real traffic and the token ring run.
+  // The DBA's central invariant — no wavelength double-owned, token and
+  // owned lists in agreement — checked while real traffic and the token
+  // ring run.
   SimulationParameters params;
   params.pattern = "skewed3";
   params.offeredLoad = 0.002;
@@ -171,13 +172,10 @@ TEST(AllocationSafety, HoldsUnderLiveTraffic) {
   ASSERT_NE(policy, nullptr);
   for (int chunk = 0; chunk < 20; ++chunk) {
     net.step(100);
-    const auto& map = policy->allocationMap();
-    std::uint32_t owned = 0;
     for (ClusterId c = 0; c < 16; ++c) {
-      owned += map.ownedCount(c);
       EXPECT_GE(policy->controller(c).ownedCount(), 1u);
     }
-    EXPECT_EQ(owned + map.freeCount(), map.totalWavelengths());
+    EXPECT_EQ(policy->ownershipViolation(), "") << "chunk " << chunk;
   }
 }
 
@@ -196,10 +194,7 @@ TEST(AllocationSafety, SurvivesRepeatedRemapping) {
   for (int round = 0; round < 10; ++round) {
     policy->publishDemands(round % 2 == 0 ? *uniform : *skewed);
     net.step(50);
-    const auto& map = policy->allocationMap();
-    std::uint32_t owned = 0;
-    for (ClusterId c = 0; c < 16; ++c) owned += map.ownedCount(c);
-    EXPECT_EQ(owned + map.freeCount(), map.totalWavelengths()) << "round " << round;
+    EXPECT_EQ(policy->ownershipViolation(), "") << "round " << round;
   }
   // Flit conservation still holds after all the churn.
   EXPECT_EQ(net.totalFlitsInjected(), net.totalFlitsEjected() + net.occupancy());
