@@ -243,6 +243,27 @@ TEST(DbaController, MultiWaveguideAcquisitionSpansWaveguides) {
   EXPECT_EQ(ownershipViolation(token, controllers), "");
 }
 
+TEST(DbaController, ReservedWavelengthsCrossIntoSecondWaveguide) {
+  // 32 clusters x 4 reserved = 128 reserved flat indices, so cluster 16's
+  // reserved block starts at flat 64: the first lambda of waveguide 1 at
+  // kMaxWavelengthsPerWaveguide lambdas per waveguide.
+  Token token(256, 128);
+  DbaConfig config;
+  config.reservedPerCluster = 4;
+  std::vector<std::unique_ptr<RouterTables>> tables;
+  std::vector<std::unique_ptr<DbaController>> controllers;
+  for (ClusterId c = 0; c < 32; ++c) {
+    tables.push_back(std::make_unique<RouterTables>(c, 32, 1));
+    controllers.push_back(std::make_unique<DbaController>(c, config, *tables[c]));
+  }
+  const auto& owned = controllers[16]->ownedWavelengths();
+  ASSERT_EQ(owned.size(), 4u);
+  EXPECT_EQ(owned.front(), (photonic::WavelengthId{1, 0}));
+  EXPECT_EQ(owned.back(), (photonic::WavelengthId{1, 3}));
+  EXPECT_EQ(controllers[15]->ownedWavelengths().back(), (photonic::WavelengthId{0, 63}));
+  EXPECT_EQ(ownershipViolation(token, controllers), "");
+}
+
 /// Each test damages a consistent rig through the public Token API only and
 /// requires ownershipViolation() to name the damaged wavelength.
 class DbaOwnership : public DbaFixture {
@@ -292,6 +313,33 @@ TEST_F(DbaOwnership, NamesOwnedWavelengthWithFreeBit) {
   EXPECT_TRUE(names(violation, held)) << violation;
   EXPECT_NE(violation.find("cluster 4"), std::string::npos) << violation;
   EXPECT_NE(violation.find("token bit is free"), std::string::npos) << violation;
+}
+
+TEST_F(DbaOwnership, NamesShortTotalWhenAControllerIsLeftOut) {
+  acquireOne(2);
+  ASSERT_EQ(ownershipViolation(token_, controllers_), "");
+  // Every check but the totals passes on a subset; the missing cluster's
+  // reserved wavelength is then neither owned nor free.
+  controllers_.pop_back();
+  EXPECT_EQ(ownershipViolation(token_, controllers_), "16 owned + 47 free != 64 total");
+}
+
+TEST_F(DbaOwnership, ConsistentAgainAfterResetAndClear) {
+  for (ClusterId c = 0; c < kClusters; ++c) setDemand(c, 8);
+  rotate();
+  ASSERT_EQ(token_.freeCount(), 0u);
+  for (ClusterId c = 0; c < kClusters; ++c) setDemand(c, 0);
+  token_.clear();
+  // Cleared token, full owned lists: every dynamic wavelength's bit is free.
+  EXPECT_NE(ownershipViolation(token_, controllers_).find("token bit is free"),
+            std::string::npos);
+  for (auto& controller : controllers_) controller->reset();
+  EXPECT_EQ(ownershipViolation(token_, controllers_), "");
+  for (ClusterId c = 0; c < kClusters; ++c) {
+    EXPECT_EQ(controllers_[c]->ownedCount(), 1u);
+    EXPECT_EQ(controllers_[c]->stats().acquisitions, 0u);
+  }
+  EXPECT_EQ(token_.freeCount(), token_.sizeBits());
 }
 
 }  // namespace

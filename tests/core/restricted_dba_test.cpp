@@ -78,6 +78,29 @@ TEST(RestrictedDba, SingleWaveguideWindowCapsAcquisition) {
   }
 }
 
+TEST(RestrictedDba, WindowFollowsTheTokensWaveguideCount) {
+  // 128 wavelengths = 2 waveguides, so cluster 3's one-waveguide window is
+  // waveguide 3 mod 2 = 1, not waveguide 3 as it would be at set 3.
+  Token token(128, 16);
+  DbaConfig config;
+  config.maxChannelWavelengths = 64;
+  config.writableWaveguides = 1;
+  std::vector<std::unique_ptr<RouterTables>> tables;
+  std::vector<std::unique_ptr<DbaController>> controllers;
+  for (ClusterId c = 0; c < 16; ++c) {
+    tables.push_back(std::make_unique<RouterTables>(c, 16, 4));
+    controllers.push_back(std::make_unique<DbaController>(c, config, *tables[c]));
+  }
+  tables[3]->updateDemand(0, demandAll(16, 3, 64));
+  controllers[3]->onToken(token, 0);
+  const auto& owned = controllers[3]->ownedWavelengths();
+  EXPECT_EQ(owned.size(), 64u);  // waveguide 1 holds 64 tradeable lambdas
+  for (std::size_t i = 1; i < owned.size(); ++i) {
+    EXPECT_EQ(owned[i].waveguide, 1u) << photonic::toString(owned[i]);
+  }
+  EXPECT_EQ(ownershipViolation(token, controllers), "");
+}
+
 TEST(RestrictedDba, RestrictionReducesSatisfactionUnderContention) {
   // All clusters demand the cap.  Unrestricted: first-come clusters win big.
   // Restricted to 1 waveguide: each window is contended by ~2 clusters, so

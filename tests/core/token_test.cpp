@@ -35,6 +35,25 @@ TEST(Token, FlatIndexMappingSkipsReserved) {
   EXPECT_EQ(token.tokenBitFor(63), 47u);
 }
 
+TEST(Token, TokenBitForInvertsFlatIndexFor) {
+  Token token(512, 16);  // set-3 geometry: bits span eight waveguides
+  for (std::uint32_t bit = 0; bit < token.sizeBits(); ++bit) {
+    EXPECT_EQ(token.tokenBitFor(token.flatIndexFor(bit)), bit);
+  }
+  EXPECT_EQ(token.flatIndexFor(token.sizeBits() - 1), token.totalWavelengths() - 1);
+}
+
+TEST(Token, ClearFreesEveryBit) {
+  Token token(256, 16);
+  for (std::uint32_t bit = 0; bit < token.sizeBits(); bit += 3) token.markAllocated(bit);
+  EXPECT_EQ(token.freeCount(), token.sizeBits() - 80u);
+  token.clear();
+  EXPECT_EQ(token.freeCount(), token.sizeBits());
+  for (std::uint32_t bit = 0; bit < token.sizeBits(); ++bit) {
+    EXPECT_FALSE(token.isAllocated(bit)) << "bit " << bit;
+  }
+}
+
 TEST(TokenHop, MatchesEquationTwoTimings) {
   // eq. (2): T_L = N_TW / (lambda_W * B).  The control waveguide moves
   // 64 lambda * 5 bits/cycle = 320 bits per cycle at 2.5 GHz.

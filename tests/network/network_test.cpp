@@ -145,6 +145,34 @@ TEST(DhetpnocPolicy, ConvergesToDemandAfterRotations) {
   EXPECT_GE(policy.controller(3).ownedWavelengths().size(), 8u);
 }
 
+TEST(DhetpnocPolicy, NumDataWaveguidesFollowsBandwidthSet) {
+  noc::ClusterTopology topology;
+  const std::uint32_t expected[3] = {1, 4, 8};  // 64 / 256 / 512 lambdas over 64
+  const auto sets = traffic::BandwidthSet::all();
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    const auto pattern = traffic::makePattern("uniform", topology, sets[i]);
+    DhetpnocPolicy policy(topology, sets[i], *pattern, sim::Clock(), 1);
+    EXPECT_EQ(policy.numDataWaveguides(), expected[i]) << sets[i].name;
+  }
+}
+
+TEST(DhetpnocPolicy, ResetReturnsToReservedOnlyOwnership) {
+  noc::ClusterTopology topology;
+  const auto set = traffic::BandwidthSet::set1();
+  const auto pattern = traffic::makePattern("skewed3", topology, set);
+  DhetpnocPolicy policy(topology, set, *pattern, sim::Clock(), 1);
+  sim::Engine engine;
+  policy.attachTo(engine);
+  engine.run(64);
+  ASSERT_EQ(policy.ownershipViolation(), "");
+  ASSERT_GT(policy.controller(3).ownedCount(), 1u);
+  policy.reset(*pattern);
+  EXPECT_EQ(policy.ownershipViolation(), "");
+  for (ClusterId c = 0; c < 16; ++c) EXPECT_EQ(policy.controller(c).ownedCount(), 1u);
+  const core::Token& token = policy.tokenRing().token();
+  EXPECT_EQ(token.freeCount(), token.sizeBits());
+}
+
 TEST(DhetpnocPolicy, UniformMatchesFireflyAllocation) {
   noc::ClusterTopology topology;
   const auto set = traffic::BandwidthSet::set1();

@@ -127,5 +127,13 @@ TEST(AreaModel, RingAreaUsesFiveMicronRadius) {
   EXPECT_NEAR(areaMm2(one), 7.854e-5, 1e-7);
 }
 
+TEST(AreaModel, DefaultRadiusIsTheSharedRingConstant) {
+  EXPECT_DOUBLE_EQ(AreaParams{}.mrrRadiusUm, kMrrRadiusUm);
+  const DeviceCounts counts = dhetpnocCounts(paperParams(), 64);
+  EXPECT_DOUBLE_EQ(areaMm2(counts), areaMm2(counts, paperParams().mrrRadiusUm));
+  // Area goes with r^2: doubling the radius quadruples it.
+  EXPECT_NEAR(areaMm2(counts, 2 * kMrrRadiusUm), 4 * areaMm2(counts), 1e-12);
+}
+
 }  // namespace
 }  // namespace pnoc::photonic
