@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
     case scenario::CliStatus::kRun: break;
   }
   photonic::AreaParams params;
+  double radiusUm = 0.0;
   std::uint32_t maxWavelengths = 0;
   std::uint32_t restrict_ = 0;
   try {
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
         static_cast<std::uint32_t>(cli.config().getInt("routers", 16));
     params.lambdasPerWaveguide =
         static_cast<std::uint32_t>(cli.config().getInt("lambdas_per_wg", 64));
-    params.mrrRadiusUm = cli.config().getDouble("radius_um", photonic::kMrrRadiusUm);
+    radiusUm = cli.config().getDouble("radius_um", photonic::kMrrRadiusUm);
     maxWavelengths = static_cast<std::uint32_t>(cli.config().getInt("max_wavelengths", 512));
     restrict_ = static_cast<std::uint32_t>(cli.config().getInt("restrict", 2));
   } catch (const std::invalid_argument& error) {
@@ -49,19 +50,19 @@ int main(int argc, char** argv) {
   metrics::ReportTable table(
       "area model: " + std::to_string(params.numPhotonicRouters) + " routers, " +
       std::to_string(params.lambdasPerWaveguide) + " lambdas/waveguide, r=" +
-      metrics::ReportTable::num(params.mrrRadiusUm, 1) + " um");
+      metrics::ReportTable::num(radiusUm, 1) + " um");
   table.setHeader({"wavelengths", "Firefly mm^2", "d-HetPNoC mm^2",
                    "restricted(" + std::to_string(restrict_) + ") mm^2", "overhead",
                    "restricted overhead"});
   for (std::uint32_t lambdas = params.lambdasPerWaveguide; lambdas <= maxWavelengths;
        lambdas += params.lambdasPerWaveguide) {
     const double firefly = photonic::areaMm2(photonic::fireflyCounts(params, lambdas),
-                                             params.mrrRadiusUm);
+                                             radiusUm);
     const double dhet = photonic::areaMm2(photonic::dhetpnocCounts(params, lambdas),
-                                          params.mrrRadiusUm);
+                                          radiusUm);
     const double restricted = photonic::areaMm2(
         photonic::restrictedDhetpnocCounts(params, lambdas, restrict_),
-        params.mrrRadiusUm);
+        radiusUm);
     table.addRow({std::to_string(lambdas), metrics::ReportTable::num(firefly, 3),
                   metrics::ReportTable::num(dhet, 3),
                   metrics::ReportTable::num(restricted, 3),

@@ -95,9 +95,7 @@ class DhetpnocPolicy final : public ChannelPolicy {
 
   // Introspection for tests, benches and the dba_reconfiguration example.
   const core::DbaController& controller(ClusterId cluster) const;
-  core::RouterTables& tables(ClusterId cluster) { return *tables_[cluster]; }
   const core::TokenRing& tokenRing() const { return *ring_; }
-  core::DbaConfig dbaConfig() const { return dbaConfig_; }
 
   /// core::ownershipViolation() over this policy's token and controllers:
   /// empty while wavelength ownership is consistent, else the first

@@ -30,14 +30,14 @@ struct SimulationParameters {
   /// Reserved (minimum) wavelengths per cluster write channel, >= 1.
   std::uint32_t reservedPerCluster = 1;
   /// Ablation knob: overrides the token-ring hop latency of eq. (2) when
-  /// non-zero (swept by bench/ablation_dba).
+  /// non-zero (swept by bench/grids/paper_runs.json).
   Cycle tokenHopCyclesOverride = 0;
   /// Ablation knob: overrides the bandwidth set's per-channel wavelength cap
-  /// when non-zero (swept by bench/ablation_dba).
+  /// when non-zero (swept by bench/grids/paper_runs.json).
   std::uint32_t maxChannelWavelengthsOverride = 0;
   /// Conclusion's waveguide-restricted variant: router x may only modulate
   /// on this many waveguides starting at waveguide (x mod NW).  0 = the
-  /// paper's unrestricted design (bench/ablation_restricted_waveguides).
+  /// paper's unrestricted design (swept by bench/grids/paper_runs.json).
   std::uint32_t writableWaveguides = 0;
 
   // --- clocking & run length (Table 3-3: 10000 cycles with 1000 reset) ---

@@ -9,8 +9,8 @@
 //
 // Also implements the waveguide-restricted variant sketched in the thesis
 // conclusion (router x may only use waveguides x and x+1), which trades
-// allocation flexibility for a smaller modulator count — evaluated by
-// bench/ablation_restricted_waveguides.
+// allocation flexibility for a smaller modulator count — tabulated by
+// bench/paper_tables and simulated by bench/grids/paper_runs.json.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,6 @@ inline constexpr double kMrrRadiusUm = 5.0;
 struct AreaParams {
   std::uint32_t numPhotonicRouters = 16;  // NPR (Table 3-3: 16 clusters)
   std::uint32_t lambdasPerWaveguide = kMaxWavelengthsPerWaveguide;  // lambda_W
-  double mrrRadiusUm = kMrrRadiusUm;
 };
 
 /// Ring counts broken down by function, mirroring the terms of the equations.

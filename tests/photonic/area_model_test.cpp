@@ -128,9 +128,8 @@ TEST(AreaModel, RingAreaUsesFiveMicronRadius) {
 }
 
 TEST(AreaModel, DefaultRadiusIsTheSharedRingConstant) {
-  EXPECT_DOUBLE_EQ(AreaParams{}.mrrRadiusUm, kMrrRadiusUm);
   const DeviceCounts counts = dhetpnocCounts(paperParams(), 64);
-  EXPECT_DOUBLE_EQ(areaMm2(counts), areaMm2(counts, paperParams().mrrRadiusUm));
+  EXPECT_DOUBLE_EQ(areaMm2(counts), areaMm2(counts, kMrrRadiusUm));
   // Area goes with r^2: doubling the radius quadruples it.
   EXPECT_NEAR(areaMm2(counts, 2 * kMrrRadiusUm), 4 * areaMm2(counts), 1e-12);
 }
