@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   spec.params.pattern = "skewed3";
   spec.params.offeredLoad = 0.002;
   scenario::Cli cli("quickstart", "one simulation, both architectures side by side");
+  cli.setRunnerKeys(true);
   switch (cli.parse(argc, argv, &spec)) {
     case scenario::CliStatus::kHelp: return 0;
     case scenario::CliStatus::kError: return 1;

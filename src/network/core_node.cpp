@@ -101,41 +101,40 @@ void CoreNode::enqueue(const noc::PacketDescriptor& packet) {
   if (recorder_ != nullptr) recorder_->record(packet);
 }
 
+noc::PacketDescriptor CoreNode::describePacket(CoreId dst, std::uint32_t flits,
+                                               Cycle cycle) {
+  noc::PacketDescriptor packet;
+  packet.id = (*nextPacketId_)++;
+  packet.srcCore = config_.core;
+  packet.dstCore = dst;
+  packet.srcCluster = topology_->clusterOf(packet.srcCore);
+  packet.dstCluster = topology_->clusterOf(packet.dstCore);
+  packet.numFlits = flits;
+  packet.bitsPerFlit = config_.flitBits;
+  packet.createdAt = cycle;
+  if (packet.srcCluster != packet.dstCluster) {
+    packet.bandwidthClass = pattern_->bandwidthClass(packet.srcCluster, packet.dstCluster);
+  }
+  return packet;
+}
+
 void CoreNode::offerPacket(Cycle cycle) {
   ++stats_.packetsOffered;
   if (queue_.full()) {
     ++stats_.packetsRefused;
     return;
   }
-  noc::PacketDescriptor packet;
-  packet.id = (*nextPacketId_)++;
-  packet.srcCore = config_.core;
-  packet.dstCore = pattern_->sampleDestination(config_.core, rng_);
-  assert(packet.dstCore != config_.core);
-  packet.srcCluster = topology_->clusterOf(packet.srcCore);
-  packet.dstCluster = topology_->clusterOf(packet.dstCore);
-  packet.numFlits = config_.packetFlits;
-  packet.bitsPerFlit = config_.flitBits;
-  packet.createdAt = cycle;
-  if (packet.srcCluster != packet.dstCluster) {
-    packet.bandwidthClass = pattern_->bandwidthClass(packet.srcCluster, packet.dstCluster);
-  }
-  enqueue(packet);
+  const CoreId dst = pattern_->sampleDestination(config_.core, rng_);
+  assert(dst != config_.core);
+  enqueue(describePacket(dst, config_.packetFlits, cycle));
 }
 
 bool CoreNode::submitPacket(const workload::PacketRequest& request, Cycle cycle) {
   if (queue_.full()) return false;
-  noc::PacketDescriptor packet;
-  packet.id = (*nextPacketId_)++;
-  packet.srcCore = config_.core;
-  packet.dstCore = request.dst;
   // Self-addressed packets are legal here (a chain's data core can be the
   // flow's origin); the router loops them straight to the ejection port.
-  packet.srcCluster = topology_->clusterOf(packet.srcCore);
-  packet.dstCluster = topology_->clusterOf(packet.dstCore);
-  packet.numFlits = request.flits != 0 ? request.flits : config_.packetFlits;
-  packet.bitsPerFlit = config_.flitBits;
-  packet.createdAt = cycle;
+  noc::PacketDescriptor packet = describePacket(
+      request.dst, request.flits != 0 ? request.flits : config_.packetFlits, cycle);
   packet.flowKind = request.kind;
   if (request.kind == noc::FlowKind::kRequest) {
     // A fresh flow: identified by its own packet id, originating here, now.
@@ -146,9 +145,6 @@ bool CoreNode::submitPacket(const workload::PacketRequest& request, Cycle cycle)
     packet.flowId = request.flowId;
     packet.originCore = request.originCore;
     packet.flowStartedAt = request.flowStartedAt;
-  }
-  if (packet.srcCluster != packet.dstCluster) {
-    packet.bandwidthClass = pattern_->bandwidthClass(packet.srcCluster, packet.dstCluster);
   }
   // Offered == generated in workload mode: models check canSubmit() first,
   // so a refusal never happens silently and trace replays count identically.

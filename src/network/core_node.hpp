@@ -171,6 +171,9 @@ class CoreNode final : public sim::Clocked,
   /// returns the first success cycle (kNoCycle when probability <= 0; no RNG
   /// is consumed then, matching Rng::nextBool's p<=0 short-circuit).
   Cycle drawArrivalFrom(Cycle firstCandidate);
+  /// A fresh descriptor from this core to `dst` (next packet id, clusters,
+  /// size, creation cycle, bandwidth class); flow fields left at defaults.
+  noc::PacketDescriptor describePacket(CoreId dst, std::uint32_t flits, Cycle cycle);
   void offerPacket(Cycle cycle);
   void injectFlits(Cycle cycle);
   /// The single enqueue bottom (open-loop offers and model submissions):

@@ -4,33 +4,11 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "network/channel_policy.hpp"
 
 namespace pnoc::network {
-namespace {
-
-/// Parses PNOC_TEST_PHOTONIC="deny@<cluster>:until=<cycle>" (test fault
-/// hook).  Returns false when absent or malformed (malformed is ignored —
-/// this is a test-only escape hatch, not user input).
-bool parseDenyHook(std::uint32_t& cluster, Cycle& until) {
-  const char* env = std::getenv("PNOC_TEST_PHOTONIC");
-  if (env == nullptr || std::strncmp(env, "deny@", 5) != 0) return false;
-  char* end = nullptr;
-  const unsigned long c = std::strtoul(env + 5, &end, 10);
-  if (end == env + 5 || std::strncmp(end, ":until=", 7) != 0) return false;
-  const char* untilStr = end + 7;
-  const unsigned long long u = std::strtoull(untilStr, &end, 10);
-  if (end == untilStr) return false;
-  cluster = static_cast<std::uint32_t>(c);
-  until = static_cast<Cycle>(u);
-  return true;
-}
-
-}  // namespace
 
 PhotonicRouter::PhotonicRouter(std::string name, const PhotonicRouterConfig& config,
                                const ChannelPolicy& policy)
@@ -49,7 +27,6 @@ PhotonicRouter::PhotonicRouter(std::string name, const PhotonicRouterConfig& con
   for (std::uint32_t i = 0; i < config.clusterSize; ++i) {
     ingress_.emplace_back(owner, i, config.vcsPerPort, config.vcDepthFlits);
   }
-  parseDenyHook(denyCluster_, denyUntil_);
   restoreFreshState();
 }
 
@@ -85,8 +62,7 @@ void PhotonicRouter::onFlitBuffered(std::uint32_t, VcId, const noc::Flit&) {
   requestWake();
 }
 
-VcId PhotonicRouter::tryReserveReceiveVc(PacketId packet, CoreId dstCore, Cycle cycle) {
-  if (config_.cluster == denyCluster_ && cycle < denyUntil_) return kNoVc;
+VcId PhotonicRouter::tryReserveReceiveVc(PacketId packet, CoreId dstCore) {
   const VcId vc = receiveBank_.findFreeVcForNewPacket();
   if (vc == kNoVc) return kNoVc;
   receiveBank_.lock(vc);
@@ -245,7 +221,7 @@ bool PhotonicRouter::tryStartTransmission(Cycle cycle) {
       PhotonicRouter* peer = peers_[packet.dstCluster];
       ++stats_.reservationsIssued;
       ++issued;
-      const VcId remoteVc = peer->tryReserveReceiveVc(packet.id, packet.dstCore, cycle);
+      const VcId remoteVc = peer->tryReserveReceiveVc(packet.id, packet.dstCore);
       if (remoteVc == kNoVc) {
         // All destination VCs busy: the header is dropped and retransmitted
         // later (Section 1.4), modeled as a failed reservation retried on a
@@ -367,13 +343,9 @@ void PhotonicRouter::updateParkEligibility(Cycle cycle) {
     // scan actually ran and failed this cycle (so its outcome is the replay
     // constant) and every unblock path is armed — destination-VC unlocks
     // via the reservation waiters the scan registered, grant growth via the
-    // policy wake, deny-hook expiry via a timer.
+    // policy wake.
     if (!txScanBlocked_) return;
     if (!policy_->armGrantWake(config_.cluster, *this)) return;
-    if (denyCluster_ != kNoDenyCluster && cycle < denyUntil_ && !denyTimerArmed_) {
-      scheduleWakeAt(denyUntil_);
-      denyTimerArmed_ = true;
-    }
     issued = txScanIssued_;
     failures = txScanFailures_;
   }
@@ -421,7 +393,6 @@ void PhotonicRouter::restoreFreshState() {
   txScanFailures_ = 0;
   reservationWaiters_ = 0;
   timerArmedFor_ = 0;
-  denyTimerArmed_ = false;
   stats_ = PhotonicRouterStats{};
   ledger_ = photonic::EnergyLedger{};
   assert(occupancy() == 0 && "restored router must hold no flits");

@@ -105,9 +105,8 @@ class PhotonicRouter final : public sim::Clocked, private noc::PortOwner {
 
   // --- remote-side API (called by the source router during its advance) ---
   /// Reserves a free receive VC for an incoming packet; returns kNoVc when
-  /// none is available (reservation failure at the source).  `cycle` feeds
-  /// the PNOC_TEST_PHOTONIC deny hook (fault injection for tests).
-  VcId tryReserveReceiveVc(PacketId packet, CoreId dstCore, Cycle cycle);
+  /// none is available (reservation failure at the source).
+  VcId tryReserveReceiveVc(PacketId packet, CoreId dstCore);
   /// Schedules a flit to arrive into a previously reserved receive VC.
   void scheduleArrival(VcId vc, const noc::Flit& flit, Cycle arriveAt);
   /// Registers cluster `src`'s router for a wake on this router's next
@@ -228,13 +227,6 @@ class PhotonicRouter final : public sim::Clocked, private noc::PortOwner {
   std::uint64_t txScanFailures_ = 0;
   std::uint64_t reservationWaiters_ = 0;  // bit c: wake cluster c on VC unlock
   Cycle timerArmedFor_ = 0;   // reservation-end timer already scheduled for
-  bool denyTimerArmed_ = false;
-  // PNOC_TEST_PHOTONIC="deny@<cluster>:until=<cycle>" fault hook: the named
-  // cluster's router refuses every reservation before `until` (parsed once
-  // at construction; kNoDenyCluster = hook absent).
-  static constexpr std::uint32_t kNoDenyCluster = ~0u;
-  std::uint32_t denyCluster_ = kNoDenyCluster;
-  Cycle denyUntil_ = 0;
   PhotonicRouterStats stats_;
   photonic::EnergyLedger ledger_;
 };

@@ -23,8 +23,8 @@ ElectricalRouter::ElectricalRouter(
   inputs_.reserve(config.numPorts);
   for (std::uint32_t p = 0; p < config.numPorts; ++p) {
     inputs_.emplace_back(owner, p, config.vcsPerPort, config.vcDepthFlits);
-    inputArbiters_.push_back(makeArbiter(config.arbiter, config.vcsPerPort));
-    outputArbiters_.push_back(makeArbiter(config.arbiter, config.numPorts));
+    inputArbiters_.emplace_back(config.vcsPerPort);
+    outputArbiters_.emplace_back(config.numPorts);
   }
   pendingMoves_.reserve(config.numPorts);
 }
@@ -107,7 +107,7 @@ void ElectricalRouter::evaluate(Cycle cycle) {
       requests |= bit(vc);
     }
     if (requests == 0) continue;
-    const VcId vc = inputArbiters_[in]->grant(requests);
+    const VcId vc = inputArbiters_[in].grant(requests);
     const std::uint32_t out = routeOf(in, vc);
     selectedVc_[in] = vc;
     if ((requestedOutputs & bit(out)) == 0) requestsFor_[out] = 0;
@@ -119,7 +119,7 @@ void ElectricalRouter::evaluate(Cycle cycle) {
   // inputs whose selected head flit targets it (ascending output order).
   for (std::uint32_t outs = requestedOutputs; outs != 0; outs &= outs - 1) {
     const auto out = static_cast<std::uint32_t>(std::countr_zero(outs));
-    const std::uint32_t in = outputArbiters_[out]->grant(requestsFor_[out]);
+    const std::uint32_t in = outputArbiters_[out].grant(requestsFor_[out]);
     pendingMoves_.push_back(Move{in, selectedVc_[in], out});
   }
 
@@ -224,8 +224,8 @@ void ElectricalRouter::reset() {
   }
   ownedMask_ = 0;
   std::fill(route_.begin(), route_.end(), std::uint8_t{0});
-  for (auto& arbiter : inputArbiters_) arbiter->reset();
-  for (auto& arbiter : outputArbiters_) arbiter->reset();
+  for (auto& arbiter : inputArbiters_) arbiter.reset();
+  for (auto& arbiter : outputArbiters_) arbiter.reset();
   pendingMoves_.clear();
   occupancy_ = 0;
   zeroMoveStreak_ = 0;

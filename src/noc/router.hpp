@@ -41,7 +41,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,7 +61,6 @@ struct RouterConfig {
   /// (3 stages -> earliest departure 2 cycles after arrival, arriving
   /// downstream on the 3rd).
   std::uint32_t pipelineLatency = 3;
-  std::string arbiter = "round-robin";
   /// Electrical energy charged per bit traversing the router (Table 3-5).
   double routerEnergyPerBitPj = 0.625;
 };
@@ -162,9 +160,9 @@ class ElectricalRouter final : public sim::Clocked, private PortOwner {
   /// opened that VC; read while the head waits at the VC front.
   std::vector<std::uint8_t> route_;
   /// Input-arbitration stage: one arbiter per input port picks among VCs.
-  std::vector<std::unique_ptr<Arbiter>> inputArbiters_;
+  std::vector<RoundRobinArbiter> inputArbiters_;
   /// Output-arbitration stage: one arbiter per output port picks among inputs.
-  std::vector<std::unique_ptr<Arbiter>> outputArbiters_;
+  std::vector<RoundRobinArbiter> outputArbiters_;
   std::vector<Move> pendingMoves_;  // decided in evaluate, applied in advance
   std::uint32_t occupancy_ = 0;     // buffered flits across all ports/VCs
   /// Consecutive evaluate() calls that produced no move; the blocked-park

@@ -57,7 +57,7 @@ CliStatus Cli::parse(int argc, char** argv, ScenarioSpec* spec) {
     if (spec != nullptr) {
       std::printf("%s", ScenarioSpec::helpText(*spec).c_str());
     }
-    if (spec != nullptr || runnerKeysWithoutSpec_) {
+    if (runnerKeys_) {
       std::printf("\nrunner keys:\n");
       if (spec != nullptr) {
         std::printf("  @file                       load scenario keys from a key=value"
@@ -116,7 +116,7 @@ CliStatus Cli::parse(int argc, char** argv, ScenarioSpec* spec) {
     return CliStatus::kError;
   }
 
-  if (spec != nullptr || runnerKeysWithoutSpec_) {
+  if (runnerKeys_) {
     try {
       applyRunnerKeys();
     } catch (const std::invalid_argument& error) {
@@ -134,7 +134,7 @@ CliStatus Cli::parse(int argc, char** argv, ScenarioSpec* spec) {
       knownKeys.push_back(field.key);
     }
   }
-  if (spec != nullptr || runnerKeysWithoutSpec_) {
+  if (runnerKeys_) {
     for (const std::string& key : dispatch::policyKeys()) knownKeys.push_back(key);
     knownKeys.insert(knownKeys.end(), {"backend", "shards", "hosts"});
   }
@@ -156,8 +156,8 @@ CliStatus Cli::parse(int argc, char** argv, ScenarioSpec* spec) {
 }
 
 void Cli::applyRunnerKeys() {
-  // Runner keys ride next to the scenario keys on every scenario binary
-  // (and stand alone on spec-less fleet drivers like pnoc_serve).
+  // Runner keys ride next to the scenario keys on the binaries that
+  // dispatch (and stand alone on spec-less fleet drivers like pnoc_serve).
   if (config_.contains("backend")) {
     backendOptions_.kind = parseBackendKind(config_.getString("backend", ""));
   }

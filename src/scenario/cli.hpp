@@ -3,16 +3,17 @@
 // All binaries speak the same dialect: `key=value` tokens, `@file` arguments
 // that load key=value or JSON spec files, `help=1` for a generated listing,
 // and hard rejection of unknown keys.  Scenario keys come from the
-// ScenarioSpec binding table; scenario binaries also get the runner keys
-// `backend=threads|processes|stream`, `shards=N` and `hosts=@hosts.json`
-// (read them back via backendOptions()); a binary declares its own extra
-// keys (json output directory, sweep sizes, ...) up front so they are known
-// too.
+// ScenarioSpec binding table; binaries that call setRunnerKeys(true) also get
+// the runner keys `backend=threads|processes|stream`, `shards=N` and
+// `hosts=@hosts.json` plus the fault-policy keys (read them back via
+// backendOptions()); a binary declares its own extra keys (json output
+// directory, sweep sizes, ...) up front so they are known too.
 //
 //   scenario::ScenarioSpec spec;             // binary defaults go here
 //   spec.params.pattern = "skewed3";
 //   scenario::Cli cli("quickstart", "one run, both architectures");
 //   cli.addKey("json", "directory for the BENCH record (default .)");
+//   cli.setRunnerKeys(true);
 //   switch (cli.parse(argc, argv, &spec)) {
 //     case scenario::CliStatus::kHelp: return 0;
 //     case scenario::CliStatus::kError: return 1;
@@ -59,16 +60,16 @@ class Cli {
   /// specFiles() instead of applying them onto the parsed spec.
   void setCollectSpecFiles(bool collect) { collectSpecFiles_ = collect; }
 
-  /// Binaries WITHOUT a scenario spec that still drive a worker fleet
-  /// (pnoc_serve): accept the runner keys (backend=/shards=/hosts=) and the
-  /// fault-policy keys even when parse() is called with spec == nullptr.
-  void setRunnerKeys(bool enable) { runnerKeysWithoutSpec_ = enable; }
+  /// Binaries that dispatch through an execution backend (pnoc_run,
+  /// pnoc_serve, quickstart): accept the runner keys
+  /// (backend=/shards=/hosts=) and the fault-policy keys.  Every other
+  /// binary rejects them as unknown keys.
+  void setRunnerKeys(bool enable) { runnerKeys_ = enable; }
 
   /// Parses argv[1..]: applies @file spec files and scenario-key overrides
   /// onto `*spec` (skipped when spec == nullptr, for binaries without a
   /// simulation scenario), handles help=1 and --pnoc-worker, parses the
-  /// backend=/shards= runner keys, rejects unknown keys and malformed
-  /// values.
+  /// runner keys when enabled, rejects unknown keys and malformed values.
   CliStatus parse(int argc, char** argv, ScenarioSpec* spec);
 
   /// The parsed key=value store (for binary-specific keys).
@@ -93,7 +94,7 @@ class Cli {
   sim::Config config_;
   BackendOptions backendOptions_;
   bool collectSpecFiles_ = false;
-  bool runnerKeysWithoutSpec_ = false;
+  bool runnerKeys_ = false;
   int workerExitCode_ = 0;
 
   void applyRunnerKeys();  // backend=/shards=/hosts= + policy keys; throws

@@ -39,11 +39,9 @@
 //                  bound on the success path's reap — a wedged worker can
 //                  never hang the dispatcher indefinitely.
 //   connect_timeout_ms  launch-to-handshake-ack budget per worker (per-host
-//                  override via a host entry's own connect_timeout_ms; the
-//                  PNOC_STREAM_ACK_TIMEOUT_MS environment variable beats
-//                  both).  Launches are non-blocking fork/execs, so an
-//                  N-host ssh fleet starts in max, not sum, of connect
-//                  times.
+//                  override via a host entry's own connect_timeout_ms).
+//                  Launches are non-blocking fork/execs, so an N-host ssh
+//                  fleet starts in max, not sum, of connect times.
 //   fail_soft      1: a job that exhausts `retries` (or fails in-band, or
 //                  outlives the whole fleet) becomes a structured per-job
 //                  failure outcome — the grid continues, pnoc_run records

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -14,16 +13,6 @@
 
 namespace pnoc::scenario::dispatch {
 namespace {
-
-/// PNOC_STREAM_ACK_TIMEOUT_MS overrides every connect/ack budget (tests,
-/// very slow fleets); 0 / unset defers to the per-host and policy values.
-std::uint64_t envConnectTimeoutMs() {
-  if (const char* env = std::getenv("PNOC_STREAM_ACK_TIMEOUT_MS")) {
-    const long ms = std::strtol(env, nullptr, 10);
-    if (ms > 0) return static_cast<std::uint64_t>(ms);
-  }
-  return 0;
-}
 
 /// "job 3" for a batch unit, "job 7 unit 3" for a daemon unit.
 std::string unitName(const UnitKey& key) {
@@ -102,7 +91,6 @@ void FleetManager::death(const std::string& text) {
 }
 
 std::uint64_t FleetManager::connectBudgetMs(const Slot& slot) const {
-  if (const std::uint64_t env = envConnectTimeoutMs(); env != 0) return env;
   if (slot.transport->connectTimeoutMs() != 0) {
     return slot.transport->connectTimeoutMs();
   }

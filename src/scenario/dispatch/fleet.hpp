@@ -113,8 +113,8 @@ class FleetManager {
 
   /// Spawns one worker through `transport` and starts its handshake; the
   /// slot becomes ready when the ack arrives within the connect budget
-  /// (PNOC_STREAM_ACK_TIMEOUT_MS, else the transport's own budget, else
-  /// policy.connectTimeoutMs).  Returns the slot index.
+  /// (the transport's own budget, else policy.connectTimeoutMs).  Returns
+  /// the slot index.
   std::size_t addWorker(std::unique_ptr<WorkerTransport> transport,
                         std::uint64_t nowMs);
 

@@ -227,14 +227,6 @@ std::vector<ScenarioField> makeFields() {
       },
       false});
 
-  fields.push_back(ScenarioField{
-      "arbiter", "electrical router arbiter: round-robin | matrix",
-      [](ScenarioSpec& spec, const std::string& value) {
-        spec.params.coreRouter.arbiter = value;
-      },
-      [](const ScenarioSpec& spec) { return spec.params.coreRouter.arbiter; },
-      true});
-
   fields.push_back(u32Field("link_latency", "intra-cluster copper link latency in cycles",
                             &network::SimulationParameters::intraClusterLinkLatency));
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "traffic/app_profile.hpp"
-#include "traffic/hotspot.hpp"
 #include "traffic/matrix_pattern.hpp"
 #include "traffic/skewed.hpp"
 #include "traffic/synthetic.hpp"
@@ -50,9 +49,18 @@ void registerBuiltins(PatternRegistry& registry) {
       "variant=<1..4> (1), hot=<core> (0)",
       [](const PatternOptions& options, const noc::ClusterTopology& topology,
          const BandwidthSet& set) -> std::unique_ptr<TrafficPattern> {
+        // Variants 1..4: 10% over skewed2, 10% over skewed3, 20% over
+        // skewed2, 20% over skewed3.
         const int variant = static_cast<int>(options.getInt("variant", 1));
+        if (variant < 1 || variant > 4) {
+          throw std::invalid_argument("skewed-hotspot variant must be 1..4");
+        }
         const auto hot = static_cast<CoreId>(options.getInt("hot", 0));
-        return std::make_unique<SkewedHotspotPattern>(variant, topology, set, hot);
+        const double share = variant <= 2 ? 0.10 : 0.20;
+        const int level = variant % 2 == 1 ? 2 : 3;
+        return std::make_unique<HotspotOverlayPattern>(
+            "skewed-hotspot" + std::to_string(variant),
+            std::make_unique<SkewedPattern>(level, topology, set), share, hot, topology);
       }});
 
   registry.add(PatternFamily{

@@ -140,7 +140,9 @@ HotspotOverlayPattern::HotspotOverlayPattern(std::string name,
     throw std::invalid_argument(name_ + ": frac must be in [0, 1)");
   }
   if (hotspotCore >= topology.numCores()) {
-    throw std::invalid_argument(name_ + ": hotspot core out of range");
+    throw std::invalid_argument(name_ + ": hotspot core " + std::to_string(hotspotCore) +
+                                " out of range for " +
+                                std::to_string(topology.numCores()) + " cores");
   }
 }
 

@@ -76,7 +76,9 @@ std::vector<CoreId> permutationTargets(const noc::ClusterTopology& topology,
 /// hotspot core; otherwise the base pattern picks the destination.  Source
 /// weights and wavelength demands are the base pattern's — the paper's
 /// skewed-hotspot case studies model the hotspot as extra load on existing
-/// channels, not as extra provisioned bandwidth.
+/// channels, not as extra provisioned bandwidth.  The skewed-hotspot1..4 family
+/// of Section 3.4.2 is this overlay at a 10% or 20% share over skewed2 or
+/// skewed3.
 class HotspotOverlayPattern final : public TrafficPattern {
  public:
   /// Requires 0 <= fraction < 1 and hotspotCore < numCores.

@@ -222,20 +222,8 @@ class NotifyingSink final : public noc::FlitSink {
   sim::Clocked* waiter_ = nullptr;
 };
 
-/// Sets an environment variable for the lifetime of one test body.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
-
-/// A minimal two-router rig built per test (unlike the fixture, construction
-/// happens inside the test body so EnvGuard hooks are visible to it).
+/// A minimal two-router rig with drain-notifying ejection sinks, built per
+/// test so a gated and a polled copy can run side by side.
 struct Rig {
   explicit Rig(bool gating)
       : policy(4),
@@ -248,9 +236,10 @@ struct Rig {
     engine.add(source);
     engine.add(destination);
   }
-  void inject(noc::PacketHandle packet, std::uint32_t flits, std::uint32_t first = 0) {
+  void inject(noc::PacketHandle packet, std::uint32_t flits, std::uint32_t first = 0,
+              std::uint32_t port = 0) {
     for (std::uint32_t i = first; i < first + flits; ++i) {
-      source.inputPort(0).accept(noc::makeFlit(packet, i), engine.now());
+      source.inputPort(port).accept(noc::makeFlit(packet, i), engine.now());
     }
   }
   StubPolicy policy;
@@ -292,25 +281,34 @@ TEST(PhotonicParking, FullDownLinkStallParksUntilDrainNotify) {
   EXPECT_EQ(rig.sinks[0].flits.size(), 8u);
 }
 
-TEST(PhotonicParking, DenyHookStormReplaysRetryStatsExactly) {
-  // A reservation-failure storm via the test fault hook: cluster 1 refuses
-  // every reservation until cycle 120.  The gated source parks between
-  // retries; its replayed issue/failure counts must match the poll-mode rig
-  // bit for bit, and the packet must still arrive after the deny expires.
-  EnvGuard deny("PNOC_TEST_PHOTONIC", "deny@1:until=120");
+TEST(PhotonicParking, ReservationStormReplaysRetryStatsExactly) {
+  // A reservation-failure storm: the destination's down links are blocked,
+  // two packets fill both of its receive VCs, and a third keeps failing to
+  // reserve until the links drain.  The gated source parks between retries;
+  // its replayed issue/failure counts must match the poll-mode rig bit for
+  // bit, and every packet must still arrive once the links are unblocked.
   Rig gated(true);
   Rig polled(false);
-  gated.inject(interPacket(41, 0, 4), 8);
-  polled.inject(interPacket(41, 0, 4), 8);
-  gated.engine.run(200);
-  polled.engine.run(200);
+  for (Rig* rig : {&gated, &polled}) {
+    for (auto& sink : rig->sinks) sink.blocked = true;
+    for (std::uint32_t port = 0; port < 3; ++port) {
+      rig->inject(interPacket(41 + port, 0, 4 + port), 8, 0, port);
+    }
+    rig->engine.run(150);
+  }
+  EXPECT_EQ(gated.source.stats().packetsTransmitted, 2u) << "both receive VCs filled";
+  for (Rig* rig : {&gated, &polled}) {
+    for (auto& sink : rig->sinks) sink.unblock();
+    rig->engine.run(200);
+    for (std::uint32_t core = 0; core < 3; ++core) {
+      EXPECT_EQ(rig->sinks[core].flits.size(), 8u) << "core " << core;
+    }
+  }
   EXPECT_GT(gated.source.stats().reservationFailures, 20u) << "storm never happened";
-  EXPECT_EQ(gated.sinks[0].flits.size(), 8u);
-  EXPECT_EQ(polled.sinks[0].flits.size(), 8u);
   EXPECT_TRUE(statsEqual(gated.source.stats(), polled.source.stats()));
   EXPECT_TRUE(statsEqual(gated.destination.stats(), polled.destination.stats()));
   EXPECT_LT(gated.engine.stats().componentSteps, polled.engine.stats().componentSteps)
-      << "the gated source should park through the deny window, not poll it";
+      << "the gated source should park through the storm, not poll it";
 }
 
 TEST(PhotonicParking, WormholeBubbleReplaysBusyCyclesExactly) {

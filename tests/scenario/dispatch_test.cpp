@@ -405,10 +405,10 @@ TEST(StreamingFleet, UnrecoverableDeathFailsLoudlyNamingTheJob) {
 
 TEST(StreamingFleet, SilentWorkerFailsTheHandshakeInsteadOfHanging) {
   // `sleep` holds both pipes open and never writes — the observable
-  // behavior of a worker that never answers the hello.  The handshake deadline must fail the
-  // dispatch, not hang it (teardown SIGTERMs the sleeper).
-  ScopedEnv timeout("PNOC_STREAM_ACK_TIMEOUT_MS", "300");
-  StreamingBackend streaming({HostEntry{{"sh", "-c", "exec sleep 30"}, 1, ""}});
+  // behavior of a worker that never answers the hello.  The host's 300 ms
+  // handshake deadline must fail the dispatch, not hang it (teardown
+  // SIGTERMs the sleeper).
+  StreamingBackend streaming({HostEntry{{"sh", "-c", "exec sleep 30"}, 1, "", 300}});
   std::vector<ScenarioJob> jobs;
   jobs.push_back({ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 96)});
   try {

@@ -107,6 +107,7 @@ TEST(ScenarioRunner, FacadeSelectsBackendFromOptions) {
     argv.insert(argv.begin(), "test_binary");
     ScenarioSpec spec;
     Cli cli("test_binary", "backend selection");
+    cli.setRunnerKeys(true);
     EXPECT_EQ(cli.parse(static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
                         &spec),
               CliStatus::kRun);

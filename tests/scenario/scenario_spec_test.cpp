@@ -25,7 +25,7 @@ ScenarioSpec nonDefaultSpec() {
   spec.set("reserved", "2");
   spec.set("gating", "false");
   spec.set("queue", "4");
-  spec.set("arbiter", "matrix");
+  spec.set("workload", "closed:window=4,think=0");
   spec.set("label", "round trip \"quoted\" label");
   return spec;
 }
@@ -42,7 +42,7 @@ TEST(ScenarioSpec, SetWritesThroughToParameters) {
   EXPECT_EQ(spec.params.reservedPerCluster, 2u);
   EXPECT_FALSE(spec.params.activityGating);
   EXPECT_EQ(spec.params.injectionQueuePackets, 4u);
-  EXPECT_EQ(spec.params.coreRouter.arbiter, "matrix");
+  EXPECT_EQ(spec.params.workload, "closed:window=4,think=0");
 }
 
 TEST(ScenarioSpec, KeyValueRoundTripIsByteIdentical) {

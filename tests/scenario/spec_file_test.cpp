@@ -209,17 +209,20 @@ TEST(CliBackendKeys, BackendAndShardsParse) {
   const char* argv[] = {"test_binary", "backend=processes", "shards=4"};
   ScenarioSpec spec;
   Cli cli("test_binary", "backend keys");
+  cli.setRunnerKeys(true);
   ASSERT_EQ(cli.parse(3, const_cast<char**>(argv), &spec), CliStatus::kRun);
   EXPECT_EQ(cli.backendOptions().kind, BackendKind::kStream);  // the alias
   EXPECT_EQ(cli.backendOptions().workers, 4u);
 
   const char* bad[] = {"test_binary", "backend=smoke-signals"};
   Cli badCli("test_binary", "backend keys");
+  badCli.setRunnerKeys(true);
   ScenarioSpec badSpec;
   EXPECT_EQ(badCli.parse(2, const_cast<char**>(bad), &badSpec), CliStatus::kError);
 
   const char* defaults[] = {"test_binary"};
   Cli defaultCli("test_binary", "backend keys");
+  defaultCli.setRunnerKeys(true);
   ScenarioSpec defaultSpec;
   ASSERT_EQ(defaultCli.parse(1, const_cast<char**>(defaults), &defaultSpec),
             CliStatus::kRun);
@@ -228,10 +231,23 @@ TEST(CliBackendKeys, BackendAndShardsParse) {
   EXPECT_TRUE(defaultCli.backendOptions().hostsFile.empty());
 }
 
+TEST(CliBackendKeys, SpecBinaryWithoutRunnerKeysRejectsThem) {
+  // A scenario binary that never dispatches must not accept backend= and
+  // then ignore it: the key is unknown there.
+  const char* argv[] = {"test_binary", "backend=stream"};
+  ScenarioSpec spec;
+  Cli cli("test_binary", "no runner keys");
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(cli.parse(2, const_cast<char**>(argv), &spec), CliStatus::kError);
+  const std::string stderrText = testing::internal::GetCapturedStderr();
+  EXPECT_NE(stderrText.find("unknown option 'backend'"), std::string::npos) << stderrText;
+}
+
 TEST(CliBackendKeys, StreamAndHostsParse) {
   const char* stream[] = {"test_binary", "backend=stream", "shards=3"};
   ScenarioSpec spec;
   Cli cli("test_binary", "backend keys");
+  cli.setRunnerKeys(true);
   ASSERT_EQ(cli.parse(3, const_cast<char**>(stream), &spec), CliStatus::kRun);
   EXPECT_EQ(cli.backendOptions().kind, BackendKind::kStream);
   EXPECT_EQ(cli.backendOptions().workers, 3u);
@@ -242,6 +258,7 @@ TEST(CliBackendKeys, StreamAndHostsParse) {
   const std::string hostsAtArg = "hosts=@" + hosts.path();
   const char* withHosts[] = {"test_binary", hostsAtArg.c_str()};
   Cli hostsCli("test_binary", "backend keys");
+  hostsCli.setRunnerKeys(true);
   ScenarioSpec hostsSpec;
   ASSERT_EQ(hostsCli.parse(2, const_cast<char**>(withHosts), &hostsSpec),
             CliStatus::kRun);
@@ -254,6 +271,7 @@ TEST(CliBackendKeys, StreamAndHostsParse) {
   const std::string hostsKey = "hosts=" + hosts.path();
   const char* contradictory[] = {"test_binary", "backend=threads", hostsKey.c_str()};
   Cli badCli("test_binary", "backend keys");
+  badCli.setRunnerKeys(true);
   ScenarioSpec badSpec;
   EXPECT_EQ(badCli.parse(3, const_cast<char**>(contradictory), &badSpec),
             CliStatus::kError);
@@ -261,6 +279,7 @@ TEST(CliBackendKeys, StreamAndHostsParse) {
   // ... and so is shards= next to a fleet that sizes itself.
   const char* shardsToo[] = {"test_binary", "shards=8", hostsKey.c_str()};
   Cli shardsCli("test_binary", "backend keys");
+  shardsCli.setRunnerKeys(true);
   ScenarioSpec shardsSpec;
   EXPECT_EQ(shardsCli.parse(3, const_cast<char**>(shardsToo), &shardsSpec),
             CliStatus::kError);
@@ -268,6 +287,7 @@ TEST(CliBackendKeys, StreamAndHostsParse) {
   // An unreadable fleet file fails at parse time, not mid-dispatch.
   const char* missing[] = {"test_binary", "hosts=/nonexistent/hosts.json"};
   Cli missingCli("test_binary", "backend keys");
+  missingCli.setRunnerKeys(true);
   ScenarioSpec missingSpec;
   EXPECT_EQ(missingCli.parse(2, const_cast<char**>(missing), &missingSpec),
             CliStatus::kError);
@@ -276,6 +296,7 @@ TEST(CliBackendKeys, StreamAndHostsParse) {
   // single-machine.
   const char* emptyHosts[] = {"test_binary", "hosts=@"};
   Cli emptyCli("test_binary", "backend keys");
+  emptyCli.setRunnerKeys(true);
   ScenarioSpec emptySpec;
   EXPECT_EQ(emptyCli.parse(2, const_cast<char**>(emptyHosts), &emptySpec),
             CliStatus::kError);

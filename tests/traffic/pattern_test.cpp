@@ -7,8 +7,8 @@
 
 #include "traffic/app_profile.hpp"
 #include "traffic/bandwidth_set.hpp"
-#include "traffic/hotspot.hpp"
 #include "traffic/skewed.hpp"
+#include "traffic/synthetic.hpp"
 #include "traffic/uniform.hpp"
 
 namespace pnoc::traffic {
@@ -155,31 +155,38 @@ TEST(SkewedPattern, SourceWeightsFollowTable32) {
   EXPECT_NEAR(sum, 1.0, 1e-12);
 }
 
+/// A registry-built skewed-hotspot pattern (a HotspotOverlayPattern).
+std::unique_ptr<TrafficPattern> skewedHotspot(const std::string& spec) {
+  return makePattern(spec, topo(), BandwidthSet::set1());
+}
+
+double hotspotFraction(const TrafficPattern& pattern) {
+  const auto* overlay = dynamic_cast<const HotspotOverlayPattern*>(&pattern);
+  return overlay == nullptr ? -1.0 : overlay->fraction();
+}
+
 TEST(HotspotPattern, VariantsMatchSection342) {
-  SkewedHotspotPattern h1(1, topo(), BandwidthSet::set1());
-  EXPECT_DOUBLE_EQ(h1.hotspotFraction(), 0.10);
-  SkewedHotspotPattern h3(3, topo(), BandwidthSet::set1());
-  EXPECT_DOUBLE_EQ(h3.hotspotFraction(), 0.20);
-  EXPECT_THROW(SkewedHotspotPattern(5, topo(), BandwidthSet::set1()),
-               std::invalid_argument);
+  EXPECT_DOUBLE_EQ(hotspotFraction(*skewedHotspot("skewed-hotspot1")), 0.10);
+  EXPECT_DOUBLE_EQ(hotspotFraction(*skewedHotspot("skewed-hotspot3")), 0.20);
+  EXPECT_THROW(skewedHotspot("skewed-hotspot:variant=5"), std::invalid_argument);
 }
 
 TEST(HotspotPattern, HotspotReceivesItsShare) {
-  SkewedHotspotPattern pattern(3, topo(), BandwidthSet::set1(), /*hotspotCore=*/0);
+  const auto pattern = skewedHotspot("skewed-hotspot:variant=3,hot=0");
   sim::Rng rng(3);
   int hits = 0;
   constexpr int kDraws = 50000;
   for (int i = 0; i < kDraws; ++i) {
-    hits += (pattern.sampleDestination(20, rng) == 0) ? 1 : 0;
+    hits += (pattern->sampleDestination(20, rng) == 0) ? 1 : 0;
   }
   // 20% direct + about 1/63 of the remaining 80%.
   EXPECT_NEAR(static_cast<double>(hits) / kDraws, 0.20 + 0.80 / 63.0, 0.01);
 }
 
 TEST(HotspotPattern, HotspotCoreDoesNotTargetItself) {
-  SkewedHotspotPattern pattern(1, topo(), BandwidthSet::set1(), 0);
+  const auto pattern = skewedHotspot("skewed-hotspot:variant=1,hot=0");
   sim::Rng rng(4);
-  for (int i = 0; i < 2000; ++i) EXPECT_NE(pattern.sampleDestination(0, rng), 0u);
+  for (int i = 0; i < 2000; ++i) EXPECT_NE(pattern->sampleDestination(0, rng), 0u);
 }
 
 TEST(PatternFactory, BuildsAllPaperPatterns) {

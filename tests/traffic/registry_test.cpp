@@ -10,7 +10,6 @@
 #include <map>
 #include <set>
 
-#include "traffic/hotspot.hpp"
 #include "traffic/synthetic.hpp"
 #include "traffic/uniform.hpp"
 
@@ -98,6 +97,18 @@ TEST(PatternRegistry, ParameterizedHotspotSpecWorks) {
   EXPECT_NEAR(static_cast<double>(hits) / kDraws, 0.30 + 0.70 / 63.0, 0.01);
 }
 
+TEST(PatternRegistry, SkewedHotspotRejectsOutOfRangeCoreAndVariant) {
+  auto& registry = PatternRegistry::global();
+  // 64 cores: core 64 does not exist, and there are only four variants.
+  EXPECT_THROW(registry.make("skewed-hotspot:hot=64", topo(), BandwidthSet::set1()),
+               std::invalid_argument);
+  EXPECT_THROW(registry.make("skewed-hotspot:variant=5", topo(), BandwidthSet::set1()),
+               std::invalid_argument);
+  EXPECT_THROW(registry.make("skewed-hotspot:variant=0", topo(), BandwidthSet::set1()),
+               std::invalid_argument);
+  EXPECT_NO_THROW(registry.make("skewed-hotspot:hot=63", topo(), BandwidthSet::set1()));
+}
+
 TEST(PatternRegistry, ParenthesizedBaseSpecKeepsNestedOptions) {
   auto& registry = PatternRegistry::global();
   // The nested spec's own comma-separated options must reach the base
@@ -107,7 +118,7 @@ TEST(PatternRegistry, ParenthesizedBaseSpecKeepsNestedOptions) {
   const auto* overlay = dynamic_cast<const HotspotOverlayPattern*>(pattern.get());
   ASSERT_NE(overlay, nullptr);
   EXPECT_EQ(overlay->hotspotCore(), 0u);  // outer default
-  const auto* base = dynamic_cast<const SkewedHotspotPattern*>(&overlay->base());
+  const auto* base = dynamic_cast<const HotspotOverlayPattern*>(&overlay->base());
   ASSERT_NE(base, nullptr);
   EXPECT_EQ(base->hotspotCore(), 5u);  // nested hot=5 landed on the base
   EXPECT_EQ(base->name(), "skewed-hotspot2");

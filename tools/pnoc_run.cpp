@@ -233,6 +233,7 @@ int main(int argc, char** argv) {
   cli.addKey("executable", "worker binary for op=fleet-add");
   cli.addKey("worker", "worker slot index for op=fleet-remove");
   cli.setCollectSpecFiles(true);
+  cli.setRunnerKeys(true);
   switch (cli.parse(argc, argv, &base)) {
     case scenario::CliStatus::kHelp:
       std::printf("\nusage: pnoc_run @grid.kv [@grid2.json ...] [key=value ...]\n"
