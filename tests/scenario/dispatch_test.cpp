@@ -421,6 +421,37 @@ TEST(StreamingFleet, SilentWorkerFailsTheHandshakeInsteadOfHanging) {
   }
 }
 
+/// Runs one job on a fleet of one silent worker and returns the failure.
+std::string silentWorkerFailure(std::uint64_t hostBudgetMs, std::uint64_t policyBudgetMs) {
+  dispatch::FaultPolicy policy;
+  policy.connectTimeoutMs = policyBudgetMs;
+  StreamingBackend streaming({HostEntry{{"sh", "-c", "exec sleep 30"}, 1, "", hostBudgetMs}},
+                             policy);
+  std::vector<ScenarioJob> jobs;
+  jobs.push_back({ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 97)});
+  try {
+    streaming.execute(jobs);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "(dispatch succeeded)";
+}
+
+TEST(StreamingFleet, HostConnectBudgetOverridesThePolicy) {
+  // The host entry's own budget wins over a policy budget that would hold
+  // the test for a minute.
+  const std::string what = silentWorkerFailure(250, 60000);
+  EXPECT_NE(what.find("did not acknowledge"), std::string::npos) << what;
+  EXPECT_NE(what.find("within 250 ms"), std::string::npos) << what;
+}
+
+TEST(StreamingFleet, HostWithoutABudgetUsesThePolicyConnectTimeout) {
+  // connect_timeout_ms 0 on the host means "the fleet policy's budget".
+  const std::string what = silentWorkerFailure(0, 250);
+  EXPECT_NE(what.find("did not acknowledge"), std::string::npos) << what;
+  EXPECT_NE(what.find("within 250 ms"), std::string::npos) << what;
+}
+
 TEST(StreamingFleet, AllWorkersDeadFailsInsteadOfHanging) {
   // A launcher that exits immediately gives EOF before any ack: no live
   // workers remain, and execute() must throw, not spin or hang.

@@ -75,6 +75,29 @@ TEST(ScenarioSpec, UnknownKeyIsRejected) {
   EXPECT_THROW(ScenarioSpec::fromJson(R"({"bogus":1})"), std::invalid_argument);
 }
 
+TEST(ScenarioSpec, RemovedArbiterKeyIsRefused) {
+  // There is one arbiter, so `arbiter` is no scenario key.  A spec written
+  // while it was one (a journal entry, a checkpoint's spec) is refused by
+  // name rather than run with the key dropped.
+  ScenarioSpec spec;
+  EXPECT_THROW(spec.set("arbiter", "matrix"), std::invalid_argument);
+  EXPECT_THROW(ScenarioSpec::fromKeyValueText("arbiter=round-robin\n"),
+               std::invalid_argument);
+
+  std::string json = ScenarioSpec{}.toJson();
+  ASSERT_EQ(json.find("arbiter"), std::string::npos) << json;
+  ASSERT_EQ(json.front(), '{');
+  json.insert(1, "\"arbiter\":\"round-robin\",");
+  try {
+    ScenarioSpec::fromJson(json);
+    FAIL() << "expected std::invalid_argument for " << json;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("unknown scenario key 'arbiter'"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(ScenarioSpec, MalformedValuesAreRejected) {
   ScenarioSpec spec;
   EXPECT_THROW(spec.set("load", "fast"), std::invalid_argument);

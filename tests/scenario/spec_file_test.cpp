@@ -243,6 +243,29 @@ TEST(CliBackendKeys, SpecBinaryWithoutRunnerKeysRejectsThem) {
   EXPECT_NE(stderrText.find("unknown option 'backend'"), std::string::npos) << stderrText;
 }
 
+TEST(CliBackendKeys, HelpListsRunnerKeysOnlyWhereEnabled) {
+  const auto helpOf = [](bool runnerKeys) {
+    const char* argv[] = {"test_binary", "help=1"};
+    ScenarioSpec spec;
+    Cli cli("test_binary", "help listing");
+    cli.setRunnerKeys(runnerKeys);
+    testing::internal::CaptureStdout();
+    const CliStatus status = cli.parse(2, const_cast<char**>(argv), &spec);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(status, CliStatus::kHelp);
+    return out;
+  };
+  const std::string with = helpOf(true);
+  const std::string without = helpOf(false);
+  for (const char* key : {"backend=", "shards=", "hosts=", "connect_timeout_ms="}) {
+    EXPECT_NE(with.find(key), std::string::npos) << key << "\n" << with;
+    EXPECT_EQ(without.find(key), std::string::npos) << key << "\n" << without;
+  }
+  // Both still list the scenario keys.
+  EXPECT_NE(with.find("pattern="), std::string::npos);
+  EXPECT_NE(without.find("pattern="), std::string::npos);
+}
+
 TEST(CliBackendKeys, StreamAndHostsParse) {
   const char* stream[] = {"test_binary", "backend=stream", "shards=3"};
   ScenarioSpec spec;

@@ -171,6 +171,40 @@ TEST(HotspotPattern, VariantsMatchSection342) {
   EXPECT_THROW(skewedHotspot("skewed-hotspot:variant=5"), std::invalid_argument);
 }
 
+TEST(HotspotPattern, VariantsPickTheirSkewedBase) {
+  // Section 3.4.2: variants 1/2 put 10% on the hotspot, 3/4 put 20%; odd
+  // variants sit over skewed2, even ones over skewed3.  Demand and bandwidth
+  // class come from the base, since the overlay only redirects destinations.
+  const struct {
+    int variant;
+    double fraction;
+    int level;
+  } cases[] = {{1, 0.10, 2}, {2, 0.10, 3}, {3, 0.20, 2}, {4, 0.20, 3}};
+  for (const auto& c : cases) {
+    const std::string name = "skewed-hotspot" + std::to_string(c.variant);
+    const auto pattern = skewedHotspot(name);
+    const auto* overlay = dynamic_cast<const HotspotOverlayPattern*>(pattern.get());
+    ASSERT_NE(overlay, nullptr) << name;
+    EXPECT_EQ(overlay->name(), name);
+    EXPECT_DOUBLE_EQ(overlay->fraction(), c.fraction) << name;
+    EXPECT_EQ(overlay->base().name(), "skewed" + std::to_string(c.level)) << name;
+
+    const SkewedPattern base(c.level, topo(), BandwidthSet::set1());
+    for (ClusterId src = 0; src < topo().numClusters(); ++src) {
+      for (ClusterId dst = 0; dst < topo().numClusters(); ++dst) {
+        if (src == dst) continue;
+        EXPECT_EQ(overlay->wavelengthDemand(src, dst), base.wavelengthDemand(src, dst))
+            << name << " " << src << "->" << dst;
+        EXPECT_EQ(overlay->bandwidthClass(src, dst), base.bandwidthClass(src, dst))
+            << name << " " << src << "->" << dst;
+      }
+    }
+    for (CoreId core = 0; core < topo().numCores(); ++core) {
+      EXPECT_DOUBLE_EQ(overlay->sourceWeight(core), base.sourceWeight(core)) << name;
+    }
+  }
+}
+
 TEST(HotspotPattern, HotspotReceivesItsShare) {
   const auto pattern = skewedHotspot("skewed-hotspot:variant=3,hot=0");
   sim::Rng rng(3);

@@ -109,6 +109,25 @@ TEST(PatternRegistry, SkewedHotspotRejectsOutOfRangeCoreAndVariant) {
   EXPECT_NO_THROW(registry.make("skewed-hotspot:hot=63", topo(), BandwidthSet::set1()));
 }
 
+TEST(PatternRegistry, OutOfRangeHotspotCoreIsNamedInTheError) {
+  // The overlay's range check is the same in every build type, and its
+  // message names the pattern, the core and the core count.
+  auto& registry = PatternRegistry::global();
+  const auto messageOf = [&](const std::string& spec) -> std::string {
+    try {
+      registry.make(spec, topo(), BandwidthSet::set1());
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "(no exception)";
+  };
+  EXPECT_EQ(messageOf("skewed-hotspot:variant=2,hot=100"),
+            "skewed-hotspot2: hotspot core 100 out of range for 64 cores");
+  EXPECT_EQ(messageOf("hotspot:frac=0.3,hot=64"),
+            "hotspot:frac=0.3,hot=64,base=uniform: hotspot core 64 out of range for 64 "
+            "cores");
+}
+
 TEST(PatternRegistry, ParenthesizedBaseSpecKeepsNestedOptions) {
   auto& registry = PatternRegistry::global();
   // The nested spec's own comma-separated options must reach the base
