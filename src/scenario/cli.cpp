@@ -65,8 +65,8 @@ CliStatus Cli::parse(int argc, char** argv, ScenarioSpec* spec) {
       }
       std::printf("  backend=threads             execution backend: threads |"
                   " stream (processes = stream)\n");
-      std::printf("  shards=0                    worker threads/processes (0 = auto:"
-                  " PNOC_BENCH_THREADS, else hardware)\n");
+      std::printf("  shards=0                    worker threads/processes (0 ="
+                  " hardware concurrency)\n");
       std::printf("  hosts=@hosts.json           stream across a hosts file"
                   " (implies backend=stream; see scripts/grids/"
                   "hosts.example.json)\n");

@@ -27,7 +27,7 @@
 // Units go only to workers whose ack (with a matching build stamp) has
 // arrived.  A unit keeps the wire index it was first dealt under across
 // retries and refunds, so a batch dealt in index order has wire index ==
-// job index (what PNOC_TEST_FAULT clauses name).
+// job index.
 //
 // Units enter via callbacks.nextUnit and leave via callbacks.unitDone —
 // ALWAYS: the fleet is fail-soft per unit.  A unit that exhausts its retry

@@ -1,6 +1,5 @@
 #include "scenario/execution_backend.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 
@@ -101,14 +100,6 @@ metrics::PeakSearchOptions peakOptionsFor(const ScenarioSpec& spec) {
 
 unsigned resolveWorkerCount(unsigned requested, std::size_t jobCount) {
   unsigned workers = requested;
-  if (workers == 0) {
-    // PNOC_BENCH_THREADS pins the worker count (CI, comparisons); zero,
-    // negative or unparseable values fall through to hardware concurrency.
-    if (const char* env = std::getenv("PNOC_BENCH_THREADS")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed > 0) workers = static_cast<unsigned>(parsed);
-    }
-  }
   if (workers == 0) {
     workers = std::thread::hardware_concurrency();
     if (workers == 0) workers = 1;

@@ -13,7 +13,7 @@
 // The primitive is execute() over mixed ScenarioJob batches (fixed-load runs
 // and saturation searches can share one dispatch); run()/findPeaks() are the
 // typed conveniences every caller actually uses.  Worker-count policy lives
-// in ONE place — resolveWorkerCount() — so PNOC_BENCH_THREADS handling and
+// in ONE place — resolveWorkerCount() — so the automatic count and
 // batch-size clamping cannot drift between backends.
 #pragma once
 
@@ -114,8 +114,7 @@ metrics::PeakSearchResult findScenarioPeak(const ScenarioSpec& spec);
 metrics::PeakSearchOptions peakOptionsFor(const ScenarioSpec& spec);
 
 /// The one worker-count policy (both backends, every caller):
-///   requested == 0  ->  PNOC_BENCH_THREADS if set to a positive integer,
-///                       else std::thread::hardware_concurrency(), min 1.
+///   requested == 0  ->  std::thread::hardware_concurrency(), min 1.
 ///   The result is clamped to jobCount (a 16-shard backend given 3 specs
 ///   uses 3 workers), with a floor of 1.
 unsigned resolveWorkerCount(unsigned requested, std::size_t jobCount);

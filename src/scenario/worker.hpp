@@ -7,19 +7,29 @@
 #pragma once
 
 #include <iosfwd>
+#include <string>
 
 namespace pnoc::scenario {
 
 /// The argv[1] that turns any scenario binary into a protocol worker.
 inline constexpr const char* kWorkerFlag = "--pnoc-worker";
 
+/// Answers one job line: parses it, runs the job and writes one reply line
+/// to `out` (a job that fails to simulate is an in-band error reply).
+/// Returns nonzero only for a corrupt job line, which is also reported
+/// in-band.
+int answerJobLine(const std::string& jobLine, std::ostream& out);
+
+/// The per-job step of a worker session.
+using JobLineHandler = int (*)(const std::string& jobLine, std::ostream& out);
+
 /// Runs one worker session.  The first stdin line must be the streaming
-/// hello (wire::streamHelloLine); the worker acks it, then replies to each
-/// job line as it arrives, flushing after every reply, until stdin EOF.
-/// Returns the process exit code: nonzero for a session without the hello
-/// or with a corrupt job line; per-job simulation failures are in-band
-/// error replies.  PNOC_TEST_FAULT (fault_injection.hpp) is consulted
-/// around every job.
-int runWorkerLoop(std::istream& in, std::ostream& out);
+/// hello (wire::streamHelloLine); the worker acks it, then hands each job
+/// line to `handler` as it arrives, flushing after every reply, until stdin
+/// EOF.  Returns the process exit code: nonzero for a session without the
+/// hello or with a corrupt job line.  Only the test binary passes its own
+/// `handler` (to inject faults around answerJobLine).
+int runWorkerLoop(std::istream& in, std::ostream& out,
+                  JobLineHandler handler = answerJobLine);
 
 }  // namespace pnoc::scenario

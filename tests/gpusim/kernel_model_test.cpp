@@ -54,7 +54,8 @@ TEST_P(FlitSweep, SpeedupMonotoneInFlitSize) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PowersOfTwo, FlitSweep,
-                         ::testing::Values(32u, 64u, 128u, 256u, 512u));
+                         ::testing::Values(32u, 64u, 128u, 256u, 512u),
+                         ::testing::PrintToStringParamName());
 
 TEST(KernelModel, BaselineSpeedupIsOne) {
   for (const auto& kernel : benchmarkRoster()) {

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "network/network.hpp"
+#include "support/param_name.hpp"
 
 namespace pnoc::network {
 namespace {
@@ -46,7 +47,8 @@ INSTANTIATE_TEST_SUITE_P(
         ConservationParam{"skewed-hotspot2", Architecture::kDhetpnoc, 0.002, 1},
         ConservationParam{"skewed-hotspot4", Architecture::kFirefly, 0.002, 1},
         ConservationParam{"real-apps", Architecture::kDhetpnoc, 0.002, 1},
-        ConservationParam{"real-apps", Architecture::kFirefly, 0.002, 3}));
+        ConservationParam{"real-apps", Architecture::kFirefly, 0.002, 3}),
+    testsupport::TupleName());
 
 // Closed-loop conservation, asserted from the per-core counters: CoreStats
 // counts ejected flits/packets, so the invariant can be stated entirely over
@@ -101,7 +103,8 @@ INSTANTIATE_TEST_SUITE_P(
         WorkloadConservationParam{"chain:window=2,think=10", "skewed3",
                                   Architecture::kDhetpnoc},
         WorkloadConservationParam{"closed:window=4", "real-apps",
-                                  Architecture::kDhetpnoc}));
+                                  Architecture::kDhetpnoc}),
+    testsupport::TupleName());
 
 TEST(WorkloadConservationOpenLoop, CoreDeliveryCountersSumToRunMetrics) {
   // Each core is its own ejection sink, so the per-core delivery counters
@@ -158,7 +161,8 @@ TEST_P(SeedSweep, DhetpnocNeverLosesUnderHeavySkew) {
       << "seed " << GetParam();
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep, ::testing::Values(1u, 7u, 1234u, 987654321u));
+INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep, ::testing::Values(1u, 7u, 1234u, 987654321u),
+                         ::testing::PrintToStringParamName());
 
 TEST(AllocationSafety, HoldsUnderLiveTraffic) {
   // The DBA's central invariant — no wavelength double-owned, token and

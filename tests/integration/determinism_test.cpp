@@ -10,6 +10,7 @@
 #include <tuple>
 
 #include "network/network.hpp"
+#include "support/param_name.hpp"
 
 namespace pnoc::network {
 namespace {
@@ -101,7 +102,8 @@ INSTANTIATE_TEST_SUITE_P(
         DeterminismParam{"uniform", Architecture::kFirefly, 0.0005},
         DeterminismParam{"skewed3", Architecture::kDhetpnoc, 0.004},
         DeterminismParam{"skewed3", Architecture::kFirefly, 0.004},
-        DeterminismParam{"real-apps", Architecture::kDhetpnoc, 0.002}));
+        DeterminismParam{"real-apps", Architecture::kDhetpnoc, 0.002}),
+    testsupport::TupleName());
 
 TEST_P(Determinism, ResetReuseIsBitIdenticalToFreshNetwork) {
   // The scenario layer's saturation search reuses ONE built network across

@@ -339,7 +339,8 @@ TEST_P(BandwidthSetSweep, AllSetsDeliverUnderBothArchitectures) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sets, BandwidthSetSweep, ::testing::Values(1, 2, 3));
+INSTANTIATE_TEST_SUITE_P(Sets, BandwidthSetSweep, ::testing::Values(1, 2, 3),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace pnoc::network

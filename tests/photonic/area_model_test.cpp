@@ -97,7 +97,8 @@ TEST_P(AreaMonotonicity, MoreWavelengthsNeverShrinkEitherArchitecture) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, AreaMonotonicity,
-                         ::testing::Values(64u, 128u, 192u, 256u, 320u, 384u, 448u));
+                         ::testing::Values(64u, 128u, 192u, 256u, 320u, 384u, 448u),
+                         ::testing::PrintToStringParamName());
 
 TEST(AreaModel, RestrictedVariantShrinksOnlyDataModulators) {
   // The thesis conclusion's mitigation: router x writes only waveguides x and

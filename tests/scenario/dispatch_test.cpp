@@ -27,12 +27,14 @@
 #include "scenario/json_record.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "scenario/wire.hpp"
+#include "support/scoped_env.hpp"
 
 namespace pnoc::scenario {
 namespace {
 
 using dispatch::HostEntry;
 using dispatch::StreamingBackend;
+using testsupport::ScopedEnv;
 
 ScenarioSpec quickSpec(const std::string& pattern, const std::string& arch,
                        double load, std::uint64_t seed,
@@ -46,33 +48,6 @@ ScenarioSpec quickSpec(const std::string& pattern, const std::string& arch,
   spec.params.measureCycles = measureCycles;
   return spec;
 }
-
-/// Scoped env override (restored on destruction).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    hadOld_ = old != nullptr;
-    if (hadOld_) old_ = old;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, 1);
-    }
-  }
-  ~ScopedEnv() {
-    if (hadOld_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool hadOld_ = false;
-  std::string old_;
-};
 
 class TempFile {
  public:

@@ -12,18 +12,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "scenario/in_process_backend.hpp"
 #include "scenario/json_record.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "scenario/wire.hpp"
+#include "support/scoped_env.hpp"
 
 namespace pnoc::scenario {
 namespace {
+
+using testsupport::ScopedEnv;
 
 ScenarioSpec quickSpec(const std::string& pattern, const std::string& arch,
                        double load, std::uint64_t seed) {
@@ -37,39 +42,6 @@ ScenarioSpec quickSpec(const std::string& pattern, const std::string& arch,
   return spec;
 }
 
-/// Scoped env override (restored on destruction).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    hadOld_ = old != nullptr;
-    if (hadOld_) old_ = old;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, 1);
-    }
-  }
-  ~ScopedEnv() {
-    if (hadOld_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool hadOld_ = false;
-  std::string old_;
-};
-
-/// Scoped PNOC_BENCH_THREADS override.
-class ThreadsEnv : public ScopedEnv {
- public:
-  explicit ThreadsEnv(const char* value) : ScopedEnv("PNOC_BENCH_THREADS", value) {}
-};
-
 /// What `backend=processes shards=N` builds: local re-exec'd workers.
 std::unique_ptr<ExecutionBackend> processesBackend(unsigned shards) {
   return makeBackend(BackendOptions{parseBackendKind("processes"), shards, ""});
@@ -82,30 +54,12 @@ TEST(ResolveWorkerCount, ExplicitRequestClampsToBatchSize) {
   EXPECT_EQ(resolveWorkerCount(5, 0), 1u);    // empty batch still sane
 }
 
-TEST(ResolveWorkerCount, EnvZeroAndGarbageFallThrough) {
-  {
-    ThreadsEnv env("0");  // zero must not mean "zero workers"
-    EXPECT_GE(resolveWorkerCount(0, 1000), 1u);
-  }
-  {
-    ThreadsEnv env("-3");
-    EXPECT_GE(resolveWorkerCount(0, 1000), 1u);
-  }
-  {
-    ThreadsEnv env("banana");
-    EXPECT_GE(resolveWorkerCount(0, 1000), 1u);
-  }
-  {
-    ThreadsEnv env(nullptr);  // unset
-    EXPECT_GE(resolveWorkerCount(0, 1000), 1u);
-  }
-}
-
-TEST(ResolveWorkerCount, EnvPinsAutoCount) {
-  ThreadsEnv env("3");
-  EXPECT_EQ(resolveWorkerCount(0, 1000), 3u);
-  EXPECT_EQ(resolveWorkerCount(0, 2), 2u);  // still clamped to the batch
-  EXPECT_EQ(resolveWorkerCount(5, 1000), 5u);  // explicit request wins
+TEST(ResolveWorkerCount, AutoIsHardwareConcurrencyClampedToTheBatch) {
+  // shards=0 takes hardware concurrency; no environment variable pins it.
+  ScopedEnv env("PNOC_BENCH_THREADS", "3");
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(resolveWorkerCount(0, 1000), std::min(hardware, 1000u));
+  EXPECT_EQ(resolveWorkerCount(0, 2), std::min(hardware, 2u));
 }
 
 TEST(ExecutionBackend, FactoryAndProcessesAlias) {

@@ -1,6 +1,6 @@
 // Fault-injection matrix for the dispatch layer's fault-tolerance paths.
 //
-// PNOC_TEST_FAULT (scenario/fault_injection.hpp) scripts a worker to
+// PNOC_TEST_FAULT (support/fault_injection.hpp) scripts a worker to
 // misbehave deterministically on a chosen job; every test then asserts one
 // of the two acceptable outcomes — the batch completes BYTE-IDENTICAL to an
 // in-process run (the fault was absorbed by retry/respawn/deadline
@@ -26,9 +26,10 @@
 #include "scenario/dispatch/fault_policy.hpp"
 #include "scenario/dispatch/hosts_file.hpp"
 #include "scenario/dispatch/streaming_backend.hpp"
-#include "scenario/fault_injection.hpp"
 #include "scenario/in_process_backend.hpp"
 #include "scenario/wire.hpp"
+#include "support/fault_injection.hpp"
+#include "support/scoped_env.hpp"
 
 namespace pnoc::scenario {
 namespace {
@@ -36,6 +37,7 @@ namespace {
 using dispatch::FaultPolicy;
 using dispatch::HostEntry;
 using dispatch::StreamingBackend;
+using testsupport::ScopedEnv;
 
 ScenarioSpec quickSpec(const std::string& pattern, const std::string& arch,
                        double load, std::uint64_t seed,
@@ -58,33 +60,6 @@ std::vector<ScenarioJob> smallBatch(std::uint64_t seedBase, std::size_t count = 
   }
   return jobs;
 }
-
-/// Scoped env override (restored on destruction).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    hadOld_ = old != nullptr;
-    if (hadOld_) old_ = old;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, 1);
-    }
-  }
-  ~ScopedEnv() {
-    if (hadOld_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool hadOld_ = false;
-  std::string old_;
-};
 
 /// A fresh once-lock path for this test (removed on destruction).
 class OnceLock {

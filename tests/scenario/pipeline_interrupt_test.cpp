@@ -14,36 +14,12 @@
 #include "scenario/execution_backend.hpp"
 #include "scenario/wire.hpp"
 #include "sim/interrupt.hpp"
+#include "support/scoped_env.hpp"
 
 namespace pnoc::scenario {
 namespace {
 
-/// Scoped env override (restored on destruction).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    hadOld_ = old != nullptr;
-    if (hadOld_) old_ = old;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, 1);
-    }
-  }
-  ~ScopedEnv() {
-    if (hadOld_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool hadOld_ = false;
-  std::string old_;
-};
+using testsupport::ScopedEnv;
 
 std::vector<ScenarioJob> quickJobs(std::size_t count) {
   std::vector<ScenarioJob> jobs;

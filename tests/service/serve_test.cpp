@@ -25,36 +25,12 @@
 #include "scenario/execution_backend.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
+#include "support/scoped_env.hpp"
 
 namespace pnoc::service {
 namespace {
 
-/// Scoped env override (restored on destruction).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    hadOld_ = old != nullptr;
-    if (hadOld_) old_ = old;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, 1);
-    }
-  }
-  ~ScopedEnv() {
-    if (hadOld_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool hadOld_ = false;
-  std::string old_;
-};
+using testsupport::ScopedEnv;
 
 std::string readAll(const std::string& path) {
   std::ifstream in(path);

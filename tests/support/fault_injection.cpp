@@ -1,15 +1,19 @@
-#include "scenario/fault_injection.hpp"
+#include "support/fault_injection.hpp"
 
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 
 #include <fcntl.h>
 #include <time.h>
 #include <unistd.h>
+
+#include "scenario/wire.hpp"
+#include "scenario/worker.hpp"
 
 namespace pnoc::scenario::testfault {
 namespace {
@@ -117,6 +121,11 @@ std::vector<Fault> parseFaultSpec(const std::string& text) {
   return faults;
 }
 
+namespace {
+
+/// The clause matching `index` whose once-lock (if any) this call claimed,
+/// or nullptr.  Parses PNOC_TEST_FAULT on first use; at most one clause
+/// fires per job (the first match in spec order).
 const Fault* claimFault(std::size_t index) {
   // Parsed once per worker process; a malformed spec must kill the worker
   // loudly (exit 70 below is distinctive in wait statuses) rather than let
@@ -144,6 +153,7 @@ const Fault* claimFault(std::size_t index) {
   return nullptr;
 }
 
+/// Pre-reply faults: crash / hang / slow.  May not return (crash, hang).
 void applyPreReplyFault(const Fault& fault) {
   switch (fault.kind) {
     case Kind::kCrash:
@@ -159,6 +169,9 @@ void applyPreReplyFault(const Fault& fault) {
   }
 }
 
+/// Reply-corruption faults: writes the corrupted form of `replyLine` to
+/// `out` and returns true (caller must not emit the real reply), or returns
+/// false for kinds that leave the reply alone.  May not return (truncate).
 bool applyReplyFault(const Fault& fault, const std::string& replyLine,
                      std::ostream& out) {
   switch (fault.kind) {
@@ -191,10 +204,35 @@ bool applyReplyFault(const Fault& fault, const std::string& replyLine,
   }
 }
 
+/// Post-reply faults: nonzero exit.  May not return.
 void applyPostReplyFault(const Fault& fault) {
   if (fault.kind == Kind::kExit) {
     ::_exit(fault.exitCode != 0 ? fault.exitCode : defaultExitCode(fault.kind));
   }
+}
+
+}  // namespace
+
+int faultyAnswer(const std::string& jobLine, std::ostream& out) {
+  // A corrupt job line names no job to fault: answer it as production does.
+  std::size_t index = 0;
+  try {
+    wire::parseJobLine(jobLine, index);
+  } catch (const std::exception&) {
+    return answerJobLine(jobLine, out);
+  }
+  const Fault* fault = claimFault(index);
+  if (fault != nullptr) applyPreReplyFault(*fault);
+  std::ostringstream reply;
+  const int exitCode = answerJobLine(jobLine, reply);
+  std::string replyLine = reply.str();
+  if (!replyLine.empty() && replyLine.back() == '\n') replyLine.pop_back();
+  if (fault == nullptr || !applyReplyFault(*fault, replyLine, out)) {
+    out << replyLine << "\n";
+  }
+  out.flush();
+  if (fault != nullptr) applyPostReplyFault(*fault);
+  return exitCode;
 }
 
 }  // namespace pnoc::scenario::testfault

@@ -1,11 +1,15 @@
 // Deterministic fault injection for the dispatch layer's tests and smokes.
 //
-// PNOC_TEST_FAULT=<spec> makes a protocol worker misbehave in a precisely
-// scripted way when it receives a given job index.  The worker loop
-// (scenario/worker.hpp) consults this module around every job; the
-// parent-side fleet never reads the variable, so every injected fault
-// exercises the REAL recovery paths: death detection, deadline kills,
-// retry/backoff, respawn, fail-soft degradation.
+// PNOC_TEST_FAULT=<spec> makes a test-binary protocol worker
+// (`pnoc_tests --pnoc-worker`, tests/main.cpp) misbehave in a precisely
+// scripted way when it receives a given job index.  faultyAnswer wraps the
+// production per-job step (scenario::answerJobLine) with these faults; the
+// production binaries never read the variable.  The parent-side fleet is
+// untouched, so every injected fault exercises the REAL recovery paths:
+// death detection, deadline kills, retry/backoff, respawn, fail-soft
+// degradation.  A test reaches a faulty worker by re-execing this binary
+// (the default worker executable); a smoke by naming pnoc_tests as the
+// worker (a hosts-file `executable`, or `pnoc_serve executable=`).
 //
 // Spec grammar (comma-separated clauses, each applied at most once per
 // match):
@@ -38,9 +42,6 @@
 //   PNOC_TEST_FAULT="hang@1:ignoreterm=1"        job 1 wedges its worker
 //   PNOC_TEST_FAULT="garbage@0,slow@3:ms=50"     two independent clauses
 //
-// Everything here is worker-side and compiled unconditionally: the hooks
-// cost one getenv on first use and nothing at all when the variable is
-// unset.
 #pragma once
 
 #include <cstddef>
@@ -76,21 +77,10 @@ struct Fault {
 /// run fault-free).
 std::vector<Fault> parseFaultSpec(const std::string& text);
 
-/// The clause matching `index` whose once-lock (if any) this call claimed,
-/// or nullptr.  Parses PNOC_TEST_FAULT on first use; at most one clause
-/// fires per job (the first match in spec order).
-const Fault* claimFault(std::size_t index);
-
-/// Pre-reply faults: crash / hang / slow.  May not return (crash, hang).
-void applyPreReplyFault(const Fault& fault);
-
-/// Reply-corruption faults: writes the corrupted form of `replyLine` to
-/// `out` and returns true (caller must not emit the real reply), or returns
-/// false for kinds that leave the reply alone.  May not return (truncate).
-bool applyReplyFault(const Fault& fault, const std::string& replyLine,
-                     std::ostream& out);
-
-/// Post-reply faults: nonzero exit.  May not return.
-void applyPostReplyFault(const Fault& fault);
+/// The test worker's per-job step (a scenario::JobLineHandler): claims the
+/// job's fault, applies the pre-reply fault, answers the line through
+/// scenario::answerJobLine into a buffer, then writes the reply (or its
+/// corrupted form) and applies any post-reply exit.
+int faultyAnswer(const std::string& jobLine, std::ostream& out);
 
 }  // namespace pnoc::scenario::testfault

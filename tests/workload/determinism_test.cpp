@@ -16,6 +16,7 @@
 #include "scenario/in_process_backend.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "scenario/wire.hpp"
+#include "support/param_name.hpp"
 
 namespace pnoc::workload {
 namespace {
@@ -80,7 +81,8 @@ INSTANTIATE_TEST_SUITE_P(
         WorkloadCase{"closed:window=1", "uniform"},
         WorkloadCase{"closed:window=4,think=25", "skewed3"},
         WorkloadCase{"chain:window=2,think=5", "uniform"},
-        WorkloadCase{"closed:window=2", "real-apps"}));
+        WorkloadCase{"closed:window=2", "real-apps"}),
+    testsupport::TupleName());
 
 // Backend equivalence: the same closed-loop batch through every backend and
 // several shard counts, compared through the full wire serialization (which
