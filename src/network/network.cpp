@@ -44,7 +44,7 @@ void PhotonicNetwork::build() {
       return uplinkPort;
     };
     coreRouters_.push_back(std::make_unique<noc::ElectricalRouter>(
-        "r" + std::to_string(core), routerConfig, route));
+        std::string("r").append(std::to_string(core)), routerConfig, route));
   }
 
   // --- photonic routers, one per cluster ---
@@ -63,7 +63,7 @@ void PhotonicNetwork::build() {
   for (ClusterId cluster = 0; cluster < topology_.numClusters(); ++cluster) {
     photonicConfig.cluster = cluster;
     photonicRouters_.push_back(std::make_unique<PhotonicRouter>(
-        "p" + std::to_string(cluster), photonicConfig, *policy_));
+        std::string("p").append(std::to_string(cluster)), photonicConfig, *policy_));
   }
   std::vector<PhotonicRouter*> peers;
   for (auto& router : photonicRouters_) peers.push_back(router.get());
@@ -80,7 +80,7 @@ void PhotonicNetwork::build() {
       if (peerLocal == local) continue;
       const CoreId peerCore = topology_.coreAt(cluster, peerLocal);
       links_.push_back(std::make_unique<noc::Link>(
-          "l" + std::to_string(core) + "-" + std::to_string(peerCore),
+          std::string("l").append(std::to_string(core)) + "-" + std::to_string(peerCore),
           params_.intraClusterLinkLatency, params_.linkEnergyPerBitPj,
           coreRouters_[peerCore]->inputPort(peerPort(peerLocal, local))));
       router.connectOutput(peerPort(local, peerLocal), *links_.back());

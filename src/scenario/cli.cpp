@@ -189,7 +189,6 @@ void Cli::applyRunnerKeys() {
           " sizes the fleet)");
     }
     backendOptions_.kind = BackendKind::kStream;
-    backendOptions_.hostsFile = hosts;
     // Read and validate the fleet HERE, once: an unreadable or
     // malformed hosts file is a parse error, and the backend is built
     // from this parsed copy, never by re-reading the file later.

@@ -5,7 +5,9 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
+#include "obs/trace.hpp"
 #include "scenario/json_record.hpp"
 #include "scenario/json_util.hpp"
 #include "scenario/scenario_runner.hpp"
@@ -39,50 +41,21 @@ std::vector<std::string> extractRecordLines(const std::string& text) {
 
 void validateRecordAgainstSpec(const JsonValue& record, std::size_t index,
                                const ScenarioSpec& spec) {
-  const auto mismatch = [&](const std::string& field, const std::string& recorded,
-                            const std::string& expected) {
+  // A spec_key pins the WHOLE spec (every binding-table field).  Every
+  // record either driver writes carries one, so a tagged record without it
+  // is not a checkpoint of this program's grids.
+  const JsonValue* key = record.find("spec_key");
+  if (key == nullptr) {
+    throw std::invalid_argument("record for grid index " + std::to_string(index) +
+                                " carries no spec_key, so it cannot be matched to"
+                                " the grid (pnoc_run and pnoc_serve stamp one on"
+                                " every record)");
+  }
+  if (key->asString() != specKey(spec)) {
     throw std::invalid_argument(
-        "record for grid index " + std::to_string(index) + " has " + field + "='" +
-        recorded + "' but the grid expects '" + expected +
+        "record for grid index " + std::to_string(index) + " has spec_key='" +
+        key->asString() + "' but the grid expects '" + specKey(spec) +
         "' — this checkpoint belongs to a different grid");
-  };
-  // A spec_key pins the WHOLE spec (every binding-table field); the
-  // per-field checks below remain as the fallback for records without one.
-  if (const JsonValue* key = record.find("spec_key")) {
-    if (key->asString() != specKey(spec)) {
-      mismatch("spec_key", key->asString(), specKey(spec));
-    }
-    return;
-  }
-  if (const JsonValue* arch = record.find("arch")) {
-    if (arch->asString() != spec.get("arch")) {
-      mismatch("arch", arch->asString(), spec.get("arch"));
-    }
-  }
-  if (const JsonValue* pattern = record.find("pattern")) {
-    if (pattern->asString() != spec.params.pattern) {
-      mismatch("pattern", pattern->asString(), spec.params.pattern);
-    }
-  }
-  if (const JsonValue* seed = record.find("seed")) {
-    if (seed->asU64() != spec.params.seed) {
-      mismatch("seed", seed->raw(), std::to_string(spec.params.seed));
-    }
-  }
-  // Load sweeps are the most common grid shape (same arch/pattern/seed at N
-  // loads), so the recorded load must match exactly too — %.17g formatting
-  // round-trips doubles, making equality the right comparison.
-  if (const JsonValue* load = record.find("load")) {
-    if (load->asDouble() != spec.params.offeredLoad) {
-      mismatch("load", load->raw(), std::to_string(spec.params.offeredLoad));
-    }
-  }
-  if (const JsonValue* set = record.find("bandwidth_set")) {
-    const auto expected = bandwidthSetIndex(spec.params.bandwidthSet);
-    if (!expected || set->asU64() != static_cast<std::uint64_t>(*expected)) {
-      mismatch("bandwidth_set", set->raw(),
-               expected ? std::to_string(*expected) : "<custom>");
-    }
   }
 }
 
@@ -100,6 +73,16 @@ std::string specKey(const ScenarioSpec& spec) {
   char out[17];
   std::snprintf(out, sizeof out, "%016llx", static_cast<unsigned long long>(hash));
   return out;
+}
+
+BenchCheckpoint::BenchCheckpoint(std::string directory, std::string benchName,
+                                 std::size_t gridSize)
+    : directory(std::move(directory)),
+      benchName(std::move(benchName)),
+      rawByIndex(gridSize) {}
+
+std::string BenchCheckpoint::path() const {
+  return directory + "/BENCH_" + benchName + ".json";
 }
 
 std::size_t BenchCheckpoint::presentCount() const {
@@ -120,8 +103,7 @@ BenchCheckpoint parseBenchCheckpoint(const std::string& text,
                                      const std::string& recordName,
                                      const std::vector<ScenarioSpec>& grid,
                                      const std::string& origin) {
-  BenchCheckpoint checkpoint;
-  checkpoint.rawByIndex.resize(grid.size());
+  BenchCheckpoint checkpoint("", "", grid.size());
   std::vector<bool> seen(grid.size(), false);
   // Whole-document parse first.  A file that fails it is either mid-file
   // corruption (rejected below — resuming against a mangled checkpoint must
@@ -185,19 +167,46 @@ BenchCheckpoint parseBenchCheckpoint(const std::string& text,
   return checkpoint;
 }
 
-BenchCheckpoint loadBenchCheckpoint(const std::string& path,
+void BenchCheckpoint::record(std::size_t gridIndex, const ScenarioOutcome& outcome) {
+  rawByIndex[gridIndex] = serializedOutcomeRecord(outcome, gridIndex);
+  unwritten_ = true;
+}
+
+std::optional<std::uint64_t> BenchCheckpoint::flushDueAtMs() const {
+  if (!unwritten_) return std::nullopt;
+  return lastWriteMs_ ? *lastWriteMs_ + kFlushIntervalMs : 0;
+}
+
+bool BenchCheckpoint::flushIfDue(std::uint64_t nowMs) {
+  const std::optional<std::uint64_t> due = flushDueAtMs();
+  if (!due || nowMs < *due) return false;
+  return !flush(nowMs).empty();
+}
+
+std::string BenchCheckpoint::flush(std::uint64_t nowMs) {
+  std::vector<std::string> records;
+  for (const auto& raw : rawByIndex) {
+    if (raw) records.push_back(*raw);
+  }
+  if (records.empty()) return "";
+  const obs::ScopedSpan span("checkpoint-flush", "checkpoint");
+  lastWriteMs_ = nowMs;
+  unwritten_ = false;
+  return writeBenchFile(directory, benchName, records);
+}
+
+BenchCheckpoint loadBenchCheckpoint(const std::string& directory,
+                                    const std::string& benchName,
                                     const std::string& recordName,
                                     const std::vector<ScenarioSpec>& grid) {
-  std::ifstream in(path);
-  if (!in) {
-    // Nothing checkpointed yet: resume degenerates to a full run.
-    BenchCheckpoint empty;
-    empty.rawByIndex.resize(grid.size());
-    return empty;
-  }
+  BenchCheckpoint checkpoint(directory, benchName, grid.size());
+  std::ifstream in(checkpoint.path());
+  if (!in) return checkpoint;  // nothing checkpointed yet: a full run
   std::ostringstream text;
   text << in.rdbuf();
-  return parseBenchCheckpoint(text.str(), recordName, grid, path);
+  checkpoint.rawByIndex =
+      parseBenchCheckpoint(text.str(), recordName, grid, checkpoint.path()).rawByIndex;
+  return checkpoint;
 }
 
 std::string serializedOutcomeRecord(const ScenarioOutcome& outcome,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 
@@ -25,6 +26,13 @@ std::string describeWorker(const WorkerConnection& conn) {
 }
 
 }  // namespace
+
+std::uint64_t steadyNowMs() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 FleetManager::FleetManager(FaultPolicy policy, Callbacks callbacks,
                            obs::Registry* registry)
@@ -91,20 +99,20 @@ void FleetManager::death(const std::string& text) {
 }
 
 std::uint64_t FleetManager::connectBudgetMs(const Slot& slot) const {
-  if (slot.transport->connectTimeoutMs() != 0) {
-    return slot.transport->connectTimeoutMs();
+  if (slot.transport.connectTimeoutMs() != 0) {
+    return slot.transport.connectTimeoutMs();
   }
   return policy_.connectTimeoutMs;
 }
 
 void FleetManager::startWorker(Slot& slot, std::uint64_t nowMs) {
   try {
-    slot.conn = slot.transport->launch();
+    slot.conn = slot.transport.launch();
   } catch (const std::exception& error) {
     slot.state = SlotState::kDead;
     slot.launchFailed = true;
     statLaunchFailures_.inc();
-    death(slot.transport->describe() + " failed to launch: " + error.what());
+    death(slot.transport.describe() + " failed to launch: " + error.what());
     return;
   }
   slot.state = SlotState::kConnecting;
@@ -122,11 +130,8 @@ void FleetManager::startWorker(Slot& slot, std::uint64_t nowMs) {
   }
 }
 
-std::size_t FleetManager::addWorker(std::unique_ptr<WorkerTransport> transport,
-                                    std::uint64_t nowMs) {
-  Slot slot;
-  slot.transport = std::move(transport);
-  slots_.push_back(std::move(slot));
+std::size_t FleetManager::addWorker(WorkerTransport transport, std::uint64_t nowMs) {
+  slots_.emplace_back(std::move(transport));
   startWorker(slots_.back(), nowMs);
   return slots_.size() - 1;
 }
@@ -150,7 +155,7 @@ bool FleetManager::removeWorker(std::size_t worker, std::string* error) {
   // fault of the unit.
   refundInFlight(slot);
   killSlot(slot, SlotState::kRemoved);
-  note("removed " + slot.transport->describe() + " (worker " +
+  note("removed " + slot.transport.describe() + " (worker " +
        std::to_string(worker) + ")");
   return true;
 }
@@ -273,7 +278,7 @@ void FleetManager::maybeRespawn(Slot& slot, std::uint64_t nowMs) {
   if (obs::TraceWriter* writer = obs::trace()) {
     writer->instant("respawn", "dispatch");
   }
-  note("respawning " + slot.transport->describe() + " (respawn " +
+  note("respawning " + slot.transport.describe() + " (respawn " +
        std::to_string(slot.respawns) + " of " + std::to_string(policy_.respawns) +
        ")");
   startWorker(slot, nowMs);
@@ -578,7 +583,7 @@ std::vector<FleetManager::WorkerStatus> FleetManager::workerStatus() const {
     const Slot& slot = slots_[s];
     WorkerStatus status;
     status.worker = s;
-    status.description = slot.transport->describe();
+    status.description = slot.transport.describe();
     switch (slot.state) {
       case SlotState::kConnecting: status.state = "connecting"; break;
       case SlotState::kReady: status.state = "ready"; break;

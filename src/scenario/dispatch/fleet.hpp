@@ -56,6 +56,10 @@
 
 namespace pnoc::scenario::dispatch {
 
+/// Steady-clock milliseconds: the time base of every `nowMs` here and of
+/// BenchCheckpoint's flush throttle.
+std::uint64_t steadyNowMs();
+
 /// Names one unit: the job that owns it and its index in that job's grid.
 /// A batch (StreamingBackend) is job 0; the daemon's job ids start at 1.
 struct UnitKey {
@@ -115,8 +119,7 @@ class FleetManager {
   /// slot becomes ready when the ack arrives within the connect budget
   /// (the transport's own budget, else policy.connectTimeoutMs).  Returns
   /// the slot index.
-  std::size_t addWorker(std::unique_ptr<WorkerTransport> transport,
-                        std::uint64_t nowMs);
+  std::size_t addWorker(WorkerTransport transport, std::uint64_t nowMs);
 
   /// Removes one worker: its in-flight units are refunded UNCHARGED and the
   /// process is terminated.  False (with *error named) when the index is
@@ -181,7 +184,8 @@ class FleetManager {
   enum class SlotState { kConnecting, kReady, kDead, kRemoved };
 
   struct Slot {
-    std::unique_ptr<WorkerTransport> transport;
+    explicit Slot(WorkerTransport how) : transport(std::move(how)) {}
+    WorkerTransport transport;
     WorkerConnection conn;
     SlotState state = SlotState::kConnecting;
     std::string buffer;           // partial reply-line accumulation

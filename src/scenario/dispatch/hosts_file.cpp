@@ -10,14 +10,6 @@
 namespace pnoc::scenario::dispatch {
 namespace {
 
-std::vector<std::string> splitOnSpaces(const std::string& text) {
-  std::vector<std::string> tokens;
-  std::istringstream in(text);
-  std::string token;
-  while (in >> token) tokens.push_back(token);
-  return tokens;
-}
-
 HostEntry parseEntry(const JsonValue& object, std::size_t ordinal) {
   if (object.kind() != JsonValue::Kind::kObject) {
     throw std::invalid_argument("host entry #" + std::to_string(ordinal) +
@@ -31,7 +23,7 @@ HostEntry parseEntry(const JsonValue& object, std::size_t ordinal) {
           entry.launcher.push_back(token.asString());
         }
       } else {
-        entry.launcher = splitOnSpaces(value.asString());
+        entry.launcher = splitLauncher(value.asString());
       }
     } else if (key == "workers") {
       const std::uint64_t workers = value.asU64();
@@ -88,6 +80,14 @@ FaultPolicy parsePolicyObject(const JsonValue& object) {
 
 }  // namespace
 
+std::vector<std::string> splitLauncher(const std::string& text) {
+  std::vector<std::string> tokens;
+  std::istringstream in(text);
+  std::string token;
+  while (in >> token) tokens.push_back(token);
+  return tokens;
+}
+
 HostsFleet parseHostsFleetText(const std::string& text, const std::string& origin) {
   try {
     const JsonValue document = JsonValue::parse(text);
@@ -125,11 +125,6 @@ HostsFleet parseHostsFleetText(const std::string& text, const std::string& origi
   }
 }
 
-std::vector<HostEntry> parseHostsFileText(const std::string& text,
-                                          const std::string& origin) {
-  return parseHostsFleetText(text, origin).hosts;
-}
-
 HostsFleet loadHostsFleet(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -140,24 +135,10 @@ HostsFleet loadHostsFleet(const std::string& path) {
   return parseHostsFleetText(text.str(), path);
 }
 
-std::vector<HostEntry> loadHostsFile(const std::string& path) {
-  return loadHostsFleet(path).hosts;
-}
-
-std::vector<std::unique_ptr<WorkerTransport>> transportsFor(
-    const std::vector<HostEntry>& hosts) {
-  std::vector<std::unique_ptr<WorkerTransport>> transports;
+std::vector<WorkerTransport> transportsFor(const std::vector<HostEntry>& hosts) {
+  std::vector<WorkerTransport> transports;
   for (const HostEntry& host : hosts) {
-    for (unsigned w = 0; w < host.workers; ++w) {
-      if (host.launcher.empty()) {
-        transports.push_back(
-            std::make_unique<LocalProcessTransport>(host.executable));
-      } else {
-        transports.push_back(
-            std::make_unique<CommandTransport>(host.launcher, host.executable));
-      }
-      transports.back()->setConnectTimeoutMs(host.connectTimeoutMs);
-    }
+    transports.insert(transports.end(), host.workers, WorkerTransport(host));
   }
   return transports;
 }

@@ -12,8 +12,7 @@
 //
 //   launcher            argv prefix the worker command runs under; an array
 //                       of tokens, or one string split on spaces.
-//                       Absent/empty: plain local re-exec
-//                       (LocalProcessTransport).
+//                       Absent/empty: plain local re-exec.
 //   workers             worker processes to run through this entry
 //                       (default 1).
 //   executable          worker binary path ON THE TARGET (default: this
@@ -32,7 +31,6 @@
 // drop a machine from the fleet (or a knob from the policy).
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,23 +46,22 @@ struct HostsFleet {
   FaultPolicy policy;  // defaults when the file carries no "policy" object
 };
 
+/// A launcher given as one string ("ssh hostA"), split on spaces into argv.
+std::vector<std::string> splitLauncher(const std::string& text);
+
 /// Parses hosts-file `text`; `origin` names the source in error messages.
 /// Throws std::invalid_argument on malformed entries or unknown keys.
 HostsFleet parseHostsFleetText(const std::string& text, const std::string& origin);
 
-/// Compatibility shim: the hosts list alone (policy discarded).
-std::vector<HostEntry> parseHostsFileText(const std::string& text,
-                                          const std::string& origin);
-
 /// Reads and parses one hosts file; throws std::invalid_argument when the
 /// file cannot be read or fails to parse.
 HostsFleet loadHostsFleet(const std::string& path);
-std::vector<HostEntry> loadHostsFile(const std::string& path);
 
 /// Expands entries into one transport per worker slot, in file order (an
-/// entry with workers=4 contributes 4 consecutive slots).
-std::vector<std::unique_ptr<WorkerTransport>> transportsFor(
-    const std::vector<HostEntry>& hosts);
+/// entry with workers=4 contributes 4 consecutive slots).  The only way
+/// transports are made: `shards=N`, hosts files and the daemon's fleet-add
+/// all arrive here as HostEntry lists.
+std::vector<WorkerTransport> transportsFor(const std::vector<HostEntry>& hosts);
 
 /// Total worker slots across all entries.
 std::size_t totalWorkers(const std::vector<HostEntry>& hosts);

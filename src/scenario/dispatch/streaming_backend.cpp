@@ -1,7 +1,6 @@
 #include "scenario/dispatch/streaming_backend.hpp"
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
@@ -14,37 +13,21 @@
 namespace pnoc::scenario::dispatch {
 namespace {
 
-std::uint64_t steadyNowMs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 [[noreturn]] void fail(const std::string& message) {
   throw std::runtime_error("pnoc dispatch: " + message);
 }
 
 }  // namespace
 
-StreamingBackend::StreamingBackend(unsigned shards, std::string workerExecutable,
-                                   FaultPolicy policy)
-    : shards_(shards),
-      workerExecutable_(std::move(workerExecutable)),
-      policy_(policy) {}
-
 StreamingBackend::StreamingBackend(std::vector<HostEntry> hosts, FaultPolicy policy)
     : hosts_(std::move(hosts)), policy_(policy) {}
 
 unsigned StreamingBackend::workersFor(std::size_t jobCount) const {
-  if (!hosts_.empty()) {
-    // The hosts file states the fleet size; more workers than jobs would
-    // just idle, so clamp like every other backend.
-    const std::size_t total = totalWorkers(hosts_);
-    const std::size_t clamped = jobCount < total ? jobCount : total;
-    return clamped == 0 ? 1 : static_cast<unsigned>(clamped);
-  }
-  return resolveWorkerCount(shards_, jobCount);
+  // The fleet description states its size; more workers than jobs would
+  // just idle, so clamp like every other backend.
+  const std::size_t total = totalWorkers(hosts_);
+  const std::size_t clamped = jobCount < total ? jobCount : total;
+  return clamped == 0 ? 1 : static_cast<unsigned>(clamped);
 }
 
 std::vector<ScenarioOutcome> StreamingBackend::execute(
@@ -80,17 +63,11 @@ std::vector<ScenarioOutcome> StreamingBackend::execute(
     workers_ = fleet.workerStatus();
   };
   try {
+    const std::vector<WorkerTransport> transports = transportsFor(hosts_);
     const unsigned workers = workersFor(jobs.size());
-    std::vector<std::unique_ptr<WorkerTransport>> transports;
-    if (!hosts_.empty()) {
-      transports = transportsFor(hosts_);
-      if (transports.size() > workers) transports.resize(workers);
-    } else {
-      for (unsigned w = 0; w < workers; ++w) {
-        transports.push_back(std::make_unique<LocalProcessTransport>(workerExecutable_));
-      }
+    for (std::size_t w = 0; w < workers && w < transports.size(); ++w) {
+      fleet.addWorker(transports[w], steadyNowMs());
     }
-    for (auto& transport : transports) fleet.addWorker(std::move(transport), steadyNowMs());
 
     while (!loudFailure && done < jobs.size()) {
       // A SIGINT/SIGTERM (drivers install sim::installInterruptHandlers)

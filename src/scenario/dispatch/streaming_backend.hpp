@@ -7,14 +7,12 @@
 // order, collects results from unitDone, and decides what a failed unit
 // means — a thrown error naming the job and the worker (default), or a
 // structured failed outcome that lets the rest of the grid complete
-// (policy.failSoft).  Workers come from either
-//
-//   * N local re-execs of this binary (`shards=N`), or
-//   * a hosts file (`hosts=@hosts.json`) expanding to launcher-wrapped
-//     workers on other machines/containers (dispatch/hosts_file.hpp),
-//
-// and results are byte-identical to InProcessBackend regardless of worker
-// count, transport, or completion order.  The outcome observer (see
+// (policy.failSoft).  Workers come from a HostEntry list, the one fleet
+// description: `shards=N` is `[{"workers":N}]` (makeBackend), and a hosts
+// file (`hosts=@hosts.json`, dispatch/hosts_file.hpp) adds launcher-wrapped
+// workers on other machines/containers.  Results are byte-identical to
+// InProcessBackend regardless of worker count, transport, or completion
+// order.  The outcome observer (see
 // ExecutionBackend::setOutcomeObserver) fires per completed job on the
 // calling thread — pnoc_run's checkpointed resume hangs off it.
 #pragma once
@@ -30,13 +28,8 @@ namespace pnoc::scenario::dispatch {
 
 class StreamingBackend : public ExecutionBackend {
  public:
-  /// Local fleet: `shards` workers (0 = auto, see resolveWorkerCount),
-  /// re-execing `workerExecutable` ("" = this binary).  `policy` governs
-  /// every failure path (dispatch/fault_policy.hpp).
-  explicit StreamingBackend(unsigned shards = 0, std::string workerExecutable = "",
-                            FaultPolicy policy = {});
-
-  /// Hosts-file fleet: one worker per slot listed in `hosts`.
+  /// One worker per slot listed in `hosts` (clamped to the batch size);
+  /// `policy` governs every failure path (dispatch/fault_policy.hpp).
   explicit StreamingBackend(std::vector<HostEntry> hosts, FaultPolicy policy = {});
 
   std::string name() const override { return "stream"; }
@@ -56,9 +49,7 @@ class StreamingBackend : public ExecutionBackend {
   }
 
  private:
-  unsigned shards_ = 0;
-  std::string workerExecutable_;
-  std::vector<HostEntry> hosts_;  // empty: local workers
+  std::vector<HostEntry> hosts_;
   FaultPolicy policy_;
   FleetManager::Stats stats_;
   std::vector<FleetManager::WorkerStatus> workers_;

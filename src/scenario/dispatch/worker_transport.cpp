@@ -5,7 +5,6 @@
 #include <csignal>
 #include <cstring>
 #include <stdexcept>
-#include <utility>
 
 #include <fcntl.h>
 #include <sys/wait.h>
@@ -165,35 +164,19 @@ std::string describeWaitStatus(int status) {
   return "ended abnormally";
 }
 
-LocalProcessTransport::LocalProcessTransport(std::string executable)
-    : executable_(std::move(executable)) {}
-
-WorkerConnection LocalProcessTransport::launch() const {
-  const std::string executable =
-      executable_.empty() ? selfExecutablePath() : executable_;
-  return spawnWorkerProcess({executable, kWorkerFlag}, describe());
-}
-
-CommandTransport::CommandTransport(std::vector<std::string> launcherPrefix,
-                                   std::string executable)
-    : launcher_(std::move(launcherPrefix)), executable_(std::move(executable)) {
-  if (launcher_.empty()) {
-    throw std::runtime_error("CommandTransport: empty launcher prefix");
-  }
-}
-
-std::string CommandTransport::describe() const {
+std::string WorkerTransport::describe() const {
+  if (host_.launcher.empty()) return "local worker";
   std::string out;
-  for (const std::string& token : launcher_) {
+  for (const std::string& token : host_.launcher) {
     if (!out.empty()) out += ' ';
     out += token;
   }
   return out + " worker";
 }
 
-WorkerConnection CommandTransport::launch() const {
-  std::vector<std::string> argv = launcher_;
-  argv.push_back(executable_.empty() ? selfExecutablePath() : executable_);
+WorkerConnection WorkerTransport::launch() const {
+  std::vector<std::string> argv = host_.launcher;
+  argv.push_back(host_.executable.empty() ? selfExecutablePath() : host_.executable);
   argv.push_back(kWorkerFlag);
   return spawnWorkerProcess(argv, describe());
 }

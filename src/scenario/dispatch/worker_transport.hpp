@@ -2,17 +2,14 @@
 //
 // A transport knows how to LAUNCH one worker speaking the NDJSON job
 // protocol on stdin/stdout; everything above it (dealing, merging, retry)
-// is transport-agnostic.  Two implementations:
+// is transport-agnostic.  It is built from one HostEntry, the only
+// description of a fleet (`shards=N` is `[{"workers":N}]`), and runs
+// `<launcher...> <executable> --pnoc-worker`: an empty launcher is a plain
+// local re-exec, and a launcher (`ssh hostA`, `docker exec c`, `env`) fans
+// the same protocol out across machines or containers.
 //
-//   LocalProcessTransport - re-exec this binary (or a named executable)
-//                           with `--pnoc-worker`
-//   CommandTransport      - prefix the worker command with an arbitrary
-//                           launcher argv (`ssh hostA`, `docker exec c`,
-//                           `env`), so the same protocol fans out across
-//                           machines or containers
-//
-// Both produce a WorkerConnection: a child pid plus the two pipe fds the
-// parent owns.  launch() is a non-blocking fork/exec, so a slow host (an
+// launch() produces a WorkerConnection: a child pid plus the two pipe fds
+// the parent owns.  It is a non-blocking fork/exec, so a slow host (an
 // ssh that takes seconds to connect) shows up as a late handshake ack that
 // the fleet's connect budget bounds, never as a blocked caller.  Pipe fds
 // are FD_CLOEXEC so workers never inherit each other's ends (an inherited
@@ -20,11 +17,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include <sys/types.h>
+
+#include "scenario/dispatch/hosts_file_types.hpp"
 
 namespace pnoc::scenario::dispatch {
 
@@ -40,52 +38,24 @@ struct WorkerConnection {
 
 class WorkerTransport {
  public:
-  virtual ~WorkerTransport() = default;
+  /// Launches workers as `host` describes them (its `workers` count is the
+  /// caller's business: transportsFor() makes one transport per slot).
+  explicit WorkerTransport(HostEntry host) : host_(std::move(host)) {}
 
-  /// Human name for logs and failure messages.
-  virtual std::string describe() const = 0;
+  /// "local worker" for an empty launcher, else "<launcher> worker".
+  std::string describe() const;
 
   /// Launches one worker; throws std::runtime_error when the process
   /// cannot be created.  (An exec failure inside the child surfaces later
   /// as exit status 127 with no protocol output.)
-  virtual WorkerConnection launch() const = 0;
+  WorkerConnection launch() const;
 
-  /// Per-transport connect (launch + handshake-ack) budget in milliseconds;
-  /// 0 means "use the fleet policy's connect_timeout_ms".  A hosts-file
-  /// entry's own connect_timeout_ms lands here via transportsFor().
-  void setConnectTimeoutMs(std::uint64_t ms) { connectTimeoutMs_ = ms; }
-  std::uint64_t connectTimeoutMs() const { return connectTimeoutMs_; }
+  /// Connect (launch + handshake-ack) budget in milliseconds; 0 means "use
+  /// the fleet policy's connect_timeout_ms".
+  std::uint64_t connectTimeoutMs() const { return host_.connectTimeoutMs; }
 
  private:
-  std::uint64_t connectTimeoutMs_ = 0;
-};
-
-/// Re-exec `executable` ("" = this binary) as `<executable> --pnoc-worker`.
-class LocalProcessTransport : public WorkerTransport {
- public:
-  explicit LocalProcessTransport(std::string executable = "");
-  std::string describe() const override { return "local worker"; }
-  WorkerConnection launch() const override;
-
- private:
-  std::string executable_;
-};
-
-/// Launch `<prefix...> <executable> --pnoc-worker`, where the prefix is an
-/// arbitrary launcher argv resolved through PATH (`ssh hostA`,
-/// `docker exec sim0`, ...).  `executable` "" means this binary's own path —
-/// right for containers/hosts that mount the same build; remote hosts with
-/// a different install pass the remote path explicitly.
-class CommandTransport : public WorkerTransport {
- public:
-  CommandTransport(std::vector<std::string> launcherPrefix,
-                   std::string executable = "");
-  std::string describe() const override;
-  WorkerConnection launch() const override;
-
- private:
-  std::vector<std::string> launcher_;
-  std::string executable_;
+  HostEntry host_;
 };
 
 /// Closes both pipe fds (idempotent).

@@ -1,5 +1,6 @@
 #include "scenario/execution_backend.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 
@@ -121,11 +122,13 @@ std::string toString(BackendKind kind) {
 
 std::unique_ptr<ExecutionBackend> makeBackend(const BackendOptions& options) {
   if (options.kind == BackendKind::kStream) {
-    if (!options.hosts.empty()) {
-      return std::make_unique<dispatch::StreamingBackend>(options.hosts,
-                                                          options.policy);
+    // shards=N is the one-entry fleet [{"workers":N}], N resolved (0 = auto)
+    // but not yet clamped: workersFor() clamps every fleet to its batch.
+    std::vector<dispatch::HostEntry> hosts = options.hosts;
+    if (hosts.empty()) {
+      hosts.emplace_back().workers = resolveWorkerCount(options.workers, SIZE_MAX);
     }
-    return std::make_unique<dispatch::StreamingBackend>(options.workers, "",
+    return std::make_unique<dispatch::StreamingBackend>(std::move(hosts),
                                                         options.policy);
   }
   return std::make_unique<InProcessBackend>(options.workers);

@@ -132,16 +132,14 @@ struct BackendOptions {
   /// Thread / worker-process count; 0 = auto (see resolveWorkerCount).
   /// Mutually exclusive with a hosts fleet, which sizes itself.
   unsigned workers = 0;
-  /// The hosts-file path backend=stream fleets came from (diagnostics).
-  std::string hostsFile;
-  /// Parsed hosts-file fleet for backend=stream (empty: local workers).
+  /// Parsed hosts-file fleet for backend=stream (empty: `workers` local
+  /// workers, i.e. the fleet [{"workers":N}]).
   /// Cli::parse fills this from hosts=@file, so the file is read and
   /// validated exactly once, at parse time.
   std::vector<dispatch::HostEntry> hosts;
   /// Fault policy for backend=stream: hosts-file "policy" object first,
   /// individual CLI keys (retries=, job_deadline_ms=, ...) layered on top.
-  /// The thread backend ignores it.  (Appended last so existing positional
-  /// aggregate initializations keep meaning what they meant.)
+  /// The thread backend ignores it.
   dispatch::FaultPolicy policy;
 };
 

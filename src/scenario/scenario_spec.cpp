@@ -358,7 +358,13 @@ std::string ScenarioSpec::toJson() const {
     first = false;
     out += "\"" + field.key + "\":";
     const std::string value = field.format(*this);
-    out += field.jsonString ? "\"" + jsonEscape(value) + "\"" : value;
+    if (field.jsonString) {
+      out += '"';
+      out += jsonEscape(value);
+      out += '"';
+    } else {
+      out += value;
+    }
   }
   out += "}";
   return out;

@@ -25,7 +25,8 @@ std::string latencyToJson(const metrics::LatencyHistogram& latency) {
     if (latency.bucketCount(b) == 0) continue;
     if (!first) out += ",";
     first = false;
-    out += "[" + std::to_string(b) + "," + u64(latency.bucketCount(b)) + "]";
+    out += '[';
+    out += std::to_string(b) + "," + u64(latency.bucketCount(b)) + "]";
   }
   out += "],\"sum\":" + u64(latency.sumCycles());
   out += ",\"min\":" + u64(latency.min());
@@ -56,8 +57,10 @@ std::string energyToJson(const photonic::EnergyLedger& ledger) {
   for (std::size_t c = 0; c < kEnergyCategories; ++c) {
     if (c > 0) out += ",";
     const auto category = static_cast<EnergyCategory>(c);
-    out += "\"" + std::string(photonic::toString(category)) +
-           "\":" + formatDouble(ledger.of(category));
+    out += '"';
+    out += photonic::toString(category);
+    out += "\":";
+    out += formatDouble(ledger.of(category));
   }
   out += "}";
   return out;

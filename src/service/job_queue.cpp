@@ -47,7 +47,6 @@ std::uint64_t JobQueue::submit(GridJob job) {
   }
   if (job.id >= nextId_) nextId_ = job.id + 1;
   job.unitStates.assign(job.grid.size(), UnitState::kPending);
-  job.records.assign(job.grid.size(), std::string());
   job.unitFailed.assign(job.grid.size(), false);
   job.state = JobState::kQueued;
   const std::uint64_t id = job.id;
@@ -109,13 +108,12 @@ void JobQueue::requeueUnit(const UnitRef& ref) {
   }
 }
 
-bool JobQueue::unitDone(const UnitRef& ref, std::string record, bool failed) {
+bool JobQueue::unitDone(const UnitRef& ref, bool failed) {
   GridJob* job = find(ref.job);
   if (job == nullptr || ref.unit >= job->unitStates.size()) return false;
   if (job->state == JobState::kCanceled) return false;  // result discarded
   if (job->unitStates[ref.unit] == UnitState::kDone) return false;
   job->unitStates[ref.unit] = UnitState::kDone;
-  job->records[ref.unit] = std::move(record);
   job->unitFailed[ref.unit] = failed;
   if (job->pendingUnits() == 0 && job->dispatchedUnits() == 0) {
     job->state = job->failedUnits() != 0 ? JobState::kFailed : JobState::kDone;

@@ -53,11 +53,9 @@ struct GridJob {
   std::string outDir;     // directory the BENCH file lands in
   std::vector<scenario::ScenarioSpec> grid;
 
-  // Per-unit progress, indexed like `grid`.
+  // Per-unit progress, indexed like `grid`.  The units' BENCH records live
+  // in the daemon's per-job checkpoint, not here.
   std::vector<UnitState> unitStates;
-  /// The serialized BENCH record per done unit (failure records included) —
-  /// verbatim bytes, so the final file is identical to a one-shot pnoc_run.
-  std::vector<std::string> records;
   std::vector<bool> unitFailed;
 
   JobState state = JobState::kQueued;
@@ -93,11 +91,11 @@ class JobQueue {
   /// after a worker death or removal.  No-op for done/canceled units.
   void requeueUnit(const UnitRef& ref);
 
-  /// Completes one unit with its serialized record (failed units carry
-  /// their failure record).  Ignored when the job is gone or canceled —
-  /// a canceled job's in-flight results are discarded, not recorded.
-  /// Returns true when this completion made the job terminal.
-  bool unitDone(const UnitRef& ref, std::string record, bool failed);
+  /// Completes one unit (`failed`: it ended as a failure record).  Ignored
+  /// when the job is gone or canceled — a canceled job's in-flight results
+  /// are discarded, not recorded.  Returns true when this completion made
+  /// the job terminal.
+  bool unitDone(const UnitRef& ref, bool failed);
 
   /// Cancels a job: pending units -> canceled, the job goes terminal NOW
   /// (dispatched units finish on their workers; their results are

@@ -107,10 +107,16 @@ std::vector<JournalJob> replayJournalText(const std::string& text,
           for (const auto& [key, value] : spec.members()) {
             if (!first) raw += ",";
             first = false;
-            raw += "\"" + scenario::jsonEscape(key) + "\":";
-            raw += value.kind() == scenario::JsonValue::Kind::kString
-                       ? "\"" + scenario::jsonEscape(value.asString()) + "\""
-                       : value.raw();
+            raw += '"';
+            raw += scenario::jsonEscape(key);
+            raw += "\":";
+            if (value.kind() == scenario::JsonValue::Kind::kString) {
+              raw += '"';
+              raw += scenario::jsonEscape(value.asString());
+              raw += '"';
+            } else {
+              raw += value.raw();
+            }
           }
           raw += "}";
           job.specJson.push_back(std::move(raw));

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 
 #include <fcntl.h>
@@ -15,7 +13,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "scenario/dispatch/checkpoint.hpp"
 #include "scenario/dispatch/hosts_file.hpp"
 #include "service/protocol.hpp"
 #include "sim/interrupt.hpp"
@@ -23,27 +20,11 @@
 namespace pnoc::service {
 namespace {
 
-constexpr std::uint64_t kCheckpointThrottleMs = 1000;
+using scenario::dispatch::steadyNowMs;
 
 void setNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-std::vector<std::string> splitOnSpaces(const std::string& text) {
-  std::vector<std::string> tokens;
-  std::istringstream in(text);
-  std::string token;
-  while (in >> token) tokens.push_back(token);
-  return tokens;
-}
-
-std::string modeOf(scenario::ScenarioJob::Op op) {
-  return op == scenario::ScenarioJob::Op::kRun ? "run" : "peak";
-}
-
-std::string benchPathFor(const GridJob& job) {
-  return job.outDir + "/BENCH_" + job.benchName + ".json";
 }
 
 }  // namespace
@@ -74,13 +55,6 @@ ServeDaemon::~ServeDaemon() {
   if (stopPipe_[1] >= 0) ::close(stopPipe_[1]);
 }
 
-std::uint64_t ServeDaemon::nowMs() const {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 void ServeDaemon::requestStop() {
   if (stopPipe_[1] >= 0) {
     const char byte = 's';
@@ -94,7 +68,7 @@ void ServeDaemon::start() {
   if (options_.socketPath.empty()) {
     throw std::invalid_argument("pnoc_serve: socket= needs a path");
   }
-  startMs_ = nowMs();
+  startMs_ = steadyNowMs();
 
   // Tracing goes up FIRST so the journal replay's compaction span and the
   // resumed units' queue-waits land in the file.
@@ -153,19 +127,20 @@ void ServeDaemon::start() {
     }
     const std::uint64_t id = queue_.submit(std::move(job));
     GridJob* resumed = queue_.find(id);
+    scenario::dispatch::BenchCheckpoint& checkpoint = checkpoints_[id];
     // The job's own BENCH checkpoint carries its unit-level progress;
     // recorded units come back VERBATIM, the rest re-dispatch.  A
     // checkpoint that contradicts the journaled grid (or is unreadable) is
     // reported and the whole job re-dispatches — resume must never merge
     // records from a different grid.
     try {
-      const scenario::dispatch::BenchCheckpoint checkpoint =
-          scenario::dispatch::loadBenchCheckpoint(
-              benchPathFor(*resumed), modeOf(resumed->op), resumed->grid);
-      for (std::size_t u = 0; u < checkpoint.rawByIndex.size(); ++u) {
-        if (!checkpoint.rawByIndex[u]) continue;
-        if (queue_.unitDone(UnitRef{id, u}, *checkpoint.rawByIndex[u], false)) {
-          finalizeJob(*resumed);
+      const bool run = resumed->op == scenario::ScenarioJob::Op::kRun;
+      checkpoint = scenario::dispatch::loadBenchCheckpoint(
+          resumed->outDir, resumed->benchName, run ? "run" : "peak", resumed->grid);
+      for (std::size_t u = 0; u < resumed->unitCount(); ++u) {
+        if (checkpoint.rawByIndex[u] && queue_.unitDone(UnitRef{id, u}, false)) {
+          finalizeJob(*resumed);  // every unit was on disk; drops `checkpoint`
+          break;
         }
       }
       if (!resumed->terminal()) {
@@ -176,6 +151,8 @@ void ServeDaemon::start() {
                      resumed->doneUnits(), resumed->unitCount());
       }
     } catch (const std::invalid_argument& error) {
+      checkpoint = scenario::dispatch::BenchCheckpoint(
+          resumed->outDir, resumed->benchName, resumed->unitCount());
       std::fprintf(stderr, "pnoc_serve: job %llu: %s; re-dispatching the"
                    " whole job\n",
                    static_cast<unsigned long long>(id), error.what());
@@ -200,18 +177,9 @@ void ServeDaemon::start() {
   };
   fleet_ = std::make_unique<FleetManager>(options_.policy, std::move(callbacks),
                                           &registry_);
-  const std::uint64_t now = nowMs();
-  if (!options_.hosts.empty()) {
-    for (auto& transport : scenario::dispatch::transportsFor(options_.hosts)) {
-      fleet_->addWorker(std::move(transport), now);
-    }
-  } else {
-    const unsigned shards = options_.shards == 0 ? 1 : options_.shards;
-    for (unsigned w = 0; w < shards; ++w) {
-      fleet_->addWorker(std::make_unique<scenario::dispatch::LocalProcessTransport>(
-                            options_.workerExecutable),
-                        now);
-    }
+  const std::uint64_t now = steadyNowMs();
+  for (auto& transport : scenario::dispatch::transportsFor(options_.hosts)) {
+    fleet_->addWorker(std::move(transport), now);
   }
   std::fprintf(stderr, "pnoc_serve: listening on %s (%zu worker(s), %zu job(s)"
                " resumed)\n",
@@ -220,7 +188,7 @@ void ServeDaemon::start() {
 
 int ServeDaemon::run() {
   while (!stopping_) {
-    const std::uint64_t now = nowMs();
+    const std::uint64_t now = steadyNowMs();
     fleet_->pump(now);
 
     std::vector<pollfd> fds;
@@ -245,11 +213,8 @@ int ServeDaemon::run() {
       timeoutMs = timeoutMs < 0 ? ms : std::min(timeoutMs, ms);
     };
     if (const auto deadline = fleet_->nextDeadlineMs()) consider(*deadline);
-    for (const std::uint64_t jobId : dirtyJobs_) {
-      const auto it = lastCheckpointMs_.find(jobId);
-      consider(it == lastCheckpointMs_.end()
-                   ? now
-                   : it->second + kCheckpointThrottleMs);
+    for (const auto& [id, checkpoint] : checkpoints_) {
+      if (const auto due = checkpoint.flushDueAtMs()) consider(*due);
     }
 
     const int ready = ::poll(fds.data(), fds.size(), timeoutMs);
@@ -272,35 +237,24 @@ int ServeDaemon::run() {
         break;
       }
       if ((fds[sessionBase - 1].revents & POLLIN) != 0) acceptSessions();
-      for (std::size_t s = 0; s < sessions_.size(); ++s) {
+      // Sessions accepted just now have no pollfd yet: next pass.
+      for (std::size_t s = 0; s < fleetBase - sessionBase; ++s) {
         const pollfd& fd = fds[sessionBase + s];
         if ((fd.revents & POLLOUT) != 0) flushSession(sessions_[s]);
         if ((fd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
           serviceSession(sessions_[s]);
         }
       }
-      const std::uint64_t after = nowMs();
+      const std::uint64_t after = steadyNowMs();
       for (std::size_t f = fleetBase; f < fds.size(); ++f) {
         if (fds[f].revents != 0) fleet_->onReadable(fds[f].fd, after);
       }
     }
-    fleet_->onTick(nowMs());
+    fleet_->onTick(steadyNowMs());
 
     // Throttled checkpoint writes that came due.
-    const std::uint64_t flushNow = nowMs();
-    std::vector<std::uint64_t> stillDirty;
-    for (const std::uint64_t jobId : dirtyJobs_) {
-      GridJob* job = queue_.find(jobId);
-      if (job == nullptr) continue;
-      const auto it = lastCheckpointMs_.find(jobId);
-      if (it == lastCheckpointMs_.end() ||
-          flushNow - it->second >= kCheckpointThrottleMs) {
-        flushJobCheckpoint(*job, true);
-      } else {
-        stillDirty.push_back(jobId);
-      }
-    }
-    dirtyJobs_ = std::move(stillDirty);
+    const std::uint64_t flushNow = steadyNowMs();
+    for (auto& [id, checkpoint] : checkpoints_) checkpoint.flushIfDue(flushNow);
 
     maybeAnswerDrains();
     sessions_.erase(std::remove_if(sessions_.begin(), sessions_.end(),
@@ -470,13 +424,11 @@ void ServeDaemon::handleSubmit(Session& session,
   }
   // Two live jobs writing one BENCH path would interleave checkpoints into
   // a file neither owns; reject the second up front.
-  for (const auto& [id, existing] : queue_.jobs()) {
-    if (!existing.terminal() && existing.outDir == job.outDir &&
-        existing.benchName == job.benchName) {
+  for (const auto& [id, live] : checkpoints_) {
+    if (live.directory == job.outDir && live.benchName == job.benchName) {
       send(session,
            errorReplyLine("job " + std::to_string(id) + " is already writing " +
-                          benchPathFor(existing) +
-                          "; pick another bench= or dir="));
+                          live.path() + "; pick another bench= or dir="));
       return;
     }
   }
@@ -487,6 +439,8 @@ void ServeDaemon::handleSubmit(Session& session,
   const std::size_t units = job.grid.size();
   const std::uint64_t id = queue_.submit(std::move(job));
   const GridJob* accepted = queue_.find(id);
+  checkpoints_.emplace(id, scenario::dispatch::BenchCheckpoint(
+                               accepted->outDir, accepted->benchName, units));
   entry.id = id;
   entry.client = accepted->client;
   entry.priority = accepted->priority;
@@ -544,7 +498,8 @@ void ServeDaemon::handleCancel(Session& session,
   fleet_->dropUnitsForJob(id);
   // Completed units stay on disk (the checkpoint keeps its records); the
   // journal's terminal event is the cancel itself.
-  flushJobCheckpoint(*job, true);
+  flushJobCheckpoint(*job);
+  checkpoints_.erase(id);
   journal_.appendCancel(id);
   notifyWatchers(*job, true);
   send(session, "{\"ok\":1,\"job\":" + std::to_string(id) + ",\"canceled\":1}");
@@ -560,25 +515,18 @@ void ServeDaemon::handleFleetAdd(Session& session,
     send(session, errorReplyLine("workers must be between 1 and 1024"));
     return;
   }
-  std::vector<std::string> launcher;
+  scenario::dispatch::HostEntry host;
+  host.workers = static_cast<unsigned>(workers);
+  host.executable = options_.workerExecutable;
   if (const scenario::JsonValue* l = request.find("launcher")) {
-    launcher = splitOnSpaces(l->asString());
+    host.launcher = scenario::dispatch::splitLauncher(l->asString());
   }
-  std::string executable = options_.workerExecutable;
   if (const scenario::JsonValue* e = request.find("executable")) {
-    executable = e->asString();
+    host.executable = e->asString();
   }
-  const std::uint64_t now = nowMs();
-  for (std::uint64_t w = 0; w < workers; ++w) {
-    if (launcher.empty()) {
-      fleet_->addWorker(
-          std::make_unique<scenario::dispatch::LocalProcessTransport>(executable),
-          now);
-    } else {
-      fleet_->addWorker(std::make_unique<scenario::dispatch::CommandTransport>(
-                            launcher, executable),
-                        now);
-    }
+  const std::uint64_t now = steadyNowMs();
+  for (auto& transport : scenario::dispatch::transportsFor({host})) {
+    fleet_->addWorker(std::move(transport), now);
   }
   send(session, "{\"ok\":1,\"added\":" + std::to_string(workers) +
                     ",\"workers\":" + std::to_string(fleet_->liveWorkers()) +
@@ -613,50 +561,30 @@ std::optional<FleetUnit> ServeDaemon::nextUnit() {
 
 void ServeDaemon::unitDone(const UnitRef& ref, scenario::ScenarioOutcome outcome) {
   eventsTotal_.inc();
+  // Only live jobs hold a checkpoint: a canceled job's late result is
+  // discarded, not recorded.
+  const auto live = checkpoints_.find(ref.job);
+  if (live == checkpoints_.end()) return;
   GridJob* job = queue_.find(ref.job);
-  if (job == nullptr) return;
   // grid_index tags the unit's index within ITS job's grid, so the BENCH
   // file is indistinguishable from the one pnoc_run writes for that grid.
-  const std::string record =
-      scenario::dispatch::serializedOutcomeRecord(outcome, ref.unit);
-  const bool terminal = queue_.unitDone(ref, record, outcome.failed);
-  if (job->state == JobState::kCanceled) return;  // late result, discarded
-  if (terminal) {
+  live->second.record(ref.unit, outcome);
+  if (queue_.unitDone(ref, outcome.failed)) {
     finalizeJob(*job);
     return;
   }
-  if (std::find(dirtyJobs_.begin(), dirtyJobs_.end(), ref.job) ==
-      dirtyJobs_.end()) {
-    dirtyJobs_.push_back(ref.job);
-  }
-  const auto it = lastCheckpointMs_.find(ref.job);
-  if (it == lastCheckpointMs_.end() ||
-      nowMs() - it->second >= kCheckpointThrottleMs) {
-    flushJobCheckpoint(*job, true);
-    dirtyJobs_.erase(std::remove(dirtyJobs_.begin(), dirtyJobs_.end(), ref.job),
-                     dirtyJobs_.end());
-  }
+  live->second.flushIfDue(steadyNowMs());
   notifyWatchers(*job, false);
 }
 
-void ServeDaemon::flushJobCheckpoint(GridJob& job, bool force) {
-  (void)force;
-  std::vector<std::string> records;
-  for (const std::string& record : job.records) {
-    if (!record.empty()) records.push_back(record);
-  }
-  if (records.empty()) return;
-  const obs::ScopedSpan span("checkpoint-flush", "service");
-  const std::string written =
-      scenario::dispatch::writeBenchFile(job.outDir, job.benchName, records);
+void ServeDaemon::flushJobCheckpoint(GridJob& job) {
+  const std::string written = checkpoints_.at(job.id).flush(steadyNowMs());
   if (!written.empty()) job.benchPath = written;
-  lastCheckpointMs_[job.id] = nowMs();
 }
 
 void ServeDaemon::finalizeJob(GridJob& job) {
-  flushJobCheckpoint(job, true);
-  dirtyJobs_.erase(std::remove(dirtyJobs_.begin(), dirtyJobs_.end(), job.id),
-                   dirtyJobs_.end());
+  flushJobCheckpoint(job);
+  checkpoints_.erase(job.id);
   journal_.appendDone(job.id);
   std::fprintf(stderr, "pnoc_serve: job %llu %s (%zu unit(s), %zu failed) ->"
                " %s\n",
@@ -706,7 +634,7 @@ std::string ServeDaemon::statusJson() const {
   // counters.  One line, parseable by anything that reads JSON.
   std::string out = serviceBannerLine();
   out.pop_back();  // reopen the banner object: status extends it
-  out += ",\"uptime_s\":" + std::to_string((nowMs() - startMs_) / 1000);
+  out += ",\"uptime_s\":" + std::to_string((steadyNowMs() - startMs_) / 1000);
   // events_total only ever grows within one daemon lifetime, so a watch
   // client that sees it shrink knows the daemon restarted underneath it.
   out += ",\"events_total\":" + std::to_string(eventsTotal_.value());
@@ -777,7 +705,7 @@ void ServeDaemon::publishRuntimeGauges() {
   registry_.gauge("serve_dispatched_units").set(
       static_cast<std::int64_t>(queue_.dispatchedUnits()));
   registry_.gauge("serve_uptime_s").set(
-      static_cast<std::int64_t>((nowMs() - startMs_) / 1000));
+      static_cast<std::int64_t>((steadyNowMs() - startMs_) / 1000));
   if (fleet_ != nullptr) {
     registry_.gauge("serve_workers_live").set(
         static_cast<std::int64_t>(fleet_->liveWorkers()));
@@ -811,11 +739,9 @@ void ServeDaemon::flushAllState() {
   // The graceful-exit flush: every live job's checkpoint hits disk so a
   // restart re-dispatches only what is genuinely missing.  The journal
   // needs no flush — every append was fsync'd when it happened.
-  for (auto& [id, job] : queue_.jobs()) {
-    GridJob* mutableJob = queue_.find(id);
-    if (!mutableJob->terminal()) flushJobCheckpoint(*mutableJob, true);
+  for (const auto& [id, checkpoint] : checkpoints_) {
+    flushJobCheckpoint(*queue_.find(id));
   }
-  dirtyJobs_.clear();
 }
 
 }  // namespace pnoc::service

@@ -11,8 +11,9 @@
 //   * the queue journal (service/journal): every ACCEPTED submit is fsync'd
 //     before it is acknowledged, so a daemon restart reconstructs every
 //     accepted job exactly;
-//   * per-job BENCH checkpoint files (dispatch/checkpoint): unit results
-//     are flushed as they complete (throttled ~1/s per job), so a restart
+//   * per-job BENCH checkpoint files (dispatch/checkpoint): each live job
+//     holds one BenchCheckpoint, and unit results are flushed as they
+//     complete (on the checkpoint's ~1/s throttle), so a restart
 //     re-dispatches only the units genuinely missing and re-emits the rest
 //     VERBATIM — the final file is byte-identical to a one-shot pnoc_run
 //     of the same grid (timing record aside).
@@ -53,6 +54,7 @@
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "scenario/dispatch/checkpoint.hpp"
 #include "scenario/dispatch/fleet.hpp"
 #include "scenario/execution_backend.hpp"
 #include "scenario/json_util.hpp"
@@ -68,11 +70,13 @@ struct ServeOptions {
   std::string socketPath;
   /// NDJSON queue journal; "" runs without durability (tests only).
   std::string journalPath;
-  /// Local worker count when `hosts` is empty (0: one worker).
-  unsigned shards = 0;
-  /// Worker binary for local shards ("" = this executable).
+  /// Worker binary fleet-add uses when its request names none ("" = this
+  /// executable).
   std::string workerExecutable;
-  /// Hosts-file fleet (hosts= / fleet snippet); overrides `shards`.
+  /// The fleet start() launches, one worker per slot (dispatch/
+  /// hosts_file.hpp).  pnoc_serve fills it from hosts=, or from `shards=N
+  /// executable=X` as [{"workers":max(N,1),"executable":X}]; empty starts
+  /// with no workers (the queue parks until a fleet-add).
   std::vector<scenario::dispatch::HostEntry> hosts;
   scenario::dispatch::FaultPolicy policy;
   /// Chrome-trace span output ("" = tracing off).
@@ -115,7 +119,6 @@ class ServeDaemon {
     bool closeAfterFlush = false;
   };
 
-  std::uint64_t nowMs() const;
   void acceptSessions();
   void serviceSession(Session& session);
   void handleRequest(Session& session, const std::string& line);
@@ -133,7 +136,8 @@ class ServeDaemon {
 
   std::optional<FleetUnit> nextUnit();
   void unitDone(const UnitRef& ref, scenario::ScenarioOutcome outcome);
-  void flushJobCheckpoint(GridJob& job, bool force);
+  /// Rewrites a live job's BENCH checkpoint now and remembers its path.
+  void flushJobCheckpoint(GridJob& job);
   void finalizeJob(GridJob& job);
   void notifyWatchers(const GridJob& job, bool terminal);
   void maybeAnswerDrains();
@@ -157,8 +161,9 @@ class ServeDaemon {
   obs::Counter eventsTotal_;
   std::uint64_t startMs_ = 0;
   std::vector<Session> sessions_;
-  std::map<std::uint64_t, std::uint64_t> lastCheckpointMs_;  // job -> last flush
-  std::vector<std::uint64_t> dirtyJobs_;  // throttled checkpoint writes pending
+  /// One BENCH checkpoint per live job; dropped when the job goes terminal,
+  /// so a canceled job's late results have nowhere to land.
+  std::map<std::uint64_t, scenario::dispatch::BenchCheckpoint> checkpoints_;
   int listenFd_ = -1;
   int stopPipe_[2] = {-1, -1};
   bool draining_ = false;

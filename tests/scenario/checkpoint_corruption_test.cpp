@@ -117,17 +117,13 @@ TEST(CheckpointCorruption, ResumeThroughTornTailIsByteIdentical) {
   }
   // Resume: load, re-dispatch exactly the demoted index, merge, rewrite.
   dispatch::BenchCheckpoint checkpoint =
-      dispatch::loadBenchCheckpoint(benchPath, "run", fix.grid);
+      dispatch::loadBenchCheckpoint(dir, fix.benchName, "run", fix.grid);
+  ASSERT_EQ(checkpoint.path(), benchPath);
   ASSERT_EQ(checkpoint.missingIndices(), (std::vector<std::size_t>{2}));
   for (const std::size_t index : checkpoint.missingIndices()) {
-    const ScenarioOutcome outcome =
-        executeJob({ScenarioJob::Op::kRun, fix.grid[index]});
-    checkpoint.rawByIndex[index] =
-        dispatch::serializedOutcomeRecord(outcome, index);
+    checkpoint.record(index, executeJob({ScenarioJob::Op::kRun, fix.grid[index]}));
   }
-  std::vector<std::string> merged;
-  for (const auto& raw : checkpoint.rawByIndex) merged.push_back(*raw);
-  dispatch::writeBenchFile(dir, fix.benchName, merged);
+  checkpoint.flush(0);
   EXPECT_EQ(readAll(benchPath), fix.fullText);
   std::remove(benchPath.c_str());
 }

@@ -11,11 +11,13 @@
 // recognizes --pnoc-worker).
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -114,13 +116,13 @@ TEST(StreamHandshake, AckValidatesVersion) {
 // --- hosts files ---
 
 TEST(HostsFile, ParsesArraysStringsAndDefaults) {
-  const auto hosts = dispatch::parseHostsFileText(
+  const auto hosts = dispatch::parseHostsFleetText(
       R"([{"launcher": ["ssh", "hostA"], "workers": 4,
            "executable": "/opt/pnoc/bin/pnoc_run"},
           {"launcher": "docker exec sim0", "workers": 2},
           {"workers": 3},
           {}])",
-      "<test>");
+      "<test>").hosts;
   ASSERT_EQ(hosts.size(), 4u);
   EXPECT_EQ(hosts[0].launcher, (std::vector<std::string>{"ssh", "hostA"}));
   EXPECT_EQ(hosts[0].workers, 4u);
@@ -133,28 +135,41 @@ TEST(HostsFile, ParsesArraysStringsAndDefaults) {
   EXPECT_EQ(dispatch::transportsFor(hosts).size(), 10u);
 }
 
+TEST(HostsFile, TransportsDescribeTheirLauncher) {
+  // One transport class for every fleet entry: an empty launcher is a local
+  // re-exec, anything else names its launcher.
+  EXPECT_EQ(dispatch::WorkerTransport(HostEntry{}).describe(), "local worker");
+  EXPECT_EQ(dispatch::WorkerTransport(HostEntry{.launcher = {"env"}}).describe(),
+            "env worker");
+  const auto transports = dispatch::transportsFor(
+      {HostEntry{.workers = 1}, HostEntry{.launcher = {"ssh", "hostA"}, .workers = 2}});
+  ASSERT_EQ(transports.size(), 3u);
+  EXPECT_EQ(transports[0].describe(), "local worker");
+  EXPECT_EQ(transports[2].describe(), "ssh hostA worker");
+}
+
 TEST(HostsFile, WrappedObjectFormParses) {
-  const auto hosts = dispatch::parseHostsFileText(
-      R"({"hosts": [{"workers": 2}]})", "<test>");
+  const auto hosts = dispatch::parseHostsFleetText(
+      R"({"hosts": [{"workers": 2}]})", "<test>").hosts;
   ASSERT_EQ(hosts.size(), 1u);
   EXPECT_EQ(hosts[0].workers, 2u);
 }
 
 TEST(HostsFile, RejectsTyposAndNonsense) {
-  EXPECT_THROW(dispatch::parseHostsFileText(R"([{"wrokers": 2}])", "<test>"),
+  EXPECT_THROW(dispatch::parseHostsFleetText(R"([{"wrokers": 2}])", "<test>"),
                std::invalid_argument);
-  EXPECT_THROW(dispatch::parseHostsFileText(R"([{"workers": 0}])", "<test>"),
+  EXPECT_THROW(dispatch::parseHostsFleetText(R"([{"workers": 0}])", "<test>"),
                std::invalid_argument);
-  EXPECT_THROW(dispatch::parseHostsFileText(R"([])", "<test>"),
+  EXPECT_THROW(dispatch::parseHostsFleetText(R"([])", "<test>"),
                std::invalid_argument);
-  EXPECT_THROW(dispatch::parseHostsFileText(R"({"machines": []})", "<test>"),
+  EXPECT_THROW(dispatch::parseHostsFleetText(R"({"machines": []})", "<test>"),
                std::invalid_argument);
-  EXPECT_THROW(dispatch::parseHostsFileText("42", "<test>"), std::invalid_argument);
-  EXPECT_THROW(dispatch::loadHostsFile("/nonexistent/hosts.json"),
+  EXPECT_THROW(dispatch::parseHostsFleetText("42", "<test>"), std::invalid_argument);
+  EXPECT_THROW(dispatch::loadHostsFleet("/nonexistent/hosts.json"),
                std::invalid_argument);
   // The origin is named.
   try {
-    dispatch::parseHostsFileText("[]", "fleet-7.json");
+    dispatch::parseHostsFleetText("[]", "fleet-7.json");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find("fleet-7.json"), std::string::npos);
@@ -187,10 +202,27 @@ TEST(HostsFile, TyposGetSuggestions) {
 TEST(StreamingBackend, FactoryAndName) {
   EXPECT_EQ(parseBackendKind("stream"), BackendKind::kStream);
   EXPECT_EQ(toString(BackendKind::kStream), "stream");
-  const auto backend = makeBackend(BackendOptions{BackendKind::kStream, 3, ""});
+  const auto backend = makeBackend(BackendOptions{BackendKind::kStream, 3});
   EXPECT_EQ(backend->name(), "stream");
   EXPECT_EQ(backend->workersFor(8), 3u);
   EXPECT_EQ(backend->workersFor(2), 2u);  // clamped to the batch
+}
+
+TEST(StreamingBackend, ShardsIsAOneEntryFleetClampedToTheBatch) {
+  // shards=3 becomes the fleet [{"workers":3}]; a batch smaller than the
+  // fleet launches only as many workers as it has jobs.
+  const auto backend = makeBackend(BackendOptions{BackendKind::kStream, 3});
+  auto* streaming = dynamic_cast<StreamingBackend*>(backend.get());
+  ASSERT_NE(streaming, nullptr);
+  std::vector<ScenarioSpec> specs;
+  for (std::uint64_t seed = 0; seed < 5; ++seed) {
+    specs.push_back(quickSpec("uniform", "firefly", 0.001, 200 + seed, 200));
+  }
+  EXPECT_EQ(backend->run(specs).size(), 5u);
+  EXPECT_EQ(streaming->lastWorkers().size(), 3u);
+  specs.resize(2);
+  EXPECT_EQ(backend->run(specs).size(), 2u);
+  EXPECT_EQ(streaming->lastWorkers().size(), 2u);
 }
 
 TEST(StreamingBackend, HostsFleetSizesWorkerCount) {
@@ -200,7 +232,7 @@ TEST(StreamingBackend, HostsFleetSizesWorkerCount) {
 }
 
 TEST(StreamingBackend, EmptyBatchIsANoOp) {
-  StreamingBackend backend(4);
+  StreamingBackend backend({HostEntry{.workers = 4}});
   EXPECT_TRUE(backend.run({}).empty());
   EXPECT_TRUE(backend.findPeaks({}).empty());
 }
@@ -212,7 +244,7 @@ TEST(StreamingBackend, MixedBatchMatchesInProcessBitForBit) {
   InProcessBackend inProcess(2);
   const auto expected = inProcess.execute(jobs);
   for (const unsigned shards : {1u, 2u, 3u}) {
-    StreamingBackend streaming(shards);
+    StreamingBackend streaming({HostEntry{.workers = shards}});
     const auto actual = streaming.execute(jobs);
     expectSameOutcomes(actual, expected, "shards=" + std::to_string(shards));
   }
@@ -232,7 +264,7 @@ TEST(StreamingBackend, CommandTransportMatchesInProcess) {
 
 TEST(StreamingBackend, ObserverFiresPerCompletedJob) {
   const std::vector<ScenarioJob> jobs = mixedJobs();
-  StreamingBackend streaming(2);
+  StreamingBackend streaming({HostEntry{.workers = 2}});
   std::vector<bool> seen(jobs.size(), false);
   streaming.setOutcomeObserver([&](std::size_t index, const ScenarioOutcome& outcome) {
     ASSERT_LT(index, seen.size());
@@ -281,9 +313,9 @@ TEST(UnevenGrid, BenchRecordsByteIdenticalAcrossAllBackendsAndShards) {
     EXPECT_EQ(recordLines(threads), expected) << "threads shards=" << shards;
     // backend=processes: the alias for local streamed workers.
     const auto processes = makeBackend(
-        BackendOptions{parseBackendKind("processes"), shards, ""});
+        BackendOptions{parseBackendKind("processes"), shards});
     EXPECT_EQ(recordLines(*processes), expected) << "processes shards=" << shards;
-    StreamingBackend stream(shards);
+    StreamingBackend stream({HostEntry{.workers = shards}});
     EXPECT_EQ(recordLines(stream), expected) << "stream shards=" << shards;
   }
 }
@@ -299,7 +331,7 @@ TEST(StreamingFleet, SlowWorkerGetsFewerJobs) {
     jobs.push_back(
         {ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 61 + s, 200)});
   }
-  StreamingBackend streaming(2);
+  StreamingBackend streaming({HostEntry{.workers = 2}});
   const auto outcomes = streaming.execute(jobs);
   ASSERT_EQ(outcomes.size(), jobs.size());
   const auto& perWorker = streaming.lastWorkers();
@@ -334,7 +366,7 @@ TEST(StreamingFleet, DeadWorkersInFlightJobIsRetriedOnASurvivor) {
     expected = inProcess.execute(jobs);
   }
 
-  StreamingBackend streaming(2);
+  StreamingBackend streaming({HostEntry{.workers = 2}});
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "retry-once");
   EXPECT_EQ(streaming.lastStats().retries, 1u);
@@ -353,7 +385,7 @@ TEST(StreamingFleet, IdleDeathIsToleratedWithAllResultsDelivered) {
   }
   InProcessBackend inProcess(2);
   const auto expected = inProcess.execute(jobs);
-  StreamingBackend streaming(2);
+  StreamingBackend streaming({HostEntry{.workers = 2}});
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "idle death");
 }
@@ -367,7 +399,7 @@ TEST(StreamingFleet, UnrecoverableDeathFailsLoudlyNamingTheJob) {
     jobs.push_back(
         {ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 80 + s, 400)});
   }
-  StreamingBackend streaming(2);
+  StreamingBackend streaming({HostEntry{.workers = 2}});
   try {
     streaming.execute(jobs);
     FAIL() << "expected std::runtime_error";
@@ -439,7 +471,7 @@ TEST(StreamingFleet, AllWorkersDeadFailsInsteadOfHanging) {
 TEST(StreamingBackend, JobFailureSurfacesAsException) {
   ScenarioSpec bad = quickSpec("uniform", "dhetpnoc", 0.001, 41);
   bad.params.pattern = "no-such-family";
-  StreamingBackend streaming(1);
+  StreamingBackend streaming({HostEntry{.workers = 1}});
   EXPECT_THROW(streaming.run({bad}), std::runtime_error);
 }
 
@@ -449,6 +481,7 @@ std::string taggedRecord(JsonRecorder& recorder, const ScenarioResult& result,
                          std::size_t gridIndex) {
   return recordRun(recorder, result.spec, result.metrics)
       .integer("grid_index", static_cast<long long>(gridIndex))
+      .text("spec_key", dispatch::specKey(result.spec))
       .serialize();
 }
 
@@ -486,12 +519,22 @@ TEST(Checkpoint, RoundTripsAndReportsMissingIndices) {
 
 TEST(Checkpoint, MismatchedGridFailsLoudly) {
   const std::vector<ScenarioSpec> grid = {quickSpec("uniform", "dhetpnoc", 0.001, 1)};
+  const auto errorOf = [&grid](const std::string& text) -> std::string {
+    try {
+      dispatch::parseBenchCheckpoint(text, "run", grid, "<test>");
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "";
+  };
+  // Identity fields alone (arch, pattern, seed, load, bandwidth_set) no
+  // longer identify a record: without a spec_key it is refused outright.
   const std::string file =
       "{\"bench\":\"x\",\"records\":[\n"
       "  {\"name\":\"run\",\"arch\":\"firefly\",\"pattern\":\"uniform\","
       "\"seed\":1,\"grid_index\":0}\n]}\n";
-  EXPECT_THROW(dispatch::parseBenchCheckpoint(file, "run", grid, "<test>"),
-               std::invalid_argument);  // arch mismatch
+  EXPECT_NE(errorOf(file).find("carries no spec_key"), std::string::npos)
+      << errorOf(file);
 
   // A spec_key (what pnoc_run actually stamps) pins the WHOLE spec, so a
   // record computed under ANY differing parameter — a changed measure
@@ -512,21 +555,21 @@ TEST(Checkpoint, MismatchedGridFailsLoudly) {
                 .presentCount(),
             1u);
 
-  // A load sweep varies ONLY the load, so the recorded load must be checked
-  // too — otherwise an edited grid resumes silently with stale numbers.
+  // A wrong load or bandwidth set without a spec_key is refused for the
+  // missing key, not matched field by field.
   const std::string wrongLoad =
       "{\"bench\":\"x\",\"records\":[\n"
       "  {\"name\":\"run\",\"arch\":\"dhetpnoc\",\"pattern\":\"uniform\","
       "\"seed\":1,\"load\":0.002,\"grid_index\":0}\n]}\n";
-  EXPECT_THROW(dispatch::parseBenchCheckpoint(wrongLoad, "run", grid, "<test>"),
-               std::invalid_argument);
+  EXPECT_NE(errorOf(wrongLoad).find("carries no spec_key"), std::string::npos)
+      << errorOf(wrongLoad);
 
   const std::string wrongSet =
       "{\"bench\":\"x\",\"records\":[\n"
       "  {\"name\":\"run\",\"arch\":\"dhetpnoc\",\"pattern\":\"uniform\","
       "\"seed\":1,\"bandwidth_set\":3,\"grid_index\":0}\n]}\n";
-  EXPECT_THROW(dispatch::parseBenchCheckpoint(wrongSet, "run", grid, "<test>"),
-               std::invalid_argument);
+  EXPECT_NE(errorOf(wrongSet).find("carries no spec_key"), std::string::npos)
+      << errorOf(wrongSet);
 
   const std::string outOfRange =
       "{\"bench\":\"x\",\"records\":[\n"
@@ -534,12 +577,13 @@ TEST(Checkpoint, MismatchedGridFailsLoudly) {
   EXPECT_THROW(dispatch::parseBenchCheckpoint(outOfRange, "run", grid, "<test>"),
                std::invalid_argument);
 
+  const std::string keyed =
+      "{\"name\":\"run\",\"spec_key\":\"" + dispatch::specKey(grid[0]) +
+      "\",\"grid_index\":0}";
   const std::string duplicate =
-      "{\"bench\":\"x\",\"records\":[\n"
-      "  {\"name\":\"run\",\"grid_index\":0},\n"
-      "  {\"name\":\"run\",\"grid_index\":0}\n]}\n";
-  EXPECT_THROW(dispatch::parseBenchCheckpoint(duplicate, "run", grid, "<test>"),
-               std::invalid_argument);
+      "{\"bench\":\"x\",\"records\":[\n  " + keyed + ",\n  " + keyed + "\n]}\n";
+  EXPECT_NE(errorOf(duplicate).find("duplicate record"), std::string::npos)
+      << errorOf(duplicate);
 
   // Truncated by a kill mid-write: the one damage shape a crash legitimately
   // produces.  Tolerated as valid-but-missing (every intact record line is
@@ -552,8 +596,7 @@ TEST(Checkpoint, MismatchedGridFailsLoudly) {
 
 TEST(Checkpoint, MissingFileIsAnEmptyCheckpoint) {
   const std::vector<ScenarioSpec> grid = {quickSpec("uniform", "dhetpnoc", 0.001, 1)};
-  const auto checkpoint =
-      dispatch::loadBenchCheckpoint("/nonexistent/BENCH_x.json", "run", grid);
+  const auto checkpoint = dispatch::loadBenchCheckpoint("/nonexistent", "x", "run", grid);
   EXPECT_EQ(checkpoint.presentCount(), 0u);
   EXPECT_EQ(checkpoint.rawByIndex.size(), grid.size());
 }
@@ -580,6 +623,68 @@ TEST(Checkpoint, WriterMatchesJsonRecorderFormat) {
 
   EXPECT_EQ(actual.str(), expected.str());
   std::remove(path.c_str());
+}
+
+TEST(Checkpoint, FlushIsThrottledAndWritesGridOrder) {
+  const std::vector<ScenarioSpec> grid = {
+      quickSpec("uniform", "dhetpnoc", 0.001, 110, 200),
+      quickSpec("uniform", "firefly", 0.001, 111, 200),
+      quickSpec("skewed3", "dhetpnoc", 0.002, 112, 200),
+  };
+  std::vector<ScenarioJob> jobs;
+  for (const ScenarioSpec& spec : grid) jobs.push_back({ScenarioJob::Op::kRun, spec});
+  std::vector<ScenarioOutcome> outcomes = InProcessBackend(1).execute(jobs);
+  outcomes[1].failed = true;  // a fail-soft failure record
+  outcomes[1].error = "worker death: exited with status 57";
+
+  const std::string dir = ::testing::TempDir() + "pnoc_throttle_" +
+                          std::to_string(::getpid());
+  ::mkdir(dir.c_str(), 0755);
+  dispatch::BenchCheckpoint checkpoint(dir, "throttle", grid.size());
+  EXPECT_FALSE(checkpoint.flushDueAtMs());  // nothing to write yet
+
+  // The first record is due at once.
+  checkpoint.record(2, outcomes[2]);
+  EXPECT_EQ(checkpoint.flushDueAtMs(), std::optional<std::uint64_t>(0));
+  EXPECT_TRUE(checkpoint.flushIfDue(5000));
+  EXPECT_FALSE(checkpoint.flushDueAtMs());
+
+  // A second record 10 ms later waits out the interval from the last write.
+  checkpoint.record(0, outcomes[0]);
+  const std::uint64_t due = 5000 + dispatch::BenchCheckpoint::kFlushIntervalMs;
+  EXPECT_EQ(checkpoint.flushDueAtMs(), std::optional<std::uint64_t>(due));
+  EXPECT_FALSE(checkpoint.flushIfDue(5010));
+  EXPECT_FALSE(checkpoint.flushIfDue(due - 1));
+
+  // flush() writes now: every present record in grid order, byte-equal to
+  // writeBenchFile of the same records.
+  checkpoint.record(1, outcomes[1]);
+  const std::string path = checkpoint.flush(5020);
+  ASSERT_EQ(path, checkpoint.path());
+  EXPECT_EQ(checkpoint.flushDueAtMs(), std::nullopt);
+  const std::string expectedDir = dir + "/expected";
+  ::mkdir(expectedDir.c_str(), 0755);
+  std::vector<std::string> records;
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    records.push_back(dispatch::serializedOutcomeRecord(outcomes[i], i));
+  }
+  const auto readAll = [](const std::string& file) {
+    std::ifstream in(file);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  EXPECT_EQ(readAll(path),
+            readAll(dispatch::writeBenchFile(expectedDir, "throttle", records)));
+
+  // The failure record is on disk but comes back missing, so resume
+  // re-dispatches it.
+  const dispatch::BenchCheckpoint reloaded =
+      dispatch::loadBenchCheckpoint(dir, "throttle", "run", grid);
+  EXPECT_EQ(reloaded.missingIndices(), std::vector<std::size_t>{1});
+  EXPECT_EQ(reloaded.rawByIndex[0], records[0]);
+  EXPECT_EQ(reloaded.rawByIndex[2], records[2]);
+  EXPECT_NE(readAll(path).find("\"failed\":1"), std::string::npos);
 }
 
 TEST(JsonRecord, RawRecordsSerializeVerbatimAndIgnoreFieldCalls) {

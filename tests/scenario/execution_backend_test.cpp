@@ -44,7 +44,7 @@ ScenarioSpec quickSpec(const std::string& pattern, const std::string& arch,
 
 /// What `backend=processes shards=N` builds: local re-exec'd workers.
 std::unique_ptr<ExecutionBackend> processesBackend(unsigned shards) {
-  return makeBackend(BackendOptions{parseBackendKind("processes"), shards, ""});
+  return makeBackend(BackendOptions{parseBackendKind("processes"), shards});
 }
 
 TEST(ResolveWorkerCount, ExplicitRequestClampsToBatchSize) {

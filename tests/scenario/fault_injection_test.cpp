@@ -201,7 +201,7 @@ TEST(FaultMatrix, CrashOnceIsRetriedByteIdentical) {
   ScopedEnv fault("PNOC_TEST_FAULT", ("crash@2:once=" + lock.path()).c_str());
   const auto jobs = smallBatch(300);
   const auto expected = inProcessReference(jobs);
-  StreamingBackend streaming(2, "", quickPolicy());
+  StreamingBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "crash-once");
   EXPECT_EQ(streaming.lastStats().retries, 1u);
@@ -214,7 +214,7 @@ TEST(FaultMatrix, GarbageReplyIsAProtocolDeathThenRetried) {
   ScopedEnv fault("PNOC_TEST_FAULT", ("garbage@1:once=" + lock.path()).c_str());
   const auto jobs = smallBatch(310);
   const auto expected = inProcessReference(jobs);
-  StreamingBackend streaming(2, "", quickPolicy());
+  StreamingBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "garbage-reply");
   EXPECT_EQ(streaming.lastStats().protocolDeaths, 1u);
@@ -226,7 +226,7 @@ TEST(FaultMatrix, TruncatedReplyAtEofIsAProtocolDeathThenRetried) {
   ScopedEnv fault("PNOC_TEST_FAULT", ("truncate@1:once=" + lock.path()).c_str());
   const auto jobs = smallBatch(320);
   const auto expected = inProcessReference(jobs);
-  StreamingBackend streaming(2, "", quickPolicy());
+  StreamingBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "truncated-reply");
   EXPECT_EQ(streaming.lastStats().protocolDeaths, 1u);
@@ -237,7 +237,7 @@ TEST(FaultMatrix, DuplicateReplyIsAProtocolDeath) {
   ScopedEnv fault("PNOC_TEST_FAULT", ("dup@1:once=" + lock.path()).c_str());
   const auto jobs = smallBatch(330);
   const auto expected = inProcessReference(jobs);
-  StreamingBackend streaming(2, "", quickPolicy());
+  StreamingBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "duplicate-reply");
   EXPECT_GE(streaming.lastStats().protocolDeaths, 1u)
@@ -249,7 +249,7 @@ TEST(FaultMatrix, WrongIndexReplyIsAProtocolDeathThenRetried) {
   ScopedEnv fault("PNOC_TEST_FAULT", ("wrongindex@1:once=" + lock.path()).c_str());
   const auto jobs = smallBatch(340);
   const auto expected = inProcessReference(jobs);
-  StreamingBackend streaming(2, "", quickPolicy());
+  StreamingBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "wrong-index-reply");
   EXPECT_EQ(streaming.lastStats().protocolDeaths, 1u);
@@ -260,7 +260,7 @@ TEST(FaultMatrix, SlowReplyIsJustSlow) {
   ScopedEnv fault("PNOC_TEST_FAULT", "slow@*:ms=30");
   const auto jobs = smallBatch(350, 3);
   const auto expected = inProcessReference(jobs);
-  StreamingBackend streaming(2, "", quickPolicy());
+  StreamingBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "slow-reply");
   EXPECT_EQ(streaming.lastStats().retries, 0u);
@@ -277,7 +277,7 @@ TEST(FaultMatrix, HungWorkerIsKilledAtTheJobDeadlineAndTheJobRetried) {
   FaultPolicy policy = quickPolicy();
   policy.jobDeadlineMs = 1000;  // far above a real job, far below the hang
   policy.graceMs = 300;
-  StreamingBackend streaming(2, "", policy);
+  StreamingBackend streaming({HostEntry{.workers = 2}}, policy);
   const auto start = std::chrono::steady_clock::now();
   const auto actual = streaming.execute(jobs);
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -298,7 +298,7 @@ TEST(FaultMatrix, SigtermIgnoringHangIsEscalatedToSigkill) {
   FaultPolicy policy = quickPolicy();
   policy.jobDeadlineMs = 1000;
   policy.graceMs = 200;  // short grace: the SIGKILL escalation must fire
-  StreamingBackend streaming(2, "", policy);
+  StreamingBackend streaming({HostEntry{.workers = 2}}, policy);
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "sigterm-ignoring hang");
   EXPECT_EQ(streaming.lastStats().deadlineKills, 1u);
@@ -312,7 +312,7 @@ TEST(FaultMatrix, NonzeroWorkerExitAfterCompleteBatchFailsLoudly) {
   // though no result is missing.
   ScopedEnv fault("PNOC_TEST_FAULT", "exit@2:code=41");
   const auto jobs = smallBatch(380, 3);
-  StreamingBackend streaming(1, "", quickPolicy());
+  StreamingBackend streaming({HostEntry{.workers = 1}}, quickPolicy());
   try {
     streaming.execute(jobs);
     FAIL() << "expected std::runtime_error";
@@ -333,7 +333,7 @@ TEST(FaultMatrix, ExhaustedRetriesFailSoftIntoAFailureRecord) {
   const auto expected = inProcessReference(jobs);
   FaultPolicy policy = quickPolicy();
   policy.failSoft = true;
-  StreamingBackend streaming(2, "", policy);
+  StreamingBackend streaming({HostEntry{.workers = 2}}, policy);
   std::vector<std::size_t> observed;
   bool observerSawFailure = false;
   streaming.setOutcomeObserver(

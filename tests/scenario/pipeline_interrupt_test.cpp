@@ -46,7 +46,7 @@ TEST(StreamingPipeline, DepthTwoIsByteIdenticalAndReachesTheDepth) {
   ScopedEnv fault("PNOC_TEST_FAULT", "slow@*:ms=30");
   dispatch::FaultPolicy policy;
   policy.pipeline = 2;
-  dispatch::StreamingBackend backend(1, "", policy);
+  dispatch::StreamingBackend backend({dispatch::HostEntry{.workers = 1}}, policy);
   const std::vector<ScenarioOutcome> actual = backend.execute(jobs);
 
   EXPECT_GE(backend.lastStats().maxInFlight, 2u);
@@ -61,7 +61,7 @@ TEST(StreamingPipeline, DepthTwoIsByteIdenticalAndReachesTheDepth) {
 TEST(StreamingInterrupt, PendingInterruptAbortsTheDispatchByName) {
   sim::installInterruptHandlers();
   sim::raiseInterruptForTest();
-  dispatch::StreamingBackend backend(1);
+  dispatch::StreamingBackend backend({dispatch::HostEntry{.workers = 1}});
   try {
     backend.execute(quickJobs(2));
     sim::clearInterruptForTest();
@@ -73,7 +73,7 @@ TEST(StreamingInterrupt, PendingInterruptAbortsTheDispatchByName) {
   EXPECT_FALSE(sim::interruptRequested());
 
   // Cleared: the same backend shape dispatches normally again.
-  dispatch::StreamingBackend again(1);
+  dispatch::StreamingBackend again({dispatch::HostEntry{.workers = 1}});
   EXPECT_EQ(again.execute(quickJobs(1)).size(), 1u);
 }
 

@@ -228,7 +228,7 @@ TEST(CliBackendKeys, BackendAndShardsParse) {
             CliStatus::kRun);
   EXPECT_EQ(defaultCli.backendOptions().kind, BackendKind::kThreads);
   EXPECT_EQ(defaultCli.backendOptions().workers, 0u);
-  EXPECT_TRUE(defaultCli.backendOptions().hostsFile.empty());
+  EXPECT_TRUE(defaultCli.backendOptions().hosts.empty());
 }
 
 TEST(CliBackendKeys, SpecBinaryWithoutRunnerKeysRejectsThem) {
@@ -286,8 +286,9 @@ TEST(CliBackendKeys, StreamAndHostsParse) {
   ASSERT_EQ(hostsCli.parse(2, const_cast<char**>(withHosts), &hostsSpec),
             CliStatus::kRun);
   EXPECT_EQ(hostsCli.backendOptions().kind, BackendKind::kStream);
-  EXPECT_EQ(hostsCli.backendOptions().hostsFile, hosts.path());
   ASSERT_EQ(hostsCli.backendOptions().hosts.size(), 1u);  // parsed once, here
+  EXPECT_EQ(hostsCli.backendOptions().hosts[0].launcher,
+            std::vector<std::string>{"env"});
   EXPECT_EQ(hostsCli.backendOptions().hosts[0].workers, 2u);
 
   // ... but contradicting an explicit non-stream backend is an error.

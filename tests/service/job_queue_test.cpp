@@ -101,17 +101,17 @@ TEST(JobQueue, UnitCompletionDrivesTerminalStates) {
   EXPECT_EQ(queue.pendingUnits(), 0u);
   EXPECT_EQ(queue.dispatchedUnits(), 2u);
 
-  EXPECT_FALSE(queue.unitDone(*first, "r0", false));
+  EXPECT_FALSE(queue.unitDone(*first, false));
   EXPECT_EQ(queue.find(id)->state, JobState::kRunning);
-  EXPECT_TRUE(queue.unitDone(*second, "r1", false));
+  EXPECT_TRUE(queue.unitDone(*second, false));
   EXPECT_EQ(queue.find(id)->state, JobState::kDone);
-  EXPECT_EQ(queue.find(id)->records[0], "r0");
-  EXPECT_EQ(queue.find(id)->records[1], "r1");
+  EXPECT_EQ(queue.find(id)->unitStates[0], UnitState::kDone);
+  EXPECT_EQ(queue.find(id)->unitStates[1], UnitState::kDone);
   EXPECT_TRUE(queue.drained());
 
   // Any failed unit makes the whole job terminal-failed.
   const std::uint64_t flaky = queue.submit(makeJob("a", 0, 1));
-  EXPECT_TRUE(queue.unitDone(*queue.nextUnit(), "failure record", true));
+  EXPECT_TRUE(queue.unitDone(*queue.nextUnit(), true));
   EXPECT_EQ(queue.find(flaky)->state, JobState::kFailed);
   EXPECT_EQ(queue.find(flaky)->failedUnits(), 1u);
 }
@@ -128,8 +128,8 @@ TEST(JobQueue, CancelGoesTerminalNowAndDiscardsInFlightResults) {
   EXPECT_TRUE(queue.drained());  // canceled units no longer count
 
   // The in-flight unit's late result is discarded, not recorded.
-  EXPECT_FALSE(queue.unitDone(*inFlight, "late", false));
-  EXPECT_EQ(queue.find(id)->records[inFlight->unit], "");
+  EXPECT_FALSE(queue.unitDone(*inFlight, false));
+  EXPECT_EQ(queue.find(id)->unitStates[inFlight->unit], UnitState::kCanceled);
 
   EXPECT_FALSE(queue.cancel(id));   // already terminal
   EXPECT_FALSE(queue.cancel(99));   // unknown
@@ -149,7 +149,7 @@ TEST(JobQueue, RequeueReturnsADispatchedUnitToPending) {
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->unit, unit->unit);
   // Requeue after completion is a no-op.
-  queue.unitDone(*again, "r", false);
+  queue.unitDone(*again, false);
   queue.requeueUnit(*again);
   EXPECT_EQ(queue.pendingUnits(), 0u);
 }

@@ -11,6 +11,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -31,6 +32,13 @@ namespace pnoc::service {
 namespace {
 
 using testsupport::ScopedEnv;
+
+/// A one-entry fleet: `workers` local workers running `executable` ("" =
+/// this test binary).
+std::vector<scenario::dispatch::HostEntry> fleetOf(unsigned workers,
+                                                   const std::string& executable = "") {
+  return {scenario::dispatch::HostEntry{.workers = workers, .executable = executable}};
+}
 
 std::string readAll(const std::string& path) {
   std::ifstream in(path);
@@ -119,7 +127,7 @@ class DaemonHarness {
     ::mkdir(dir_.c_str(), 0755);
     options.socketPath = dir_ + "/sock";
     options.journalPath = dir_ + "/journal";
-    options.shards = 1;
+    options.hosts = fleetOf(1);
     options.policy.connectTimeoutMs = 10000;
   }
   ~DaemonHarness() { stop(); }
@@ -150,7 +158,7 @@ class DaemonHarness {
 
 TEST(ServeDaemon, SubmitWatchProducesOneShotIdenticalBytes) {
   DaemonHarness harness;
-  harness.options.shards = 2;
+  harness.options.hosts = fleetOf(2);
   harness.start();
 
   const std::vector<scenario::ScenarioSpec> grid = quickGrid(3, 100);
@@ -171,7 +179,7 @@ TEST(ServeDaemon, SubmitWatchProducesOneShotIdenticalBytes) {
 
 TEST(ServeDaemon, TwoConcurrentClientsShareTheFleetByteIdentically) {
   DaemonHarness harness;
-  harness.options.shards = 2;
+  harness.options.hosts = fleetOf(2);
   harness.start();
 
   const std::vector<scenario::ScenarioSpec> gridA = quickGrid(4, 200);
@@ -211,7 +219,7 @@ TEST(ServeDaemon, RestartResumesJournaledJobsByteIdentically) {
   {
     // Daemon A's only worker cannot launch, so the accepted job stays
     // queued; stopping the daemon leaves it in the fsync'd journal.
-    harness.options.workerExecutable = "/nonexistent/pnoc-worker";
+    harness.options.hosts = fleetOf(1, "/nonexistent/pnoc-worker");
     harness.options.policy.respawns = 0;
     harness.start();
     ServeClient client(harness.options.socketPath);
@@ -223,7 +231,7 @@ TEST(ServeDaemon, RestartResumesJournaledJobsByteIdentically) {
   }
   // Daemon B: same journal, a working fleet.  The job resumes under its
   // original id and completes with one-shot-identical bytes.
-  harness.options.workerExecutable = "";
+  harness.options.hosts = fleetOf(1);
   harness.start();
   ServeClient client(harness.options.socketPath);
   EXPECT_EQ(watchToTerminal(client, job), "done");
@@ -238,7 +246,7 @@ TEST(ServeDaemon, RestartReusesCheckpointedUnitsWithoutRecomputing) {
   const std::vector<scenario::ScenarioSpec> grid = quickGrid(3, 500);
   std::uint64_t job = 0;
   {
-    harness.options.workerExecutable = "/nonexistent/pnoc-worker";
+    harness.options.hosts = fleetOf(1, "/nonexistent/pnoc-worker");
     harness.options.policy.respawns = 0;
     harness.start();
     ServeClient client(harness.options.socketPath);
@@ -255,7 +263,7 @@ TEST(ServeDaemon, RestartReusesCheckpointedUnitsWithoutRecomputing) {
       harness.dir(), "partial",
       {scenario::dispatch::serializedOutcomeRecord(one, 1)});
 
-  harness.options.workerExecutable = "";  // daemon B gets a working fleet
+  harness.options.hosts = fleetOf(1);  // daemon B gets a working fleet
   harness.start();
   ServeClient client(harness.options.socketPath);
   EXPECT_EQ(watchToTerminal(client, job), "done");
@@ -280,7 +288,7 @@ TEST(ServeDaemon, CancelDrainAndDrainingRejectsSubmits) {
   DaemonHarness harness;
   // A fleet that never becomes ready: units stay queued, cancellation and
   // drain semantics are deterministic.
-  harness.options.workerExecutable = "/nonexistent/pnoc-worker";
+  harness.options.hosts = fleetOf(1, "/nonexistent/pnoc-worker");
   harness.options.policy.respawns = 0;
   harness.start();
 
@@ -314,7 +322,7 @@ TEST(ServeDaemon, PipelineKeepsMultipleUnitsInFlightPerWorker) {
   // a second unit queued on the worker while the first executes.
   ScopedEnv fault("PNOC_TEST_FAULT", "slow@*:ms=40");
   DaemonHarness harness;
-  harness.options.shards = 1;
+  harness.options.hosts = fleetOf(1);
   harness.options.policy.pipeline = 2;
   harness.start();
 
@@ -344,7 +352,7 @@ TEST(ServeDaemon, WorkerCrashHealsAndBytesStayIdentical) {
   std::remove(lock.c_str());
   ScopedEnv fault("PNOC_TEST_FAULT", ("crash@2:once=" + lock).c_str());
   DaemonHarness harness;
-  harness.options.shards = 1;
+  harness.options.hosts = fleetOf(1);
   harness.options.policy.retries = 1;
   harness.options.policy.respawns = 1;
   harness.options.policy.backoffBaseMs = 1;
@@ -380,7 +388,7 @@ TEST(ServeDaemon, FailureRecordsMatchTheStreamingBackendByteForByte) {
   policy.backoffBaseMs = 0;
 
   DaemonHarness harness;
-  harness.options.shards = 2;
+  harness.options.hosts = fleetOf(2);
   harness.options.policy.failSoft = policy.failSoft;
   harness.options.policy.backoffBaseMs = policy.backoffBaseMs;
 
@@ -388,7 +396,7 @@ TEST(ServeDaemon, FailureRecordsMatchTheStreamingBackendByteForByte) {
   for (const scenario::ScenarioSpec& spec : grid) {
     jobs.push_back({scenario::ScenarioJob::Op::kRun, spec});
   }
-  scenario::dispatch::StreamingBackend backend(2, "", policy);
+  scenario::dispatch::StreamingBackend backend(fleetOf(2), policy);
   const std::vector<scenario::ScenarioOutcome> outcomes = backend.execute(jobs);
   ASSERT_EQ(outcomes.size(), grid.size());
   EXPECT_TRUE(outcomes[1].failed);
@@ -415,7 +423,7 @@ TEST(ServeDaemon, FailureRecordsMatchTheStreamingBackendByteForByte) {
 
 TEST(ServeDaemon, FleetAddRescuesAFleetThatNeverLaunched) {
   DaemonHarness harness;
-  harness.options.workerExecutable = "/nonexistent/pnoc-worker";
+  harness.options.hosts = fleetOf(1, "/nonexistent/pnoc-worker");
   harness.options.policy.respawns = 0;
   harness.start();
 
@@ -439,6 +447,29 @@ TEST(ServeDaemon, FleetAddRescuesAFleetThatNeverLaunched) {
                std::runtime_error);
   EXPECT_THROW(client.request("{\"op\":\"fleet-remove\",\"worker\":99}"),
                std::runtime_error);
+}
+
+TEST(ServeDaemon, FleetAddDefaultsToTheDaemonExecutable) {
+  // executable= is the fleet-add default: a request naming none launches
+  // the daemon's worker binary, here one that cannot exec.
+  DaemonHarness harness;
+  harness.options.workerExecutable = "/nonexistent/pnoc-worker";
+  harness.options.policy.respawns = 0;
+  harness.start();
+  ServeClient client(harness.options.socketPath);
+  client.request("{\"op\":\"fleet-add\",\"workers\":1}");
+
+  std::string states;
+  for (int attempt = 0; attempt < 500 && states != "ready,dead,"; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    client.sendLine("{\"op\":\"status\"}");
+    const scenario::JsonValue status = scenario::JsonValue::parse(client.readLine());
+    states.clear();
+    for (const scenario::JsonValue& worker : status.at("workers").items()) {
+      states += worker.at("state").asString() + ",";
+    }
+  }
+  EXPECT_EQ(states, "ready,dead,");
 }
 
 TEST(ServeDaemon, MetricsVerbExposesTheSameCellsStatusSummarizes) {

@@ -115,7 +115,7 @@ TEST(WorkloadBackends, AllBackendsAllShardCountsMatchBitForBit) {
                           scenario::BackendKind::kStream}) {
     for (const unsigned shards : {1u, 2u, 3u}) {
       const auto backend =
-          scenario::makeBackend(scenario::BackendOptions{kind, shards, ""});
+          scenario::makeBackend(scenario::BackendOptions{kind, shards});
       const auto actual = backend->run(specs);
       ASSERT_EQ(actual.size(), expected.size());
       for (std::size_t i = 0; i < expected.size(); ++i) {

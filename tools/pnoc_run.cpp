@@ -19,11 +19,10 @@
 // a checkpoint: with `resume=1` an existing record's indices are skipped and
 // only the remainder is dispatched, and the merged file is byte-identical
 // (timing record aside) to an uninterrupted run.  Under `backend=stream`
-// the driver additionally checkpoints after EVERY completed job — when
-// resuming, or when no BENCH file existed at start; a failed plain re-run
-// never replaces an existing complete record with a partial checkpoint —
-// so a killed grid resumes from its last completion instead of its last
-// exit.
+// the driver also rewrites the file as jobs complete (at most once a
+// second, dispatch::BenchCheckpoint) when resuming or when no BENCH file
+// existed at start, so a killed grid resumes from its last write instead
+// of its last exit.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -34,6 +33,7 @@
 #include "obs/trace.hpp"
 #include "scenario/cli.hpp"
 #include "scenario/dispatch/checkpoint.hpp"
+#include "scenario/dispatch/fleet.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "scenario/spec_file.hpp"
 #include "service/client.hpp"
@@ -313,22 +313,18 @@ int main(int argc, char** argv) {
     return runServeClient(cli, serveSocket, mode, benchName, jsonDir, grid);
   }
 
-  const std::string benchPath = jsonDir + "/BENCH_" + benchName + ".json";
-  const std::string recordName = mode == "run" ? "run" : "peak";
+  scenario::dispatch::BenchCheckpoint checkpoint(jsonDir, benchName, grid.size());
   // Incremental checkpointing may only touch the BENCH file mid-run when the
   // operator opted into resume semantics or nothing is there to lose — a
   // failed re-run must not replace an existing complete record with a
   // partial checkpoint the user never asked for.
-  const bool checkpointing = resume || !std::ifstream(benchPath).good();
+  const bool checkpointing = resume || !std::ifstream(checkpoint.path()).good();
 
   // Resume: map the existing BENCH file's records onto the grid and only
   // dispatch the indices it is missing.
-  scenario::dispatch::BenchCheckpoint checkpoint;
-  checkpoint.rawByIndex.resize(grid.size());
   try {
     if (resume) {
-      checkpoint =
-          scenario::dispatch::loadBenchCheckpoint(benchPath, recordName, grid);
+      checkpoint = scenario::dispatch::loadBenchCheckpoint(jsonDir, benchName, mode, grid);
     }
   } catch (const std::invalid_argument& error) {
     std::cerr << "pnoc_run: " << error.what() << "\n";
@@ -350,16 +346,6 @@ int main(int argc, char** argv) {
   }
 
   const auto start = std::chrono::steady_clock::now();
-  const auto flushCheckpoint = [&] {
-    std::vector<std::string> done;
-    for (const auto& raw : checkpoint.rawByIndex) {
-      if (raw) done.push_back(*raw);
-    }
-    if (!done.empty()) {
-      const obs::ScopedSpan span("checkpoint-flush", "driver");
-      scenario::dispatch::writeBenchFile(jsonDir, benchName, done);
-    }
-  };
   std::vector<scenario::ScenarioOutcome> outcomes;
   try {
     const auto backend = scenario::makeBackend(cli.backendOptions());
@@ -367,27 +353,15 @@ int main(int argc, char** argv) {
               << ", backend=" << backend->name() << " ("
               << backend->workersFor(jobs.size()) << " worker(s))\n";
 
-    // The streaming backend reports each completed job: checkpoint the BENCH
-    // file after every completion, so a killed run resumes from its last
-    // finished job.  (The thread backend never fires this; it checkpoints
-    // only via the final write below.)
+    // The streaming backend reports each completed job, and the checkpoint
+    // rewrites the BENCH file on its throttle; the final write below (or
+    // the failure path's flush) catches what the throttle held back.  The
+    // thread backend never fires this.
     if (checkpointing) {
-      // Rewrites are throttled to ~1/s: a checkpoint exists to bound lost
-      // work after a kill, and one second of it is a fine bound — rewriting
-      // a many-thousand-spec file after every cheap job is not.  Records
-      // held back by the throttle flush in the final write below, or in the
-      // failure path's flushCheckpoint.
-      auto lastWrite = std::chrono::steady_clock::time_point{};
       backend->setOutcomeObserver(
-          [&, lastWrite](std::size_t jobIndex,
-                         const scenario::ScenarioOutcome& outcome) mutable {
-            checkpoint.rawByIndex[missing[jobIndex]] =
-                scenario::dispatch::serializedOutcomeRecord(outcome,
-                                                            missing[jobIndex]);
-            const auto now = std::chrono::steady_clock::now();
-            if (now - lastWrite < std::chrono::seconds(1)) return;
-            lastWrite = now;
-            flushCheckpoint();
+          [&](std::size_t jobIndex, const scenario::ScenarioOutcome& outcome) {
+            checkpoint.record(missing[jobIndex], outcome);
+            checkpoint.flushIfDue(scenario::dispatch::steadyNowMs());
           });
     }
     if (!jobs.empty()) outcomes = backend->execute(jobs);
@@ -395,11 +369,8 @@ int main(int argc, char** argv) {
     std::cerr << "pnoc_run: " << error.what() << "\n";
     // Keep every completed job a failed dispatch had already delivered —
     // resume=1 then re-simulates only what is genuinely missing.
-    if (checkpointing) flushCheckpoint();
-    std::vector<std::size_t> stillMissing;
-    for (std::size_t i = 0; i < checkpoint.rawByIndex.size(); ++i) {
-      if (!checkpoint.rawByIndex[i]) stillMissing.push_back(i);
-    }
+    if (checkpointing) checkpoint.flush(scenario::dispatch::steadyNowMs());
+    const std::vector<std::size_t> stillMissing = checkpoint.missingIndices();
     std::cerr << "pnoc_run: " << checkpoint.presentCount() << " of "
               << grid.size() << " spec(s) checkpointed";
     if (!stillMissing.empty() && stillMissing.size() <= 32) {
@@ -427,8 +398,7 @@ int main(int argc, char** argv) {
     const auto& outcome = outcomes[j];
     const std::size_t gridIndex = missing[j];
     if (!checkpoint.rawByIndex[gridIndex]) {  // observer may have stored it
-      checkpoint.rawByIndex[gridIndex] =
-          scenario::dispatch::serializedOutcomeRecord(outcome, gridIndex);
+      checkpoint.record(gridIndex, outcome);
     }
     if (outcome.failed) {
       // Fail-soft failures reach the BENCH file (just above) but not the
@@ -465,7 +435,7 @@ int main(int argc, char** argv) {
   scenario::recordTiming(recorder, wallSeconds, grid.size());
   std::string written;
   {
-    const obs::ScopedSpan span("checkpoint-flush", "driver");
+    const obs::ScopedSpan span("checkpoint-flush", "checkpoint");
     written = recorder.write(jsonDir);
   }
   if (written.empty()) {

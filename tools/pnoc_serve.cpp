@@ -12,6 +12,7 @@
 // acknowledged, and per-job BENCH checkpoints flush as units complete, so
 // killing the daemon (SIGINT, SIGTERM, SIGKILL, power loss) and restarting
 // it resumes every accepted job and produces byte-identical output files.
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 
@@ -28,13 +29,16 @@ int main(int argc, char** argv) {
   cli.addKey("socket", "Unix-domain socket path to listen on (required)");
   cli.addKey("journal", "queue journal path (default <socket>.journal)");
   cli.addKey("executable",
-             "worker binary for local shards (default: this binary)");
+             "worker binary for local shards and op=fleet-add (default: this"
+             " binary)");
   cli.addKey("trace", "Chrome-trace span output file (open in ui.perfetto.dev)");
   cli.setRunnerKeys(true);
   switch (cli.parse(argc, argv, nullptr)) {
     case scenario::CliStatus::kHelp:
       std::printf("\nusage: pnoc_serve socket=/run/pnoc.sock [shards=N]"
                   " [hosts=@hosts.json]\n"
+                  "shards=N starts N local workers; shards=0 (the default) starts"
+                  " one,\nnot one per hardware thread as on pnoc_run.\n"
                   "clients: pnoc_run serve=/run/pnoc.sock op=submit @grid.json"
                   " ...\n");
       return 0;
@@ -55,8 +59,14 @@ int main(int argc, char** argv) {
         cli.config().getString("journal", options.socketPath + ".journal");
     options.workerExecutable = cli.config().getString("executable", "");
     options.tracePath = cli.config().getString("trace", "");
-    options.shards = cli.backendOptions().workers;
     options.hosts = cli.backendOptions().hosts;
+    if (options.hosts.empty()) {
+      // shards=N executable=X is the fleet [{"workers":max(N,1),
+      // "executable":X}]: a daemon always starts with at least one worker.
+      options.hosts.push_back(scenario::dispatch::HostEntry{
+          .workers = std::max(cli.backendOptions().workers, 1u),
+          .executable = options.workerExecutable});
+    }
     options.policy = cli.backendOptions().policy;
 
     sim::installInterruptHandlers();
