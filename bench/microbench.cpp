@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   }
   double minSeconds = 0.0;
   try {
-    minSeconds = cli.config().getInt("minMs", 300) / 1000.0;
+    minSeconds = cli.config().getU64("minMs", 300) / 1000.0;
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "microbench: %s\n", error.what());
     return 1;

@@ -35,13 +35,11 @@ int main(int argc, char** argv) {
   std::uint32_t maxWavelengths = 0;
   std::uint32_t restrict_ = 0;
   try {
-    params.numPhotonicRouters =
-        static_cast<std::uint32_t>(cli.config().getInt("routers", 16));
-    params.lambdasPerWaveguide =
-        static_cast<std::uint32_t>(cli.config().getInt("lambdas_per_wg", 64));
+    params.numPhotonicRouters = cli.config().getU32("routers", 16);
+    params.lambdasPerWaveguide = cli.config().getU32("lambdas_per_wg", 64);
     radiusUm = cli.config().getDouble("radius_um", photonic::kMrrRadiusUm);
-    maxWavelengths = static_cast<std::uint32_t>(cli.config().getInt("max_wavelengths", 512));
-    restrict_ = static_cast<std::uint32_t>(cli.config().getInt("restrict", 2));
+    maxWavelengths = cli.config().getU32("max_wavelengths", 512);
+    restrict_ = cli.config().getU32("restrict", 2);
   } catch (const std::invalid_argument& error) {
     std::cerr << "area_explorer: " << error.what() << "\n";
     return 1;

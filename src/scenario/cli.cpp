@@ -75,8 +75,8 @@ CliStatus Cli::parse(int argc, char** argv, ScenarioSpec* spec) {
                   dispatch::policyHelpText().c_str());
     }
     if (spec != nullptr) {
-      std::printf("\n%s", traffic::PatternRegistry::global().helpText().c_str());
-      std::printf("\n%s", workload::WorkloadRegistry::global().helpText().c_str());
+      std::printf("\n%s", traffic::patternHelpText().c_str());
+      std::printf("\n%s", workload::workloadHelpText().c_str());
     }
     if (!extraKeys_.empty()) {
       std::printf("\n%s options:\n", binary_.c_str());
@@ -161,11 +161,7 @@ void Cli::applyRunnerKeys() {
   if (config_.contains("backend")) {
     backendOptions_.kind = parseBackendKind(config_.getString("backend", ""));
   }
-  const std::int64_t shards = config_.getInt("shards", 0);
-  if (shards < 0) {
-    throw std::invalid_argument("shards must be >= 0");
-  }
-  backendOptions_.workers = static_cast<unsigned>(shards);
+  backendOptions_.workers = config_.getU32("shards", 0);
   std::string hosts = config_.getString("hosts", "");
   const bool hostsGiven = config_.contains("hosts");
   if (!hosts.empty() && hosts[0] == '@') hosts.erase(0, 1);
@@ -201,12 +197,7 @@ void Cli::applyRunnerKeys() {
   // overrides the file's retries but keeps its job_deadline_ms.
   for (const std::string& key : dispatch::policyKeys()) {
     if (!config_.contains(key)) continue;
-    const std::int64_t value = config_.getInt(key, 0);
-    if (value < 0) {
-      throw std::invalid_argument(key + " must be >= 0");
-    }
-    dispatch::setPolicyField(backendOptions_.policy, key,
-                             static_cast<std::uint64_t>(value));
+    dispatch::setPolicyField(backendOptions_.policy, key, config_.getU64(key, 0));
   }
 }
 

@@ -4,22 +4,10 @@
 #include <cstdio>
 #include <fstream>
 
+#include "scenario/json_util.hpp"
+
 namespace pnoc::scenario {
 namespace {
-
-std::string quote(const std::string& raw) {
-  std::string out = "\"";
-  for (const char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
 
 std::string formatNumber(double value) {
   if (!std::isfinite(value)) return "null";  // JSON has no inf/nan
@@ -31,7 +19,7 @@ std::string formatNumber(double value) {
 }  // namespace
 
 JsonRecord::JsonRecord(std::string name) {
-  fields_.emplace_back("name", quote(name));
+  fields_.emplace_back("name", '"' + jsonEscape(name) + '"');
 }
 
 JsonRecord JsonRecord::fromSerialized(std::string json) {
@@ -51,7 +39,7 @@ JsonRecord& JsonRecord::integer(const std::string& key, long long value) {
 }
 
 JsonRecord& JsonRecord::text(const std::string& key, const std::string& value) {
-  if (raw_.empty()) fields_.emplace_back(key, quote(value));
+  if (raw_.empty()) fields_.emplace_back(key, '"' + jsonEscape(value) + '"');
   return *this;
 }
 
@@ -60,7 +48,7 @@ std::string JsonRecord::serialize() const {
   std::string out = "{";
   for (std::size_t i = 0; i < fields_.size(); ++i) {
     if (i > 0) out += ",";
-    out += quote(fields_[i].first) + ":" + fields_[i].second;
+    out += '"' + jsonEscape(fields_[i].first) + "\":" + fields_[i].second;
   }
   out += "}";
   return out;
@@ -89,7 +77,7 @@ std::string JsonRecorder::write(const std::string& directory) const {
       std::fprintf(stderr, "bench: cannot write %s\n", temp.c_str());
       return "";
     }
-    out << "{\"bench\":" << "\"" << benchName_ << "\"" << ",\"records\":[\n";
+    out << "{\"bench\":\"" << jsonEscape(benchName_) << "\",\"records\":[\n";
     for (std::size_t i = 0; i < records_.size(); ++i) {
       out << "  " << records_[i].serialize();
       if (i + 1 < records_.size()) out << ",";

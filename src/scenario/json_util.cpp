@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "sim/config.hpp"
+
 namespace pnoc::scenario {
 namespace {
 
@@ -135,21 +137,10 @@ double JsonValue::asDouble() const {
 }
 
 std::uint64_t JsonValue::asU64() const {
-  if (kind_ != Kind::kNumber || scalar_.empty() ||
-      std::isdigit(static_cast<unsigned char>(scalar_[0])) == 0) {
+  if (kind_ != Kind::kNumber) {
     throw std::invalid_argument("JSON value is not an unsigned integer");
   }
-  std::size_t end = 0;
-  unsigned long long parsed = 0;
-  try {
-    parsed = std::stoull(scalar_, &end);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("'" + scalar_ + "' is not an unsigned integer");
-  }
-  if (end != scalar_.size()) {
-    throw std::invalid_argument("'" + scalar_ + "' is not an unsigned integer");
-  }
-  return parsed;
+  return sim::parseU64(scalar_);
 }
 
 const std::string& JsonValue::asString() const {

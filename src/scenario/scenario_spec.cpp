@@ -1,6 +1,5 @@
 #include "scenario/scenario_spec.hpp"
 
-#include <cctype>
 #include <stdexcept>
 
 #include "scenario/json_util.hpp"
@@ -9,54 +8,10 @@
 namespace pnoc::scenario {
 namespace {
 
-// --- value parsing / formatting helpers (strict: trailing junk rejected) ---
-
-std::uint64_t parseU64(const std::string& value) {
-  // Require a leading digit outright: stoull would skip whitespace and
-  // accept a sign, silently wrapping "-5" (or " -5") to a huge value.
-  if (value.empty() || std::isdigit(static_cast<unsigned char>(value[0])) == 0) {
-    throw std::invalid_argument("'" + value + "' is not an unsigned integer");
-  }
-  std::size_t pos = 0;
-  unsigned long long parsed = 0;
-  try {
-    parsed = std::stoull(value, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("'" + value + "' is not an unsigned integer");
-  }
-  if (pos != value.size()) {
-    throw std::invalid_argument("'" + value + "' is not an unsigned integer");
-  }
-  return parsed;
-}
-
-std::uint32_t parseU32(const std::string& value) {
-  const std::uint64_t parsed = parseU64(value);
-  if (parsed > 0xFFFFFFFFull) {
-    throw std::invalid_argument("'" + value + "' does not fit in 32 bits");
-  }
-  return static_cast<std::uint32_t>(parsed);
-}
-
-double parseDouble(const std::string& value) {
-  std::size_t pos = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("'" + value + "' is not a number");
-  }
-  if (pos != value.size()) {
-    throw std::invalid_argument("'" + value + "' is not a number");
-  }
-  return parsed;
-}
-
-bool parseBool(const std::string& value) {
-  if (value == "1" || value == "true" || value == "yes" || value == "on") return true;
-  if (value == "0" || value == "false" || value == "no" || value == "off") return false;
-  throw std::invalid_argument("'" + value + "' is not a boolean");
-}
+using sim::parseBool;
+using sim::parseDouble;
+using sim::parseU32;
+using sim::parseU64;
 
 network::Architecture parseArchitecture(const std::string& value) {
   if (value == "firefly") return network::Architecture::kFirefly;
@@ -320,34 +275,6 @@ void ScenarioSpec::applyOverrides(sim::Config& config) {
       set(field.key, config.getString(field.key, ""));
     }
   }
-}
-
-std::string ScenarioSpec::toKeyValueText() const {
-  std::string out;
-  for (const ScenarioField& field : fields()) {
-    out += field.key + "=" + field.format(*this) + "\n";
-  }
-  return out;
-}
-
-ScenarioSpec ScenarioSpec::fromKeyValueText(const std::string& text) {
-  ScenarioSpec spec;
-  std::size_t begin = 0;
-  std::size_t lineNumber = 0;
-  while (begin < text.size()) {
-    const auto end = std::min(text.find('\n', begin), text.size());
-    const std::string line = text.substr(begin, end - begin);
-    begin = end + 1;
-    ++lineNumber;
-    if (line.empty() || line[0] == '#') continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("scenario line " + std::to_string(lineNumber) +
-                                  " is not key=value: '" + line + "'");
-    }
-    spec.set(line.substr(0, eq), line.substr(eq + 1));
-  }
-  return spec;
 }
 
 std::string ScenarioSpec::toJson() const {

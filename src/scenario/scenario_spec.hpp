@@ -3,19 +3,20 @@
 //
 // Every public knob of network::SimulationParameters is bound, field by
 // field, to a named entry in a reflection-style binding table (key, doc
-// string, parse function, format function).  The key=value text form, the
-// JSON form and the generated help=1 listing are all derived from that one
-// table, so adding a parameter in one place makes it scriptable everywhere:
+// string, parse function, format function).  The key=value form (command
+// line and spec files), the JSON form and the generated help=1 listing are
+// all derived from that one table, so adding a parameter in one place makes
+// it scriptable everywhere:
 //
 //   ScenarioSpec spec;
 //   spec.set("pattern", "hotspot:frac=0.3,hot=5");
 //   spec.set("load", "0.004");
-//   std::string kv = spec.toKeyValueText();    // round-trips byte-identical
-//   std::string json = spec.toJson();          // ditto
+//   std::string json = spec.toJson();          // round-trips byte-identical
 //   ScenarioSpec back = ScenarioSpec::fromJson(json);
 //
-// Unknown keys and malformed values throw std::invalid_argument — scenario
-// typos fail loudly instead of silently simulating the wrong thing.
+// Values are read with the shared grammar of sim/config.hpp.  Unknown keys
+// and malformed values throw std::invalid_argument — scenario typos fail
+// loudly instead of silently simulating the wrong thing.
 #pragma once
 
 #include <functional>
@@ -64,11 +65,6 @@ class ScenarioSpec {
   /// Applies every binding key present in `config` to this spec, consuming
   /// them (binary-specific keys remain unconsumed for the caller).
   void applyOverrides(sim::Config& config);
-
-  /// "key=value" per field, one per line, canonical field order.
-  /// fromKeyValueText() of the result reproduces the spec byte-identically.
-  std::string toKeyValueText() const;
-  static ScenarioSpec fromKeyValueText(const std::string& text);
 
   /// Single-line flat JSON object, canonical field order; round-trips
   /// byte-identically through fromJson().

@@ -64,7 +64,7 @@ const GridJob* JobQueue::find(std::uint64_t id) const {
   return it == jobs_.end() ? nullptr : &it->second;
 }
 
-std::optional<UnitRef> JobQueue::nextUnit() {
+std::optional<UnitKey> JobQueue::nextUnit() {
   // Candidates: live jobs with at least one pending unit, in id (= age)
   // order — std::map iteration gives us that for free.
   GridJob* chosen = nullptr;
@@ -94,12 +94,12 @@ std::optional<UnitRef> JobQueue::nextUnit() {
     chosen->unitStates[u] = UnitState::kDispatched;
     if (chosen->state == JobState::kQueued) chosen->state = JobState::kRunning;
     lastServed_[chosen->client] = ++dispatchSeq_;
-    return UnitRef{chosen->id, u};
+    return UnitKey{chosen->id, u};
   }
   return std::nullopt;  // unreachable: pendingUnits() > 0 above
 }
 
-void JobQueue::requeueUnit(const UnitRef& ref) {
+void JobQueue::requeueUnit(const UnitKey& ref) {
   GridJob* job = find(ref.job);
   if (job == nullptr || ref.unit >= job->unitStates.size()) return;
   if (job->unitStates[ref.unit] == UnitState::kDispatched ||
@@ -108,7 +108,7 @@ void JobQueue::requeueUnit(const UnitRef& ref) {
   }
 }
 
-bool JobQueue::unitDone(const UnitRef& ref, bool failed) {
+bool JobQueue::unitDone(const UnitKey& ref, bool failed) {
   GridJob* job = find(ref.job);
   if (job == nullptr || ref.unit >= job->unitStates.size()) return false;
   if (job->state == JobState::kCanceled) return false;  // result discarded

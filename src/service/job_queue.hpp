@@ -29,15 +29,13 @@
 #include <string>
 #include <vector>
 
+#include "scenario/dispatch/fleet.hpp"
 #include "scenario/execution_backend.hpp"
 
 namespace pnoc::service {
 
-/// Names one unit: job id + index into that job's grid.
-struct UnitRef {
-  std::uint64_t job = 0;
-  std::size_t unit = 0;
-};
+/// A unit is named by the fleet's {job id, index into that job's grid} key.
+using scenario::dispatch::UnitKey;
 
 enum class UnitState { kPending, kDispatched, kDone, kCanceled };
 
@@ -85,17 +83,17 @@ class JobQueue {
 
   /// Picks the next unit per the scheduling policy and marks it dispatched;
   /// std::nullopt when nothing is pending.
-  std::optional<UnitRef> nextUnit();
+  std::optional<UnitKey> nextUnit();
 
   /// Returns a dispatched (or pending) unit to pending — a fleet refund
   /// after a worker death or removal.  No-op for done/canceled units.
-  void requeueUnit(const UnitRef& ref);
+  void requeueUnit(const UnitKey& ref);
 
   /// Completes one unit (`failed`: it ended as a failure record).  Ignored
   /// when the job is gone or canceled — a canceled job's in-flight results
   /// are discarded, not recorded.  Returns true when this completion made
   /// the job terminal.
-  bool unitDone(const UnitRef& ref, bool failed);
+  bool unitDone(const UnitKey& ref, bool failed);
 
   /// Cancels a job: pending units -> canceled, the job goes terminal NOW
   /// (dispatched units finish on their workers; their results are

@@ -138,7 +138,7 @@ void ServeDaemon::start() {
       checkpoint = scenario::dispatch::loadBenchCheckpoint(
           resumed->outDir, resumed->benchName, run ? "run" : "peak", resumed->grid);
       for (std::size_t u = 0; u < resumed->unitCount(); ++u) {
-        if (checkpoint.rawByIndex[u] && queue_.unitDone(UnitRef{id, u}, false)) {
+        if (checkpoint.rawByIndex[u] && queue_.unitDone(UnitKey{id, u}, false)) {
           finalizeJob(*resumed);  // every unit was on disk; drops `checkpoint`
           break;
         }
@@ -162,7 +162,7 @@ void ServeDaemon::start() {
       for (std::size_t u = 0; u < resumed->unitStates.size(); ++u) {
         if (resumed->unitStates[u] == UnitState::kPending) {
           writer->asyncBegin("queue-wait", "queue",
-                             queueWaitSpanId(UnitRef{id, u}));
+                             queueWaitSpanId(UnitKey{id, u}));
         }
       }
     }
@@ -171,9 +171,8 @@ void ServeDaemon::start() {
   // --- the shared fleet ---
   FleetManager::Callbacks callbacks;
   callbacks.nextUnit = [this] { return nextUnit(); };
-  callbacks.unitDone = [this](const scenario::dispatch::UnitKey& key,
-                              scenario::ScenarioOutcome outcome) {
-    unitDone(UnitRef{key.job, key.unit}, std::move(outcome));
+  callbacks.unitDone = [this](const UnitKey& key, scenario::ScenarioOutcome outcome) {
+    unitDone(key, std::move(outcome));
   };
   fleet_ = std::make_unique<FleetManager>(options_.policy, std::move(callbacks),
                                           &registry_);
@@ -452,7 +451,7 @@ void ServeDaemon::handleSubmit(Session& session,
   if (obs::TraceWriter* writer = obs::trace()) {
     writer->instant("submit", "service");
     for (std::size_t u = 0; u < units; ++u) {
-      writer->asyncBegin("queue-wait", "queue", queueWaitSpanId(UnitRef{id, u}));
+      writer->asyncBegin("queue-wait", "queue", queueWaitSpanId(UnitKey{id, u}));
     }
   }
   send(session, "{\"ok\":1,\"job\":" + std::to_string(id) +
@@ -491,7 +490,7 @@ void ServeDaemon::handleCancel(Session& session,
     // Pending units never dispatch; their queue-waits end here.
     for (std::size_t u = 0; u < job->unitStates.size(); ++u) {
       if (job->unitStates[u] == UnitState::kCanceled) {
-        writer->asyncEnd("queue-wait", "queue", queueWaitSpanId(UnitRef{id, u}));
+        writer->asyncEnd("queue-wait", "queue", queueWaitSpanId(UnitKey{id, u}));
       }
     }
   }
@@ -547,19 +546,19 @@ void ServeDaemon::handleFleetRemove(Session& session,
 }
 
 std::optional<FleetUnit> ServeDaemon::nextUnit() {
-  const std::optional<UnitRef> ref = queue_.nextUnit();
+  const std::optional<UnitKey> ref = queue_.nextUnit();
   if (!ref) return std::nullopt;
   if (obs::TraceWriter* writer = obs::trace()) {
     writer->asyncEnd("queue-wait", "queue", queueWaitSpanId(*ref));
   }
   const GridJob* job = queue_.find(ref->job);
   FleetUnit unit;
-  unit.key = scenario::dispatch::UnitKey{ref->job, ref->unit};
+  unit.key = *ref;
   unit.job = scenario::ScenarioJob{job->op, job->grid[ref->unit]};
   return unit;
 }
 
-void ServeDaemon::unitDone(const UnitRef& ref, scenario::ScenarioOutcome outcome) {
+void ServeDaemon::unitDone(const UnitKey& ref, scenario::ScenarioOutcome outcome) {
   eventsTotal_.inc();
   // Only live jobs hold a checkpoint: a canceled job's late result is
   // discarded, not recorded.

@@ -135,7 +135,7 @@ class ServeDaemon {
   void handleMetrics(Session& session, const scenario::JsonValue& request);
 
   std::optional<FleetUnit> nextUnit();
-  void unitDone(const UnitRef& ref, scenario::ScenarioOutcome outcome);
+  void unitDone(const UnitKey& ref, scenario::ScenarioOutcome outcome);
   /// Rewrites a live job's BENCH checkpoint now and remembers its path.
   void flushJobCheckpoint(GridJob& job);
   void finalizeJob(GridJob& job);
@@ -148,7 +148,7 @@ class ServeDaemon {
   /// so a snapshot is coherent at read time.
   void publishRuntimeGauges();
   /// Trace-span id for one unit's queue-wait (job and unit packed).
-  static std::uint64_t queueWaitSpanId(const UnitRef& ref) {
+  static std::uint64_t queueWaitSpanId(const UnitKey& ref) {
     return (ref.job << 20) | static_cast<std::uint64_t>(ref.unit);
   }
 

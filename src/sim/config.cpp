@@ -1,6 +1,8 @@
 #include "sim/config.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <stdexcept>
 
 namespace pnoc::sim {
@@ -12,7 +14,70 @@ std::string lower(std::string s) {
   return s;
 }
 
+/// Runs one shared parser on a config value, naming the key in its error.
+template <typename Parse>
+auto parseNamed(const std::string& key, const std::string& value, Parse parse) {
+  try {
+    return parse(value);
+  } catch (const std::invalid_argument& error) {
+    throw std::invalid_argument("option '" + key + "': " + error.what());
+  }
+}
+
 }  // namespace
+
+std::uint64_t parseU64(const std::string& value) {
+  // Require a leading digit outright: stoull would skip whitespace and
+  // accept a sign, silently wrapping "-5" (or " -5") to a huge value.
+  if (value.empty() || std::isdigit(static_cast<unsigned char>(value[0])) == 0) {
+    throw std::invalid_argument("'" + value + "' is not an unsigned integer");
+  }
+  std::size_t pos = 0;
+  unsigned long long parsed = 0;
+  try {
+    parsed = std::stoull(value, &pos);
+  } catch (const std::exception&) {
+    throw std::invalid_argument("'" + value + "' is not an unsigned integer");
+  }
+  if (pos != value.size()) {
+    throw std::invalid_argument("'" + value + "' is not an unsigned integer");
+  }
+  return parsed;
+}
+
+std::uint32_t parseU32(const std::string& value) {
+  const std::uint64_t parsed = parseU64(value);
+  if (parsed > 0xFFFFFFFFull) {
+    throw std::invalid_argument("'" + value + "' does not fit in 32 bits");
+  }
+  return static_cast<std::uint32_t>(parsed);
+}
+
+double parseDouble(const std::string& value) {
+  std::size_t pos = 0;
+  double parsed = 0.0;
+  try {
+    parsed = std::stod(value, &pos);
+  } catch (const std::exception&) {
+    throw std::invalid_argument("'" + value + "' is not a number");
+  }
+  if (pos != value.size()) {
+    throw std::invalid_argument("'" + value + "' is not a number");
+  }
+  if (!std::isfinite(parsed)) {
+    // stod reads "nan" and "inf"; no option means either, and a NaN load
+    // would run and record a meaningless point instead of failing.
+    throw std::invalid_argument("'" + value + "' is not a finite number");
+  }
+  return parsed;
+}
+
+bool parseBool(const std::string& value) {
+  const std::string v = lower(value);
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  throw std::invalid_argument("'" + value + "' is not a boolean");
+}
 
 std::optional<std::string> Config::parseArgs(int argc, const char* const* argv) {
   for (int i = 0; i < argc; ++i) {
@@ -30,51 +95,35 @@ void Config::set(const std::string& key, const std::string& value) {
   values_[key] = value;
 }
 
-std::string Config::getString(const std::string& key, const std::string& fallback) const {
+const std::string* Config::read(const std::string& key) const {
   consumed_.insert(key);
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  return it == values_.end() ? nullptr : &it->second;
 }
 
-std::int64_t Config::getInt(const std::string& key, std::int64_t fallback) const {
-  consumed_.insert(key);
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument("trailing chars");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("config key '" + key + "' is not an integer: '" +
-                                it->second + "'");
-  }
+std::string Config::getString(const std::string& key, const std::string& fallback) const {
+  const std::string* value = read(key);
+  return value == nullptr ? fallback : *value;
+}
+
+std::uint64_t Config::getU64(const std::string& key, std::uint64_t fallback) const {
+  const std::string* value = read(key);
+  return value == nullptr ? fallback : parseNamed(key, *value, parseU64);
+}
+
+std::uint32_t Config::getU32(const std::string& key, std::uint32_t fallback) const {
+  const std::string* value = read(key);
+  return value == nullptr ? fallback : parseNamed(key, *value, parseU32);
 }
 
 double Config::getDouble(const std::string& key, double fallback) const {
-  consumed_.insert(key);
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument("trailing chars");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("config key '" + key + "' is not a number: '" +
-                                it->second + "'");
-  }
+  const std::string* value = read(key);
+  return value == nullptr ? fallback : parseNamed(key, *value, parseDouble);
 }
 
 bool Config::getBool(const std::string& key, bool fallback) const {
-  consumed_.insert(key);
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const std::string v = lower(it->second);
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("config key '" + key + "' is not a boolean: '" + it->second +
-                              "'");
+  const std::string* value = read(key);
+  return value == nullptr ? fallback : parseNamed(key, *value, parseBool);
 }
 
 std::vector<std::string> Config::unconsumedKeys() const {
@@ -83,6 +132,10 @@ std::vector<std::string> Config::unconsumedKeys() const {
     if (consumed_.count(key) == 0) out.push_back(key);
   }
   return out;
+}
+
+std::vector<std::string> Config::consumedKeys() const {
+  return {consumed_.begin(), consumed_.end()};
 }
 
 }  // namespace pnoc::sim

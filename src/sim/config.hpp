@@ -1,9 +1,21 @@
-// Key/value configuration store.
+// The one value grammar of every `key=value` input, and the key/value store
+// that serves it.
 //
-// Benches and examples accept `key=value` command-line overrides (e.g.
-// `wavelengths=256 pattern=skewed3 seed=7`); this class parses and serves
-// them with typed accessors.  Unknown keys are detectable via consumedKeys()
-// so callers can reject typos instead of silently ignoring them.
+// Scenario keys, pattern and workload options (`tornado:offset=8`), runner
+// keys (`shards=4`) and binary keys (`minMs=50`) all read their values
+// through the four parsers below, so one spelling means the same thing
+// everywhere and an out-of-range number is refused instead of wrapped:
+//
+//   unsigned  a leading digit, digits only, no sign and no trailing junk;
+//             parseU32 also refuses anything past 32 bits
+//   double    std::stod with no trailing junk, and finite
+//   bool      1/true/yes/on or 0/false/no/off, in any case
+//
+// Config parses `key=value` tokens and serves them through typed getters
+// that name the key in their errors.  Unread keys are detectable through
+// unconsumedKeys(), so callers reject typos instead of silently ignoring
+// them, and consumedKeys() lists the keys a reader asked for, which is what
+// a typo hint suggests from.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +26,13 @@
 #include <vector>
 
 namespace pnoc::sim {
+
+/// The shared value parsers.  Each throws std::invalid_argument naming the
+/// value it refused.
+std::uint64_t parseU64(const std::string& value);
+std::uint32_t parseU32(const std::string& value);
+double parseDouble(const std::string& value);
+bool parseBool(const std::string& value);
 
 class Config {
  public:
@@ -34,17 +53,25 @@ class Config {
 
   bool contains(const std::string& key) const { return values_.count(key) != 0; }
 
-  /// Typed getters. Marks the key consumed. Throws std::invalid_argument on
-  /// unparseable values (misconfiguration should fail loudly, not default).
+  /// Typed getters over the shared parsers. Each marks the key consumed and
+  /// returns `fallback` when the key is absent. An unparseable value throws
+  /// std::invalid_argument naming the key (misconfiguration fails loudly).
   std::string getString(const std::string& key, const std::string& fallback) const;
-  std::int64_t getInt(const std::string& key, std::int64_t fallback) const;
+  std::uint64_t getU64(const std::string& key, std::uint64_t fallback) const;
+  std::uint32_t getU32(const std::string& key, std::uint32_t fallback) const;
   double getDouble(const std::string& key, double fallback) const;
   bool getBool(const std::string& key, bool fallback) const;
 
   /// Keys present in the config but never read by any getter (likely typos).
   std::vector<std::string> unconsumedKeys() const;
 
+  /// Every key a getter asked for, present or not, sorted.
+  std::vector<std::string> consumedKeys() const;
+
  private:
+  /// Marks `key` consumed; its value, or nullptr when absent.
+  const std::string* read(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> consumed_;
 };

@@ -50,11 +50,10 @@ class TrafficPattern {
 /// clusters spread across the chip.
 std::uint32_t clusterAppClass(ClusterId cluster);
 
-/// Builds a pattern from a registry spec string ("uniform", "skewed3",
+/// Builds a pattern from a spec string ("uniform", "skewed3",
 /// "hotspot:frac=0.3,hot=5", ... — see traffic/registry.hpp for the grammar
-/// and the registered families).  Thin forwarder to
-/// PatternRegistry::global().make(); throws std::invalid_argument for
-/// unknown families/options.
+/// and the family table); throws std::invalid_argument for unknown
+/// families, unknown options and malformed values.
 std::unique_ptr<TrafficPattern> makePattern(const std::string& spec,
                                             const noc::ClusterTopology& topology,
                                             const BandwidthSet& bandwidthSet);

@@ -1,7 +1,5 @@
-// Traffic-pattern registry: self-registering, parameterized pattern
-// factories, replacing the old hard-coded makePattern() if-chain.
-//
-// A pattern is requested by SPEC STRING:
+// Spec-family tables: the one lookup behind every `pattern=` and `workload=`
+// spec string, and the traffic-pattern table it serves first.
 //
 //   spec     := family [":" options]
 //   options  := key "=" value { "," key "=" value }
@@ -16,26 +14,26 @@
 // Parentheses group a nested spec so its commas are not split by the outer
 // option list (one grouping layer is unwrapped per value).
 //
-// The family token selects a registered PatternFamily; the options are
-// parsed into a typed sim::Config handed to the family's factory.  Options a
-// factory does not consume are rejected (typos fail loudly), as are unknown
-// families.  Legacy single-token names from the paper ("skewed1".."skewed3",
-// "skewed-hotspot1".."skewed-hotspot4") are registered as aliases that
-// expand to the canonical parameterized spec.
+// A family table is a const array of {name, summary, optionsDoc, factory}
+// rows plus a const list of whole-spec aliases.  SpecFamilyTable::make
+// resolves an alias, splits the options into a sim::Config, finds the
+// family and runs its factory.  The factory reads its options through
+// Config's typed getters, so every value goes through the one grammar of
+// sim/config.hpp.  Three mistakes are refused with a std::invalid_argument:
+// an unknown family (with a did-you-mean over the family names), a value
+// the grammar refuses (naming the option), and an option the factory never
+// read (with a did-you-mean over the keys it did read).
 //
-// Built-in families are registered eagerly when the global registry is first
-// touched (static-library safe: a central bootstrap in registry.cpp, which
-// is always linked alongside the registry itself, references every built-in
-// family).  Downstream code extends the registry at static-initialization
-// time with PNOC_REGISTER_PATTERN_FAMILY — safe whenever the defining
-// translation unit is linked into the binary (object files, whole-archive
-// static libs, or any TU the binary already references).
+// The pattern table holds the built-in families and the paper's legacy
+// single-token names ("skewed1".."skewed3", "skewed-hotspot1"..
+// "skewed-hotspot4"), which are aliases of the parameterized specs.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "noc/topology.hpp"
@@ -45,72 +43,96 @@
 
 namespace pnoc::traffic {
 
-/// Typed option bag a factory receives ("k=v,k2=v2" tail of the spec).
-/// Factories read options through the typed getters; the registry rejects
-/// any option no getter consumed.
-using PatternOptions = sim::Config;
-
-struct PatternFamily {
-  /// Spec family token, e.g. "hotspot".  Must be unique.
-  std::string name;
-  /// One-line description for help listings.
-  std::string summary;
-  /// Option synopsis for help listings, e.g. "frac=<0..1> (0.1), hot=<core> (0)".
-  std::string optionsDoc;
-  std::function<std::unique_ptr<TrafficPattern>(
-      const PatternOptions& options, const noc::ClusterTopology& topology,
-      const BandwidthSet& bandwidthSet)>
-      factory;
-};
-
 /// "family[:options]" split into its parts; throws std::invalid_argument on
 /// malformed option syntax.
 struct ParsedPatternSpec {
   std::string family;
-  PatternOptions options;
+  sim::Config options;
 };
-ParsedPatternSpec parsePatternSpec(const std::string& spec);
+ParsedPatternSpec parsePatternSpec(std::string_view spec);
 
-class PatternRegistry {
- public:
-  /// The process-wide registry, with the built-in families pre-registered.
-  static PatternRegistry& global();
+/// One row of a family table.
+template <typename Factory>
+struct SpecFamily {
+  std::string_view name;
+  /// One-line description for help listings.
+  std::string_view summary;
+  /// Option synopsis for help listings, e.g. "frac=<0..1> (0.1), hot=<core> (0)".
+  std::string_view optionsDoc;
+  Factory* factory;
+};
 
-  /// Registers a family; returns false (leaving the registry unchanged) when
-  /// the name is already taken or the family is malformed.
-  bool add(PatternFamily family);
+/// A whole spec string that stands for another, e.g. {"skewed3", "skewed:level=3"}.
+using SpecAlias = std::pair<std::string_view, std::string_view>;
 
-  /// Registers `alias` to expand to the full spec `target` (e.g. "skewed3"
-  /// -> "skewed:level=3").  Aliases match whole spec strings only and may
-  /// not carry their own options.
-  bool addAlias(std::string alias, std::string target);
+[[noreturn]] void throwUnknownFamily(std::string_view kind, std::string_view family,
+                                     const std::vector<std::string>& candidates);
+/// Throws when `options` holds a key no getter read, suggesting the
+/// nearest key that was read.
+void rejectUnreadOptions(const sim::Config& options, std::string_view kind,
+                         std::string_view family);
+void appendFamilyHelp(std::string& out, std::string_view name, std::string_view summary,
+                      std::string_view optionsDoc);
 
-  bool contains(const std::string& family) const;
-  const PatternFamily* find(const std::string& family) const;
-  /// Every registered family, name-sorted.
-  std::vector<const PatternFamily*> families() const;
-  const std::map<std::string, std::string>& aliases() const { return aliases_; }
+/// The lookup, build and help rules every family table shares.
+template <typename Factory>
+struct SpecFamilyTable {
+  /// Names the table in errors and help: "traffic pattern", "workload".
+  std::string_view kind;
+  /// The scenario key the specs are given under: "pattern", "workload".
+  std::string_view key;
+  std::span<const SpecFamily<Factory>> families;  // name-sorted
+  std::span<const SpecAlias> aliases;
 
-  /// Builds a pattern from a spec string.  Throws std::invalid_argument for
-  /// unknown families, unknown or malformed options, and factory rejections.
-  std::unique_ptr<TrafficPattern> make(const std::string& spec,
-                                       const noc::ClusterTopology& topology,
-                                       const BandwidthSet& bandwidthSet) const;
+  /// Builds from `spec`, handing the factory its options and `args`.
+  template <typename... Args>
+  auto make(std::string_view spec, const Args&... args) const {
+    for (const SpecAlias& alias : aliases) {
+      if (alias.first == spec) {
+        spec = alias.second;
+        break;
+      }
+    }
+    const ParsedPatternSpec parsed = parsePatternSpec(spec);
+    for (const SpecFamily<Factory>& family : families) {
+      if (family.name != parsed.family) continue;
+      auto built = family.factory(parsed.options, args...);
+      rejectUnreadOptions(parsed.options, kind, family.name);
+      return built;
+    }
+    std::vector<std::string> names;
+    for (const SpecFamily<Factory>& family : families) names.emplace_back(family.name);
+    throwUnknownFamily(kind, parsed.family, names);
+  }
 
   /// Human-readable family/option listing for help=1 output.
-  std::string helpText() const;
-
- private:
-  std::map<std::string, PatternFamily> families_;
-  std::map<std::string, std::string> aliases_;
+  std::string helpText() const {
+    std::string out;
+    out.append(kind).append(" families (").append(key).append(
+        "=family[:key=value,...]):\n");
+    for (const SpecFamily<Factory>& entry : families) {
+      appendFamilyHelp(out, entry.name, entry.summary, entry.optionsDoc);
+    }
+    if (!aliases.empty()) {
+      out += "  aliases:";
+      for (const SpecAlias& alias : aliases) {
+        out.append(" ").append(alias.first).append("=").append(alias.second);
+      }
+      out += "\n";
+    }
+    return out;
+  }
 };
 
-/// Self-registration hook for downstream pattern families:
-///   PNOC_REGISTER_PATTERN_FAMILY(myFamily, {"my-family", "...", "...", factory});
-#define PNOC_REGISTER_PATTERN_FAMILY(ident, ...)                             \
-  namespace {                                                                \
-  const bool pnocPatternFamilyRegistered_##ident =                           \
-      ::pnoc::traffic::PatternRegistry::global().add(__VA_ARGS__);           \
-  }
+using PatternFactory = std::unique_ptr<TrafficPattern>(const sim::Config& options,
+                                                       const noc::ClusterTopology& topology,
+                                                       const BandwidthSet& bandwidthSet);
+using PatternFamily = SpecFamily<PatternFactory>;
+
+/// The built-in traffic-pattern families, name-sorted.
+std::span<const PatternFamily> patternFamilies();
+
+/// The pattern families and aliases, for help=1 output.
+std::string patternHelpText();
 
 }  // namespace pnoc::traffic

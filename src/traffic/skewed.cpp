@@ -5,7 +5,7 @@
 
 namespace pnoc::traffic {
 
-std::array<double, kNumBandwidthClasses> skewedFractions(int level) {
+std::array<double, kNumBandwidthClasses> skewedFractions(std::uint32_t level) {
   // Stored ascending by class bandwidth: {lowest, ..., highest}.
   switch (level) {
     case 1: return {0.125, 0.125, 0.25, 0.50};
@@ -17,7 +17,8 @@ std::array<double, kNumBandwidthClasses> skewedFractions(int level) {
 
 std::uint32_t clusterAppClass(ClusterId cluster) { return cluster % kNumBandwidthClasses; }
 
-SkewedPattern::SkewedPattern(int level, const noc::ClusterTopology& topology,
+SkewedPattern::SkewedPattern(std::uint32_t level,
+                             const noc::ClusterTopology& topology,
                              const BandwidthSet& set)
     : level_(level), topology_(&topology), set_(set), fractions_(skewedFractions(level)) {
   if (topology.numClusters() % kNumBandwidthClasses != 0) {

@@ -24,13 +24,14 @@ namespace pnoc::traffic {
 
 /// Traffic fraction per class (descending bandwidth in the paper's table;
 /// stored here ascending to match class indices 0..3).
-std::array<double, kNumBandwidthClasses> skewedFractions(int level);
+std::array<double, kNumBandwidthClasses> skewedFractions(std::uint32_t level);
 
 class SkewedPattern final : public TrafficPattern {
  public:
   /// `level` is 1, 2 or 3 (Table 3-2 rows). Throws std::invalid_argument
   /// otherwise.
-  SkewedPattern(int level, const noc::ClusterTopology& topology, const BandwidthSet& set);
+  SkewedPattern(std::uint32_t level, const noc::ClusterTopology& topology,
+                const BandwidthSet& set);
 
   std::string name() const override { return "skewed" + std::to_string(level_); }
   double sourceWeight(CoreId src) const override;
@@ -38,10 +39,10 @@ class SkewedPattern final : public TrafficPattern {
   std::uint32_t bandwidthClass(ClusterId src, ClusterId dst) const override;
   std::uint32_t wavelengthDemand(ClusterId src, ClusterId dst) const override;
 
-  int level() const { return level_; }
+  std::uint32_t level() const { return level_; }
 
  private:
-  int level_;
+  std::uint32_t level_;
   const noc::ClusterTopology* topology_;
   BandwidthSet set_;
   std::array<double, kNumBandwidthClasses> fractions_;

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/suggest.hpp"
-#include "traffic/registry.hpp"  // parsePatternSpec: one grammar for both
 #include "workload/closed_loop.hpp"
 #include "workload/trace.hpp"
 
@@ -14,145 +12,66 @@ ClosedLoopWorkload::Config closedConfigFrom(const sim::Config& options,
                                             bool chain) {
   ClosedLoopWorkload::Config config;
   config.chain = chain;
-  config.window = static_cast<std::uint32_t>(options.getInt("window", config.window));
+  config.window = options.getU32("window", config.window);
   if (config.window == 0) {
     throw std::invalid_argument("closed-loop window must be >= 1");
   }
-  config.thinkCycles =
-      static_cast<Cycle>(options.getInt("think", static_cast<std::int64_t>(config.thinkCycles)));
-  config.requestFlits =
-      static_cast<std::uint32_t>(options.getInt("req_flits", config.requestFlits));
-  config.replyFlits =
-      static_cast<std::uint32_t>(options.getInt("reply_flits", config.replyFlits));
+  config.thinkCycles = options.getU64("think", config.thinkCycles);
+  config.requestFlits = options.getU32("req_flits", config.requestFlits);
+  config.replyFlits = options.getU32("reply_flits", config.replyFlits);
   if (chain) {
-    config.forwardFlits =
-        static_cast<std::uint32_t>(options.getInt("fwd_flits", config.forwardFlits));
+    config.forwardFlits = options.getU32("fwd_flits", config.forwardFlits);
   }
   return config;
 }
 
-/// Registers the built-in families.  Lives here — the TU that defines the
-/// registry — so a static-library link can never drop a family.
-void registerBuiltins(WorkloadRegistry& registry) {
-  registry.add(WorkloadFamily{
-      "open",
-      "open-loop geometric injection at the offered load (the default)",
-      "",
-      {},
-      [](const sim::Config&, const WorkloadBuildContext&) -> std::unique_ptr<Workload> {
-        return nullptr;  // no model: CoreNode keeps its pre-scheduled injector
-      }});
+/// Every built-in family, name-sorted (the help listing's order).
+constexpr WorkloadFamily kFamilies[] = {
+    {"chain", "dependency flows: request -> directory forward -> data reply",
+     "window=<n> (4), think=<cycles> (0), req_flits=<n> (8), fwd_flits=<n> (8), "
+     "reply_flits=<n> (0 = full packet)",
+     [](const sim::Config& options,
+        const WorkloadBuildContext& context) -> std::unique_ptr<Workload> {
+       return std::make_unique<ClosedLoopWorkload>(
+           closedConfigFrom(options, /*chain=*/true), *context.pattern, *context.topology);
+     }},
+    {"closed", "bounded-window request-reply: a new request only after a reply ejects",
+     "window=<n> (4), think=<cycles> (0), req_flits=<n> (8), reply_flits=<n> (0 = full "
+     "packet)",
+     [](const sim::Config& options,
+        const WorkloadBuildContext& context) -> std::unique_ptr<Workload> {
+       return std::make_unique<ClosedLoopWorkload>(
+           closedConfigFrom(options, /*chain=*/false), *context.pattern, *context.topology);
+     }},
+    {"open", "open-loop geometric injection at the offered load (the default)", "",
+     [](const sim::Config&, const WorkloadBuildContext&) -> std::unique_ptr<Workload> {
+       return nullptr;  // no model: CoreNode keeps its pre-scheduled injector
+     }},
+    {"trace", "replay a recorded NDJSON packet trace (record one with trace_out=)",
+     "file=<path>",
+     [](const sim::Config& options,
+        const WorkloadBuildContext& context) -> std::unique_ptr<Workload> {
+       const std::string path = options.getString("file", "");
+       if (path.empty()) {
+         throw std::invalid_argument("trace workload needs file=<path>");
+       }
+       return std::make_unique<TraceReplayWorkload>(loadTraceFile(path),
+                                                    context.topology->numCores());
+     }},
+};
 
-  registry.add(WorkloadFamily{
-      "closed",
-      "bounded-window request-reply: a new request only after a reply ejects",
-      "window=<n> (4), think=<cycles> (0), req_flits=<n> (8), reply_flits=<n> (0 = full packet)",
-      {"window", "think", "req_flits", "reply_flits"},
-      [](const sim::Config& options,
-         const WorkloadBuildContext& context) -> std::unique_ptr<Workload> {
-        return std::make_unique<ClosedLoopWorkload>(
-            closedConfigFrom(options, /*chain=*/false), *context.pattern,
-            *context.topology);
-      }});
-
-  registry.add(WorkloadFamily{
-      "chain",
-      "dependency flows: request -> directory forward -> data reply",
-      "window=<n> (4), think=<cycles> (0), req_flits=<n> (8), fwd_flits=<n> (8), "
-      "reply_flits=<n> (0 = full packet)",
-      {"window", "think", "req_flits", "fwd_flits", "reply_flits"},
-      [](const sim::Config& options,
-         const WorkloadBuildContext& context) -> std::unique_ptr<Workload> {
-        return std::make_unique<ClosedLoopWorkload>(
-            closedConfigFrom(options, /*chain=*/true), *context.pattern,
-            *context.topology);
-      }});
-
-  registry.add(WorkloadFamily{
-      "trace",
-      "replay a recorded NDJSON packet trace (record one with trace_out=)",
-      "file=<path>",
-      {"file"},
-      [](const sim::Config& options,
-         const WorkloadBuildContext& context) -> std::unique_ptr<Workload> {
-        const std::string path = options.getString("file", "");
-        if (path.empty()) {
-          throw std::invalid_argument("trace workload needs file=<path>");
-        }
-        return std::make_unique<TraceReplayWorkload>(
-            loadTraceFile(path), context.topology->numCores());
-      }});
-}
+constexpr traffic::SpecFamilyTable<WorkloadFactory> kWorkloads{"workload", "workload",
+                                                               kFamilies, {}};
 
 }  // namespace
 
-WorkloadRegistry& WorkloadRegistry::global() {
-  static WorkloadRegistry* instance = [] {
-    auto* registry = new WorkloadRegistry();
-    registerBuiltins(*registry);
-    return registry;
-  }();
-  return *instance;
-}
+std::span<const WorkloadFamily> workloadFamilies() { return kFamilies; }
 
-bool WorkloadRegistry::add(WorkloadFamily family) {
-  if (family.name.empty() || !family.factory) return false;
-  if (families_.count(family.name) != 0) return false;
-  families_.emplace(family.name, std::move(family));
-  return true;
-}
-
-bool WorkloadRegistry::contains(const std::string& family) const {
-  return families_.count(family) != 0;
-}
-
-const WorkloadFamily* WorkloadRegistry::find(const std::string& family) const {
-  const auto it = families_.find(family);
-  return it == families_.end() ? nullptr : &it->second;
-}
-
-std::vector<const WorkloadFamily*> WorkloadRegistry::families() const {
-  std::vector<const WorkloadFamily*> out;
-  out.reserve(families_.size());
-  for (const auto& [name, family] : families_) out.push_back(&family);
-  return out;  // std::map iteration is already name-sorted
-}
-
-std::unique_ptr<Workload> WorkloadRegistry::make(
-    const std::string& spec, const WorkloadBuildContext& context) const {
-  traffic::ParsedPatternSpec parsed = traffic::parsePatternSpec(spec);
-  const WorkloadFamily* family = find(parsed.family);
-  if (family == nullptr) {
-    std::vector<std::string> names;
-    for (const auto& [name, entry] : families_) names.push_back(name);
-    throw std::invalid_argument("unknown workload: '" + parsed.family + "'" +
-                                sim::didYouMean(parsed.family, names));
-  }
-  auto workload = family->factory(parsed.options, context);
-  for (const std::string& key : parsed.options.unconsumedKeys()) {
-    throw std::invalid_argument(
-        "workload '" + family->name + "' does not take option '" + key + "'" +
-        sim::didYouMean(key, family->optionKeys));
-  }
-  return workload;
-}
-
-std::string WorkloadRegistry::helpText() const {
-  std::string out = "workload families (workload=family:key=value,...):\n";
-  for (const WorkloadFamily* family : families()) {
-    std::string left = "  " + family->name;
-    if (left.size() < 16) left.resize(16, ' ');
-    out += left + family->summary + "\n";
-    if (!family->optionsDoc.empty()) {
-      out += "                  options: " + family->optionsDoc + "\n";
-    }
-  }
-  return out;
-}
+std::string workloadHelpText() { return kWorkloads.helpText(); }
 
 std::unique_ptr<Workload> makeWorkload(const std::string& spec,
                                        const WorkloadBuildContext& context) {
-  return WorkloadRegistry::global().make(spec, context);
+  return kWorkloads.make(spec, context);
 }
 
 }  // namespace pnoc::workload

@@ -1,5 +1,6 @@
-// Workload registry: `workload=` spec strings -> Workload factories,
-// mirroring the traffic-pattern registry (and reusing its spec grammar):
+// Workload family table: `workload=` spec strings -> Workload factories,
+// through the same spec grammar and lookup as the traffic patterns
+// (traffic/registry.hpp):
 //
 //   workload := family [":" options]
 //
@@ -9,24 +10,20 @@
 //   "chain:window=2,req_flits=8"
 //   "trace:file=run.trace"
 //
-// Unknown families and unconsumed options are rejected, with a nearest-key
-// hint on option typos ("unknown option 'windw'; did you mean 'window'?").
+// Unknown families, malformed values and unread options are refused, with a
+// nearest-key hint on option typos ("does not take option 'windw'; did you
+// mean 'window'?").
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "noc/topology.hpp"
 #include "sim/config.hpp"
+#include "traffic/registry.hpp"
 #include "workload/workload.hpp"
-
-namespace pnoc::traffic {
-class TrafficPattern;
-}
 
 namespace pnoc::workload {
 
@@ -38,50 +35,21 @@ struct WorkloadBuildContext {
   std::uint32_t defaultPacketFlits = 64;
 };
 
-struct WorkloadFamily {
-  /// Spec family token, e.g. "closed".  Must be unique.
-  std::string name;
-  /// One-line description for help listings.
-  std::string summary;
-  /// Option synopsis for help listings, e.g. "window=<n> (4), think=<cycles> (0)".
-  std::string optionsDoc;
-  /// Option keys the factory consumes — the candidate set for typo hints.
-  std::vector<std::string> optionKeys;
-  /// Returns the model, or nullptr for the open-loop default (the "open"
-  /// family), which leaves the core's geometric injector in charge.
-  std::function<std::unique_ptr<Workload>(const sim::Config& options,
-                                          const WorkloadBuildContext& context)>
-      factory;
-};
+/// Returns the model, or nullptr for the open-loop default (the "open"
+/// family), which leaves the core's geometric injector in charge.
+using WorkloadFactory = std::unique_ptr<Workload>(const sim::Config& options,
+                                                  const WorkloadBuildContext& context);
+using WorkloadFamily = traffic::SpecFamily<WorkloadFactory>;
 
-class WorkloadRegistry {
- public:
-  /// The process-wide registry, with the built-in families pre-registered.
-  static WorkloadRegistry& global();
+/// The built-in workload families, name-sorted.
+std::span<const WorkloadFamily> workloadFamilies();
 
-  /// Registers a family; returns false (registry unchanged) when the name is
-  /// already taken or the family is malformed.
-  bool add(WorkloadFamily family);
+/// The workload families, for help=1 output.
+std::string workloadHelpText();
 
-  bool contains(const std::string& family) const;
-  const WorkloadFamily* find(const std::string& family) const;
-  /// Every registered family, name-sorted.
-  std::vector<const WorkloadFamily*> families() const;
-
-  /// Builds a workload from a spec string; nullptr means open loop.  Throws
-  /// std::invalid_argument for unknown families and unknown or malformed
-  /// options.
-  std::unique_ptr<Workload> make(const std::string& spec,
-                                 const WorkloadBuildContext& context) const;
-
-  /// Human-readable family/option listing for help=1 output.
-  std::string helpText() const;
-
- private:
-  std::map<std::string, WorkloadFamily> families_;
-};
-
-/// Shorthand for WorkloadRegistry::global().make(spec, context).
+/// Builds a workload from a spec string; nullptr means open loop.  Throws
+/// std::invalid_argument for unknown families, unknown options and
+/// malformed values.
 std::unique_ptr<Workload> makeWorkload(const std::string& spec,
                                        const WorkloadBuildContext& context);
 

@@ -27,6 +27,7 @@
 #include "scenario/dispatch/streaming_backend.hpp"
 #include "scenario/in_process_backend.hpp"
 #include "scenario/json_record.hpp"
+#include "scenario/json_util.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "scenario/wire.hpp"
 #include "support/scoped_env.hpp"
@@ -691,6 +692,39 @@ TEST(JsonRecord, RawRecordsSerializeVerbatimAndIgnoreFieldCalls) {
   JsonRecord raw = JsonRecord::fromSerialized("{\"name\":\"x\",\"v\":1}");
   raw.number("extra", 2.0).integer("more", 3).text("t", "s");
   EXPECT_EQ(raw.serialize(), "{\"name\":\"x\",\"v\":1}");
+}
+
+TEST(JsonRecord, EveryStringIsEscapedSoTheFileParsesBack) {
+  // A label with a tab once reached BENCH files as a raw control byte, and
+  // the bench name was written unescaped; both must survive a JSON parser.
+  const std::string benchName = "quote\"d";
+  const std::string label = "a\tb\r\x01\\c\n";
+  JsonRecorder recorder(benchName);
+  const std::string record =
+      recorder.add("run").text("label", label).integer("grid_index", 0).serialize();
+  for (const char c : record) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << record;
+  }
+
+  const std::string dir = ::testing::TempDir();
+  const std::string path = recorder.write(dir);
+  ASSERT_FALSE(path.empty());
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  for (const char c : text.str()) {
+    if (c != '\n') EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << text.str();
+  }
+  const JsonValue root = JsonValue::parse(text.str());
+  EXPECT_EQ(root.at("bench").asString(), benchName);
+  ASSERT_EQ(root.at("records").items().size(), 1u);
+  EXPECT_EQ(root.at("records").items()[0].at("label").asString(), label);
+  std::remove(path.c_str());
+
+  // Ordinary strings serialize exactly as before.
+  JsonRecord plain("run");
+  plain.text("label", "plain label");
+  EXPECT_EQ(plain.serialize(), "{\"name\":\"run\",\"label\":\"plain label\"}");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// ScenarioSpec binding-table tests: the key=value and JSON forms must
-// round-trip byte-identically (they are the scenario interchange format for
-// sweeps, sharding and replay), unknown keys and malformed values must fail
-// loudly, and the generated help must cover every binding.
+// ScenarioSpec binding-table tests: the key=value (spec-file) and JSON forms
+// must round-trip byte-identically (they are the scenario interchange format
+// for sweeps, sharding and replay), unknown keys and malformed values must
+// fail loudly, and the generated help must cover every binding.
 #include "scenario/scenario_spec.hpp"
 
 #include <gtest/gtest.h>
@@ -9,9 +9,26 @@
 #include <stdexcept>
 
 #include "scenario/execution_backend.hpp"
+#include "scenario/spec_file.hpp"
 
 namespace pnoc::scenario {
 namespace {
+
+/// "key=value" per field, one per line, in canonical field order.
+std::string keyValueText(const ScenarioSpec& spec) {
+  std::string out;
+  for (const ScenarioField& field : ScenarioSpec::fields()) {
+    out += field.key + "=" + field.format(spec) + "\n";
+  }
+  return out;
+}
+
+/// One spec read through the production key=value reader.
+ScenarioSpec readKeyValueSpec(const std::string& text) {
+  const std::vector<ScenarioSpec> specs = parseSpecFileText(text, {}, "<test>");
+  EXPECT_EQ(specs.size(), 1u);
+  return specs.at(0);
+}
 
 ScenarioSpec nonDefaultSpec() {
   ScenarioSpec spec;
@@ -47,9 +64,10 @@ TEST(ScenarioSpec, SetWritesThroughToParameters) {
 
 TEST(ScenarioSpec, KeyValueRoundTripIsByteIdentical) {
   const ScenarioSpec spec = nonDefaultSpec();
-  const std::string text = spec.toKeyValueText();
-  const ScenarioSpec back = ScenarioSpec::fromKeyValueText(text);
-  EXPECT_EQ(text, back.toKeyValueText());
+  const std::string text = keyValueText(spec);
+  const ScenarioSpec back = readKeyValueSpec(text);
+  EXPECT_EQ(text, keyValueText(back));
+  EXPECT_EQ(back.toJson(), spec.toJson());
 }
 
 TEST(ScenarioSpec, JsonRoundTripIsByteIdentical) {
@@ -58,20 +76,19 @@ TEST(ScenarioSpec, JsonRoundTripIsByteIdentical) {
   const ScenarioSpec back = ScenarioSpec::fromJson(json);
   EXPECT_EQ(json, back.toJson());
   // And the two forms describe the same spec.
-  EXPECT_EQ(back.toKeyValueText(), spec.toKeyValueText());
+  EXPECT_EQ(keyValueText(back), keyValueText(spec));
 }
 
 TEST(ScenarioSpec, DefaultsRoundTripToo) {
   const ScenarioSpec spec;
   EXPECT_EQ(ScenarioSpec::fromJson(spec.toJson()).toJson(), spec.toJson());
-  EXPECT_EQ(ScenarioSpec::fromKeyValueText(spec.toKeyValueText()).toKeyValueText(),
-            spec.toKeyValueText());
+  EXPECT_EQ(keyValueText(readKeyValueSpec(keyValueText(spec))), keyValueText(spec));
 }
 
 TEST(ScenarioSpec, UnknownKeyIsRejected) {
   ScenarioSpec spec;
   EXPECT_THROW(spec.set("wavelenghts", "64"), std::invalid_argument);  // typo
-  EXPECT_THROW(ScenarioSpec::fromKeyValueText("bogus=1\n"), std::invalid_argument);
+  EXPECT_THROW(readKeyValueSpec("bogus=1\n"), std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::fromJson(R"({"bogus":1})"), std::invalid_argument);
 }
 
@@ -81,8 +98,7 @@ TEST(ScenarioSpec, RemovedArbiterKeyIsRefused) {
   // name rather than run with the key dropped.
   ScenarioSpec spec;
   EXPECT_THROW(spec.set("arbiter", "matrix"), std::invalid_argument);
-  EXPECT_THROW(ScenarioSpec::fromKeyValueText("arbiter=round-robin\n"),
-               std::invalid_argument);
+  EXPECT_THROW(readKeyValueSpec("arbiter=round-robin\n"), std::invalid_argument);
 
   std::string json = ScenarioSpec{}.toJson();
   ASSERT_EQ(json.find("arbiter"), std::string::npos) << json;
@@ -108,6 +124,18 @@ TEST(ScenarioSpec, MalformedValuesAreRejected) {
   EXPECT_THROW(spec.set("arch", "fireflyy"), std::invalid_argument);
   EXPECT_THROW(spec.set("set", "4"), std::invalid_argument);
   EXPECT_THROW(spec.set("gating", "maybe"), std::invalid_argument);
+}
+
+TEST(ScenarioSpec, BoolKeysTakeTheSharedSpellings) {
+  // Scenario keys read values with the same grammar as every other key.
+  ScenarioSpec spec;
+  spec.set("gating", "TRUE");
+  EXPECT_TRUE(spec.params.activityGating);
+  spec.set("gating", "Off");
+  EXPECT_FALSE(spec.params.activityGating);
+  spec.set("profile", "yes");
+  EXPECT_TRUE(spec.params.profile);
+  EXPECT_EQ(spec.get("gating"), "false");  // the canonical form is unchanged
 }
 
 TEST(ScenarioSpec, HelpListsEveryBindingKey) {
@@ -156,7 +184,7 @@ TEST(ScenarioSpec, ParamsRejectZeroLinkLatencyBeforeBuildingANetwork) {
   // link could never accept a flit: validation must refuse the spec before
   // runScenario builds a network from it.
   const ScenarioSpec spec =
-      ScenarioSpec::fromKeyValueText("link_latency=0\nwarmup=100\nmeasure=500\n");
+      readKeyValueSpec("link_latency=0\nwarmup=100\nmeasure=500\n");
   EXPECT_EQ(spec.params.intraClusterLinkLatency, 0u);
   EXPECT_THROW(spec.params.validate(), std::invalid_argument);
   EXPECT_THROW(runScenario(spec), std::invalid_argument);

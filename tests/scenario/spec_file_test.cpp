@@ -12,6 +12,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "scenario/cli.hpp"
 
@@ -324,6 +325,38 @@ TEST(CliBackendKeys, StreamAndHostsParse) {
   ScenarioSpec emptySpec;
   EXPECT_EQ(emptyCli.parse(2, const_cast<char**>(emptyHosts), &emptySpec),
             CliStatus::kError);
+}
+
+TEST(CliBackendKeys, OutOfRangeRunnerValuesAreRefusedByName) {
+  // Runner keys read the shared strict grammar: a value past 32 bits is
+  // refused rather than wrapped (shards=4294967297 once ran one worker),
+  // and so is a negative one.
+  for (const char* arg : {"shards=4294967297", "shards=-1", "retries=-1",
+                          "job_deadline_ms=18446744073709551616"}) {
+    const char* argv[] = {"test_binary", arg};
+    ScenarioSpec spec;
+    Cli cli("test_binary", "backend keys");
+    cli.setRunnerKeys(true);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(cli.parse(2, const_cast<char**>(argv), &spec), CliStatus::kError) << arg;
+    const std::string stderrText = testing::internal::GetCapturedStderr();
+    const std::string key(arg, std::string_view(arg).find('='));
+    EXPECT_NE(stderrText.find("option '" + key + "'"), std::string::npos) << stderrText;
+  }
+}
+
+TEST(CliBackendKeys, BoolValuesTakeAnyCase) {
+  // gating is a scenario key and resume a binary key; both read the one
+  // boolean grammar.
+  const char* argv[] = {"pnoc_run", "gating=TRUE", "resume=TRUE"};
+  ScenarioSpec spec;
+  spec.params.activityGating = false;
+  Cli cli("pnoc_run", "bool keys");
+  cli.addKey("resume", "skip records already in the BENCH file");
+  cli.setRunnerKeys(true);
+  ASSERT_EQ(cli.parse(3, const_cast<char**>(argv), &spec), CliStatus::kRun);
+  EXPECT_TRUE(spec.params.activityGating);
+  EXPECT_TRUE(cli.config().getBool("resume", false));
 }
 
 }  // namespace

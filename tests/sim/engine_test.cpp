@@ -575,7 +575,7 @@ TEST(Config, ParsesKeyValuePairs) {
   Config config;
   const char* argv[] = {"a=1", "b=hello", "c=0.5"};
   EXPECT_FALSE(config.parseArgs(3, argv).has_value());
-  EXPECT_EQ(config.getInt("a", 0), 1);
+  EXPECT_EQ(config.getU64("a", 0), 1u);
   EXPECT_EQ(config.getString("b", ""), "hello");
   EXPECT_DOUBLE_EQ(config.getDouble("c", 0.0), 0.5);
 }
@@ -590,7 +590,8 @@ TEST(Config, RejectsMalformedArguments) {
 
 TEST(Config, FallbacksWhenMissing) {
   Config config;
-  EXPECT_EQ(config.getInt("missing", 7), 7);
+  EXPECT_EQ(config.getU64("missing", 7), 7u);
+  EXPECT_EQ(config.getU32("missing", 9), 9u);
   EXPECT_EQ(config.getString("missing", "d"), "d");
   EXPECT_TRUE(config.getBool("missing", true));
 }
@@ -598,9 +599,13 @@ TEST(Config, FallbacksWhenMissing) {
 TEST(Config, ThrowsOnUnparseableValues) {
   Config config;
   config.set("n", "abc");
-  EXPECT_THROW(config.getInt("n", 0), std::invalid_argument);
+  EXPECT_THROW(config.getU64("n", 0), std::invalid_argument);
+  EXPECT_THROW(config.getU32("n", 0), std::invalid_argument);
   config.set("d", "1.2.3");
   EXPECT_THROW(config.getDouble("d", 0.0), std::invalid_argument);
+  for (const char* nonFinite : {"nan", "inf", "-inf", "1e999"}) {
+    EXPECT_THROW(parseDouble(nonFinite), std::invalid_argument) << nonFinite;
+  }
   config.set("b", "maybe");
   EXPECT_THROW(config.getBool("b", false), std::invalid_argument);
 }
@@ -613,16 +618,58 @@ TEST(Config, BoolAcceptsCommonSpellings) {
   EXPECT_TRUE(config.getBool("a", false));
   EXPECT_FALSE(config.getBool("b", true));
   EXPECT_TRUE(config.getBool("c", false));
+  // The shared parser behind it, which scenario keys read too.
+  for (const char* yes : {"1", "true", "TRUE", "Yes", "on", "ON"}) {
+    EXPECT_TRUE(parseBool(yes)) << yes;
+  }
+  for (const char* no : {"0", "false", "False", "NO", "off", "Off"}) {
+    EXPECT_FALSE(parseBool(no)) << no;
+  }
+  EXPECT_THROW(parseBool("2"), std::invalid_argument);
+  EXPECT_THROW(parseBool(""), std::invalid_argument);
+}
+
+TEST(Config, NumbersAreStrictAndErrorsNameTheKey) {
+  // The one value grammar: an unsigned number is digits only, and a value
+  // past the getter's width is refused instead of wrapped.
+  const auto messageOf = [](const std::string& value, auto get) -> std::string {
+    Config config;
+    config.set("offset", value);
+    try {
+      get(config);
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "(no exception)";
+  };
+  const auto u32 = [](const Config& config) { return config.getU32("offset", 0); };
+  const auto u64 = [](const Config& config) { return config.getU64("offset", 0); };
+  EXPECT_EQ(messageOf("4294967297", u32),
+            "option 'offset': '4294967297' does not fit in 32 bits");
+  EXPECT_EQ(messageOf("4294967297", u64), "(no exception)");
+  EXPECT_EQ(messageOf("18446744073709551616", u64),
+            "option 'offset': '18446744073709551616' is not an unsigned integer");
+  for (const char* bad : {"-1", " 3", "+3", "3x", "", "0x10"}) {
+    EXPECT_NE(messageOf(bad, u64).find("option 'offset': "), std::string::npos) << bad;
+  }
+
+  Config config;
+  config.set("max", "4294967295");
+  EXPECT_EQ(config.getU32("max", 0), 4294967295u);
+  EXPECT_EQ(parseU64("18446744073709551615"), 18446744073709551615ull);
 }
 
 TEST(Config, TracksUnconsumedKeys) {
   Config config;
   config.set("used", "1");
   config.set("typo", "2");
-  config.getInt("used", 0);
+  config.getU32("used", 0);
   const auto unused = config.unconsumedKeys();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo");
+  // A key read while absent still counts as read: typo hints suggest it.
+  config.getString("absent", "");
+  EXPECT_EQ(config.consumedKeys(), (std::vector<std::string>{"absent", "used"}));
 }
 
 }  // namespace

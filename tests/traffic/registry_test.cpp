@@ -1,8 +1,7 @@
-// PatternRegistry tests: spec grammar, aliases, option rejection,
-// self-registration, and a golden table pinning wavelengthDemand /
-// bandwidthClass for every registered built-in family (so a refactor that
-// shifts any demand table is caught, and a new family must extend the
-// golden table here).
+// Pattern family-table tests: spec grammar, aliases, option and value
+// rejection, and a golden table pinning wavelengthDemand / bandwidthClass
+// for every built-in family (so a refactor that shifts any demand table is
+// caught, and a new family must extend the golden table here).
 #include "traffic/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 #include <set>
 
 #include "traffic/synthetic.hpp"
-#include "traffic/uniform.hpp"
 
 namespace pnoc::traffic {
 namespace {
@@ -19,6 +17,16 @@ namespace {
 const noc::ClusterTopology& topo() {
   static noc::ClusterTopology topology;  // 64 cores / 16 clusters
   return topology;
+}
+
+/// The message makePattern(spec) throws, or "(no exception)".
+std::string errorOf(const std::string& spec) {
+  try {
+    makePattern(spec, topo(), BandwidthSet::set1());
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "(no exception)";
 }
 
 TEST(PatternSpecGrammar, ParsesFamilyAndOptions) {
@@ -29,7 +37,7 @@ TEST(PatternSpecGrammar, ParsesFamilyAndOptions) {
   const auto parameterized = parsePatternSpec("hotspot:frac=0.3,hot=5");
   EXPECT_EQ(parameterized.family, "hotspot");
   EXPECT_DOUBLE_EQ(parameterized.options.getDouble("frac", 0.0), 0.3);
-  EXPECT_EQ(parameterized.options.getInt("hot", 0), 5);
+  EXPECT_EQ(parameterized.options.getU32("hot", 0), 5u);
 }
 
 TEST(PatternSpecGrammar, RejectsMalformedSpecs) {
@@ -41,46 +49,44 @@ TEST(PatternSpecGrammar, RejectsMalformedSpecs) {
 }
 
 TEST(PatternRegistry, BuiltinFamiliesAreRegistered) {
-  auto& registry = PatternRegistry::global();
+  std::set<std::string> names;
+  for (const PatternFamily& family : patternFamilies()) names.emplace(family.name);
   for (const char* family : {"uniform", "skewed", "skewed-hotspot", "hotspot",
                              "real-apps", "transpose", "tornado", "bitcomp",
                              "permutation", "matrix"}) {
-    EXPECT_TRUE(registry.contains(family)) << family;
+    EXPECT_EQ(names.count(family), 1u) << family;
   }
 }
 
 TEST(PatternRegistry, LegacyAliasesStillBuildThePaperPatterns) {
-  auto& registry = PatternRegistry::global();
   for (const std::string name :
        {"uniform", "skewed1", "skewed2", "skewed3", "skewed-hotspot1", "skewed-hotspot2",
         "skewed-hotspot3", "skewed-hotspot4", "real-apps"}) {
-    const auto pattern = registry.make(name, topo(), BandwidthSet::set1());
+    const auto pattern = makePattern(name, topo(), BandwidthSet::set1());
     ASSERT_NE(pattern, nullptr) << name;
     EXPECT_EQ(pattern->name(), name);
   }
 }
 
 TEST(PatternRegistry, UnknownFamilyAndUnknownOptionAreRejected) {
-  auto& registry = PatternRegistry::global();
-  EXPECT_THROW(registry.make("bogus", topo(), BandwidthSet::set1()),
+  EXPECT_THROW(makePattern("bogus", topo(), BandwidthSet::set1()),
                std::invalid_argument);
-  EXPECT_THROW(registry.make("skewed9", topo(), BandwidthSet::set1()),
+  EXPECT_THROW(makePattern("skewed9", topo(), BandwidthSet::set1()),
                std::invalid_argument);
   // Known family, typo'd option: must fail loudly, not silently default.
-  EXPECT_THROW(registry.make("hotspot:fraction=0.3", topo(), BandwidthSet::set1()),
+  EXPECT_THROW(makePattern("hotspot:fraction=0.3", topo(), BandwidthSet::set1()),
                std::invalid_argument);
-  EXPECT_THROW(registry.make("skewed:level=9", topo(), BandwidthSet::set1()),
+  EXPECT_THROW(makePattern("skewed:level=9", topo(), BandwidthSet::set1()),
                std::invalid_argument);
-  EXPECT_THROW(registry.make("hotspot:frac=1.5", topo(), BandwidthSet::set1()),
+  EXPECT_THROW(makePattern("hotspot:frac=1.5", topo(), BandwidthSet::set1()),
                std::invalid_argument);
-  EXPECT_THROW(registry.make("tornado:offset=16", topo(), BandwidthSet::set1()),
+  EXPECT_THROW(makePattern("tornado:offset=16", topo(), BandwidthSet::set1()),
                std::invalid_argument);
 }
 
 TEST(PatternRegistry, ParameterizedHotspotSpecWorks) {
-  auto& registry = PatternRegistry::global();
   const auto pattern =
-      registry.make("hotspot:frac=0.3,hot=5,base=skewed2", topo(), BandwidthSet::set1());
+      makePattern("hotspot:frac=0.3,hot=5,base=skewed2", topo(), BandwidthSet::set1());
   const auto* overlay = dynamic_cast<const HotspotOverlayPattern*>(pattern.get());
   ASSERT_NE(overlay, nullptr);
   EXPECT_DOUBLE_EQ(overlay->fraction(), 0.3);
@@ -98,41 +104,30 @@ TEST(PatternRegistry, ParameterizedHotspotSpecWorks) {
 }
 
 TEST(PatternRegistry, SkewedHotspotRejectsOutOfRangeCoreAndVariant) {
-  auto& registry = PatternRegistry::global();
   // 64 cores: core 64 does not exist, and there are only four variants.
-  EXPECT_THROW(registry.make("skewed-hotspot:hot=64", topo(), BandwidthSet::set1()),
+  EXPECT_THROW(makePattern("skewed-hotspot:hot=64", topo(), BandwidthSet::set1()),
                std::invalid_argument);
-  EXPECT_THROW(registry.make("skewed-hotspot:variant=5", topo(), BandwidthSet::set1()),
+  EXPECT_THROW(makePattern("skewed-hotspot:variant=5", topo(), BandwidthSet::set1()),
                std::invalid_argument);
-  EXPECT_THROW(registry.make("skewed-hotspot:variant=0", topo(), BandwidthSet::set1()),
+  EXPECT_THROW(makePattern("skewed-hotspot:variant=0", topo(), BandwidthSet::set1()),
                std::invalid_argument);
-  EXPECT_NO_THROW(registry.make("skewed-hotspot:hot=63", topo(), BandwidthSet::set1()));
+  EXPECT_NO_THROW(makePattern("skewed-hotspot:hot=63", topo(), BandwidthSet::set1()));
 }
 
 TEST(PatternRegistry, OutOfRangeHotspotCoreIsNamedInTheError) {
   // The overlay's range check is the same in every build type, and its
   // message names the pattern, the core and the core count.
-  auto& registry = PatternRegistry::global();
-  const auto messageOf = [&](const std::string& spec) -> std::string {
-    try {
-      registry.make(spec, topo(), BandwidthSet::set1());
-    } catch (const std::invalid_argument& error) {
-      return error.what();
-    }
-    return "(no exception)";
-  };
-  EXPECT_EQ(messageOf("skewed-hotspot:variant=2,hot=100"),
+  EXPECT_EQ(errorOf("skewed-hotspot:variant=2,hot=100"),
             "skewed-hotspot2: hotspot core 100 out of range for 64 cores");
-  EXPECT_EQ(messageOf("hotspot:frac=0.3,hot=64"),
+  EXPECT_EQ(errorOf("hotspot:frac=0.3,hot=64"),
             "hotspot:frac=0.3,hot=64,base=uniform: hotspot core 64 out of range for 64 "
             "cores");
 }
 
 TEST(PatternRegistry, ParenthesizedBaseSpecKeepsNestedOptions) {
-  auto& registry = PatternRegistry::global();
   // The nested spec's own comma-separated options must reach the base
   // factory, not be split off and consumed by the outer family.
-  const auto pattern = registry.make("hotspot:frac=0.2,base=(skewed-hotspot:variant=2,hot=5)",
+  const auto pattern = makePattern("hotspot:frac=0.2,base=(skewed-hotspot:variant=2,hot=5)",
                                      topo(), BandwidthSet::set1());
   const auto* overlay = dynamic_cast<const HotspotOverlayPattern*>(pattern.get());
   ASSERT_NE(overlay, nullptr);
@@ -142,35 +137,36 @@ TEST(PatternRegistry, ParenthesizedBaseSpecKeepsNestedOptions) {
   EXPECT_EQ(base->hotspotCore(), 5u);  // nested hot=5 landed on the base
   EXPECT_EQ(base->name(), "skewed-hotspot2");
 
-  EXPECT_THROW(registry.make("hotspot:base=(uniform", topo(), BandwidthSet::set1()),
+  EXPECT_THROW(makePattern("hotspot:base=(uniform", topo(), BandwidthSet::set1()),
                std::invalid_argument);
-  EXPECT_THROW(registry.make("hotspot:base=uniform)", topo(), BandwidthSet::set1()),
+  EXPECT_THROW(makePattern("hotspot:base=uniform)", topo(), BandwidthSet::set1()),
                std::invalid_argument);
 }
 
-TEST(PatternRegistry, SelfRegistrationExtendsTheRegistry) {
-  auto& registry = PatternRegistry::global();
-  const bool added = registry.add(PatternFamily{
-      "test-only-family", "registered by registry_test", "",
-      [](const PatternOptions&, const noc::ClusterTopology& topology,
-         const BandwidthSet& set) -> std::unique_ptr<TrafficPattern> {
-        return std::make_unique<UniformRandomPattern>(topology, set);
-      }});
-  EXPECT_TRUE(added);
-  EXPECT_NE(registry.make("test-only-family", topo(), BandwidthSet::set1()), nullptr);
-  // Duplicate names are refused.
-  EXPECT_FALSE(registry.add(PatternFamily{
-      "uniform", "", "",
-      [](const PatternOptions&, const noc::ClusterTopology& topology,
-         const BandwidthSet& set) -> std::unique_ptr<TrafficPattern> {
-        return std::make_unique<UniformRandomPattern>(topology, set);
-      }}));
+TEST(PatternRegistry, OutOfRangeValuesAreRefusedNamingTheOption) {
+  // Values past an option's width were once wrapped: offset=4294967297 ran
+  // as offset=1 and hot=4294967299 as hot=3.
+  EXPECT_EQ(errorOf("tornado:offset=4294967297"),
+            "option 'offset': '4294967297' does not fit in 32 bits");
+  EXPECT_EQ(errorOf("hotspot:frac=0.3,hot=4294967299"),
+            "option 'hot': '4294967299' does not fit in 32 bits");
+  EXPECT_EQ(errorOf("skewed:level=-1"), "option 'level': '-1' is not an unsigned integer");
+  EXPECT_EQ(errorOf("permutation:seed=-1"),
+            "option 'seed': '-1' is not an unsigned integer");
+}
+
+TEST(PatternRegistry, OptionTyposSuggestAKeyTheFamilyReads) {
+  EXPECT_EQ(errorOf("hotspot:fracc=0.3"),
+            "traffic pattern 'hotspot' does not take option 'fracc'; did you mean 'frac'?");
+  EXPECT_EQ(errorOf("skewed3:level=1"),
+            "unknown traffic pattern: 'skewed3'; did you mean 'skewed'?");
+  EXPECT_EQ(errorOf("tornadoo"), "unknown traffic pattern: 'tornadoo'; did you mean 'tornado'?");
 }
 
 TEST(PatternRegistry, HelpTextListsEveryFamily) {
-  const std::string help = PatternRegistry::global().helpText();
-  for (const PatternFamily* family : PatternRegistry::global().families()) {
-    EXPECT_NE(help.find(family->name), std::string::npos) << family->name;
+  const std::string help = patternHelpText();
+  for (const PatternFamily& family : patternFamilies()) {
+    EXPECT_NE(help.find(family.name), std::string::npos) << family.name;
   }
   EXPECT_NE(help.find("skewed3=skewed:level=3"), std::string::npos);
 }
@@ -190,7 +186,6 @@ struct GoldenEntry {
 };
 
 TEST(PatternRegistryGolden, DemandsAndClassesArePinnedForEveryFamily) {
-  auto& registry = PatternRegistry::global();
   const auto set = BandwidthSet::set1();
 
   const std::map<std::string, std::vector<GoldenEntry>> golden = {
@@ -224,7 +219,7 @@ TEST(PatternRegistryGolden, DemandsAndClassesArePinnedForEveryFamily) {
 
   std::set<std::string> covered;
   for (const auto& [family, entries] : golden) {
-    const auto pattern = registry.make(family, topo(), set);
+    const auto pattern = makePattern(family, topo(), set);
     ASSERT_NE(pattern, nullptr) << family;
     for (const GoldenEntry& entry : entries) {
       EXPECT_EQ(pattern->wavelengthDemand(entry.src, entry.dst), entry.demand)
@@ -235,13 +230,13 @@ TEST(PatternRegistryGolden, DemandsAndClassesArePinnedForEveryFamily) {
     covered.insert(family);
   }
 
-  // Every registered built-in must appear in the golden table ("matrix"
-  // needs CSV inputs and the test-only family is registered above; both are
-  // exempt).  Extending the registry means extending this table.
-  for (const PatternFamily* family : registry.families()) {
-    if (family->name == "matrix" || family->name == "test-only-family") continue;
-    EXPECT_TRUE(covered.count(family->name) == 1)
-        << "family '" << family->name << "' has no golden demand entries";
+  // Every built-in must appear in the golden table ("matrix" needs CSV
+  // inputs and is exempt).  Extending the family table means extending this
+  // table.
+  for (const PatternFamily& family : patternFamilies()) {
+    if (family.name == "matrix") continue;
+    EXPECT_TRUE(covered.count(std::string(family.name)) == 1)
+        << "family '" << family.name << "' has no golden demand entries";
   }
 }
 

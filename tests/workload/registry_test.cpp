@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "noc/topology.hpp"
 #include "traffic/registry.hpp"
@@ -25,19 +27,25 @@ class RegistryFixture : public ::testing::Test {
     context_.defaultPacketFlits = 64;
   }
 
+  /// The message makeWorkload(spec) throws, or "(no exception)".
+  std::string errorOf(const std::string& spec) const {
+    try {
+      makeWorkload(spec, context_);
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "(no exception)";
+  }
+
   noc::ClusterTopology topology_;
   std::unique_ptr<traffic::TrafficPattern> pattern_;
   WorkloadBuildContext context_;
 };
 
 TEST_F(RegistryFixture, BuiltinFamiliesAreRegistered) {
-  const auto& registry = WorkloadRegistry::global();
-  EXPECT_TRUE(registry.contains("open"));
-  EXPECT_TRUE(registry.contains("closed"));
-  EXPECT_TRUE(registry.contains("chain"));
-  EXPECT_TRUE(registry.contains("trace"));
-  EXPECT_FALSE(registry.contains("nonsense"));
-  EXPECT_GE(registry.families().size(), 4u);
+  std::vector<std::string_view> names;
+  for (const WorkloadFamily& family : workloadFamilies()) names.push_back(family.name);
+  EXPECT_EQ(names, (std::vector<std::string_view>{"chain", "closed", "open", "trace"}));
 }
 
 TEST_F(RegistryFixture, OpenResolvesToNoModel) {
@@ -90,6 +98,29 @@ TEST_F(RegistryFixture, UnknownOptionSuggestsTheNearest) {
   }
 }
 
+TEST_F(RegistryFixture, TypoHintsComeFromTheKeysTheFactoryRead) {
+  // No family lists its keys: the hint candidates are the keys its factory
+  // read.  chain reads fwd_flits, closed does not, so only chain suggests it.
+  EXPECT_EQ(errorOf("chain:fwd_flit=4"),
+            "workload 'chain' does not take option 'fwd_flit'; did you mean 'fwd_flits'?");
+  EXPECT_EQ(errorOf("closed:fwd_flit=4"),
+            "workload 'closed' does not take option 'fwd_flit'");
+  EXPECT_EQ(errorOf("closed:thinkk=3"),
+            "workload 'closed' does not take option 'thinkk'; did you mean 'think'?");
+}
+
+TEST_F(RegistryFixture, OutOfRangeValuesAreRefusedNamingTheOption) {
+  // req_flits=4294967304 once ran as req_flits=8, and think=-1 as a think
+  // time of 2^64 - 1 cycles.
+  EXPECT_EQ(errorOf("closed:req_flits=4294967304"),
+            "option 'req_flits': '4294967304' does not fit in 32 bits");
+  EXPECT_EQ(errorOf("closed:think=-1"), "option 'think': '-1' is not an unsigned integer");
+  EXPECT_EQ(errorOf("chain:window=4294967297"),
+            "option 'window': '4294967297' does not fit in 32 bits");
+  EXPECT_EQ(errorOf("closed:reply_flits=1e3"),
+            "option 'reply_flits': '1e3' is not an unsigned integer");
+}
+
 TEST_F(RegistryFixture, ChainOnlyOptionIsRejectedForClosed) {
   // fwd_flits exists — but only the chain family takes it.
   EXPECT_THROW(makeWorkload("closed:fwd_flits=8", context_), std::invalid_argument);
@@ -107,23 +138,11 @@ TEST_F(RegistryFixture, TraceNeedsAFile) {
 }
 
 TEST_F(RegistryFixture, HelpTextListsEveryFamilyAndItsOptions) {
-  const std::string help = WorkloadRegistry::global().helpText();
+  const std::string help = workloadHelpText();
   for (const char* needle : {"open", "closed", "chain", "trace", "window=",
                              "think=", "file=<path>"}) {
     EXPECT_NE(help.find(needle), std::string::npos) << "missing: " << needle;
   }
-}
-
-TEST_F(RegistryFixture, DuplicateAndInvalidRegistrationsAreRefused) {
-  WorkloadRegistry registry;
-  WorkloadFamily family{"x", "test", "", {},
-                        [](const sim::Config&, const WorkloadBuildContext&)
-                            -> std::unique_ptr<Workload> { return nullptr; }};
-  EXPECT_TRUE(registry.add(family));
-  EXPECT_FALSE(registry.add(family));  // duplicate name
-  WorkloadFamily unnamed = family;
-  unnamed.name = "";
-  EXPECT_FALSE(registry.add(unnamed));
 }
 
 }  // namespace

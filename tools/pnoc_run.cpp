@@ -106,7 +106,7 @@ int runServeClient(scenario::Cli& cli, const std::string& socketPath,
           line += ",\"client\":\"" + scenario::jsonEscape(clientName) + "\"";
         }
         line += ",\"priority\":" +
-                std::to_string(cli.config().getInt("priority", 0));
+                std::to_string(cli.config().getU64("priority", 0));
         line += ",\"mode\":\"" + mode + "\"";
         line += ",\"bench\":\"" + scenario::jsonEscape(benchName) + "\"";
         line += ",\"dir\":\"" + scenario::jsonEscape(jsonDir) + "\"";
@@ -128,10 +128,9 @@ int runServeClient(scenario::Cli& cli, const std::string& socketPath,
         std::cout << client.readLine() << "\n";
         return 0;
       case service::Verb::kWatch:
-        return watchJob(client,
-                        static_cast<std::uint64_t>(cli.config().getInt("job", 0)));
+        return watchJob(client, cli.config().getU64("job", 0));
       case service::Verb::kCancel: {
-        const int job = cli.config().getInt("job", 0);
+        const std::uint64_t job = cli.config().getU64("job", 0);
         client.request("{\"op\":\"cancel\",\"job\":" + std::to_string(job) + "}");
         std::cout << "pnoc_run: job " << job << " canceled\n";
         return 0;
@@ -146,7 +145,7 @@ int runServeClient(scenario::Cli& cli, const std::string& socketPath,
         return 0;
       case service::Verb::kFleetAdd: {
         std::string line = "{\"op\":\"fleet-add\",\"workers\":" +
-                           std::to_string(cli.config().getInt("workers", 1));
+                           std::to_string(cli.config().getU64("workers", 1));
         const std::string launcher = cli.config().getString("launcher", "");
         if (!launcher.empty()) {
           line += ",\"launcher\":\"" + scenario::jsonEscape(launcher) + "\"";
@@ -162,7 +161,7 @@ int runServeClient(scenario::Cli& cli, const std::string& socketPath,
         return 0;
       }
       case service::Verb::kFleetRemove: {
-        const int worker = cli.config().getInt("worker", 0);
+        const std::uint64_t worker = cli.config().getU64("worker", 0);
         const scenario::JsonValue reply = client.request(
             "{\"op\":\"fleet-remove\",\"worker\":" + std::to_string(worker) + "}");
         std::cout << "pnoc_run: removed worker " << worker << ", fleet now "
