@@ -106,6 +106,9 @@ CliStatus Cli::parse(int argc, char** argv, ScenarioSpec* spec) {
         }
       }
       spec->applyOverrides(config_);
+      // The spec is final unless the driver layers its own grid (and
+      // validates each grid spec itself): refuse one that cannot build.
+      if (!collectSpecFiles_) spec->validate();
     } catch (const std::invalid_argument& error) {
       std::fprintf(stderr, "%s: %s\n", binary_.c_str(), error.what());
       return CliStatus::kError;

@@ -68,8 +68,10 @@ class Cli {
 
   /// Parses argv[1..]: applies @file spec files and scenario-key overrides
   /// onto `*spec` (skipped when spec == nullptr, for binaries without a
-  /// simulation scenario), handles help=1 and --pnoc-worker, parses the
-  /// runner keys when enabled, rejects unknown keys and malformed values.
+  /// simulation scenario) and validates it (ScenarioSpec::validate; not
+  /// with setCollectSpecFiles, whose driver validates each grid spec),
+  /// handles help=1 and --pnoc-worker, parses the runner keys when enabled,
+  /// rejects unknown keys and malformed values.
   CliStatus parse(int argc, char** argv, ScenarioSpec* spec);
 
   /// The parsed key=value store (for binary-specific keys).

@@ -11,6 +11,7 @@
 #include "scenario/json_record.hpp"
 #include "scenario/json_util.hpp"
 #include "scenario/scenario_runner.hpp"
+#include "scenario/wire.hpp"
 
 namespace pnoc::scenario::dispatch {
 namespace {
@@ -216,8 +217,7 @@ std::string serializedOutcomeRecord(const ScenarioOutcome& outcome,
     // A fail-soft per-job failure: a record with the job's identity and the
     // deterministic cause, no metrics.  The checkpoint loader treats it as
     // missing, so resume=1 re-dispatches exactly these indices.
-    JsonRecord& record =
-        scratch.add(outcome.op == ScenarioJob::Op::kRun ? "run" : "peak");
+    JsonRecord& record = scratch.add(wire::opName(outcome.op));
     record.integer("failed", 1);
     record.text("error", outcome.error);
     record.text("arch", outcome.spec.get("arch"));

@@ -2,8 +2,11 @@
 
 #include <stdexcept>
 
+#include "noc/topology.hpp"
 #include "scenario/json_util.hpp"
 #include "sim/suggest.hpp"
+#include "traffic/pattern.hpp"
+#include "workload/registry.hpp"
 
 namespace pnoc::scenario {
 namespace {
@@ -275,6 +278,19 @@ void ScenarioSpec::applyOverrides(sim::Config& config) {
       set(field.key, config.getString(field.key, ""));
     }
   }
+}
+
+void ScenarioSpec::validate() const {
+  params.validate();
+  // Built as the network builds them, then dropped.
+  const noc::ClusterTopology topology(params.numCores, params.clusterSize);
+  const auto pattern =
+      traffic::makePattern(params.pattern, topology, params.bandwidthSet);
+  workload::WorkloadBuildContext context;
+  context.topology = &topology;
+  context.pattern = pattern.get();
+  context.defaultPacketFlits = params.bandwidthSet.packetFlits;
+  workload::makeWorkload(params.workload, context);
 }
 
 std::string ScenarioSpec::toJson() const {

@@ -66,6 +66,13 @@ class ScenarioSpec {
   /// them (binary-specific keys remain unconsumed for the caller).
   void applyOverrides(sim::Config& config);
 
+  /// The one intake check: the params' own rules, plus building the
+  /// pattern and the workload once (then dropping them).  Throws
+  /// std::invalid_argument with the builder's message ("unknown traffic
+  /// pattern: 'bogus'").  Cli::parse, pnoc_run's grid and the daemon's
+  /// submit call it before anything is dispatched.
+  void validate() const;
+
   /// Single-line flat JSON object, canonical field order; round-trips
   /// byte-identically through fromJson().
   std::string toJson() const;

@@ -88,6 +88,8 @@ metrics::LoadPoint loadPointFromJson(const JsonValue& value) {
   return point;
 }
 
+}  // namespace
+
 std::string opName(ScenarioJob::Op op) {
   return op == ScenarioJob::Op::kRun ? "run" : "peak";
 }
@@ -95,10 +97,8 @@ std::string opName(ScenarioJob::Op op) {
 ScenarioJob::Op parseOp(const std::string& name) {
   if (name == "run") return ScenarioJob::Op::kRun;
   if (name == "peak") return ScenarioJob::Op::kFindPeak;
-  throw std::invalid_argument("'" + name + "' is not a scenario op (run | peak)");
+  throw std::invalid_argument("mode must be run or peak, not '" + name + "'");
 }
-
-}  // namespace
 
 std::string toJson(const metrics::RunMetrics& metrics) {
   std::string out = "{";
@@ -198,40 +198,41 @@ bool parseStreamHello(const std::string& line, int& version) {
   }
 }
 
-void checkStreamAck(const std::string& line) {
+void checkHandshake(const std::string& line, const Handshake& handshake) {
+  const std::string peer = handshake.peer;
   std::uint64_t version = 0;
-  std::string build;
-  bool buildStamped = false;
+  const JsonValue* build = nullptr;
+  JsonValue value;
   try {
-    const JsonValue value = JsonValue::parse(line);
-    version = value.at("pnoc_stream_ack").asU64();
-    if (const JsonValue* stamp = value.find("build")) {
-      build = stamp->asString();
-      buildStamped = true;
-    }
+    value = JsonValue::parse(line);
+    version = value.at(handshake.key).asU64();
+    build = value.find("build");
+    if (build != nullptr) build->asString();  // a non-string stamp: no handshake
   } catch (const std::invalid_argument&) {
-    throw std::runtime_error(
-        "worker did not acknowledge the streaming protocol (got '" + line +
-        "' — a batch-protocol worker from an older build?)");
+    throw std::runtime_error(peer + " did not acknowledge the " + handshake.protocol +
+                             " (got '" + line.substr(0, 120) + "')");
   }
-  if (version != static_cast<std::uint64_t>(kStreamProtocolVersion)) {
-    throw std::runtime_error("worker speaks streaming protocol version " +
-                             std::to_string(version) + ", this driver speaks " +
-                             std::to_string(kStreamProtocolVersion));
+  if (version != static_cast<std::uint64_t>(handshake.version)) {
+    throw std::runtime_error(peer + " speaks " + handshake.protocol + " version " +
+                             std::to_string(version) + ", this " + handshake.self +
+                             " speaks " + std::to_string(handshake.version));
   }
   // The protocol version gates the session SHAPE; the build stamp gates the
-  // payload format.  A worker binary from a different build is rejected by
-  // name here, at the handshake, instead of corrupting a job line later.
-  if (!buildStamped) {
-    throw std::runtime_error(
-        "worker acknowledged the streaming protocol but carries no build"
-        " stamp — a worker binary from an older build; rebuild the fleet");
+  // payload format, so a peer from another build is refused here by name.
+  if (build == nullptr) {
+    throw std::runtime_error(peer + " carries no build stamp — a " + peer +
+                             " from an older build; " + handshake.remedy);
   }
-  if (build != kBuildVersion) {
-    throw std::runtime_error("worker build '" + build +
-                             "' does not match driver build '" + kBuildVersion +
-                             "' — rebuild the fleet from one tree");
+  if (build->asString() != kBuildVersion) {
+    throw std::runtime_error(peer + " build '" + build->asString() + "' does not match " +
+                             handshake.self + " build '" + kBuildVersion + "' — " +
+                             handshake.remedy);
   }
+}
+
+void checkStreamAck(const std::string& line) {
+  checkHandshake(line, {"pnoc_stream_ack", kStreamProtocolVersion, "worker", "driver",
+                        "streaming protocol", "rebuild the fleet from one tree"});
 }
 
 std::string jobLine(std::size_t index, const ScenarioJob& job) {

@@ -54,9 +54,28 @@ std::string streamHelloLine();
 std::string streamAckLine();
 /// True when `line` is a streaming hello (any version); fills `version`.
 bool parseStreamHello(const std::string& line, int& version);
-/// Validates a worker's ack line; throws std::runtime_error naming the
-/// problem when the line is not an ack or its version differs from ours.
+/// The first line a peer sends: a JSON object whose `key` member carries
+/// the protocol version and whose "build" member carries the build stamp
+/// (scenario/version.hpp).  The names fill the rejection messages.
+struct Handshake {
+  const char* key;       // "pnoc_stream_ack" | "pnoc_serve"
+  int version;           // the protocol version this side speaks
+  const char* peer;      // who sent the line: "worker" | "daemon"
+  const char* self;      // this side: "driver" | "client"
+  const char* protocol;  // "streaming protocol" | "service protocol"
+  const char* remedy;    // what to do about a missing or foreign stamp
+};
+/// The one handshake check — parse, key, version, build stamp; throws
+/// std::runtime_error naming the first that fails.
+void checkHandshake(const std::string& line, const Handshake& handshake);
+/// Validates a worker's ack line (checkHandshake with the worker's names).
 void checkStreamAck(const std::string& line);
+
+/// The one `run|peak` <-> ScenarioJob::Op mapping: job and reply lines,
+/// BENCH record names, pnoc_run's mode= and the service's job "mode".
+std::string opName(ScenarioJob::Op op);
+/// Throws std::invalid_argument ("mode must be run or peak, not 'x'").
+ScenarioJob::Op parseOp(const std::string& name);
 
 // --- worker protocol lines (no trailing newline; one line per job) ---
 

@@ -2,6 +2,9 @@
 
 #include <stdexcept>
 
+#include "scenario/json_util.hpp"
+#include "scenario/wire.hpp"
+
 namespace pnoc::service {
 namespace {
 
@@ -35,6 +38,52 @@ std::size_t GridJob::failedUnits() const {
   std::size_t count = 0;
   for (const bool failed : unitFailed) count += failed ? 1 : 0;
   return count;
+}
+
+std::string gridJobMembers(const GridJob& job) {
+  std::string out = "\"client\":\"" + scenario::jsonEscape(job.client) +
+                    "\",\"priority\":" + std::to_string(job.priority) +
+                    ",\"mode\":\"" + scenario::wire::opName(job.op) +
+                    "\",\"bench\":\"" + scenario::jsonEscape(job.benchName) +
+                    "\",\"dir\":\"" + scenario::jsonEscape(job.outDir) +
+                    "\",\"specs\":[";
+  for (std::size_t s = 0; s < job.grid.size(); ++s) {
+    if (s != 0) out += ",";
+    out += job.grid[s].toJson();
+  }
+  out += "]";
+  return out;
+}
+
+GridJob parseGridJob(const scenario::JsonValue& object) {
+  GridJob job;
+  if (const scenario::JsonValue* client = object.find("client")) {
+    job.client = client->asString();
+  }
+  if (const scenario::JsonValue* priority = object.find("priority")) {
+    job.priority = priority->asU64();
+  }
+  if (const scenario::JsonValue* mode = object.find("mode")) {
+    job.op = scenario::wire::parseOp(mode->asString());
+  }
+  if (const scenario::JsonValue* bench = object.find("bench")) {
+    job.benchName = bench->asString();
+  }
+  if (const scenario::JsonValue* dir = object.find("dir")) {
+    job.outDir = dir->asString();
+  }
+  const scenario::JsonValue* specs = object.find("specs");
+  if (specs == nullptr || specs->items().empty()) {
+    throw std::invalid_argument("submit needs a non-empty \"specs\" array");
+  }
+  try {
+    for (const scenario::JsonValue& item : specs->items()) {
+      job.grid.emplace_back().applyJsonObject(item);
+    }
+  } catch (const std::invalid_argument& error) {
+    throw std::invalid_argument(std::string("bad spec: ") + error.what());
+  }
+  return job;
 }
 
 std::uint64_t JobQueue::submit(GridJob job) {

@@ -44,11 +44,13 @@ std::string toString(JobState state);
 
 struct GridJob {
   std::uint64_t id = 0;
+  // The description (gridJobMembers / parseGridJob); the initializers are
+  // the defaults of members a submit request omits.
   std::string client;
   std::uint64_t priority = 0;  // larger runs sooner
   scenario::ScenarioJob::Op op = scenario::ScenarioJob::Op::kRun;
-  std::string benchName;  // BENCH_<benchName>.json
-  std::string outDir;     // directory the BENCH file lands in
+  std::string benchName = "pnoc_run";  // BENCH_<benchName>.json
+  std::string outDir = ".";            // directory the BENCH file lands in
   std::vector<scenario::ScenarioSpec> grid;
 
   // Per-unit progress, indexed like `grid`.  The units' BENCH records live
@@ -69,6 +71,19 @@ struct GridJob {
            state == JobState::kCanceled;
   }
 };
+
+/// The one codec of a job's description: its JSON object members, without
+/// braces — "client","priority","mode","bench","dir","specs" in that order,
+/// specs in ScenarioSpec::toJson() form.  A submit request is
+/// {"op":"submit",<members>}; a journal submit event is
+/// {"event":"submit","job":N,<members>}.
+std::string gridJobMembers(const GridJob& job);
+
+/// Reads the members back; absent ones keep GridJob's defaults and each
+/// spec layers over ScenarioSpec's.  Specs are parsed, not validated.
+/// Throws std::invalid_argument on a bad mode, a missing or empty "specs"
+/// array, or a malformed spec ("bad spec: ...").
+GridJob parseGridJob(const scenario::JsonValue& object);
 
 class JobQueue {
  public:

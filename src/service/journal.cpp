@@ -29,25 +29,14 @@ std::uint64_t microsSince(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-std::string submitEventLine(const JournalJob& job) {
-  std::string line = "{\"event\":\"submit\",\"job\":" + std::to_string(job.id) +
-                     ",\"client\":\"" + scenario::jsonEscape(job.client) +
-                     "\",\"priority\":" + std::to_string(job.priority) +
-                     ",\"mode\":\"" + scenario::jsonEscape(job.mode) +
-                     "\",\"bench\":\"" + scenario::jsonEscape(job.bench) +
-                     "\",\"dir\":\"" + scenario::jsonEscape(job.dir) +
-                     "\",\"specs\":[";
-  for (std::size_t s = 0; s < job.specJson.size(); ++s) {
-    if (s != 0) line += ",";
-    line += job.specJson[s];
-  }
-  line += "]}";
-  return line;
+std::string submitEventLine(const GridJob& job) {
+  return "{\"event\":\"submit\",\"job\":" + std::to_string(job.id) + "," +
+         gridJobMembers(job) + "}";
 }
 
-std::vector<JournalJob> replayJournalText(const std::string& text,
-                                          const std::string& origin) {
-  std::vector<JournalJob> jobs;
+std::vector<GridJob> replayJournalText(const std::string& text,
+                                       const std::string& origin) {
+  std::vector<GridJob> jobs;
   std::vector<bool> terminal;  // indexed like `jobs`
   const auto findJob = [&](std::uint64_t id) -> std::size_t {
     for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -91,40 +80,8 @@ std::vector<JournalJob> replayJournalText(const std::string& text,
           throw std::invalid_argument("duplicate submit for job " +
                                       std::to_string(id));
         }
-        JournalJob job;
+        GridJob job = parseGridJob(event);
         job.id = id;
-        job.client = event.at("client").asString();
-        job.priority = event.at("priority").asU64();
-        job.mode = event.at("mode").asString();
-        job.bench = event.at("bench").asString();
-        job.dir = event.at("dir").asString();
-        for (const scenario::JsonValue& spec : event.at("specs").items()) {
-          // Re-serialize through ScenarioSpec for canonical bytes?  No:
-          // the submit line already carries toJson() output verbatim, and
-          // re-extracting the raw slice is what keeps replay byte-exact.
-          std::string raw = "{";
-          bool first = true;
-          for (const auto& [key, value] : spec.members()) {
-            if (!first) raw += ",";
-            first = false;
-            raw += '"';
-            raw += scenario::jsonEscape(key);
-            raw += "\":";
-            if (value.kind() == scenario::JsonValue::Kind::kString) {
-              raw += '"';
-              raw += scenario::jsonEscape(value.asString());
-              raw += '"';
-            } else {
-              raw += value.raw();
-            }
-          }
-          raw += "}";
-          job.specJson.push_back(std::move(raw));
-        }
-        if (job.specJson.empty()) {
-          throw std::invalid_argument("submit for job " + std::to_string(id) +
-                                      " carries no specs");
-        }
         jobs.push_back(std::move(job));
         terminal.push_back(false);
       } else if (kind == "done" || kind == "cancel") {
@@ -142,7 +99,7 @@ std::vector<JournalJob> replayJournalText(const std::string& text,
     throw std::invalid_argument("service journal '" + origin + "': " +
                                 error.what());
   }
-  std::vector<JournalJob> live;
+  std::vector<GridJob> live;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     if (!terminal[j]) live.push_back(std::move(jobs[j]));
   }
@@ -174,12 +131,12 @@ void QueueJournal::bindMetrics(obs::Registry* registry) {
   liveJobs_ = registry->gauge("journal_live_jobs");
 }
 
-std::vector<JournalJob> QueueJournal::open(const std::string& path) {
+std::vector<GridJob> QueueJournal::open(const std::string& path) {
   const obs::ScopedSpan span("journal-compact", "journal");
   const auto start = std::chrono::steady_clock::now();
   close();
   path_ = path;
-  std::vector<JournalJob> live;
+  std::vector<GridJob> live;
   {
     std::ifstream in(path);
     if (in) {
@@ -196,7 +153,7 @@ std::vector<JournalJob> QueueJournal::open(const std::string& path) {
     throw std::runtime_error("service journal '" + path +
                              "': cannot write: " + std::strerror(errno));
   }
-  for (const JournalJob& job : live) {
+  for (const GridJob& job : live) {
     const std::string line = submitEventLine(job) + "\n";
     std::fwrite(line.data(), 1, line.size(), out);
   }
@@ -233,7 +190,7 @@ void QueueJournal::appendLine(const std::string& line) {
   fsyncUs_.observe(microsSince(start));
 }
 
-void QueueJournal::appendSubmit(const JournalJob& job) {
+void QueueJournal::appendSubmit(const GridJob& job) {
   appendLine(submitEventLine(job));
 }
 

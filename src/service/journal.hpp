@@ -8,13 +8,17 @@
 //   {"event":"cancel","job":3}
 //   {"event":"done","job":3}
 //
-// A submit carries the FULL canonical spec JSONs (ScenarioSpec::toJson,
-// which round-trips byte-identically), so a daemon restart reconstructs
-// every accepted job exactly — no reference back to client-side files that
-// may have changed.  `done` marks a job whose final BENCH file is on disk
-// (failed jobs included: their records are written too); `cancel` marks an
-// operator cancel.  Replay folds the events: live jobs are submits without
-// a terminal event.
+// A submit event is the submit request's members (gridJobMembers, the one
+// GridJob codec in service/job_queue.hpp) behind "event" and "job".  Its
+// specs are the FULL canonical spec JSONs (ScenarioSpec::toJson, which
+// round-trips byte-identically), so a daemon restart reconstructs every
+// accepted job exactly — no reference back to client-side files that may
+// have changed — and compaction rewrites a live submit byte for byte.
+// `done` marks a job whose final BENCH file is on disk (failed jobs
+// included: their records are written too); `cancel` marks an operator
+// cancel.  Replay folds the events: live jobs are submits without a
+// terminal event.  Replay does not re-validate specs (ScenarioSpec::
+// validate): a job accepted once always restarts.
 //
 // Unit-level progress is deliberately NOT journaled — each job's partial
 // results live in its own BENCH checkpoint file (dispatch/checkpoint),
@@ -35,29 +39,19 @@
 #include <vector>
 
 #include "obs/registry.hpp"
+#include "service/job_queue.hpp"
 
 namespace pnoc::service {
 
-/// One live job as replay reconstructs it.
-struct JournalJob {
-  std::uint64_t id = 0;
-  std::string client;
-  std::uint64_t priority = 0;
-  std::string mode;  // "run" | "peak"
-  std::string bench;
-  std::string dir;
-  std::vector<std::string> specJson;  // canonical per-spec JSON, verbatim
-};
-
 /// Serializes one job as its submit event line (no trailing newline).
-std::string submitEventLine(const JournalJob& job);
+std::string submitEventLine(const GridJob& job);
 
-/// Replays journal `text`: returns the live jobs (submit order), tolerating
-/// a truncated/garbage trailing line.  Throws std::invalid_argument on
-/// corruption anywhere else, duplicate ids, or terminal events for unknown
-/// jobs; `origin` names the journal in errors.
-std::vector<JournalJob> replayJournalText(const std::string& text,
-                                          const std::string& origin);
+/// Replays journal `text`: returns the live jobs (submit order, ids set),
+/// tolerating a truncated/garbage trailing line.  Throws
+/// std::invalid_argument on corruption anywhere else, duplicate ids, or
+/// terminal events for unknown jobs; `origin` names the journal in errors.
+std::vector<GridJob> replayJournalText(const std::string& text,
+                                       const std::string& origin);
 
 class QueueJournal {
  public:
@@ -71,11 +65,11 @@ class QueueJournal {
   /// temp + rename), and leaves it open for appends.  Returns the live
   /// jobs.  Throws std::runtime_error on I/O failure,
   /// std::invalid_argument on corruption (see replayJournalText).
-  std::vector<JournalJob> open(const std::string& path);
+  std::vector<GridJob> open(const std::string& path);
 
   /// Appends one event, flushed AND fsync'd before returning — an
   /// acknowledged submit survives any crash after the ack.
-  void appendSubmit(const JournalJob& job);
+  void appendSubmit(const GridJob& job);
   void appendCancel(std::uint64_t id);
   void appendDone(std::uint64_t id);
 

@@ -4,6 +4,7 @@
 
 #include "scenario/json_util.hpp"
 #include "scenario/version.hpp"
+#include "scenario/wire.hpp"
 #include "sim/suggest.hpp"
 
 namespace pnoc::service {
@@ -14,36 +15,9 @@ std::string serviceBannerLine() {
 }
 
 void checkServiceBanner(const std::string& line) {
-  scenario::JsonValue banner;
-  try {
-    banner = scenario::JsonValue::parse(line);
-  } catch (const std::invalid_argument&) {
-    throw std::runtime_error(
-        "expected a pnoc_serve banner, got an unparseable line: " +
-        (line.size() > 120 ? line.substr(0, 120) + "..." : line));
-  }
-  const scenario::JsonValue* version = banner.find("pnoc_serve");
-  if (version == nullptr) {
-    throw std::runtime_error("the socket did not present a pnoc_serve banner"
-                             " — is this a pnoc_serve socket?");
-  }
-  if (version->asU64() != static_cast<std::uint64_t>(kServeProtocolVersion)) {
-    throw std::runtime_error(
-        "daemon speaks service protocol version " + version->raw() +
-        ", this client speaks " + std::to_string(kServeProtocolVersion));
-  }
-  const scenario::JsonValue* build = banner.find("build");
-  if (build == nullptr) {
-    throw std::runtime_error(
-        "daemon banner carries no build stamp — a daemon from an older"
-        " build; restart it from this tree");
-  }
-  if (build->asString() != scenario::kBuildVersion) {
-    throw std::runtime_error("daemon build '" + build->asString() +
-                             "' does not match client build '" +
-                             scenario::kBuildVersion +
-                             "' — restart the daemon from this tree");
-  }
+  scenario::wire::checkHandshake(line, {"pnoc_serve", kServeProtocolVersion, "daemon",
+                                        "client", "service protocol",
+                                        "restart the daemon from this tree"});
 }
 
 const std::vector<std::string>& verbNames() {

@@ -29,9 +29,8 @@ inline constexpr int kServeProtocolVersion = 1;
 /// Daemon -> client, the first line of every session.
 std::string serviceBannerLine();
 
-/// Validates a daemon's banner line; throws std::runtime_error naming the
-/// problem when the line is not a service banner, its protocol version
-/// differs, or its build stamp is absent or differs from this binary's.
+/// Validates a daemon's banner line (scenario::wire::checkHandshake with
+/// the daemon's names); throws std::runtime_error naming the problem.
 void checkServiceBanner(const std::string& line);
 
 /// The request verbs, in the order verbNames() lists them.

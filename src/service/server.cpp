@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "scenario/dispatch/hosts_file.hpp"
+#include "scenario/wire.hpp"
 #include "service/protocol.hpp"
 #include "sim/interrupt.hpp"
 
@@ -109,22 +110,11 @@ void ServeDaemon::start() {
   setNonBlocking(listenFd_);
 
   // --- journal replay: every job accepted before the restart comes back ---
-  std::vector<JournalJob> live;
+  std::vector<GridJob> live;
   if (!options_.journalPath.empty()) {
     live = journal_.open(options_.journalPath);
   }
-  for (JournalJob& entry : live) {
-    GridJob job;
-    job.id = entry.id;
-    job.client = entry.client;
-    job.priority = entry.priority;
-    job.op = entry.mode == "peak" ? scenario::ScenarioJob::Op::kFindPeak
-                                  : scenario::ScenarioJob::Op::kRun;
-    job.benchName = entry.bench;
-    job.outDir = entry.dir;
-    for (const std::string& specJson : entry.specJson) {
-      job.grid.push_back(scenario::ScenarioSpec::fromJson(specJson));
-    }
+  for (GridJob& job : live) {
     const std::uint64_t id = queue_.submit(std::move(job));
     GridJob* resumed = queue_.find(id);
     scenario::dispatch::BenchCheckpoint& checkpoint = checkpoints_[id];
@@ -134,9 +124,9 @@ void ServeDaemon::start() {
     // reported and the whole job re-dispatches — resume must never merge
     // records from a different grid.
     try {
-      const bool run = resumed->op == scenario::ScenarioJob::Op::kRun;
       checkpoint = scenario::dispatch::loadBenchCheckpoint(
-          resumed->outDir, resumed->benchName, run ? "run" : "peak", resumed->grid);
+          resumed->outDir, resumed->benchName,
+          scenario::wire::opName(resumed->op), resumed->grid);
       for (std::size_t u = 0; u < resumed->unitCount(); ++u) {
         if (checkpoint.rawByIndex[u] && queue_.unitDone(UnitKey{id, u}, false)) {
           finalizeJob(*resumed);  // every unit was on disk; drops `checkpoint`
@@ -383,43 +373,14 @@ void ServeDaemon::handleSubmit(Session& session,
     send(session, errorReplyLine("daemon is draining; not accepting submits"));
     return;
   }
-  GridJob job;
-  if (const scenario::JsonValue* client = request.find("client")) {
-    job.client = client->asString();
-  }
-  if (const scenario::JsonValue* priority = request.find("priority")) {
-    job.priority = priority->asU64();
-  }
-  std::string mode = "run";
-  if (const scenario::JsonValue* m = request.find("mode")) mode = m->asString();
-  if (mode != "run" && mode != "peak") {
-    send(session, errorReplyLine("mode must be run or peak, not '" + mode + "'"));
-    return;
-  }
-  job.op = mode == "peak" ? scenario::ScenarioJob::Op::kFindPeak
-                          : scenario::ScenarioJob::Op::kRun;
-  job.benchName = "pnoc_run";
-  if (const scenario::JsonValue* bench = request.find("bench")) {
-    job.benchName = bench->asString();
-  }
-  job.outDir = ".";
-  if (const scenario::JsonValue* dir = request.find("dir")) {
-    job.outDir = dir->asString();
-  }
-  const scenario::JsonValue* specs = request.find("specs");
-  if (specs == nullptr || specs->items().empty()) {
-    send(session, errorReplyLine("submit needs a non-empty \"specs\" array"));
-    return;
-  }
-  try {
-    for (const scenario::JsonValue& item : specs->items()) {
-      scenario::ScenarioSpec spec;
-      spec.applyJsonObject(item);
-      job.grid.push_back(std::move(spec));
+  GridJob job = parseGridJob(request);
+  for (const scenario::ScenarioSpec& spec : job.grid) {
+    try {
+      spec.validate();
+    } catch (const std::invalid_argument& error) {
+      send(session, errorReplyLine(std::string("bad spec: ") + error.what()));
+      return;
     }
-  } catch (const std::invalid_argument& error) {
-    send(session, errorReplyLine(std::string("bad spec: ") + error.what()));
-    return;
   }
   // Two live jobs writing one BENCH path would interleave checkpoints into
   // a file neither owns; reject the second up front.
@@ -431,23 +392,13 @@ void ServeDaemon::handleSubmit(Session& session,
       return;
     }
   }
-  JournalJob entry;
-  for (const scenario::ScenarioSpec& spec : job.grid) {
-    entry.specJson.push_back(spec.toJson());
-  }
   const std::size_t units = job.grid.size();
   const std::uint64_t id = queue_.submit(std::move(job));
   const GridJob* accepted = queue_.find(id);
   checkpoints_.emplace(id, scenario::dispatch::BenchCheckpoint(
                                accepted->outDir, accepted->benchName, units));
-  entry.id = id;
-  entry.client = accepted->client;
-  entry.priority = accepted->priority;
-  entry.mode = mode;
-  entry.bench = accepted->benchName;
-  entry.dir = accepted->outDir;
   // Journal BEFORE the ack: an acknowledged submit must survive any crash.
-  journal_.appendSubmit(entry);
+  journal_.appendSubmit(*accepted);
   if (obs::TraceWriter* writer = obs::trace()) {
     writer->instant("submit", "service");
     for (std::size_t u = 0; u < units; ++u) {

@@ -22,6 +22,10 @@
 //
 //   {"op":"submit","client":"a","priority":2,"mode":"run","bench":"x",
 //    "dir":"out","specs":[{...},...]}         -> {"ok":1,"job":N,"units":M}
+//     (the members after "op" are the GridJob codec's, job_queue.hpp; the
+//     journal's submit event is the same members behind "event" and "job".
+//     Every spec must pass ScenarioSpec::validate, else "bad spec: ..." and
+//     nothing is journaled)
 //   {"op":"status"}                           -> one status document
 //   {"op":"watch","job":N}                    -> event stream until terminal
 //   {"op":"cancel","job":N}                   -> {"ok":1,"job":N}

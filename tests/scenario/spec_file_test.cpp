@@ -13,6 +13,8 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "scenario/cli.hpp"
 
@@ -204,6 +206,29 @@ TEST(CliSpecFiles, CollectModeKeepsFilesForTheDriver) {
   EXPECT_EQ(cli.specFiles()[0], file.path());
   EXPECT_EQ(spec.params.pattern, "uniform") << "collect mode must not apply files";
   EXPECT_EQ(spec.params.seed, 3u);  // plain overrides still apply
+}
+
+TEST(CliSpecFiles, SpecThatCannotBuildFailsTheParse) {
+  // The intake check: a pattern or workload that cannot be built is an
+  // error at parse time, named, not a crash later in the run.
+  const auto parseOf = [](std::vector<const char*> argv, bool collect) {
+    ScenarioSpec spec;
+    Cli cli("test_binary", "intake check");
+    cli.setCollectSpecFiles(collect);
+    testing::internal::CaptureStderr();
+    const CliStatus status =
+        cli.parse(static_cast<int>(argv.size()), const_cast<char**>(argv.data()), &spec);
+    return std::make_pair(status, testing::internal::GetCapturedStderr());
+  };
+  const auto [status, stderrText] = parseOf({"test_binary", "pattern=bogus"}, false);
+  EXPECT_EQ(status, CliStatus::kError);
+  EXPECT_NE(stderrText.find("unknown traffic pattern: 'bogus'"), std::string::npos)
+      << stderrText;
+  EXPECT_EQ(parseOf({"test_binary", "workload=closed:windw=4"}, false).first,
+            CliStatus::kError);
+  // A grid driver layers files over the parsed spec and checks each
+  // layered spec itself.
+  EXPECT_EQ(parseOf({"pnoc_run", "pattern=bogus"}, true).first, CliStatus::kRun);
 }
 
 TEST(CliBackendKeys, BackendAndShardsParse) {

@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 
+#include "scenario/json_util.hpp"
 #include "service/job_queue.hpp"
 
 namespace pnoc::service {
@@ -41,6 +42,47 @@ TEST(JobQueue, SubmitAssignsSequentialIdsAndValidates) {
   GridJob duplicate = makeJob("b", 0, 1);
   duplicate.id = 9;
   EXPECT_THROW(queue.submit(std::move(duplicate)), std::invalid_argument);
+}
+
+TEST(JobQueue, SubmitRequestOmissionsTakeTheDefaults) {
+  // The smallest submit a client may send: every other member defaults.
+  const GridJob bare = parseGridJob(
+      scenario::JsonValue::parse("{\"op\":\"submit\",\"specs\":[{}]}"));
+  EXPECT_EQ(bare.client, "");
+  EXPECT_EQ(bare.priority, 0u);
+  EXPECT_EQ(bare.op, scenario::ScenarioJob::Op::kRun);
+  EXPECT_EQ(bare.benchName, "pnoc_run");
+  EXPECT_EQ(bare.outDir, ".");
+  ASSERT_EQ(bare.grid.size(), 1u);
+  EXPECT_EQ(bare.grid[0].toJson(), scenario::ScenarioSpec().toJson());
+
+  // A submit without "priority" (the benchmark client's shape), then the
+  // full member list written back and read again.
+  scenario::ScenarioSpec spec;
+  spec.set("pattern", "skewed3");
+  const GridJob job = parseGridJob(scenario::JsonValue::parse(
+      "{\"op\":\"submit\",\"client\":\"c\",\"mode\":\"peak\",\"bench\":\"b\","
+      "\"dir\":\"d\",\"specs\":[{\"pattern\":\"skewed3\"}]}"));
+  EXPECT_EQ(job.priority, 0u);
+  EXPECT_EQ(gridJobMembers(job),
+            "\"client\":\"c\",\"priority\":0,\"mode\":\"peak\",\"bench\":\"b\","
+            "\"dir\":\"d\",\"specs\":[" + spec.toJson() + "]");
+
+  // Refusals keep the daemon's reply texts.
+  const auto refusal = [](const std::string& text) {
+    try {
+      parseGridJob(scenario::JsonValue::parse(text));
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("(accepted)");
+  };
+  EXPECT_EQ(refusal("{\"mode\":\"sideways\",\"specs\":[{}]}"),
+            "mode must be run or peak, not 'sideways'");
+  EXPECT_EQ(refusal("{\"specs\":[]}"), "submit needs a non-empty \"specs\" array");
+  EXPECT_EQ(refusal("{\"client\":\"a\"}"),
+            "submit needs a non-empty \"specs\" array");
+  EXPECT_EQ(refusal("{\"specs\":[{\"wavelenghts\":1}]}").rfind("bad spec: ", 0), 0u);
 }
 
 TEST(JobQueue, HigherPriorityDispatchesFirst) {

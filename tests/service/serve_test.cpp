@@ -547,5 +547,23 @@ TEST(ServeDaemon, ProtocolErrorsAreNamedAndSuggested) {
   EXPECT_NO_THROW(client.request("{\"op\":\"status\"}"));
 }
 
+TEST(ServeDaemon, SubmitOfASpecThatCannotBuildIsRefusedUnjournaled) {
+  DaemonHarness harness;
+  harness.start();
+  ServeClient client(harness.options.socketPath);
+
+  std::vector<scenario::ScenarioSpec> grid = quickGrid(2, 970);
+  grid[1].set("pattern", "bogus");  // set() stores it; validate() refuses it
+  client.sendLine(submitLine(grid, harness.dir(), "bogus"));
+  const scenario::JsonValue reply = scenario::JsonValue::parse(client.readLine());
+  EXPECT_EQ(reply.at("ok").asU64(), 0u);
+  EXPECT_EQ(reply.at("error").asString(),
+            "bad spec: unknown traffic pattern: 'bogus'");
+  EXPECT_NO_THROW(client.request("{\"op\":\"status\"}"));
+  // Nothing was accepted, so nothing reached the journal.
+  EXPECT_EQ(readAll(harness.options.journalPath).find("\"event\":\"submit\""),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace pnoc::service

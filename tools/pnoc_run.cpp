@@ -36,7 +36,9 @@
 #include "scenario/dispatch/fleet.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "scenario/spec_file.hpp"
+#include "scenario/wire.hpp"
 #include "service/client.hpp"
+#include "service/job_queue.hpp"
 #include "service/protocol.hpp"
 #include "sim/interrupt.hpp"
 
@@ -85,13 +87,11 @@ int watchJob(service::ServeClient& client, std::uint64_t job) {
 /// The serve= thin-client mode: one protocol op against a running
 /// pnoc_serve daemon instead of a local dispatch.
 int runServeClient(scenario::Cli& cli, const std::string& socketPath,
-                   const std::string& mode, const std::string& benchName,
-                   const std::string& jsonDir,
-                   const std::vector<scenario::ScenarioSpec>& grid) {
-  const std::string opName = cli.config().getString("op", "submit");
+                   service::GridJob job) {
   service::Verb verb;
   try {
-    verb = service::parseVerb(opName);  // typos get a did-you-mean
+    // typos get a did-you-mean
+    verb = service::parseVerb(cli.config().getString("op", "submit"));
   } catch (const std::invalid_argument& error) {
     std::cerr << "pnoc_run: " << error.what() << "\n";
     return 1;
@@ -100,28 +100,15 @@ int runServeClient(scenario::Cli& cli, const std::string& socketPath,
     service::ServeClient client(socketPath);
     switch (verb) {
       case service::Verb::kSubmit: {
-        std::string line = "{\"op\":\"submit\"";
-        const std::string clientName = cli.config().getString("client", "");
-        if (!clientName.empty()) {
-          line += ",\"client\":\"" + scenario::jsonEscape(clientName) + "\"";
-        }
-        line += ",\"priority\":" +
-                std::to_string(cli.config().getU64("priority", 0));
-        line += ",\"mode\":\"" + mode + "\"";
-        line += ",\"bench\":\"" + scenario::jsonEscape(benchName) + "\"";
-        line += ",\"dir\":\"" + scenario::jsonEscape(jsonDir) + "\"";
-        line += ",\"specs\":[";
-        for (std::size_t s = 0; s < grid.size(); ++s) {
-          if (s != 0) line += ",";
-          line += grid[s].toJson();
-        }
-        line += "]}";
-        const scenario::JsonValue reply = client.request(line);
-        const std::uint64_t job = reply.at("job").asU64();
-        std::cout << "pnoc_run: job " << job << " accepted ("
+        job.client = cli.config().getString("client", "");
+        job.priority = cli.config().getU64("priority", 0);
+        const scenario::JsonValue reply = client.request(
+            "{\"op\":\"submit\"," + service::gridJobMembers(job) + "}");
+        const std::uint64_t id = reply.at("job").asU64();
+        std::cout << "pnoc_run: job " << id << " accepted ("
                   << reply.at("units").asU64() << " unit(s))\n";
         if (!cli.config().getBool("wait", true)) return 0;
-        return watchJob(client, job);
+        return watchJob(client, id);
       }
       case service::Verb::kStatus:
         client.sendLine("{\"op\":\"status\"}");
@@ -245,19 +232,15 @@ int main(int argc, char** argv) {
     case scenario::CliStatus::kRun: break;
   }
 
-  std::string mode;
+  auto op = scenario::ScenarioJob::Op::kRun;
   std::string benchName;
   std::string jsonDir;
   bool resume = false;
   try {
-    mode = cli.config().getString("mode", "run");
+    op = scenario::wire::parseOp(cli.config().getString("mode", "run"));
     benchName = cli.config().getString("bench", "pnoc_run");
     jsonDir = cli.config().getString("json", ".");
     resume = cli.config().getBool("resume", false);
-    if (mode != "run" && mode != "peak") {
-      std::cerr << "pnoc_run: mode must be run or peak, not '" << mode << "'\n";
-      return 1;
-    }
   } catch (const std::invalid_argument& error) {
     std::cerr << "pnoc_run: " << error.what() << "\n";
     return 1;
@@ -278,6 +261,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (grid.empty()) grid.push_back(base);  // no files: one spec from the CLI
+  // The intake check: no dispatch, no BENCH write, when any spec cannot build.
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    try {
+      grid[i].validate();
+    } catch (const std::invalid_argument& error) {
+      std::cerr << "pnoc_run: grid index " << i << ": " << error.what() << "\n";
+      return 1;
+    }
+  }
 
   // SIGINT/SIGTERM mid-grid abort the dispatch with a named exception, so
   // the failure path below flushes the checkpoint and resume=1 picks the
@@ -309,7 +301,9 @@ int main(int argc, char** argv) {
   // daemon instead of a local backend.
   const std::string serveSocket = cli.config().getString("serve", "");
   if (!serveSocket.empty()) {
-    return runServeClient(cli, serveSocket, mode, benchName, jsonDir, grid);
+    return runServeClient(cli, serveSocket,
+                          {.op = op, .benchName = benchName, .outDir = jsonDir,
+                           .grid = std::move(grid)});
   }
 
   scenario::dispatch::BenchCheckpoint checkpoint(jsonDir, benchName, grid.size());
@@ -323,7 +317,8 @@ int main(int argc, char** argv) {
   // dispatch the indices it is missing.
   try {
     if (resume) {
-      checkpoint = scenario::dispatch::loadBenchCheckpoint(jsonDir, benchName, mode, grid);
+      checkpoint = scenario::dispatch::loadBenchCheckpoint(
+          jsonDir, benchName, scenario::wire::opName(op), grid);
     }
   } catch (const std::invalid_argument& error) {
     std::cerr << "pnoc_run: " << error.what() << "\n";
@@ -336,8 +331,6 @@ int main(int argc, char** argv) {
               << missing.size() << " job(s)\n";
   }
 
-  const auto op = mode == "run" ? scenario::ScenarioJob::Op::kRun
-                                : scenario::ScenarioJob::Op::kFindPeak;
   std::vector<scenario::ScenarioJob> jobs;
   jobs.reserve(missing.size());
   for (const std::size_t gridIndex : missing) {
@@ -348,7 +341,8 @@ int main(int argc, char** argv) {
   std::vector<scenario::ScenarioOutcome> outcomes;
   try {
     const auto backend = scenario::makeBackend(cli.backendOptions());
-    std::cout << "pnoc_run: " << grid.size() << " spec(s), mode=" << mode
+    std::cout << "pnoc_run: " << grid.size()
+              << " spec(s), mode=" << scenario::wire::opName(op)
               << ", backend=" << backend->name() << " ("
               << backend->workersFor(jobs.size()) << " worker(s))\n";
 
@@ -384,9 +378,10 @@ int main(int argc, char** argv) {
 
   // Merge: fresh outcomes land at their grid indices next to the resumed
   // records, and the report table covers what THIS invocation ran.
-  metrics::ReportTable table(mode == "run" ? "pnoc_run: fixed-load runs"
-                                           : "pnoc_run: saturation peaks");
-  if (mode == "run") {
+  const bool run = op == scenario::ScenarioJob::Op::kRun;
+  metrics::ReportTable table(run ? "pnoc_run: fixed-load runs"
+                                 : "pnoc_run: saturation peaks");
+  if (run) {
     table.setHeader({"#", "arch", "pattern", "load", "Gb/s", "accept", "EPM (pJ)"});
   } else {
     table.setHeader({"#", "arch", "pattern", "peak load", "Gb/s", "EPM (pJ)",
@@ -405,7 +400,7 @@ int main(int argc, char** argv) {
       failedIndices.push_back(gridIndex);
       continue;
     }
-    if (mode == "run") {
+    if (run) {
       table.addRow({std::to_string(gridIndex), outcome.spec.get("arch"),
                     outcome.spec.params.pattern,
                     metrics::ReportTable::num(outcome.spec.params.offeredLoad, 5),
