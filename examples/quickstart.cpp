@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
   table.setHeader({"architecture", "delivered Gb/s", "pkts", "accept", "avg lat (cyc)",
                    "p99 lat", "EPM (pJ)", "res.failures"});
 
-  // Both architectures as one batch through the selected backend
-  // (backend=processes shards=2 runs them in two worker subprocesses).
+  // Both architectures as one batch on the worker fleet (re-execs of this
+  // binary, one per architecture unless shards= or hosts= says otherwise).
   std::vector<scenario::ScenarioSpec> points;
   for (const auto arch :
        {network::Architecture::kFirefly, network::Architecture::kDhetpnoc}) {

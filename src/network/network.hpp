@@ -21,7 +21,7 @@
 //
 // Typical use — describe the run declaratively through the Scenario API
 // (src/scenario), which binds every SimulationParameters field to a
-// key=value / JSON name and runs batches on a thread pool:
+// key=value / JSON name and runs batches on a worker fleet:
 //
 //   scenario::ScenarioSpec spec;
 //   spec.set("arch", "dhetpnoc");

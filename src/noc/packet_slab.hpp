@@ -7,8 +7,8 @@
 // through a free list so steady-state traffic allocates nothing.
 //
 // Not thread safe: each PhotonicNetwork owns its own slab, and a network is
-// confined to one thread (scenario::InProcessBackend runs one network per
-// worker thread).
+// confined to the thread that built it (a fleet worker process runs one
+// network at a time).
 #pragma once
 
 #include <cstddef>

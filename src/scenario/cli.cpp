@@ -63,15 +63,11 @@ CliStatus Cli::parse(int argc, char** argv, ScenarioSpec* spec) {
         std::printf("  @file                       load scenario keys from a key=value"
                     " or JSON spec file\n");
       }
-      std::printf("  backend=threads             execution backend: threads |"
-                  " stream (processes = stream)\n");
-      std::printf("  shards=0                    worker threads/processes (0 ="
+      std::printf("  shards=0                    local worker processes (0 ="
                   " hardware concurrency)\n");
-      std::printf("  hosts=@hosts.json           stream across a hosts file"
-                  " (implies backend=stream; see scripts/grids/"
-                  "hosts.example.json)\n");
-      std::printf("\nfault policy (backend=stream; hosts-file \"policy\" object,"
-                  " CLI keys win):\n%s",
+      std::printf("  hosts=@hosts.json           run on a hosts-file fleet instead"
+                  " (see scripts/grids/hosts.example.json)\n");
+      std::printf("\nfault policy (hosts-file \"policy\" object, CLI keys win):\n%s",
                   dispatch::policyHelpText().c_str());
     }
     if (spec != nullptr) {
@@ -139,7 +135,7 @@ CliStatus Cli::parse(int argc, char** argv, ScenarioSpec* spec) {
   }
   if (runnerKeys_) {
     for (const std::string& key : dispatch::policyKeys()) knownKeys.push_back(key);
-    knownKeys.insert(knownKeys.end(), {"backend", "shards", "hosts"});
+    knownKeys.insert(knownKeys.end(), {"shards", "hosts"});
   }
   knownKeys.push_back("help");
   for (const auto& [key, doc] : extraKeys_) knownKeys.push_back(key);
@@ -161,9 +157,6 @@ CliStatus Cli::parse(int argc, char** argv, ScenarioSpec* spec) {
 void Cli::applyRunnerKeys() {
   // Runner keys ride next to the scenario keys on the binaries that
   // dispatch (and stand alone on spec-less fleet drivers like pnoc_serve).
-  if (config_.contains("backend")) {
-    backendOptions_.kind = parseBackendKind(config_.getString("backend", ""));
-  }
   backendOptions_.workers = config_.getU32("shards", 0);
   std::string hosts = config_.getString("hosts", "");
   const bool hostsGiven = config_.contains("hosts");
@@ -174,20 +167,11 @@ void Cli::applyRunnerKeys() {
     throw std::invalid_argument("hosts= needs a file path");
   }
   if (!hosts.empty()) {
-    // A hosts file only makes sense streaming; naming one selects the
-    // backend rather than silently ignoring the fleet.
-    // (backend=processes means local workers, so it does not take one.)
-    const std::string backend = config_.getString("backend", "stream");
-    if (backend != "stream") {
-      throw std::invalid_argument("hosts= requires backend=stream (got backend=" +
-                                  backend + ")");
-    }
     if (backendOptions_.workers != 0) {
       throw std::invalid_argument(
           "shards= and hosts= are mutually exclusive (the hosts file"
           " sizes the fleet)");
     }
-    backendOptions_.kind = BackendKind::kStream;
     // Read and validate the fleet HERE, once: an unreadable or
     // malformed hosts file is a parse error, and the backend is built
     // from this parsed copy, never by re-reading the file later.

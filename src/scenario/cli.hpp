@@ -4,9 +4,9 @@
 // that load key=value or JSON spec files, `help=1` for a generated listing,
 // and hard rejection of unknown keys.  Scenario keys come from the
 // ScenarioSpec binding table; binaries that call setRunnerKeys(true) also get
-// the runner keys `backend=threads|processes|stream`, `shards=N` and
-// `hosts=@hosts.json` plus the fault-policy keys (read them back via
-// backendOptions()); a binary declares its own extra keys (json output
+// the runner keys `shards=N` and `hosts=@hosts.json` plus the fault-policy
+// keys, which describe the worker fleet every batch runs on (read them back
+// via backendOptions()); a binary declares its own extra keys (json output
 // directory, sweep sizes, ...) up front so they are known too.
 //
 //   scenario::ScenarioSpec spec;             // binary defaults go here
@@ -26,7 +26,8 @@
 // Every binary that parses through Cli is automatically a dispatch worker
 // host: invoked as `<binary> --pnoc-worker` it speaks the JSON job protocol
 // on stdin/stdout (scenario/worker.hpp) and exits (the kWorker status
-// above).
+// above).  A binary that calls makeBackend relies on this: its local
+// workers are re-execs of itself.
 #pragma once
 
 #include <string>
@@ -60,10 +61,9 @@ class Cli {
   /// specFiles() instead of applying them onto the parsed spec.
   void setCollectSpecFiles(bool collect) { collectSpecFiles_ = collect; }
 
-  /// Binaries that dispatch through an execution backend (pnoc_run,
-  /// pnoc_serve, quickstart): accept the runner keys
-  /// (backend=/shards=/hosts=) and the fault-policy keys.  Every other
-  /// binary rejects them as unknown keys.
+  /// Binaries that dispatch to a worker fleet (pnoc_run, pnoc_serve,
+  /// quickstart): accept the runner keys (shards=/hosts=) and the
+  /// fault-policy keys.  Every other binary rejects them as unknown keys.
   void setRunnerKeys(bool enable) { runnerKeys_ = enable; }
 
   /// Parses argv[1..]: applies @file spec files and scenario-key overrides
@@ -77,8 +77,8 @@ class Cli {
   /// The parsed key=value store (for binary-specific keys).
   sim::Config& config() { return config_; }
 
-  /// Backend selection parsed from backend=/shards= (defaults: in-process
-  /// threads, auto worker count).
+  /// The fleet parsed from shards=/hosts= and the fault-policy keys
+  /// (defaults: auto local worker count, default policy).
   const BackendOptions& backendOptions() const { return backendOptions_; }
 
   /// @file arguments in command-line order (driver mode; see
@@ -99,7 +99,7 @@ class Cli {
   bool runnerKeys_ = false;
   int workerExitCode_ = 0;
 
-  void applyRunnerKeys();  // backend=/shards=/hosts= + policy keys; throws
+  void applyRunnerKeys();  // shards=/hosts= + policy keys; throws
 };
 
 }  // namespace pnoc::scenario

@@ -11,11 +11,11 @@
 //       connect_timeout_ms=30000 fail_soft=0
 //   * a hosts file's top-level "policy" object (hosts=@hosts.json), with
 //     CLI keys overriding the file's values key by key;
-//   * code, for tests and embedders (StreamingBackend's and FleetManager's
+//   * code, for tests and embedders (ExecutionBackend's and FleetManager's
 //     constructors).
 //
 // The semantics each knob buys (implemented in fleet.cpp; the fail-soft
-// choice in streaming_backend.cpp):
+// choice in execution_backend.cpp):
 //
 //   retries        redispatches a job gets after a fault killed its worker
 //                  (worker death, protocol corruption, deadline kill) before

@@ -59,8 +59,8 @@ FleetManager::~FleetManager() {
   }
 }
 
-FleetManager::Stats FleetManager::stats() const {
-  Stats s;
+FleetStats FleetManager::stats() const {
+  FleetStats s;
   s.retries = static_cast<unsigned>(statRetries_.value());
   s.respawns = static_cast<unsigned>(statRespawns_.value());
   s.deadlineKills = static_cast<unsigned>(statDeadlineKills_.value());
@@ -577,7 +577,7 @@ std::size_t FleetManager::liveWorkers() const {
   return count;
 }
 
-std::vector<FleetManager::WorkerStatus> FleetManager::workerStatus() const {
+std::vector<WorkerStatus> FleetManager::workerStatus() const {
   std::vector<WorkerStatus> statuses;
   for (std::size_t s = 0; s < slots_.size(); ++s) {
     const Slot& slot = slots_[s];

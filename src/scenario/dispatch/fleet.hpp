@@ -1,8 +1,9 @@
 // FleetManager: the one parent-side implementation of the worker protocol.
 //
-// Both dispatch drivers run on it: StreamingBackend (`backend=stream` and
-// its `processes` alias) feeds it a fixed job vector, and the pnoc_serve
-// daemon feeds it an open-ended stream of units pulled from its job queue.
+// Both dispatch drivers run on it: ExecutionBackend (every batch pnoc_run
+// and the scenario binaries run) feeds it a fixed job vector, and the
+// pnoc_serve daemon feeds it an open-ended stream of units pulled from its
+// job queue.
 // It owns persistent protocol workers, the build-stamp handshake, pipelined
 // in-order dealing, retry/backoff, deadline kills and respawns, all as
 // non-blocking event-loop calls driven from the caller's poll loop:
@@ -51,6 +52,7 @@
 
 #include "obs/registry.hpp"
 #include "scenario/dispatch/fault_policy.hpp"
+#include "scenario/dispatch/fleet_stats.hpp"
 #include "scenario/dispatch/worker_transport.hpp"
 #include "scenario/execution_backend.hpp"
 
@@ -61,7 +63,7 @@ namespace pnoc::scenario::dispatch {
 std::uint64_t steadyNowMs();
 
 /// Names one unit: the job that owns it and its index in that job's grid.
-/// A batch (StreamingBackend) is job 0; the daemon's job ids start at 1.
+/// A batch (ExecutionBackend) is job 0; the daemon's job ids start at 1.
 struct UnitKey {
   std::uint64_t job = 0;
   std::size_t unit = 0;
@@ -81,29 +83,6 @@ class FleetManager {
     /// A unit completed — successfully or as a failed outcome.  Fires on
     /// the loop thread.
     std::function<void(const UnitKey&, ScenarioOutcome)> unitDone;
-  };
-
-  /// Cumulative fault/pipelining counters.  A VALUE SNAPSHOT over the
-  /// fleet's registry counters (fleet_*_total / fleet_max_in_flight) — the
-  /// daemon's metrics endpoint and this struct read the same cells.
-  struct Stats {
-    unsigned retries = 0;         // units re-dealt after a fault
-    unsigned respawns = 0;        // workers relaunched through their slot
-    unsigned deadlineKills = 0;   // workers killed for blowing a job deadline
-    unsigned protocolDeaths = 0;  // workers killed for corrupt replies
-    unsigned launchFailures = 0;  // transports that never produced a worker
-    unsigned failedUnits = 0;     // failed outcomes delivered
-    unsigned maxInFlight = 0;     // high-water in-flight units on one worker
-  };
-
-  struct WorkerStatus {
-    std::size_t worker = 0;
-    std::string description;
-    std::string state;  // connecting | ready | dead | removed
-    unsigned completed = 0;
-    std::size_t inFlight = 0;
-    unsigned maxInFlight = 0;
-    unsigned respawns = 0;
   };
 
   /// `registry` hosts the fleet_* metrics (the daemon passes its own so one
@@ -168,7 +147,7 @@ class FleetManager {
   std::size_t readyWorkers() const;
   std::size_t liveWorkers() const;  // ready + connecting
   std::vector<WorkerStatus> workerStatus() const;
-  Stats stats() const;
+  FleetStats stats() const;
 
   /// The most recent worker death or connect failure, naming the worker
   /// (pid included) — for loud errors; "" while none happened.
@@ -239,8 +218,8 @@ class FleetManager {
   std::uint64_t nextHandshakeId_ = 0;   // trace span ids across respawns
   std::string lastDeath_;
 
-  // Registry-backed fault counters (see Stats); the registry outlives the
-  // handles: either `registry` from the ctor or ownedRegistry_.
+  // Registry-backed fault counters (see FleetStats); the registry outlives
+  // the handles: either `registry` from the ctor or ownedRegistry_.
   std::unique_ptr<obs::Registry> ownedRegistry_;
   obs::Counter statRetries_;
   obs::Counter statRespawns_;

@@ -1,4 +1,4 @@
-// Hosts files: the `hosts=@hosts.json` half of the streaming backend — a
+// Hosts files: the `hosts=@hosts.json` half of the worker fleet — a
 // declarative list of machines/containers a grid fans out across.
 //
 // Format: a JSON array (or an object {"hosts":[...]}) of entries

@@ -1,31 +1,37 @@
-// ExecutionBackend: the pluggable execution layer of the scenario API.
+// ExecutionBackend: the execution layer of the scenario API.
 //
 // A backend takes a batch of declarative ScenarioSpecs and produces results
-// indexed exactly like the input — *how* the batch executes (threads in this
-// process, worker subprocesses, some future remote fleet) is the backend's
-// business and must never change a single number.  Two implementations ship:
+// indexed exactly like the input.  Every batch runs on a worker fleet
+// (dispatch/fleet.hpp): jobs stream one NDJSON line at a time to whichever
+// worker is free, over local re-exec'd processes (`shards=N`, the fleet
+// [{"workers":N}]) or hosts-file transports (`hosts=@hosts.json`).  Each
+// worker runs executeJob, so worker count, transport and completion order
+// never change a number.  The fleet's fault policy (retries, job deadlines,
+// fail_soft; dispatch/fault_policy.hpp) governs every batch, a pending
+// SIGINT/SIGTERM aborts one by name, and the outcome observer sees each job
+// as it completes.
 //
-//   InProcessBackend   - std::thread pool in this address space (the default)
-//   StreamingBackend   - worker fleet (dispatch/): jobs stream one NDJSON line
-//                        at a time to whichever worker is free, over local
-//                        re-exec'd processes or hosts-file transports
+// The one requirement on an embedder: a binary that calls makeBackend must
+// answer `--pnoc-worker` (Cli::parse does, returning CliStatus::kWorker),
+// because its local workers are re-execs of itself.
 //
 // The primitive is execute() over mixed ScenarioJob batches (fixed-load runs
 // and saturation searches can share one dispatch); run()/findPeaks() are the
-// typed conveniences every caller actually uses.  Worker-count policy lives
-// in ONE place — resolveWorkerCount() — so the automatic count and
-// batch-size clamping cannot drift between backends.
+// typed conveniences.  Worker-count policy lives in ONE place —
+// resolveWorkerCount() — for the automatic count and batch-size clamping.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "metrics/metrics.hpp"
 #include "metrics/saturation.hpp"
 #include "scenario/dispatch/fault_policy.hpp"
+#include "scenario/dispatch/fleet_stats.hpp"
 #include "scenario/dispatch/hosts_file_types.hpp"
 #include "scenario/scenario_spec.hpp"
 
@@ -64,43 +70,7 @@ struct ScenarioOutcome {
   std::string error;
 };
 
-class ExecutionBackend {
- public:
-  /// Completed-job notification: (job index, its outcome).  A backend MAY
-  /// invoke the observer as each job finishes — StreamingBackend does, from
-  /// the caller's thread, which is what lets pnoc_run checkpoint a grid
-  /// mid-flight; InProcessBackend only delivers results at the end and
-  /// never calls it.
-  using OutcomeObserver = std::function<void(std::size_t, const ScenarioOutcome&)>;
-
-  virtual ~ExecutionBackend() = default;
-
-  virtual std::string name() const = 0;
-
-  /// Installs (or clears, with {}) the per-job completion observer.
-  void setOutcomeObserver(OutcomeObserver observer) {
-    observer_ = std::move(observer);
-  }
-
-  /// Workers this backend would actually use for a batch of `jobCount` jobs
-  /// (environment defaults and batch-size clamping applied).
-  virtual unsigned workersFor(std::size_t jobCount) const = 0;
-
-  /// Executes a mixed batch; results indexed like `jobs`.  A job failure
-  /// surfaces as an exception (unless a fail-soft policy turns it into a
-  /// failed outcome).
-  virtual std::vector<ScenarioOutcome> execute(const std::vector<ScenarioJob>& jobs) = 0;
-
-  /// Typed batch APIs over execute(); results indexed like `specs`.
-  std::vector<ScenarioResult> run(const std::vector<ScenarioSpec>& specs);
-  std::vector<ScenarioPeak> findPeaks(const std::vector<ScenarioSpec>& specs);
-
- protected:
-  OutcomeObserver observer_;
-};
-
-/// Executes one job in this process (the shared bottom of every backend:
-/// worker processes and the thread pool both end up here).
+/// Executes one job in this process: what every worker runs per job line.
 ScenarioOutcome executeJob(const ScenarioJob& job);
 
 /// One fixed-load run (builds, runs, discards a network).
@@ -113,37 +83,74 @@ metrics::PeakSearchResult findScenarioPeak(const ScenarioSpec& spec);
 /// set's wavelength budget so every set's knee is bracketed from below.
 metrics::PeakSearchOptions peakOptionsFor(const ScenarioSpec& spec);
 
-/// The one worker-count policy (both backends, every caller):
+/// The one worker-count policy (local fleets, every caller):
 ///   requested == 0  ->  std::thread::hardware_concurrency(), min 1.
 ///   The result is clamped to jobCount (a 16-shard backend given 3 specs
 ///   uses 3 workers), with a floor of 1.
 unsigned resolveWorkerCount(unsigned requested, std::size_t jobCount);
 
-enum class BackendKind { kThreads, kStream };
-
-/// Parses "threads" | "stream" (the `backend=` CLI value), with
-/// "processes" an alias for "stream" (local worker processes unless a
-/// hosts file is given); throws std::invalid_argument otherwise.
-BackendKind parseBackendKind(const std::string& value);
-std::string toString(BackendKind kind);
-
 struct BackendOptions {
-  BackendKind kind = BackendKind::kThreads;
-  /// Thread / worker-process count; 0 = auto (see resolveWorkerCount).
+  /// Local worker-process count; 0 = auto (see resolveWorkerCount).
   /// Mutually exclusive with a hosts fleet, which sizes itself.
   unsigned workers = 0;
-  /// Parsed hosts-file fleet for backend=stream (empty: `workers` local
-  /// workers, i.e. the fleet [{"workers":N}]).
-  /// Cli::parse fills this from hosts=@file, so the file is read and
-  /// validated exactly once, at parse time.
+  /// Parsed hosts-file fleet (empty: `workers` local workers, i.e. the
+  /// fleet [{"workers":N}]).  Cli::parse fills this from hosts=@file, so
+  /// the file is read and validated exactly once, at parse time.
   std::vector<dispatch::HostEntry> hosts;
-  /// Fault policy for backend=stream: hosts-file "policy" object first,
-  /// individual CLI keys (retries=, job_deadline_ms=, ...) layered on top.
-  /// The thread backend ignores it.
+  /// Fault policy: hosts-file "policy" object first, individual CLI keys
+  /// (retries=, job_deadline_ms=, ...) layered on top.
   dispatch::FaultPolicy policy;
 };
 
-/// Constructs the backend an options block describes.
+class ExecutionBackend {
+ public:
+  /// Completed-job notification: (job index, its outcome), fired on the
+  /// caller's thread as each job finishes — fail-soft failures included —
+  /// which is what lets pnoc_run checkpoint a grid mid-flight.
+  using OutcomeObserver = std::function<void(std::size_t, const ScenarioOutcome&)>;
+
+  /// One worker per slot listed in `hosts` (clamped to the batch size);
+  /// `policy` governs every failure path (dispatch/fault_policy.hpp).
+  explicit ExecutionBackend(std::vector<dispatch::HostEntry> hosts,
+                            dispatch::FaultPolicy policy = {});
+
+  /// Installs (or clears, with {}) the per-job completion observer.
+  void setOutcomeObserver(OutcomeObserver observer) {
+    observer_ = std::move(observer);
+  }
+
+  /// Workers a batch of `jobCount` jobs launches: the whole fleet, clamped
+  /// to the batch size, with a floor of 1.
+  unsigned workersFor(std::size_t jobCount) const;
+
+  /// Executes a mixed batch; results indexed like `jobs`.  Throws
+  /// std::runtime_error on an unrecoverable failure (a failed job without
+  /// fail_soft, a fleet with no live worker left without fail_soft, an
+  /// interrupt, a worker that exits nonzero at the close) after tearing the
+  /// fleet down with bounded SIGTERM-to-SIGKILL escalation.  Outcomes that
+  /// completed before the failure have already reached the observer.
+  std::vector<ScenarioOutcome> execute(const std::vector<ScenarioJob>& jobs);
+
+  /// Typed batch APIs over execute(); results indexed like `specs`.
+  std::vector<ScenarioResult> run(const std::vector<ScenarioSpec>& specs);
+  std::vector<ScenarioPeak> findPeaks(const std::vector<ScenarioSpec>& specs);
+
+  /// Fleet counters and per-worker status of the most recent execute().
+  const dispatch::FleetStats& lastStats() const { return stats_; }
+  const std::vector<dispatch::WorkerStatus>& lastWorkers() const {
+    return workers_;
+  }
+
+ private:
+  std::vector<dispatch::HostEntry> hosts_;
+  dispatch::FaultPolicy policy_;
+  OutcomeObserver observer_;
+  dispatch::FleetStats stats_;
+  std::vector<dispatch::WorkerStatus> workers_;
+};
+
+/// Builds the fleet an options block describes: `hosts` when given, else
+/// `workers` local workers (0 = auto, see resolveWorkerCount).
 std::unique_ptr<ExecutionBackend> makeBackend(const BackendOptions& options = {});
 
 }  // namespace pnoc::scenario

@@ -608,7 +608,7 @@ std::string ServeDaemon::statusJson() const {
   }
   out += "],\"workers\":[";
   first = true;
-  for (const FleetManager::WorkerStatus& worker : fleet_->workerStatus()) {
+  for (const scenario::dispatch::WorkerStatus& worker : fleet_->workerStatus()) {
     if (!first) out += ",";
     first = false;
     out += "{\"worker\":" + std::to_string(worker.worker);
@@ -620,7 +620,7 @@ std::string ServeDaemon::statusJson() const {
     out += ",\"respawns\":" + std::to_string(worker.respawns);
     out += "}";
   }
-  const FleetManager::Stats& stats = fleet_->stats();
+  const scenario::dispatch::FleetStats stats = fleet_->stats();
   out += "],\"stats\":{";
   out += "\"retries\":" + std::to_string(stats.retries);
   out += ",\"respawns\":" + std::to_string(stats.respawns);

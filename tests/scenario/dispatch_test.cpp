@@ -1,10 +1,10 @@
-// Dispatch-subsystem tests: the streaming backend over the worker fleet,
+// Dispatch-subsystem tests: the execution backend over the worker fleet,
 // its transports and the checkpointed-resume machinery.
 //
 // The acceptance bar mirrors the backend tests one layer down: for the same
-// spec batch, StreamingBackend — any worker count, any transport, any
-// completion order — produces results and BENCH records bit-identical to
-// InProcessBackend; a dead worker's in-flight job is retried once on a
+// spec batch, the fleet — any worker count, any transport, any completion
+// order — produces results and BENCH records bit-identical to a serial
+// executeJob loop; a dead worker's in-flight job is retried once on a
 // survivor; unrecoverable losses fail loudly naming the worker and job.
 //
 // Every worker here is a re-exec of THIS test binary (tests/main.cpp
@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -24,19 +25,19 @@
 
 #include "scenario/dispatch/checkpoint.hpp"
 #include "scenario/dispatch/hosts_file.hpp"
-#include "scenario/dispatch/streaming_backend.hpp"
-#include "scenario/in_process_backend.hpp"
+#include "scenario/execution_backend.hpp"
 #include "scenario/json_record.hpp"
 #include "scenario/json_util.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "scenario/wire.hpp"
 #include "support/scoped_env.hpp"
+#include "support/serial_reference.hpp"
 
 namespace pnoc::scenario {
 namespace {
 
 using dispatch::HostEntry;
-using dispatch::StreamingBackend;
+using testsupport::executeSerially;
 using testsupport::ScopedEnv;
 
 ScenarioSpec quickSpec(const std::string& pattern, const std::string& arch,
@@ -200,40 +201,30 @@ TEST(HostsFile, TyposGetSuggestions) {
 
 // --- backend selection ---
 
-TEST(StreamingBackend, FactoryAndName) {
-  EXPECT_EQ(parseBackendKind("stream"), BackendKind::kStream);
-  EXPECT_EQ(toString(BackendKind::kStream), "stream");
-  const auto backend = makeBackend(BackendOptions{BackendKind::kStream, 3});
-  EXPECT_EQ(backend->name(), "stream");
-  EXPECT_EQ(backend->workersFor(8), 3u);
-  EXPECT_EQ(backend->workersFor(2), 2u);  // clamped to the batch
-}
-
 TEST(StreamingBackend, ShardsIsAOneEntryFleetClampedToTheBatch) {
   // shards=3 becomes the fleet [{"workers":3}]; a batch smaller than the
   // fleet launches only as many workers as it has jobs.
-  const auto backend = makeBackend(BackendOptions{BackendKind::kStream, 3});
-  auto* streaming = dynamic_cast<StreamingBackend*>(backend.get());
-  ASSERT_NE(streaming, nullptr);
+  const auto backend = makeBackend(BackendOptions{.workers = 3});
+  EXPECT_EQ(backend->workersFor(8), 3u);
   std::vector<ScenarioSpec> specs;
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     specs.push_back(quickSpec("uniform", "firefly", 0.001, 200 + seed, 200));
   }
   EXPECT_EQ(backend->run(specs).size(), 5u);
-  EXPECT_EQ(streaming->lastWorkers().size(), 3u);
+  EXPECT_EQ(backend->lastWorkers().size(), 3u);
   specs.resize(2);
   EXPECT_EQ(backend->run(specs).size(), 2u);
-  EXPECT_EQ(streaming->lastWorkers().size(), 2u);
+  EXPECT_EQ(backend->lastWorkers().size(), 2u);
 }
 
 TEST(StreamingBackend, HostsFleetSizesWorkerCount) {
-  StreamingBackend backend({HostEntry{{}, 2, ""}, HostEntry{{"env"}, 3, ""}});
+  ExecutionBackend backend({HostEntry{{}, 2, ""}, HostEntry{{"env"}, 3, ""}});
   EXPECT_EQ(backend.workersFor(100), 5u);  // the whole fleet
   EXPECT_EQ(backend.workersFor(2), 2u);    // clamped to the batch
 }
 
 TEST(StreamingBackend, EmptyBatchIsANoOp) {
-  StreamingBackend backend({HostEntry{.workers = 4}});
+  ExecutionBackend backend({HostEntry{.workers = 4}});
   EXPECT_TRUE(backend.run({}).empty());
   EXPECT_TRUE(backend.findPeaks({}).empty());
 }
@@ -242,10 +233,9 @@ TEST(StreamingBackend, EmptyBatchIsANoOp) {
 
 TEST(StreamingBackend, MixedBatchMatchesInProcessBitForBit) {
   const std::vector<ScenarioJob> jobs = mixedJobs();
-  InProcessBackend inProcess(2);
-  const auto expected = inProcess.execute(jobs);
+  const auto expected = executeSerially(jobs);
   for (const unsigned shards : {1u, 2u, 3u}) {
-    StreamingBackend streaming({HostEntry{.workers = shards}});
+    ExecutionBackend streaming({HostEntry{.workers = shards}});
     const auto actual = streaming.execute(jobs);
     expectSameOutcomes(actual, expected, "shards=" + std::to_string(shards));
   }
@@ -256,16 +246,15 @@ TEST(StreamingBackend, CommandTransportMatchesInProcess) {
   // but through the exact argv path an `ssh host` or `docker exec` fleet
   // would use.
   const std::vector<ScenarioJob> jobs = mixedJobs();
-  InProcessBackend inProcess(2);
-  const auto expected = inProcess.execute(jobs);
-  StreamingBackend streaming({HostEntry{{}, 1, ""}, HostEntry{{"env"}, 1, ""}});
+  const auto expected = executeSerially(jobs);
+  ExecutionBackend streaming({HostEntry{{}, 1, ""}, HostEntry{{"env"}, 1, ""}});
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "hosts fleet");
 }
 
 TEST(StreamingBackend, ObserverFiresPerCompletedJob) {
   const std::vector<ScenarioJob> jobs = mixedJobs();
-  StreamingBackend streaming({HostEntry{.workers = 2}});
+  ExecutionBackend streaming({HostEntry{.workers = 2}});
   std::vector<bool> seen(jobs.size(), false);
   streaming.setOutcomeObserver([&](std::size_t index, const ScenarioOutcome& outcome) {
     ASSERT_LT(index, seen.size());
@@ -283,8 +272,8 @@ TEST(StreamingBackend, ObserverFiresPerCompletedJob) {
 // --- uneven-cost grids (the reason the pool exists) ---
 
 // A mixed grid where one spec costs ~50x the others must merge
-// byte-identically across every backend and shard count — completion order
-// is wildly different in each configuration, the records must not be.
+// byte-identically across every shard count — completion order is wildly
+// different in each configuration, the records must not be.
 TEST(UnevenGrid, BenchRecordsByteIdenticalAcrossAllBackendsAndShards) {
   std::vector<ScenarioSpec> runSpecs;
   runSpecs.push_back(quickSpec("uniform", "dhetpnoc", 0.001, 40, 10000));  // heavy
@@ -294,30 +283,30 @@ TEST(UnevenGrid, BenchRecordsByteIdenticalAcrossAllBackendsAndShards) {
   const std::vector<ScenarioSpec> peakSpecs = {
       quickSpec("skewed3", "dhetpnoc", 0.001, 50, 400)};
 
-  const auto recordLines = [&](ExecutionBackend& backend) {
+  const auto recordLines = [](const std::vector<ScenarioResult>& runs,
+                              const std::vector<ScenarioPeak>& peaks) {
     JsonRecorder recorder("uneven_compare");
     std::string lines;
-    for (const auto& result : backend.run(runSpecs)) {
+    for (const auto& result : runs) {
       lines += recordRun(recorder, result.spec, result.metrics).serialize() + "\n";
     }
-    for (const auto& peak : backend.findPeaks(peakSpecs)) {
+    for (const auto& peak : peaks) {
       lines += recordPeak(recorder, peak).serialize() + "\n";
     }
     return lines;
   };
 
-  InProcessBackend reference(1);
-  const std::string expected = recordLines(reference);
+  const std::string expected = recordLines(testsupport::runSerially(runSpecs),
+                                           testsupport::findPeaksSerially(peakSpecs));
   ASSERT_FALSE(expected.empty());
   for (const unsigned shards : {1u, 2u, 3u}) {
-    InProcessBackend threads(shards);
-    EXPECT_EQ(recordLines(threads), expected) << "threads shards=" << shards;
-    // backend=processes: the alias for local streamed workers.
-    const auto processes = makeBackend(
-        BackendOptions{parseBackendKind("processes"), shards});
-    EXPECT_EQ(recordLines(*processes), expected) << "processes shards=" << shards;
-    StreamingBackend stream({HostEntry{.workers = shards}});
-    EXPECT_EQ(recordLines(stream), expected) << "stream shards=" << shards;
+    // What `shards=N` builds, and the same fleet as an explicit hosts entry.
+    const auto local = makeBackend(BackendOptions{.workers = shards});
+    EXPECT_EQ(recordLines(local->run(runSpecs), local->findPeaks(peakSpecs)), expected)
+        << "shards=" << shards;
+    ExecutionBackend stream({HostEntry{.workers = shards}});
+    EXPECT_EQ(recordLines(stream.run(runSpecs), stream.findPeaks(peakSpecs)), expected)
+        << "hosts [{\"workers\":" << shards << "}]";
   }
 }
 
@@ -332,7 +321,7 @@ TEST(StreamingFleet, SlowWorkerGetsFewerJobs) {
     jobs.push_back(
         {ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 61 + s, 200)});
   }
-  StreamingBackend streaming({HostEntry{.workers = 2}});
+  ExecutionBackend streaming({HostEntry{.workers = 2}});
   const auto outcomes = streaming.execute(jobs);
   ASSERT_EQ(outcomes.size(), jobs.size());
   const auto& perWorker = streaming.lastWorkers();
@@ -360,14 +349,13 @@ TEST(StreamingFleet, DeadWorkersInFlightJobIsRetriedOnASurvivor) {
     jobs.push_back(
         {ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 70 + s, 500)});
   }
-  InProcessBackend inProcess(2);
   std::vector<ScenarioOutcome> expected;
   {
     ScopedEnv noCrash("PNOC_TEST_FAULT", nullptr);  // in-process reference
-    expected = inProcess.execute(jobs);
+    expected = executeSerially(jobs);
   }
 
-  StreamingBackend streaming({HostEntry{.workers = 2}});
+  ExecutionBackend streaming({HostEntry{.workers = 2}});
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "retry-once");
   EXPECT_EQ(streaming.lastStats().retries, 1u);
@@ -384,9 +372,8 @@ TEST(StreamingFleet, IdleDeathIsToleratedWithAllResultsDelivered) {
     jobs.push_back(
         {ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 75 + s, 500)});
   }
-  InProcessBackend inProcess(2);
-  const auto expected = inProcess.execute(jobs);
-  StreamingBackend streaming({HostEntry{.workers = 2}});
+  const auto expected = executeSerially(jobs);
+  ExecutionBackend streaming({HostEntry{.workers = 2}});
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "idle death");
 }
@@ -400,7 +387,7 @@ TEST(StreamingFleet, UnrecoverableDeathFailsLoudlyNamingTheJob) {
     jobs.push_back(
         {ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 80 + s, 400)});
   }
-  StreamingBackend streaming({HostEntry{.workers = 2}});
+  ExecutionBackend streaming({HostEntry{.workers = 2}});
   try {
     streaming.execute(jobs);
     FAIL() << "expected std::runtime_error";
@@ -416,7 +403,7 @@ TEST(StreamingFleet, SilentWorkerFailsTheHandshakeInsteadOfHanging) {
   // behavior of a worker that never answers the hello.  The host's 300 ms
   // handshake deadline must fail the dispatch, not hang it (teardown
   // SIGTERMs the sleeper).
-  StreamingBackend streaming({HostEntry{{"sh", "-c", "exec sleep 30"}, 1, "", 300}});
+  ExecutionBackend streaming({HostEntry{{"sh", "-c", "exec sleep 30"}, 1, "", 300}});
   std::vector<ScenarioJob> jobs;
   jobs.push_back({ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 96)});
   try {
@@ -433,7 +420,7 @@ TEST(StreamingFleet, SilentWorkerFailsTheHandshakeInsteadOfHanging) {
 std::string silentWorkerFailure(std::uint64_t hostBudgetMs, std::uint64_t policyBudgetMs) {
   dispatch::FaultPolicy policy;
   policy.connectTimeoutMs = policyBudgetMs;
-  StreamingBackend streaming({HostEntry{{"sh", "-c", "exec sleep 30"}, 1, "", hostBudgetMs}},
+  ExecutionBackend streaming({HostEntry{{"sh", "-c", "exec sleep 30"}, 1, "", hostBudgetMs}},
                              policy);
   std::vector<ScenarioJob> jobs;
   jobs.push_back({ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 97)});
@@ -463,7 +450,7 @@ TEST(StreamingFleet, HostWithoutABudgetUsesThePolicyConnectTimeout) {
 TEST(StreamingFleet, AllWorkersDeadFailsInsteadOfHanging) {
   // A launcher that exits immediately gives EOF before any ack: no live
   // workers remain, and execute() must throw, not spin or hang.
-  StreamingBackend streaming({HostEntry{{"false"}, 2, ""}});
+  ExecutionBackend streaming({HostEntry{{"false"}, 2, ""}});
   std::vector<ScenarioJob> jobs;
   jobs.push_back({ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 95)});
   EXPECT_THROW(streaming.execute(jobs), std::runtime_error);
@@ -472,8 +459,67 @@ TEST(StreamingFleet, AllWorkersDeadFailsInsteadOfHanging) {
 TEST(StreamingBackend, JobFailureSurfacesAsException) {
   ScenarioSpec bad = quickSpec("uniform", "dhetpnoc", 0.001, 41);
   bad.params.pattern = "no-such-family";
-  StreamingBackend streaming({HostEntry{.workers = 1}});
+  ExecutionBackend streaming({HostEntry{.workers = 1}});
   EXPECT_THROW(streaming.run({bad}), std::runtime_error);
+}
+
+// --- run-time unit failures on the path pnoc_run takes (makeBackend) ---
+
+/// Four quick run jobs whose job 1 passes set() but cannot build on the
+/// worker, so it fails at run time.
+std::vector<ScenarioJob> jobsFailingAtOne() {
+  std::vector<ScenarioJob> jobs;
+  for (std::uint64_t s = 0; s < 4; ++s) {
+    jobs.push_back(
+        {ScenarioJob::Op::kRun, quickSpec("uniform", "firefly", 0.001, 120 + s, 300)});
+  }
+  jobs[1].spec.params.pattern = "no-such-family";
+  return jobs;
+}
+
+TEST(DefaultFleet, RunTimeFailureAbortsAfterDeliveringTheCompletedJobs) {
+  // Without fail_soft the failed unit aborts the batch by name.  The job
+  // that finished before it reached the observer (so a driver can
+  // checkpoint it); the jobs after it were never dealt.
+  const auto backend = makeBackend(BackendOptions{.workers = 1});
+  std::vector<std::size_t> delivered;
+  backend->setOutcomeObserver(
+      [&](std::size_t index, const ScenarioOutcome&) { delivered.push_back(index); });
+  try {
+    backend->execute(jobsFailingAtOne());
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("job 1 failed"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(delivered, std::vector<std::size_t>{0});
+  ASSERT_EQ(backend->lastWorkers().size(), 1u);
+  EXPECT_EQ(backend->lastWorkers()[0].inFlight, 0u);
+}
+
+TEST(DefaultFleet, FailSoftDeliversTheFailureRecordAndFinishesTheGrid) {
+  BackendOptions options;
+  options.workers = 2;
+  options.policy.failSoft = true;
+  const auto backend = makeBackend(options);
+  const std::vector<ScenarioJob> jobs = jobsFailingAtOne();
+  std::vector<bool> delivered(jobs.size(), false);
+  backend->setOutcomeObserver(
+      [&](std::size_t index, const ScenarioOutcome&) { delivered[index] = true; });
+  const std::vector<ScenarioOutcome> outcomes = backend->execute(jobs);
+  ASSERT_EQ(outcomes.size(), jobs.size());
+  EXPECT_EQ(delivered, std::vector<bool>(jobs.size(), true));
+  EXPECT_TRUE(outcomes[1].failed);
+  EXPECT_NE(outcomes[1].error.find("no-such-family"), std::string::npos)
+      << outcomes[1].error;
+  const std::string record = dispatch::serializedOutcomeRecord(outcomes[1], 1);
+  EXPECT_NE(record.find("\"failed\":1"), std::string::npos) << record;
+  for (const std::size_t i : {0u, 2u, 3u}) {
+    EXPECT_FALSE(outcomes[i].failed) << "job " << i;
+    EXPECT_EQ(wire::toJson(outcomes[i].metrics),
+              wire::toJson(executeJob(jobs[i]).metrics))
+        << "job " << i;
+  }
 }
 
 // --- checkpointed resume ---
@@ -492,8 +538,7 @@ TEST(Checkpoint, RoundTripsAndReportsMissingIndices) {
       quickSpec("uniform", "firefly", 0.001, 101),
       quickSpec("skewed3", "dhetpnoc", 0.002, 102),
   };
-  InProcessBackend backend(1);
-  const auto results = backend.run(grid);
+  const auto results = testsupport::runSerially(grid);
 
   // Checkpoint holding indices 0 and 2 (index 1 "lost to a kill").
   JsonRecorder recorder("ckpt");
@@ -634,13 +679,17 @@ TEST(Checkpoint, FlushIsThrottledAndWritesGridOrder) {
   };
   std::vector<ScenarioJob> jobs;
   for (const ScenarioSpec& spec : grid) jobs.push_back({ScenarioJob::Op::kRun, spec});
-  std::vector<ScenarioOutcome> outcomes = InProcessBackend(1).execute(jobs);
+  std::vector<ScenarioOutcome> outcomes = executeSerially(jobs);
   outcomes[1].failed = true;  // a fail-soft failure record
   outcomes[1].error = "worker death: exited with status 57";
 
   const std::string dir = ::testing::TempDir() + "pnoc_throttle_" +
                           std::to_string(::getpid());
   ::mkdir(dir.c_str(), 0755);
+  struct RemoveDir {
+    std::string path;
+    ~RemoveDir() { std::filesystem::remove_all(path); }
+  } removeDir{dir};
   dispatch::BenchCheckpoint checkpoint(dir, "throttle", grid.size());
   EXPECT_FALSE(checkpoint.flushDueAtMs());  // nothing to write yet
 

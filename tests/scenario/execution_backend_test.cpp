@@ -1,12 +1,11 @@
 // ExecutionBackend tests: the worker-count policy lives in one place and
-// clamps sanely, the factory maps every backend= value, InProcessBackend
-// matches direct execution, and `backend=processes` (the alias for local
-// streamed workers) — any shard count — produces results and BENCH records
-// bit-identical to InProcessBackend for mixed run/findPeaks batches and
-// fails loudly instead of merging a partial batch.  Hosts-file fleets,
-// retries and resume live in dispatch_test.cpp.
+// clamps sanely, and the local fleet `shards=N` builds — any shard count —
+// produces results and BENCH records bit-identical to a serial executeJob
+// loop for mixed run/findPeaks batches and fails loudly instead of merging
+// a partial batch.  Hosts-file fleets, retries and resume live in
+// dispatch_test.cpp.
 //
-// The processes tests re-exec THIS test binary: tests/main.cpp recognizes
+// The fleet re-execs THIS test binary: tests/main.cpp recognizes
 // --pnoc-worker and runs the protocol worker loop.
 #include "scenario/execution_backend.hpp"
 
@@ -19,11 +18,11 @@
 #include <string>
 #include <thread>
 
-#include "scenario/in_process_backend.hpp"
 #include "scenario/json_record.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "scenario/wire.hpp"
 #include "support/scoped_env.hpp"
+#include "support/serial_reference.hpp"
 
 namespace pnoc::scenario {
 namespace {
@@ -42,9 +41,9 @@ ScenarioSpec quickSpec(const std::string& pattern, const std::string& arch,
   return spec;
 }
 
-/// What `backend=processes shards=N` builds: local re-exec'd workers.
-std::unique_ptr<ExecutionBackend> processesBackend(unsigned shards) {
-  return makeBackend(BackendOptions{parseBackendKind("processes"), shards});
+/// What `shards=N` builds: N local re-exec'd workers.
+std::unique_ptr<ExecutionBackend> localFleet(unsigned shards) {
+  return makeBackend(BackendOptions{.workers = shards});
 }
 
 TEST(ResolveWorkerCount, ExplicitRequestClampsToBatchSize) {
@@ -62,37 +61,10 @@ TEST(ResolveWorkerCount, AutoIsHardwareConcurrencyClampedToTheBatch) {
   EXPECT_EQ(resolveWorkerCount(0, 2), std::min(hardware, 2u));
 }
 
-TEST(ExecutionBackend, FactoryAndProcessesAlias) {
-  const auto threads = makeBackend(BackendOptions{BackendKind::kThreads, 2});
-  EXPECT_EQ(threads->name(), "threads");
-  EXPECT_EQ(threads->workersFor(8), 2u);
-
-  const auto processes =
-      makeBackend(BackendOptions{parseBackendKind("processes"), 16});
-  EXPECT_EQ(processes->name(), "stream");
-  EXPECT_EQ(processes->workersFor(3), 3u);  // shards > specs.size() clamps
-
-  EXPECT_EQ(parseBackendKind("threads"), BackendKind::kThreads);
-  EXPECT_EQ(parseBackendKind("processes"), BackendKind::kStream);
-  EXPECT_THROW(parseBackendKind("carrier-pigeons"), std::invalid_argument);
-}
-
-TEST(InProcessBackend, MatchesDirectExecution) {
-  const std::vector<ScenarioSpec> specs = {
-      quickSpec("uniform", "firefly", 0.0008, 3),
-      quickSpec("skewed3", "dhetpnoc", 0.002, 5),
-  };
-  InProcessBackend backend(2);
-  const auto results = backend.run(specs);
-  ASSERT_EQ(results.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(wire::toJson(results[i].metrics), wire::toJson(runScenario(specs[i])));
-  }
-}
-
-// The acceptance bar: for the same spec batch and seeds, backend=processes
-// (any shard count) and InProcessBackend produce identical merged metrics —
-// compared here through the exact wire serialization of every field.
+// The acceptance bar: for the same spec batch and seeds, the fleet (any
+// shard count) and the serial executeJob loop produce identical merged
+// metrics — compared here through the exact wire serialization of every
+// field.
 TEST(SubprocessBackend, MixedBatchMatchesInProcessBitForBit) {
   std::vector<ScenarioJob> jobs;
   jobs.push_back({ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 7)});
@@ -100,11 +72,10 @@ TEST(SubprocessBackend, MixedBatchMatchesInProcessBitForBit) {
   jobs.push_back({ScenarioJob::Op::kRun, quickSpec("bitcomp", "firefly", 0.0008, 11)});
   jobs.push_back({ScenarioJob::Op::kFindPeak, quickSpec("uniform", "firefly", 0.001, 13)});
 
-  InProcessBackend inProcess(2);
-  const auto expected = inProcess.execute(jobs);
+  const auto expected = testsupport::executeSerially(jobs);
 
   for (const unsigned shards : {1u, 2u, 3u}) {
-    const auto actual = processesBackend(shards)->execute(jobs);
+    const auto actual = localFleet(shards)->execute(jobs);
     ASSERT_EQ(actual.size(), expected.size()) << "shards=" << shards;
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(actual[i].op, expected[i].op);
@@ -130,21 +101,23 @@ TEST(SubprocessBackend, BenchRecordsMatchInProcessByteForByte) {
 
   // Collect the serialized record lines every bench binary would emit
   // (recordRun/recordPeak are THE single BENCH code path).
-  const auto recordLines = [&](ExecutionBackend& backend) {
+  const auto recordLines = [](const std::vector<ScenarioResult>& runs,
+                              const std::vector<ScenarioPeak>& peaks) {
     JsonRecorder recorder("backend_compare");
     std::string lines;
-    for (const auto& result : backend.run(runSpecs)) {
+    for (const auto& result : runs) {
       lines += recordRun(recorder, result.spec, result.metrics).serialize() + "\n";
     }
-    for (const auto& peak : backend.findPeaks(peakSpecs)) {
+    for (const auto& peak : peaks) {
       lines += recordPeak(recorder, peak).serialize() + "\n";
     }
     return lines;
   };
 
-  InProcessBackend inProcess(2);
-  const std::string expected = recordLines(inProcess);
-  const std::string actual = recordLines(*processesBackend(2));
+  const std::string expected = recordLines(testsupport::runSerially(runSpecs),
+                                           testsupport::findPeaksSerially(peakSpecs));
+  const auto fleet = localFleet(2);
+  const std::string actual = recordLines(fleet->run(runSpecs), fleet->findPeaks(peakSpecs));
   ASSERT_FALSE(expected.empty());
   EXPECT_EQ(actual, expected);
 }
@@ -154,11 +127,10 @@ TEST(SubprocessBackend, ShardsBeyondBatchSizeStillWork) {
       quickSpec("uniform", "dhetpnoc", 0.001, 31),
       quickSpec("uniform", "firefly", 0.001, 32),
   };
-  const auto processes = processesBackend(8);  // > specs.size(): clamps to 2
+  const auto processes = localFleet(8);  // > specs.size(): clamps to 2
   EXPECT_EQ(processes->workersFor(specs.size()), 2u);
   const auto results = processes->run(specs);
-  InProcessBackend inProcess(1);
-  const auto expected = inProcess.run(specs);
+  const auto expected = testsupport::runSerially(specs);
   ASSERT_EQ(results.size(), 2u);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(wire::toJson(results[i].metrics), wire::toJson(expected[i].metrics));
@@ -178,7 +150,7 @@ TEST(SubprocessBackend, LargeRepliesAcrossWorkersDoNotDeadlock) {
     spec.params.measureCycles = 400;
     specs.push_back(spec);
   }
-  const auto peaks = processesBackend(2)->findPeaks(specs);
+  const auto peaks = localFleet(2)->findPeaks(specs);
   ASSERT_EQ(peaks.size(), specs.size());
   for (const auto& peak : peaks) {
     EXPECT_FALSE(peak.search.sweep.empty());
@@ -186,7 +158,7 @@ TEST(SubprocessBackend, LargeRepliesAcrossWorkersDoNotDeadlock) {
 }
 
 TEST(SubprocessBackend, EmptyBatchIsANoOp) {
-  const auto processes = processesBackend(4);
+  const auto processes = localFleet(4);
   EXPECT_TRUE(processes->run({}).empty());
   EXPECT_TRUE(processes->findPeaks({}).empty());
   EXPECT_TRUE(processes->execute({}).empty());
@@ -200,7 +172,7 @@ TEST(SubprocessBackend, JobFailureSurfacesAsException) {
   ScenarioSpec bad = quickSpec("uniform", "dhetpnoc", 0.001, 41);
   bad.params.pattern = "no-such-family";
   try {
-    processesBackend(2)->run({good, bad});
+    localFleet(2)->run({good, bad});
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find("job 1"), std::string::npos)
@@ -220,7 +192,7 @@ TEST(SubprocessBackend, DeadWorkerFailsLoudlyNamingUnansweredJobs) {
         {ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 90 + s)});
   }
   try {
-    processesBackend(1)->execute(jobs);
+    localFleet(1)->execute(jobs);
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& error) {
     const std::string what = error.what();

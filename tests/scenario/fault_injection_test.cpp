@@ -25,18 +25,17 @@
 
 #include "scenario/dispatch/fault_policy.hpp"
 #include "scenario/dispatch/hosts_file.hpp"
-#include "scenario/dispatch/streaming_backend.hpp"
-#include "scenario/in_process_backend.hpp"
+#include "scenario/execution_backend.hpp"
 #include "scenario/wire.hpp"
 #include "support/fault_injection.hpp"
 #include "support/scoped_env.hpp"
+#include "support/serial_reference.hpp"
 
 namespace pnoc::scenario {
 namespace {
 
 using dispatch::FaultPolicy;
 using dispatch::HostEntry;
-using dispatch::StreamingBackend;
 using testsupport::ScopedEnv;
 
 ScenarioSpec quickSpec(const std::string& pattern, const std::string& arch,
@@ -91,11 +90,6 @@ void expectSameOutcomes(const std::vector<ScenarioOutcome>& actual,
     EXPECT_EQ(wire::toJson(actual[i].search), wire::toJson(expected[i].search))
         << context << " job=" << i;
   }
-}
-
-std::vector<ScenarioOutcome> inProcessReference(const std::vector<ScenarioJob>& jobs) {
-  InProcessBackend backend(2);
-  return backend.execute(jobs);
 }
 
 /// Fast-retry policy: the matrix wants the recovery PATH, not the pacing.
@@ -200,8 +194,8 @@ TEST(FaultMatrix, CrashOnceIsRetriedByteIdentical) {
   OnceLock lock;
   ScopedEnv fault("PNOC_TEST_FAULT", ("crash@2:once=" + lock.path()).c_str());
   const auto jobs = smallBatch(300);
-  const auto expected = inProcessReference(jobs);
-  StreamingBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
+  const auto expected = testsupport::executeSerially(jobs);
+  ExecutionBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "crash-once");
   EXPECT_EQ(streaming.lastStats().retries, 1u);
@@ -213,8 +207,8 @@ TEST(FaultMatrix, GarbageReplyIsAProtocolDeathThenRetried) {
   OnceLock lock;
   ScopedEnv fault("PNOC_TEST_FAULT", ("garbage@1:once=" + lock.path()).c_str());
   const auto jobs = smallBatch(310);
-  const auto expected = inProcessReference(jobs);
-  StreamingBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
+  const auto expected = testsupport::executeSerially(jobs);
+  ExecutionBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "garbage-reply");
   EXPECT_EQ(streaming.lastStats().protocolDeaths, 1u);
@@ -225,8 +219,8 @@ TEST(FaultMatrix, TruncatedReplyAtEofIsAProtocolDeathThenRetried) {
   OnceLock lock;
   ScopedEnv fault("PNOC_TEST_FAULT", ("truncate@1:once=" + lock.path()).c_str());
   const auto jobs = smallBatch(320);
-  const auto expected = inProcessReference(jobs);
-  StreamingBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
+  const auto expected = testsupport::executeSerially(jobs);
+  ExecutionBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "truncated-reply");
   EXPECT_EQ(streaming.lastStats().protocolDeaths, 1u);
@@ -236,8 +230,8 @@ TEST(FaultMatrix, DuplicateReplyIsAProtocolDeath) {
   OnceLock lock;
   ScopedEnv fault("PNOC_TEST_FAULT", ("dup@1:once=" + lock.path()).c_str());
   const auto jobs = smallBatch(330);
-  const auto expected = inProcessReference(jobs);
-  StreamingBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
+  const auto expected = testsupport::executeSerially(jobs);
+  ExecutionBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "duplicate-reply");
   EXPECT_GE(streaming.lastStats().protocolDeaths, 1u)
@@ -248,8 +242,8 @@ TEST(FaultMatrix, WrongIndexReplyIsAProtocolDeathThenRetried) {
   OnceLock lock;
   ScopedEnv fault("PNOC_TEST_FAULT", ("wrongindex@1:once=" + lock.path()).c_str());
   const auto jobs = smallBatch(340);
-  const auto expected = inProcessReference(jobs);
-  StreamingBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
+  const auto expected = testsupport::executeSerially(jobs);
+  ExecutionBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "wrong-index-reply");
   EXPECT_EQ(streaming.lastStats().protocolDeaths, 1u);
@@ -259,8 +253,8 @@ TEST(FaultMatrix, WrongIndexReplyIsAProtocolDeathThenRetried) {
 TEST(FaultMatrix, SlowReplyIsJustSlow) {
   ScopedEnv fault("PNOC_TEST_FAULT", "slow@*:ms=30");
   const auto jobs = smallBatch(350, 3);
-  const auto expected = inProcessReference(jobs);
-  StreamingBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
+  const auto expected = testsupport::executeSerially(jobs);
+  ExecutionBackend streaming({HostEntry{.workers = 2}}, quickPolicy());
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "slow-reply");
   EXPECT_EQ(streaming.lastStats().retries, 0u);
@@ -273,11 +267,11 @@ TEST(FaultMatrix, HungWorkerIsKilledAtTheJobDeadlineAndTheJobRetried) {
   OnceLock lock;
   ScopedEnv fault("PNOC_TEST_FAULT", ("hang@2:once=" + lock.path()).c_str());
   const auto jobs = smallBatch(360);
-  const auto expected = inProcessReference(jobs);
+  const auto expected = testsupport::executeSerially(jobs);
   FaultPolicy policy = quickPolicy();
   policy.jobDeadlineMs = 1000;  // far above a real job, far below the hang
   policy.graceMs = 300;
-  StreamingBackend streaming({HostEntry{.workers = 2}}, policy);
+  ExecutionBackend streaming({HostEntry{.workers = 2}}, policy);
   const auto start = std::chrono::steady_clock::now();
   const auto actual = streaming.execute(jobs);
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -294,11 +288,11 @@ TEST(FaultMatrix, SigtermIgnoringHangIsEscalatedToSigkill) {
   ScopedEnv fault("PNOC_TEST_FAULT",
                   ("hang@1:ignoreterm=1:once=" + lock.path()).c_str());
   const auto jobs = smallBatch(370);
-  const auto expected = inProcessReference(jobs);
+  const auto expected = testsupport::executeSerially(jobs);
   FaultPolicy policy = quickPolicy();
   policy.jobDeadlineMs = 1000;
   policy.graceMs = 200;  // short grace: the SIGKILL escalation must fire
-  StreamingBackend streaming({HostEntry{.workers = 2}}, policy);
+  ExecutionBackend streaming({HostEntry{.workers = 2}}, policy);
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "sigterm-ignoring hang");
   EXPECT_EQ(streaming.lastStats().deadlineKills, 1u);
@@ -312,7 +306,7 @@ TEST(FaultMatrix, NonzeroWorkerExitAfterCompleteBatchFailsLoudly) {
   // though no result is missing.
   ScopedEnv fault("PNOC_TEST_FAULT", "exit@2:code=41");
   const auto jobs = smallBatch(380, 3);
-  StreamingBackend streaming({HostEntry{.workers = 1}}, quickPolicy());
+  ExecutionBackend streaming({HostEntry{.workers = 1}}, quickPolicy());
   try {
     streaming.execute(jobs);
     FAIL() << "expected std::runtime_error";
@@ -330,10 +324,10 @@ TEST(FaultMatrix, ExhaustedRetriesFailSoftIntoAFailureRecord) {
   // how pnoc_run checkpoints it).
   ScopedEnv fault("PNOC_TEST_FAULT", "crash@1");
   const auto jobs = smallBatch(390);
-  const auto expected = inProcessReference(jobs);
+  const auto expected = testsupport::executeSerially(jobs);
   FaultPolicy policy = quickPolicy();
   policy.failSoft = true;
-  StreamingBackend streaming({HostEntry{.workers = 2}}, policy);
+  ExecutionBackend streaming({HostEntry{.workers = 2}}, policy);
   std::vector<std::size_t> observed;
   bool observerSawFailure = false;
   streaming.setOutcomeObserver(
@@ -360,7 +354,7 @@ TEST(FaultMatrix, ExhaustedRetriesFailSoftIntoAFailureRecord) {
 TEST(FaultMatrix, FailSoftFleetCollapseRecordsEveryJobAsFailed) {
   FaultPolicy policy = quickPolicy();
   policy.failSoft = true;
-  StreamingBackend streaming(std::vector<HostEntry>{HostEntry{{"false"}, 2, ""}},
+  ExecutionBackend streaming(std::vector<HostEntry>{HostEntry{{"false"}, 2, ""}},
                              policy);
   const auto jobs = smallBatch(400, 3);
   const auto outcomes = streaming.execute(jobs);
@@ -378,8 +372,8 @@ TEST(FaultMatrix, LaunchFailureDegradesOntoTheSurvivingHost) {
   // must report the failure by name and complete the whole batch on the
   // survivor, byte-identical.
   const auto jobs = smallBatch(410);
-  const auto expected = inProcessReference(jobs);
-  StreamingBackend streaming(
+  const auto expected = testsupport::executeSerially(jobs);
+  ExecutionBackend streaming(
       std::vector<HostEntry>{HostEntry{{"false"}, 1, ""}, HostEntry{{}, 1, ""}},
       quickPolicy());
   const auto actual = streaming.execute(jobs);
@@ -406,8 +400,8 @@ TEST(ConcurrentLaunch, BatchStartsInMaxNotSumOfFourSlowConnects) {
   // connects overlapped (serial connects alone would take 1.6 s).
   ScopedEnv fault("PNOC_TEST_FAULT", "slow@*:ms=300");
   const auto jobs = smallBatch(430, 4);
-  const auto expected = inProcessReference(jobs);
-  StreamingBackend streaming(std::vector<HostEntry>(4, slowHost("0.4")),
+  const auto expected = testsupport::executeSerially(jobs);
+  ExecutionBackend streaming(std::vector<HostEntry>(4, slowHost("0.4")),
                              quickPolicy());
   const auto start = std::chrono::steady_clock::now();
   const auto actual = streaming.execute(jobs);
@@ -429,8 +423,8 @@ TEST(ConcurrentLaunch, TimedOutHostIsDroppedAndTheBatchCompletesElsewhere) {
   // (>= 3 x 150 ms), so the timeout verdict is reached mid-batch.
   ScopedEnv fault("PNOC_TEST_FAULT", "slow@*:ms=150");
   const auto jobs = smallBatch(420, 3);
-  const auto expected = inProcessReference(jobs);
-  StreamingBackend streaming(std::vector<HostEntry>{slowHost("3", 200), HostEntry{}},
+  const auto expected = testsupport::executeSerially(jobs);
+  ExecutionBackend streaming(std::vector<HostEntry>{slowHost("3", 200), HostEntry{}},
                              quickPolicy());
   const auto start = std::chrono::steady_clock::now();
   const auto actual = streaming.execute(jobs);

@@ -1,5 +1,5 @@
 // Pipelined dealing (policy.pipeline > 1) and graceful-interrupt coverage
-// for the streaming backend: pipelining must change wall-clock behavior
+// for the execution backend: pipelining must change wall-clock behavior
 // only — results stay byte-identical and in input order — and a pending
 // SIGINT/SIGTERM must abort the dispatch with a named exception so the
 // driver's failure path flushes its checkpoint.
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "scenario/dispatch/streaming_backend.hpp"
 #include "scenario/execution_backend.hpp"
 #include "scenario/wire.hpp"
 #include "sim/interrupt.hpp"
@@ -46,7 +45,7 @@ TEST(StreamingPipeline, DepthTwoIsByteIdenticalAndReachesTheDepth) {
   ScopedEnv fault("PNOC_TEST_FAULT", "slow@*:ms=30");
   dispatch::FaultPolicy policy;
   policy.pipeline = 2;
-  dispatch::StreamingBackend backend({dispatch::HostEntry{.workers = 1}}, policy);
+  ExecutionBackend backend({dispatch::HostEntry{.workers = 1}}, policy);
   const std::vector<ScenarioOutcome> actual = backend.execute(jobs);
 
   EXPECT_GE(backend.lastStats().maxInFlight, 2u);
@@ -59,22 +58,23 @@ TEST(StreamingPipeline, DepthTwoIsByteIdenticalAndReachesTheDepth) {
 }
 
 TEST(StreamingInterrupt, PendingInterruptAbortsTheDispatchByName) {
+  // The backend pnoc_run builds when no runner key is given.
+  const auto backend = makeBackend(BackendOptions{});
   sim::installInterruptHandlers();
   sim::raiseInterruptForTest();
-  dispatch::StreamingBackend backend({dispatch::HostEntry{.workers = 1}});
   try {
-    backend.execute(quickJobs(2));
+    backend->execute(quickJobs(2));
     sim::clearInterruptForTest();
     FAIL() << "a pending interrupt must abort the dispatch";
   } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("interrupt"), std::string::npos);
+    EXPECT_NE(std::string(error.what()).find("interrupted by signal"), std::string::npos)
+        << error.what();
   }
   sim::clearInterruptForTest();
   EXPECT_FALSE(sim::interruptRequested());
 
-  // Cleared: the same backend shape dispatches normally again.
-  dispatch::StreamingBackend again({dispatch::HostEntry{.workers = 1}});
-  EXPECT_EQ(again.execute(quickJobs(1)).size(), 1u);
+  // Cleared: the same backend dispatches normally again.
+  EXPECT_EQ(backend->execute(quickJobs(1)).size(), 1u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Scenario batch tests: batch results must be independent of thread count
+// Scenario batch tests: batch results must be independent of worker count
 // and identical to direct PhotonicNetwork runs, and the reused-network
 // saturation search must equal a fresh-network-per-probe search bit for bit
 // (that equivalence is what makes the reset() fast path safe to ship).
@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "network/network.hpp"
 #include "scenario/cli.hpp"
-#include "scenario/in_process_backend.hpp"
 
 namespace pnoc::scenario {
 namespace {
@@ -40,7 +42,7 @@ TEST(ScenarioRunner, BatchRunMatchesDirectRuns) {
       quickSpec("skewed3", "dhetpnoc", 0.002, 5),
       quickSpec("tornado", "dhetpnoc", 0.001, 7),
   };
-  const auto batch = InProcessBackend(2).run(specs);
+  const auto batch = makeBackend(BackendOptions{.workers = 2})->run(specs);
   ASSERT_EQ(batch.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     network::PhotonicNetwork net(specs[i].params);
@@ -56,8 +58,8 @@ TEST(ScenarioRunner, ThreadCountCannotChangeResults) {
       quickSpec("bitcomp", "firefly", 0.001, 3),
       quickSpec("permutation:seed=4", "dhetpnoc", 0.001, 4),
   };
-  const auto sequential = InProcessBackend(1).run(specs);
-  const auto parallel = InProcessBackend(4).run(specs);
+  const auto sequential = makeBackend(BackendOptions{.workers = 1})->run(specs);
+  const auto parallel = makeBackend(BackendOptions{.workers = 4})->run(specs);
   ASSERT_EQ(sequential.size(), parallel.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     expectSameMetrics(sequential[i].metrics, parallel[i].metrics);
@@ -114,17 +116,12 @@ TEST(ScenarioRunner, FacadeSelectsBackendFromOptions) {
     return makeBackend(cli.backendOptions());
   };
 
-  const auto threads = backendFor({"backend=threads", "shards=3"});
-  EXPECT_EQ(threads->name(), "threads");
-  EXPECT_EQ(threads->workersFor(100), 3u);
+  EXPECT_EQ(backendFor({"shards=3"})->workersFor(100), 3u);
+  EXPECT_EQ(backendFor({"shards=3"})->workersFor(2), 2u);  // clamped to the batch
 
-  const auto processes = backendFor({"backend=processes", "shards=2"});
-  EXPECT_EQ(processes->name(), "stream");  // the local-worker alias
-  EXPECT_EQ(processes->workersFor(100), 2u);
-
-  const auto legacy = backendFor({"shards=4"});  // no backend= keeps threads
-  EXPECT_EQ(legacy->name(), "threads");
-  EXPECT_EQ(legacy->workersFor(100), 4u);
+  // No runner key: one local worker per hardware thread.
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(backendFor({})->workersFor(1000), std::min(hardware, 1000u));
 }
 
 TEST(ScenarioRecords, RecordsCarryScenarioIdentity) {

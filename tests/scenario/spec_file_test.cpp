@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -232,19 +234,23 @@ TEST(CliSpecFiles, SpecThatCannotBuildFailsTheParse) {
 }
 
 TEST(CliBackendKeys, BackendAndShardsParse) {
-  const char* argv[] = {"test_binary", "backend=processes", "shards=4"};
+  const char* argv[] = {"test_binary", "shards=4"};
   ScenarioSpec spec;
   Cli cli("test_binary", "backend keys");
   cli.setRunnerKeys(true);
-  ASSERT_EQ(cli.parse(3, const_cast<char**>(argv), &spec), CliStatus::kRun);
-  EXPECT_EQ(cli.backendOptions().kind, BackendKind::kStream);  // the alias
+  ASSERT_EQ(cli.parse(2, const_cast<char**>(argv), &spec), CliStatus::kRun);
   EXPECT_EQ(cli.backendOptions().workers, 4u);
 
-  const char* bad[] = {"test_binary", "backend=smoke-signals"};
+  // There is one backend, so there is no backend= key to choose one: the
+  // key is unknown whatever its value.
+  const char* bad[] = {"test_binary", "backend=fleet"};
   Cli badCli("test_binary", "backend keys");
   badCli.setRunnerKeys(true);
   ScenarioSpec badSpec;
+  testing::internal::CaptureStderr();
   EXPECT_EQ(badCli.parse(2, const_cast<char**>(bad), &badSpec), CliStatus::kError);
+  const std::string stderrText = testing::internal::GetCapturedStderr();
+  EXPECT_NE(stderrText.find("unknown option 'backend'"), std::string::npos) << stderrText;
 
   const char* defaults[] = {"test_binary"};
   Cli defaultCli("test_binary", "backend keys");
@@ -252,21 +258,20 @@ TEST(CliBackendKeys, BackendAndShardsParse) {
   ScenarioSpec defaultSpec;
   ASSERT_EQ(defaultCli.parse(1, const_cast<char**>(defaults), &defaultSpec),
             CliStatus::kRun);
-  EXPECT_EQ(defaultCli.backendOptions().kind, BackendKind::kThreads);
   EXPECT_EQ(defaultCli.backendOptions().workers, 0u);
   EXPECT_TRUE(defaultCli.backendOptions().hosts.empty());
 }
 
 TEST(CliBackendKeys, SpecBinaryWithoutRunnerKeysRejectsThem) {
-  // A scenario binary that never dispatches must not accept backend= and
+  // A scenario binary that never dispatches must not accept shards= and
   // then ignore it: the key is unknown there.
-  const char* argv[] = {"test_binary", "backend=stream"};
+  const char* argv[] = {"test_binary", "shards=2"};
   ScenarioSpec spec;
   Cli cli("test_binary", "no runner keys");
   testing::internal::CaptureStderr();
   EXPECT_EQ(cli.parse(2, const_cast<char**>(argv), &spec), CliStatus::kError);
   const std::string stderrText = testing::internal::GetCapturedStderr();
-  EXPECT_NE(stderrText.find("unknown option 'backend'"), std::string::npos) << stderrText;
+  EXPECT_NE(stderrText.find("unknown option 'shards'"), std::string::npos) << stderrText;
 }
 
 TEST(CliBackendKeys, HelpListsRunnerKeysOnlyWhereEnabled) {
@@ -283,26 +288,18 @@ TEST(CliBackendKeys, HelpListsRunnerKeysOnlyWhereEnabled) {
   };
   const std::string with = helpOf(true);
   const std::string without = helpOf(false);
-  for (const char* key : {"backend=", "shards=", "hosts=", "connect_timeout_ms="}) {
+  for (const char* key : {"shards=", "hosts=", "connect_timeout_ms="}) {
     EXPECT_NE(with.find(key), std::string::npos) << key << "\n" << with;
     EXPECT_EQ(without.find(key), std::string::npos) << key << "\n" << without;
   }
+  EXPECT_EQ(with.find("backend="), std::string::npos) << with;
   // Both still list the scenario keys.
   EXPECT_NE(with.find("pattern="), std::string::npos);
   EXPECT_NE(without.find("pattern="), std::string::npos);
 }
 
 TEST(CliBackendKeys, StreamAndHostsParse) {
-  const char* stream[] = {"test_binary", "backend=stream", "shards=3"};
-  ScenarioSpec spec;
-  Cli cli("test_binary", "backend keys");
-  cli.setRunnerKeys(true);
-  ASSERT_EQ(cli.parse(3, const_cast<char**>(stream), &spec), CliStatus::kRun);
-  EXPECT_EQ(cli.backendOptions().kind, BackendKind::kStream);
-  EXPECT_EQ(cli.backendOptions().workers, 3u);
-
-  // hosts= names a fleet file (leading @ optional) and implies
-  // backend=stream when no backend was chosen.
+  // hosts= names a fleet file (leading @ optional).
   TempSpecFile hosts(R"([{"launcher": ["env"], "workers": 2}])");
   const std::string hostsAtArg = "hosts=@" + hosts.path();
   const char* withHosts[] = {"test_binary", hostsAtArg.c_str()};
@@ -311,22 +308,13 @@ TEST(CliBackendKeys, StreamAndHostsParse) {
   ScenarioSpec hostsSpec;
   ASSERT_EQ(hostsCli.parse(2, const_cast<char**>(withHosts), &hostsSpec),
             CliStatus::kRun);
-  EXPECT_EQ(hostsCli.backendOptions().kind, BackendKind::kStream);
   ASSERT_EQ(hostsCli.backendOptions().hosts.size(), 1u);  // parsed once, here
   EXPECT_EQ(hostsCli.backendOptions().hosts[0].launcher,
             std::vector<std::string>{"env"});
   EXPECT_EQ(hostsCli.backendOptions().hosts[0].workers, 2u);
 
-  // ... but contradicting an explicit non-stream backend is an error.
+  // shards= next to a fleet that sizes itself is an error.
   const std::string hostsKey = "hosts=" + hosts.path();
-  const char* contradictory[] = {"test_binary", "backend=threads", hostsKey.c_str()};
-  Cli badCli("test_binary", "backend keys");
-  badCli.setRunnerKeys(true);
-  ScenarioSpec badSpec;
-  EXPECT_EQ(badCli.parse(3, const_cast<char**>(contradictory), &badSpec),
-            CliStatus::kError);
-
-  // ... and so is shards= next to a fleet that sizes itself.
   const char* shardsToo[] = {"test_binary", "shards=8", hostsKey.c_str()};
   Cli shardsCli("test_binary", "backend keys");
   shardsCli.setRunnerKeys(true);
@@ -350,6 +338,39 @@ TEST(CliBackendKeys, StreamAndHostsParse) {
   ScenarioSpec emptySpec;
   EXPECT_EQ(emptyCli.parse(2, const_cast<char**>(emptyHosts), &emptySpec),
             CliStatus::kError);
+}
+
+/// Runs `command` through the shell; returns its exit status and its
+/// stdout and stderr, interleaved.
+std::pair<int, std::string> runCommand(const std::string& command) {
+  FILE* pipe = ::popen((command + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) return {-1, "popen failed"};
+  std::string output;
+  char buffer[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0) output.append(buffer, n);
+  const int status = ::pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, output};
+}
+
+TEST(CliBackendKeys, EveryRunnerBinaryRefusesTheBackendKey) {
+  // Every batch runs on the worker fleet, so no binary takes backend=,
+  // whatever its value (pnoc_serve once accepted the key and ignored it).
+  // The binaries are built next to this one.
+  const std::filesystem::path dir =
+      std::filesystem::read_symlink("/proc/self/exe").parent_path();
+  for (const char* binary : {"pnoc_run", "pnoc_serve", "quickstart"}) {
+    const std::filesystem::path path = dir / binary;
+    if (!std::filesystem::exists(path)) GTEST_SKIP() << path << " is not built";
+    const auto [status, output] = runCommand(path.string() + " backend=fleet");
+    EXPECT_EQ(status, 1) << binary << "\n" << output;
+    EXPECT_NE(output.find("unknown option 'backend'"), std::string::npos)
+        << binary << "\n" << output;
+    const auto [helpStatus, help] = runCommand(path.string() + " help=1");
+    EXPECT_EQ(helpStatus, 0) << binary << "\n" << help;
+    EXPECT_NE(help.find("shards="), std::string::npos) << binary << "\n" << help;
+    EXPECT_EQ(help.find("backend"), std::string::npos) << binary << "\n" << help;
+  }
 }
 
 TEST(CliBackendKeys, OutOfRangeRunnerValuesAreRefusedByName) {

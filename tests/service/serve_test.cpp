@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "scenario/dispatch/checkpoint.hpp"
-#include "scenario/dispatch/streaming_backend.hpp"
 #include "scenario/execution_backend.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -130,7 +130,10 @@ class DaemonHarness {
     options.hosts = fleetOf(1);
     options.policy.connectTimeoutMs = 10000;
   }
-  ~DaemonHarness() { stop(); }
+  ~DaemonHarness() {
+    stop();
+    std::filesystem::remove_all(dir_);
+  }
 
   const std::string& dir() const { return dir_; }
 
@@ -396,7 +399,7 @@ TEST(ServeDaemon, FailureRecordsMatchTheStreamingBackendByteForByte) {
   for (const scenario::ScenarioSpec& spec : grid) {
     jobs.push_back({scenario::ScenarioJob::Op::kRun, spec});
   }
-  scenario::dispatch::StreamingBackend backend(fleetOf(2), policy);
+  scenario::ExecutionBackend backend(fleetOf(2), policy);
   const std::vector<scenario::ScenarioOutcome> outcomes = backend.execute(jobs);
   ASSERT_EQ(outcomes.size(), grid.size());
   EXPECT_TRUE(outcomes[1].failed);

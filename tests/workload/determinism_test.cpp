@@ -13,10 +13,10 @@
 
 #include "network/network.hpp"
 #include "scenario/execution_backend.hpp"
-#include "scenario/in_process_backend.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "scenario/wire.hpp"
 #include "support/param_name.hpp"
+#include "support/serial_reference.hpp"
 
 namespace pnoc::workload {
 namespace {
@@ -84,9 +84,10 @@ INSTANTIATE_TEST_SUITE_P(
         WorkloadCase{"closed:window=2", "real-apps"}),
     testsupport::TupleName());
 
-// Backend equivalence: the same closed-loop batch through every backend and
-// several shard counts, compared through the full wire serialization (which
-// now carries the request-latency histogram and flow counters).
+// Backend equivalence: the same closed-loop batch through the worker fleet
+// at several shard counts and through the serial executeJob loop, compared
+// through the full wire serialization (which now carries the
+// request-latency histogram and flow counters).
 TEST(WorkloadBackends, AllBackendsAllShardCountsMatchBitForBit) {
   auto makeSpec = [](const std::string& workload, const char* pattern,
                      std::uint64_t seed) {
@@ -104,25 +105,20 @@ TEST(WorkloadBackends, AllBackendsAllShardCountsMatchBitForBit) {
       makeSpec("closed:window=4,think=5", "real-apps", 7),
   };
 
-  scenario::InProcessBackend reference(1);
-  const auto expected = reference.run(specs);
+  const auto expected = testsupport::runSerially(specs);
   ASSERT_EQ(expected.size(), specs.size());
   for (const auto& result : expected) {
     ASSERT_GT(result.metrics.requestsCompleted, 0u);
   }
 
-  for (const auto kind : {scenario::BackendKind::kThreads,
-                          scenario::BackendKind::kStream}) {
-    for (const unsigned shards : {1u, 2u, 3u}) {
-      const auto backend =
-          scenario::makeBackend(scenario::BackendOptions{kind, shards});
-      const auto actual = backend->run(specs);
-      ASSERT_EQ(actual.size(), expected.size());
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(scenario::wire::toJson(actual[i].metrics),
-                  scenario::wire::toJson(expected[i].metrics))
-            << scenario::toString(kind) << " shards=" << shards << " spec=" << i;
-      }
+  for (const unsigned shards : {1u, 2u, 3u}) {
+    const auto backend = scenario::makeBackend(scenario::BackendOptions{.workers = shards});
+    const auto actual = backend->run(specs);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(scenario::wire::toJson(actual[i].metrics),
+                scenario::wire::toJson(expected[i].metrics))
+          << "shards=" << shards << " spec=" << i;
     }
   }
 }

@@ -1,28 +1,27 @@
 // pnoc_run: the batch driver — loads a scenario grid from spec files, fans
-// it out through the chosen ExecutionBackend, and emits one merged
+// it out to a worker fleet (ExecutionBackend), and emits one merged
 // BENCH_<bench>.json through the scenario layer's single record path.
 //
 //   pnoc_run @grid.json [@more.kv ...] [mode=run|peak]
-//            [backend=threads|processes|stream] [shards=N] [hosts=@hosts.json]
-//            [resume=1] [bench=pnoc_run] [json=.] [scenario overrides...]
+//            [shards=N | hosts=@hosts.json] [resume=1] [bench=pnoc_run]
+//            [json=.] [scenario overrides...]
 //
 // Grid files are key=value stanzas (blank-line separated) or JSON (object,
 // array of objects, or newline-delimited objects); each spec starts from the
 // defaults and command-line scenario keys override every loaded spec (the
 // command line wins).  `mode=run` measures each spec at its fixed load;
 // `mode=peak` runs a saturation search per spec.  Results and BENCH records
-// are bit-identical across backends, shard counts and transports, so a
-// sharded sweep on many cores — or a hosts file of many machines — is a
-// drop-in for the single-process run.
+// are bit-identical across shard counts and transports, so a hosts file of
+// many machines is a drop-in for the local fleet.
 //
 // Every run/peak record carries its `grid_index`, which makes the BENCH file
 // a checkpoint: with `resume=1` an existing record's indices are skipped and
 // only the remainder is dispatched, and the merged file is byte-identical
-// (timing record aside) to an uninterrupted run.  Under `backend=stream`
-// the driver also rewrites the file as jobs complete (at most once a
-// second, dispatch::BenchCheckpoint) when resuming or when no BENCH file
-// existed at start, so a killed grid resumes from its last write instead
-// of its last exit.
+// (timing record aside) to an uninterrupted run.  The driver also rewrites
+// the file as jobs complete (at most once a second,
+// dispatch::BenchCheckpoint) when resuming or when no BENCH file existed at
+// start, so a killed grid resumes from its last write instead of its last
+// exit.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -195,7 +194,7 @@ int runServeClient(scenario::Cli& cli, const std::string& socketPath,
 int main(int argc, char** argv) {
   scenario::ScenarioSpec base;
   scenario::Cli cli("pnoc_run",
-                    "batch driver: spec grid -> execution backend -> merged BENCH records");
+                    "batch driver: spec grid -> worker fleet -> merged BENCH records");
   cli.addKey("mode", "run (fixed-load, default) | peak (saturation search per spec)");
   cli.addKey("bench", "BENCH record name (default pnoc_run)");
   cli.addKey("json", "directory for the BENCH record (default .)");
@@ -342,21 +341,17 @@ int main(int argc, char** argv) {
   try {
     const auto backend = scenario::makeBackend(cli.backendOptions());
     std::cout << "pnoc_run: " << grid.size()
-              << " spec(s), mode=" << scenario::wire::opName(op)
-              << ", backend=" << backend->name() << " ("
-              << backend->workersFor(jobs.size()) << " worker(s))\n";
+              << " spec(s), mode=" << scenario::wire::opName(op) << ", "
+              << backend->workersFor(jobs.size()) << " worker(s)\n";
 
-    // The streaming backend reports each completed job, and the checkpoint
+    // The checkpoint records each outcome as it arrives and, when allowed,
     // rewrites the BENCH file on its throttle; the final write below (or
-    // the failure path's flush) catches what the throttle held back.  The
-    // thread backend never fires this.
-    if (checkpointing) {
-      backend->setOutcomeObserver(
-          [&](std::size_t jobIndex, const scenario::ScenarioOutcome& outcome) {
-            checkpoint.record(missing[jobIndex], outcome);
-            checkpoint.flushIfDue(scenario::dispatch::steadyNowMs());
-          });
-    }
+    // the failure path's flush) catches what the throttle held back.
+    backend->setOutcomeObserver(
+        [&](std::size_t jobIndex, const scenario::ScenarioOutcome& outcome) {
+          checkpoint.record(missing[jobIndex], outcome);
+          if (checkpointing) checkpoint.flushIfDue(scenario::dispatch::steadyNowMs());
+        });
     if (!jobs.empty()) outcomes = backend->execute(jobs);
   } catch (const std::exception& error) {
     std::cerr << "pnoc_run: " << error.what() << "\n";
@@ -364,8 +359,10 @@ int main(int argc, char** argv) {
     // resume=1 then re-simulates only what is genuinely missing.
     if (checkpointing) checkpoint.flush(scenario::dispatch::steadyNowMs());
     const std::vector<std::size_t> stillMissing = checkpoint.missingIndices();
-    std::cerr << "pnoc_run: " << checkpoint.presentCount() << " of "
-              << grid.size() << " spec(s) checkpointed";
+    std::cerr << "pnoc_run: " << checkpoint.presentCount() << " of " << grid.size()
+              << (checkpointing ? " spec(s) checkpointed"
+                                : " spec(s) completed (the existing BENCH file is"
+                                  " unchanged)");
     if (!stillMissing.empty() && stillMissing.size() <= 32) {
       std::cerr << "; grid index(es) " << joinIndices(stillMissing)
                 << " missing";
@@ -391,12 +388,9 @@ int main(int argc, char** argv) {
   for (std::size_t j = 0; j < outcomes.size(); ++j) {
     const auto& outcome = outcomes[j];
     const std::size_t gridIndex = missing[j];
-    if (!checkpoint.rawByIndex[gridIndex]) {  // observer may have stored it
-      checkpoint.record(gridIndex, outcome);
-    }
     if (outcome.failed) {
-      // Fail-soft failures reach the BENCH file (just above) but not the
-      // metrics table — their row would be all zeros.
+      // Fail-soft failures reach the BENCH file (the observer recorded
+      // them) but not the metrics table — their row would be all zeros.
       failedIndices.push_back(gridIndex);
       continue;
     }
