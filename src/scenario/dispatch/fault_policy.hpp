@@ -23,9 +23,13 @@
 //                  deterministic and are never retried.
 //   respawns       worker relaunches per slot through the slot's ORIGINAL
 //                  transport, so a fleet heals to full width instead of
-//                  shrinking by one worker per crash.  Launch/handshake
-//                  failures never respawn — a host that cannot connect once
-//                  is not reconnected job after job.
+//                  shrinking by one worker per crash; 0 never relaunches.
+//                  A death that exhausts its unit's `retries` (the unit is
+//                  recorded as failed) blames the unit, not the slot: it
+//                  respawns without spending this budget, so one poison
+//                  unit cannot strand the rest of a one-worker grid.
+//                  Launch/handshake failures never respawn — a host that
+//                  cannot connect once is not reconnected job after job.
 //   backoff_ms     base of the exponential backoff (doubling per attempt,
 //                  capped at backoff_cap_ms) a faulted job waits before it
 //                  is redispatched — a spec that reliably kills workers must

@@ -184,23 +184,25 @@ void FleetManager::refundInFlight(Slot& slot) {
 
 /// A dead/corrupt/overdue worker loses its whole in-flight queue: the FRONT
 /// unit — the one the worker was executing — is charged a retry; the
-/// queued-behind units were never started and go back uncharged.
-void FleetManager::chargeFrontRefundRest(Slot& slot, const std::string& loudWho,
+/// queued-behind units were never started and go back uncharged.  True
+/// when the front unit exhausted its retries and completed as a failure.
+bool FleetManager::chargeFrontRefundRest(Slot& slot, const std::string& loudWho,
                                          const std::string& recordDetail,
                                          std::uint64_t nowMs) {
-  if (slot.inFlight.empty()) return;
+  if (slot.inFlight.empty()) return false;
   Flight front = std::move(slot.inFlight.front());
   slot.inFlight.pop_front();
   endUnitSpan(front);
   refundInFlight(slot);
-  unitFaulted(std::move(front), loudWho, recordDetail, nowMs);
+  return unitFaulted(std::move(front), loudWho, recordDetail, nowMs);
 }
 
 /// A fault cost `flight` its current dispatch: redispatch within the retry
-/// budget (after exponential backoff), else complete it as a failure.
-/// `loudWho` names worker and cause for stderr and loud errors;
-/// `recordDetail` is the deterministic (pid-free) cause a record carries.
-void FleetManager::unitFaulted(Flight flight, const std::string& loudWho,
+/// budget (after exponential backoff), else complete it as a failure and
+/// return true.  `loudWho` names worker and cause for stderr and loud
+/// errors; `recordDetail` is the deterministic (pid-free) cause a record
+/// carries.
+bool FleetManager::unitFaulted(Flight flight, const std::string& loudWho,
                                const std::string& recordDetail,
                                std::uint64_t nowMs) {
   ++flight.attempts;
@@ -220,10 +222,11 @@ void FleetManager::unitFaulted(Flight flight, const std::string& loudWho,
     } else {
       delayed_.push_back(DelayedFlight{std::move(flight), nowMs + backoff});
     }
-    return;
+    return false;
   }
   recordUnitFailure(flight, recordDetail + " (retry budget of " +
                                 std::to_string(policy_.retries) + " exhausted)");
+  return true;
 }
 
 /// The terminal failure state: the unit completes AS a failed outcome with
@@ -260,27 +263,32 @@ void FleetManager::protocolDeath(Slot& slot, const std::string& what,
   statProtocolDeaths_.inc();
   const std::string who = describeWorker(slot.conn) + " " + what;
   killSlot(slot, SlotState::kDead);
-  if (slot.inFlight.empty()) {
-    death(who + " while idle");
-  } else {
-    chargeFrontRefundRest(slot, who, recordDetail, nowMs);
-  }
-  maybeRespawn(slot, nowMs);
+  if (slot.inFlight.empty()) death(who + " while idle");
+  const bool unitFailed = chargeFrontRefundRest(slot, who, recordDetail, nowMs);
+  maybeRespawn(slot, unitFailed, nowMs);
 }
 
 /// Relaunches a dead slot through its original transport (bounded per
 /// slot): the fleet heals to full width instead of shrinking by one worker
-/// per crash.  Connect-class failures never respawn.
-void FleetManager::maybeRespawn(Slot& slot, std::uint64_t nowMs) {
-  if (slot.launchFailed || slot.respawns >= policy_.respawns) return;
-  ++slot.respawns;
+/// per crash.  Connect-class failures never respawn, and respawns=0 turns
+/// respawning off.  A death that failed its unit (`unitFailed`: the retry
+/// budget ran out) blames the unit, which that budget already bounds, so
+/// it respawns without spending the slot's budget — else one poison unit
+/// would strand every later unit of a one-worker fleet.
+void FleetManager::maybeRespawn(Slot& slot, bool unitFailed, std::uint64_t nowMs) {
+  if (slot.launchFailed || policy_.respawns == 0) return;
+  if (!unitFailed) {
+    if (slot.respawns >= policy_.respawns) return;
+    ++slot.respawns;
+  }
   statRespawns_.inc();
   if (obs::TraceWriter* writer = obs::trace()) {
     writer->instant("respawn", "dispatch");
   }
-  note("respawning " + slot.transport.describe() + " (respawn " +
-       std::to_string(slot.respawns) + " of " + std::to_string(policy_.respawns) +
-       ")");
+  note("respawning " + slot.transport.describe() +
+       (unitFailed ? std::string(" after its unit failed (budget unspent)")
+                   : " (respawn " + std::to_string(slot.respawns) + " of " +
+                         std::to_string(policy_.respawns) + ")"));
   startWorker(slot, nowMs);
 }
 
@@ -439,13 +447,11 @@ void FleetManager::handleDeath(Slot& slot, std::uint64_t nowMs) {
   }
   if (truncated) statProtocolDeaths_.inc();
   const std::string how = end + (truncated ? " with a truncated reply line" : "");
-  if (slot.inFlight.empty()) {
-    // Idle death loses no unit: reported, healed, never costs the run.
-    death(who + " " + how + " while idle");
-  } else {
-    chargeFrontRefundRest(slot, who + " " + how, "worker death: " + how, nowMs);
-  }
-  maybeRespawn(slot, nowMs);
+  // Idle death loses no unit: reported, healed, never costs the run.
+  if (slot.inFlight.empty()) death(who + " " + how + " while idle");
+  const bool unitFailed =
+      chargeFrontRefundRest(slot, who + " " + how, "worker death: " + how, nowMs);
+  maybeRespawn(slot, unitFailed, nowMs);
 }
 
 void FleetManager::releaseDelayed(std::uint64_t nowMs) {
@@ -477,9 +483,10 @@ void FleetManager::onTick(std::uint64_t nowMs) {
       const std::string who = describeWorker(slot.conn);
       const std::string limit = std::to_string(policy_.jobDeadlineMs) + " ms";
       killSlot(slot, SlotState::kDead);
-      chargeFrontRefundRest(slot, who + " exceeded the " + limit + " job deadline",
-                            "job deadline exceeded (" + limit + ")", nowMs);
-      maybeRespawn(slot, nowMs);
+      const bool unitFailed = chargeFrontRefundRest(
+          slot, who + " exceeded the " + limit + " job deadline",
+          "job deadline exceeded (" + limit + ")", nowMs);
+      maybeRespawn(slot, unitFailed, nowMs);
     }
   }
 }

@@ -177,7 +177,7 @@ class FleetManager {
     int waitStatus = -1;  // how the last process ended; -1: not reaped
     unsigned completed = 0;
     unsigned maxInFlight = 0;
-    unsigned respawns = 0;
+    unsigned respawns = 0;      // respawns charged to the policy's budget
     bool launchFailed = false;  // connect-class death: never respawn
     std::uint64_t handshakeSpanId = 0;  // open worker-handshake trace span
   };
@@ -191,16 +191,16 @@ class FleetManager {
   void startWorker(Slot& slot, std::uint64_t nowMs);
   void killSlot(Slot& slot, SlotState endState);
   void refundInFlight(Slot& slot);
-  void chargeFrontRefundRest(Slot& slot, const std::string& loudWho,
+  bool chargeFrontRefundRest(Slot& slot, const std::string& loudWho,
                              const std::string& recordDetail,
                              std::uint64_t nowMs);
-  void unitFaulted(Flight flight, const std::string& loudWho,
+  bool unitFaulted(Flight flight, const std::string& loudWho,
                    const std::string& recordDetail, std::uint64_t nowMs);
   void recordUnitFailure(const Flight& flight, const std::string& reason);
   void connectFailure(Slot& slot, const std::string& what);
   void protocolDeath(Slot& slot, const std::string& what,
                      const std::string& recordDetail, std::uint64_t nowMs);
-  void maybeRespawn(Slot& slot, std::uint64_t nowMs);
+  void maybeRespawn(Slot& slot, bool unitFailed, std::uint64_t nowMs);
   void handleLine(Slot& slot, const std::string& line, std::uint64_t nowMs);
   void handleDeath(Slot& slot, std::uint64_t nowMs);
   void releaseDelayed(std::uint64_t nowMs);

@@ -28,7 +28,7 @@ struct WorkerStatus {
   unsigned completed = 0;
   std::size_t inFlight = 0;
   unsigned maxInFlight = 0;
-  unsigned respawns = 0;
+  unsigned respawns = 0;  // respawns charged to the slot's budget
 };
 
 }  // namespace pnoc::scenario::dispatch

@@ -1,5 +1,6 @@
 #include "scenario/execution_backend.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -114,22 +115,17 @@ metrics::PeakSearchOptions peakOptionsFor(const ScenarioSpec& spec) {
   return options;
 }
 
-unsigned resolveWorkerCount(unsigned requested, std::size_t jobCount) {
-  unsigned workers = requested;
-  if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-  }
-  if (jobCount < workers) workers = static_cast<unsigned>(jobCount);
-  return workers == 0 ? 1 : workers;
+unsigned resolveWorkerCount(unsigned requested) {
+  if (requested != 0) return requested;
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 std::unique_ptr<ExecutionBackend> makeBackend(const BackendOptions& options) {
-  // shards=N is the one-entry fleet [{"workers":N}], N resolved (0 = auto)
-  // but not yet clamped: workersFor() clamps every fleet to its batch.
+  // shards=N is the one-entry fleet [{"workers":N}], N resolved (0 = auto);
+  // workersFor() clamps every fleet to its batch.
   std::vector<dispatch::HostEntry> hosts = options.hosts;
   if (hosts.empty()) {
-    hosts.emplace_back().workers = resolveWorkerCount(options.workers, SIZE_MAX);
+    hosts.emplace_back().workers = resolveWorkerCount(options.workers);
   }
   return std::make_unique<ExecutionBackend>(std::move(hosts), options.policy);
 }

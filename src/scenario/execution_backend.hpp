@@ -17,8 +17,8 @@
 //
 // The primitive is execute() over mixed ScenarioJob batches (fixed-load runs
 // and saturation searches can share one dispatch); run()/findPeaks() are the
-// typed conveniences.  Worker-count policy lives in ONE place —
-// resolveWorkerCount() — for the automatic count and batch-size clamping.
+// typed conveniences.  resolveWorkerCount() turns `shards=0` into the
+// automatic count; workersFor() is the one clamp of a fleet to its batch.
 #pragma once
 
 #include <cstddef>
@@ -83,11 +83,10 @@ metrics::PeakSearchResult findScenarioPeak(const ScenarioSpec& spec);
 /// set's wavelength budget so every set's knee is bracketed from below.
 metrics::PeakSearchOptions peakOptionsFor(const ScenarioSpec& spec);
 
-/// The one worker-count policy (local fleets, every caller):
-///   requested == 0  ->  std::thread::hardware_concurrency(), min 1.
-///   The result is clamped to jobCount (a 16-shard backend given 3 specs
-///   uses 3 workers), with a floor of 1.
-unsigned resolveWorkerCount(unsigned requested, std::size_t jobCount);
+/// A local fleet's worker count: `requested`, or for 0 the hardware
+/// concurrency with a floor of 1.  ExecutionBackend::workersFor clamps it
+/// to each batch.
+unsigned resolveWorkerCount(unsigned requested);
 
 struct BackendOptions {
   /// Local worker-process count; 0 = auto (see resolveWorkerCount).

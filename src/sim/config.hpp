@@ -1,7 +1,7 @@
 // The one value grammar of every `key=value` input, and the key/value store
 // that serves it.
 //
-// Scenario keys, pattern and workload options (`tornado:offset=8`), runner
+// Scenario keys, pattern and workload options (`skewed:level=2`), runner
 // keys (`shards=4`) and binary keys (`minMs=50`) all read their values
 // through the four parsers below, so one spelling means the same thing
 // everywhere and an out-of-range number is refused instead of wrapped:

@@ -1,12 +1,11 @@
 #include "traffic/registry.hpp"
 
-#include <fstream>
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
 #include "sim/suggest.hpp"
 #include "traffic/app_profile.hpp"
-#include "traffic/matrix_pattern.hpp"
 #include "traffic/skewed.hpp"
 #include "traffic/synthetic.hpp"
 #include "traffic/uniform.hpp"
@@ -14,57 +13,19 @@
 namespace pnoc::traffic {
 namespace {
 
-std::string readFileOrThrow(const std::string& path, const std::string& what) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::invalid_argument(what + ": cannot read '" + path + "'");
-  }
-  std::ostringstream content;
-  content << in.rdbuf();
-  return content.str();
-}
-
 /// Every built-in family, name-sorted (the help listing's order).
 constexpr PatternFamily kFamilies[] = {
-    {"bitcomp", "bit-complement permutation (core i -> ~i)", "",
-     [](const sim::Config&, const noc::ClusterTopology& topology,
-        const BandwidthSet& set) -> std::unique_ptr<TrafficPattern> {
-       return std::make_unique<StaticTargetPattern>("bitcomp", topology, set,
-                                                    bitComplementTargets(topology));
-     }},
-    {"hotspot", "fraction of all traffic to one core over any base pattern",
-     "frac=<0..1) (0.1), hot=<core> (0), base=<spec> (uniform)",
+    {"hotspot", "fraction of all traffic to one core over uniform random traffic",
+     "frac=<0..1) (0.1), hot=<core> (0)",
      [](const sim::Config& options, const noc::ClusterTopology& topology,
         const BandwidthSet& set) -> std::unique_ptr<TrafficPattern> {
        const double frac = options.getDouble("frac", 0.1);
        const CoreId hot = options.getU32("hot", 0);
-       const std::string base = options.getString("base", "uniform");
        std::ostringstream name;
-       name << "hotspot:frac=" << frac << ",hot=" << hot << ",base=" << base;
+       name << "hotspot:frac=" << frac << ",hot=" << hot;
        return std::make_unique<HotspotOverlayPattern>(
-           name.str(), makePattern(base, topology, set), frac, hot, topology);
-     }},
-    {"matrix", "replay a profiled workload from CSV rate/demand matrices",
-     "rates=<csv path>, demands=<csv path>",
-     [](const sim::Config& options, const noc::ClusterTopology& topology,
-        const BandwidthSet&) -> std::unique_ptr<TrafficPattern> {
-       const std::string ratesPath = options.getString("rates", "");
-       const std::string demandsPath = options.getString("demands", "");
-       if (ratesPath.empty() || demandsPath.empty()) {
-         throw std::invalid_argument(
-             "matrix pattern needs rates=<csv path> and demands=<csv path>");
-       }
-       return std::make_unique<MatrixPattern>(MatrixPattern::fromCsv(
-           topology, readFileOrThrow(ratesPath, "matrix rates"),
-           readFileOrThrow(demandsPath, "matrix demands")));
-     }},
-    {"permutation", "seeded random core permutation (single N-cycle)", "seed=<u64> (1)",
-     [](const sim::Config& options, const noc::ClusterTopology& topology,
-        const BandwidthSet& set) -> std::unique_ptr<TrafficPattern> {
-       const std::uint64_t seed = options.getU64("seed", 1);
-       return std::make_unique<StaticTargetPattern>(
-           "permutation:seed=" + std::to_string(seed), topology, set,
-           permutationTargets(topology, seed));
+           name.str(), std::make_unique<UniformRandomPattern>(topology, set), frac, hot,
+           topology);
      }},
     {"real-apps", "MUM/BFS/CP/RAY/LPS GPU clusters + memory clusters (Section 3.4.2)", "",
      [](const sim::Config&, const noc::ClusterTopology& topology,
@@ -93,21 +54,6 @@ constexpr PatternFamily kFamilies[] = {
        return std::make_unique<HotspotOverlayPattern>(
            "skewed-hotspot" + std::to_string(variant),
            std::make_unique<SkewedPattern>(level, topology, set), share, hot, topology);
-     }},
-    {"tornado", "every cluster targets the cluster `offset` hops ahead",
-     "offset=<1..numClusters-1> (numClusters/2)",
-     [](const sim::Config& options, const noc::ClusterTopology& topology,
-        const BandwidthSet& set) -> std::unique_ptr<TrafficPattern> {
-       const std::uint32_t offset = options.getU32("offset", topology.numClusters() / 2);
-       return std::make_unique<StaticTargetPattern>(
-           "tornado:offset=" + std::to_string(offset), topology, set,
-           tornadoTargets(topology, offset));
-     }},
-    {"transpose", "matrix-transpose permutation on the core grid", "",
-     [](const sim::Config&, const noc::ClusterTopology& topology,
-        const BandwidthSet& set) -> std::unique_ptr<TrafficPattern> {
-       return std::make_unique<StaticTargetPattern>("transpose", topology, set,
-                                                    transposeTargets(topology));
      }},
     {"uniform", "uniform random traffic, even wavelength split (Section 3.4.1)", "",
      [](const sim::Config&, const noc::ClusterTopology& topology,
@@ -144,33 +90,16 @@ ParsedPatternSpec parsePatternSpec(std::string_view spec) {
   if (colon == std::string_view::npos) return parsed;
   const std::string_view tail = spec.substr(colon + 1);
   if (tail.empty()) fail("empty option list");
-  // Split on commas at parenthesis depth 0 only, so nested specs can carry
-  // their own option lists: hotspot:frac=0.2,base=(skewed-hotspot:hot=5).
-  std::size_t begin = 0;
-  std::size_t cursor = 0;
-  int depth = 0;
-  while (cursor <= tail.size()) {
-    if (cursor < tail.size() && tail[cursor] == '(') ++depth;
-    if (cursor < tail.size() && tail[cursor] == ')' && --depth < 0) fail("unbalanced ')'");
-    const bool split = cursor == tail.size() || (tail[cursor] == ',' && depth == 0);
-    if (!split) {
-      ++cursor;
-      continue;
-    }
-    const std::string_view token = tail.substr(begin, cursor - begin);
+  for (std::size_t begin = 0; begin <= tail.size();) {
+    const std::size_t end = std::min(tail.find(',', begin), tail.size());
+    const std::string_view token = tail.substr(begin, end - begin);
     const auto eq = token.find('=');
     if (eq == std::string_view::npos || eq == 0) {
       fail("option '" + std::string(token) + "' is not key=value");
     }
-    std::string_view value = token.substr(eq + 1);
-    // Unwrap one grouping layer: base=(family:k=v,k2=v2) -> family:k=v,k2=v2.
-    if (value.size() >= 2 && value.front() == '(' && value.back() == ')') {
-      value = value.substr(1, value.size() - 2);
-    }
-    parsed.options.set(std::string(token.substr(0, eq)), std::string(value));
-    begin = ++cursor;
+    parsed.options.set(std::string(token.substr(0, eq)), std::string(token.substr(eq + 1)));
+    begin = end + 1;
   }
-  if (depth != 0) fail("unbalanced '('");
   return parsed;
 }
 

@@ -3,16 +3,11 @@
 //
 //   spec     := family [":" options]
 //   options  := key "=" value { "," key "=" value }
-//   value    := text without "," | "(" nested spec ")"
+//   value    := text without ","
 //
 //   "uniform"
 //   "skewed:level=3"
 //   "hotspot:frac=0.3,hot=5"
-//   "tornado:offset=8"
-//   "hotspot:frac=0.2,base=(skewed-hotspot:variant=2,hot=5)"
-//
-// Parentheses group a nested spec so its commas are not split by the outer
-// option list (one grouping layer is unwrapped per value).
 //
 // A family table is a const array of {name, summary, optionsDoc, factory}
 // rows plus a const list of whole-spec aliases.  SpecFamilyTable::make

@@ -1,76 +1,17 @@
-// Synthetic workloads beyond the paper's evaluation set, registered with the
-// traffic-pattern registry (see registry.hpp for the spec grammar):
+// The hotspot overlay, registered with the traffic-pattern registry (see
+// registry.hpp for the spec grammar) as two families:
 //
-//   transpose           matrix-transpose permutation on the core grid
-//   tornado[:offset=k]  every cluster targets the cluster k hops ahead
-//   bitcomp             bit-complement permutation (core i -> ~i)
-//   permutation[:seed=s] seeded random permutation (a single N-cycle)
-//   hotspot[:frac=f,hot=c,base=spec] fraction f of all traffic to core c,
-//                        remainder per the base pattern
-//
-// The fixed-target patterns share StaticTargetPattern: each core sends every
-// packet to one partner core.  Cluster-level wavelength demand follows from
-// the target map: a source cluster demands its Firefly-equivalent share
-// (totalWavelengths / numClusters) toward every destination cluster it
-// actually targets, and nothing toward the rest.  The share is per flow, not
-// split across flows, because the SWMR write channel serializes
-// transmissions — channel width is consumed per transmission, which is also
-// how the uniform and skewed families fill their demand tables.
+//   hotspot[:frac=f,hot=c]          fraction f of all traffic to core c,
+//                                   the remainder uniform random
+//   skewed-hotspot[:variant=v,hot=c] the paper's case studies (Section 3.4.2)
 #pragma once
 
 #include <memory>
-#include <vector>
+#include <string>
 
 #include "traffic/pattern.hpp"
 
 namespace pnoc::traffic {
-
-/// Deterministic per-core target pattern: core i sends every packet to
-/// targets[i].  All cores carry equal source weight.
-class StaticTargetPattern : public TrafficPattern {
- public:
-  /// Requires targets.size() == numCores and targets[i] != i.  Throws
-  /// std::invalid_argument otherwise.
-  StaticTargetPattern(std::string name, const noc::ClusterTopology& topology,
-                      const BandwidthSet& set, std::vector<CoreId> targets);
-
-  std::string name() const override { return name_; }
-  double sourceWeight(CoreId) const override { return 1.0; }
-  CoreId sampleDestination(CoreId src, sim::Rng&) const override {
-    return targets_[src];
-  }
-  std::uint32_t bandwidthClass(ClusterId src, ClusterId dst) const override;
-  std::uint32_t wavelengthDemand(ClusterId src, ClusterId dst) const override;
-
-  const std::vector<CoreId>& targets() const { return targets_; }
-
- private:
-  std::string name_;
-  const noc::ClusterTopology* topology_;
-  BandwidthSet set_;
-  std::vector<CoreId> targets_;
-  std::vector<std::vector<std::uint32_t>> demand_;  // [src cluster][dst cluster]
-};
-
-/// Matrix transpose on the core grid: core (r, c) of the k x k grid sends to
-/// core (c, r); diagonal cores fall back to their successor core.  Requires
-/// a square core count.
-std::vector<CoreId> transposeTargets(const noc::ClusterTopology& topology);
-
-/// Tornado at cluster granularity: each core targets the core with its local
-/// index in the cluster `offset` positions ahead (mod numClusters).
-/// Requires 1 <= offset < numClusters.
-std::vector<CoreId> tornadoTargets(const noc::ClusterTopology& topology,
-                                   std::uint32_t offset);
-
-/// Bit-complement permutation: core i sends to core i ^ (numCores - 1).
-/// Requires a power-of-two core count.
-std::vector<CoreId> bitComplementTargets(const noc::ClusterTopology& topology);
-
-/// Seeded random permutation with no fixed points (a single cycle through a
-/// shuffled core order) — deterministic for a given seed.
-std::vector<CoreId> permutationTargets(const noc::ClusterTopology& topology,
-                                       std::uint64_t seed);
 
 /// Generalized hotspot: with probability `fraction` a packet goes to the
 /// hotspot core; otherwise the base pattern picks the destination.  Source

@@ -18,9 +18,7 @@
 // event at its recorded cycle on its recorded source core: the network then
 // evolves through the identical state sequence, so a replay of a run
 // reproduces that run's metrics byte-for-byte (asserted by
-// tests/workload/trace_test.cpp).  This extends the `matrix:` CSV replay
-// path — matrices replay average RATES, traces replay the packets
-// themselves.
+// tests/workload/trace_test.cpp).
 #pragma once
 
 #include <cstdint>

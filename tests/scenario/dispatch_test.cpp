@@ -74,7 +74,7 @@ std::vector<ScenarioJob> mixedJobs() {
   jobs.push_back({ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 7)});
   jobs.push_back(
       {ScenarioJob::Op::kFindPeak, quickSpec("skewed3", "dhetpnoc", 0.001, 9)});
-  jobs.push_back({ScenarioJob::Op::kRun, quickSpec("bitcomp", "firefly", 0.0008, 11)});
+  jobs.push_back({ScenarioJob::Op::kRun, quickSpec("hotspot:frac=0.3,hot=5", "firefly", 0.0008, 11)});
   jobs.push_back(
       {ScenarioJob::Op::kFindPeak, quickSpec("uniform", "firefly", 0.001, 13)});
   return jobs;

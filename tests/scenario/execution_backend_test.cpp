@@ -46,19 +46,17 @@ std::unique_ptr<ExecutionBackend> localFleet(unsigned shards) {
   return makeBackend(BackendOptions{.workers = shards});
 }
 
-TEST(ResolveWorkerCount, ExplicitRequestClampsToBatchSize) {
-  EXPECT_EQ(resolveWorkerCount(4, 100), 4u);
-  EXPECT_EQ(resolveWorkerCount(16, 3), 3u);   // shards > specs.size()
-  EXPECT_EQ(resolveWorkerCount(16, 1), 1u);
-  EXPECT_EQ(resolveWorkerCount(5, 0), 1u);    // empty batch still sane
+// The batch clamp is ExecutionBackend::workersFor's alone; its tests are in
+// scenario_runner_test.cpp and dispatch_test.cpp.
+TEST(ResolveWorkerCount, ExplicitRequestIsKept) {
+  EXPECT_EQ(resolveWorkerCount(4), 4u);
+  EXPECT_EQ(resolveWorkerCount(16), 16u);
 }
 
-TEST(ResolveWorkerCount, AutoIsHardwareConcurrencyClampedToTheBatch) {
+TEST(ResolveWorkerCount, AutoIsHardwareConcurrency) {
   // shards=0 takes hardware concurrency; no environment variable pins it.
   ScopedEnv env("PNOC_BENCH_THREADS", "3");
-  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
-  EXPECT_EQ(resolveWorkerCount(0, 1000), std::min(hardware, 1000u));
-  EXPECT_EQ(resolveWorkerCount(0, 2), std::min(hardware, 2u));
+  EXPECT_EQ(resolveWorkerCount(0), std::max(1u, std::thread::hardware_concurrency()));
 }
 
 // The acceptance bar: for the same spec batch and seeds, the fleet (any
@@ -69,7 +67,7 @@ TEST(SubprocessBackend, MixedBatchMatchesInProcessBitForBit) {
   std::vector<ScenarioJob> jobs;
   jobs.push_back({ScenarioJob::Op::kRun, quickSpec("uniform", "dhetpnoc", 0.001, 7)});
   jobs.push_back({ScenarioJob::Op::kFindPeak, quickSpec("skewed3", "dhetpnoc", 0.001, 9)});
-  jobs.push_back({ScenarioJob::Op::kRun, quickSpec("bitcomp", "firefly", 0.0008, 11)});
+  jobs.push_back({ScenarioJob::Op::kRun, quickSpec("hotspot:frac=0.3,hot=5", "firefly", 0.0008, 11)});
   jobs.push_back({ScenarioJob::Op::kFindPeak, quickSpec("uniform", "firefly", 0.001, 13)});
 
   const auto expected = testsupport::executeSerially(jobs);

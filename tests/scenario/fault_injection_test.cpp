@@ -351,6 +351,99 @@ TEST(FaultMatrix, ExhaustedRetriesFailSoftIntoAFailureRecord) {
   EXPECT_TRUE(observerSawFailure);
 }
 
+/// Runs four jobs under fail_soft on `fleet`, whose PNOC_TEST_FAULT hits
+/// job 1 on every attempt: job 1 must fail alone, by its retry budget, and
+/// every other outcome must be byte-identical to the serial loop.
+void expectOnlyJobOneFails(ExecutionBackend& fleet, std::uint64_t seedBase) {
+  const auto jobs = smallBatch(seedBase, 4);
+  const auto expected = testsupport::executeSerially(jobs);
+  const auto actual = fleet.execute(jobs);
+  ASSERT_EQ(actual.size(), jobs.size());
+  EXPECT_TRUE(actual[1].failed);
+  EXPECT_NE(actual[1].error.find("retry budget"), std::string::npos)
+      << actual[1].error;
+  for (const std::size_t i : {0u, 2u, 3u}) {
+    EXPECT_FALSE(actual[i].failed) << i << ": " << actual[i].error;
+    EXPECT_EQ(actual[i].op, expected[i].op) << i;
+    EXPECT_EQ(actual[i].spec.toJson(), expected[i].spec.toJson()) << i;
+    EXPECT_EQ(wire::toJson(actual[i].metrics), wire::toJson(expected[i].metrics)) << i;
+    EXPECT_EQ(wire::toJson(actual[i].search), wire::toJson(expected[i].search)) << i;
+  }
+  EXPECT_EQ(fleet.lastStats().failedUnits, 1u);
+}
+
+FaultPolicy failSoftPolicy() {
+  FaultPolicy policy = quickPolicy();
+  policy.failSoft = true;
+  return policy;
+}
+
+TEST(FaultMatrix, PoisonUnitOnAOneWorkerFleetFailsOnlyItself) {
+  // Job 1 kills its worker on every attempt.  Its first death spends the
+  // one slot's respawns=1; its second exhausts retries=1 and fails the
+  // unit, and that death must not cost the slot its worker: the respawned
+  // worker runs jobs 2 and 3 as if nothing had happened.
+  ScopedEnv fault("PNOC_TEST_FAULT", "crash@1");
+  ExecutionBackend fleet({HostEntry{.workers = 1}}, failSoftPolicy());
+  expectOnlyJobOneFails(fleet, 395);
+  EXPECT_EQ(fleet.lastStats().respawns, 2u);
+  ASSERT_EQ(fleet.lastWorkers().size(), 1u);
+  EXPECT_EQ(fleet.lastWorkers()[0].respawns, 1u) << "only the retried death is charged";
+}
+
+TEST(FaultMatrix, PoisonReplyOnAOneWorkerFleetFailsOnlyItself) {
+  // The same rule for a protocol death: garbage on every attempt of job 1.
+  ScopedEnv fault("PNOC_TEST_FAULT", "garbage@1");
+  ExecutionBackend fleet({HostEntry{.workers = 1}}, failSoftPolicy());
+  expectOnlyJobOneFails(fleet, 396);
+  EXPECT_EQ(fleet.lastStats().protocolDeaths, 2u);
+}
+
+TEST(FaultMatrix, PoisonHangOnAOneWorkerFleetFailsOnlyItself) {
+  // And for a deadline kill: job 1 hangs on every attempt.
+  ScopedEnv fault("PNOC_TEST_FAULT", "hang@1");
+  FaultPolicy policy = failSoftPolicy();
+  policy.jobDeadlineMs = 1000;  // far above a real job, far below the hang
+  policy.graceMs = 300;
+  ExecutionBackend fleet({HostEntry{.workers = 1}}, policy);
+  expectOnlyJobOneFails(fleet, 397);
+  EXPECT_EQ(fleet.lastStats().deadlineKills, 2u);
+}
+
+TEST(FaultMatrix, PoisonUnitWithoutFailSoftFailsLoudlyByItsBudget) {
+  // Without fail_soft the first failed unit aborts the batch, and the error
+  // blames job 1's retry budget, not a collapsed fleet.
+  ScopedEnv fault("PNOC_TEST_FAULT", "crash@1");
+  ExecutionBackend fleet({HostEntry{.workers = 1}}, quickPolicy());
+  try {
+    fleet.execute(smallBatch(398, 4));
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("job 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("retry budget"), std::string::npos) << what;
+    EXPECT_EQ(what.find("no live workers"), std::string::npos) << what;
+  }
+}
+
+TEST(FaultMatrix, RespawnsZeroLetsAPoisonUnitEmptyTheFleet) {
+  // respawns=0 never relaunches, not even after a unit's own failure: the
+  // one worker dies on job 1 and every unit not yet done fails with it.
+  ScopedEnv fault("PNOC_TEST_FAULT", "crash@1");
+  FaultPolicy policy = failSoftPolicy();
+  policy.respawns = 0;
+  ExecutionBackend fleet({HostEntry{.workers = 1}}, policy);
+  const auto actual = fleet.execute(smallBatch(399, 4));
+  ASSERT_EQ(actual.size(), 4u);
+  EXPECT_FALSE(actual[0].failed) << actual[0].error;
+  for (const std::size_t i : {1u, 2u, 3u}) {
+    EXPECT_TRUE(actual[i].failed) << i;
+    EXPECT_NE(actual[i].error.find("no live workers"), std::string::npos)
+        << i << ": " << actual[i].error;
+  }
+  EXPECT_EQ(fleet.lastStats().respawns, 0u);
+}
+
 TEST(FaultMatrix, FailSoftFleetCollapseRecordsEveryJobAsFailed) {
   FaultPolicy policy = quickPolicy();
   policy.failSoft = true;

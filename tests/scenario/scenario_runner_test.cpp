@@ -40,7 +40,7 @@ TEST(ScenarioRunner, BatchRunMatchesDirectRuns) {
   const std::vector<ScenarioSpec> specs = {
       quickSpec("uniform", "firefly", 0.0008, 3),
       quickSpec("skewed3", "dhetpnoc", 0.002, 5),
-      quickSpec("tornado", "dhetpnoc", 0.001, 7),
+      quickSpec("hotspot:frac=0.3,hot=5", "dhetpnoc", 0.001, 7),
   };
   const auto batch = makeBackend(BackendOptions{.workers = 2})->run(specs);
   ASSERT_EQ(batch.size(), specs.size());
@@ -55,8 +55,8 @@ TEST(ScenarioRunner, ThreadCountCannotChangeResults) {
   const std::vector<ScenarioSpec> specs = {
       quickSpec("skewed2", "dhetpnoc", 0.001, 1),
       quickSpec("skewed2", "dhetpnoc", 0.001, 2),
-      quickSpec("bitcomp", "firefly", 0.001, 3),
-      quickSpec("permutation:seed=4", "dhetpnoc", 0.001, 4),
+      quickSpec("real-apps", "firefly", 0.001, 3),
+      quickSpec("skewed:level=1", "dhetpnoc", 0.001, 4),
   };
   const auto sequential = makeBackend(BackendOptions{.workers = 1})->run(specs);
   const auto parallel = makeBackend(BackendOptions{.workers = 4})->run(specs);

@@ -149,12 +149,12 @@ TEST(ScenarioSpec, HelpListsEveryBindingKey) {
 
 TEST(ScenarioSpec, ApplyOverridesConsumesOnlyBindingKeys) {
   sim::Config config;
-  config.set("pattern", "tornado");
+  config.set("pattern", "skewed:level=2");
   config.set("load", "0.004");
   config.set("minMs", "50");  // binary-specific key, not a binding
   ScenarioSpec spec;
   spec.applyOverrides(config);
-  EXPECT_EQ(spec.params.pattern, "tornado");
+  EXPECT_EQ(spec.params.pattern, "skewed:level=2");
   EXPECT_DOUBLE_EQ(spec.params.offeredLoad, 0.004);
   const auto leftover = config.unconsumedKeys();
   ASSERT_EQ(leftover.size(), 1u);

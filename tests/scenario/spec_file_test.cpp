@@ -49,14 +49,14 @@ TEST(SpecFile, KeyValueStanzasYieldOneSpecEach) {
       "arch=firefly\n"
       "\n"
       "\n"
-      "pattern=tornado\n",
+      "pattern=hotspot:frac=0.3,hot=5\n",
       ScenarioSpec{}, "<test>");
   ASSERT_EQ(specs.size(), 3u);
   EXPECT_EQ(specs[0].params.pattern, "uniform");
   EXPECT_DOUBLE_EQ(specs[0].params.offeredLoad, 0.001);
   EXPECT_EQ(specs[1].params.pattern, "skewed3");
   EXPECT_EQ(specs[1].params.architecture, network::Architecture::kFirefly);
-  EXPECT_EQ(specs[2].params.pattern, "tornado");
+  EXPECT_EQ(specs[2].params.pattern, "hotspot:frac=0.3,hot=5");
 }
 
 TEST(SpecFile, SpecsLayerOverTheBase) {
@@ -82,18 +82,18 @@ TEST(SpecFile, JsonArrayAndNdjsonBothParse) {
   EXPECT_EQ(fromArray[1].params.architecture, network::Architecture::kFirefly);
 
   const auto fromLines = parseSpecFileText(
-      "{\"pattern\":\"uniform\"}\n{\"pattern\":\"tornado\",\"seed\":5}\n",
+      "{\"pattern\":\"uniform\"}\n{\"pattern\":\"skewed:level=2\",\"seed\":5}\n",
       ScenarioSpec{}, "<test>");
   ASSERT_EQ(fromLines.size(), 2u);
-  EXPECT_EQ(fromLines[1].params.pattern, "tornado");
+  EXPECT_EQ(fromLines[1].params.pattern, "skewed:level=2");
   EXPECT_EQ(fromLines[1].params.seed, 5u);
 
   // A single pretty-printed object is one spec.
   const auto fromObject = parseSpecFileText(
-      "{\n  \"pattern\": \"bitcomp\",\n  \"load\": 0.004\n}\n", ScenarioSpec{},
+      "{\n  \"pattern\": \"hotspot:frac=0.3,hot=5\",\n  \"load\": 0.004\n}\n", ScenarioSpec{},
       "<test>");
   ASSERT_EQ(fromObject.size(), 1u);
-  EXPECT_EQ(fromObject[0].params.pattern, "bitcomp");
+  EXPECT_EQ(fromObject[0].params.pattern, "hotspot:frac=0.3,hot=5");
 }
 
 TEST(SpecFile, UnknownKeysInsideFilesAreRejected) {
@@ -153,14 +153,14 @@ TEST(SpecFile, KeyValueErrorsNameTheLine) {
 TEST(SpecFile, JsonErrorsNameTheLineTheSpecStartsOn) {
   // NDJSON: the offending object is on line 3.
   const std::string ndjson = errorFor(
-      "{\"pattern\":\"uniform\"}\n{\"pattern\":\"tornado\"}\n{\"bogus\":1}\n",
+      "{\"pattern\":\"uniform\"}\n{\"pattern\":\"skewed:level=2\"}\n{\"bogus\":1}\n",
       "grid.json");
   EXPECT_NE(ndjson.find("grid.json"), std::string::npos) << ndjson;
   EXPECT_NE(ndjson.find("line 3"), std::string::npos) << ndjson;
 
   // Array form: each element keeps its own start line.
   const std::string array = errorFor(
-      "[\n  {\"pattern\":\"uniform\"},\n  {\"pattern\":\"tornado\",\n"
+      "[\n  {\"pattern\":\"uniform\"},\n  {\"pattern\":\"skewed:level=2\",\n"
       "   \"wavelenghts\":64}\n]\n",
       "grid.json");
   EXPECT_NE(array.find("line 3"), std::string::npos) << array;
@@ -197,7 +197,7 @@ TEST(CliSpecFiles, MultiSpecFileIsRejectedBySingleScenarioBinaries) {
 }
 
 TEST(CliSpecFiles, CollectModeKeepsFilesForTheDriver) {
-  TempSpecFile file("pattern=tornado\n\npattern=skewed3\n");
+  TempSpecFile file("pattern=hotspot:frac=0.3,hot=5\n\npattern=skewed3\n");
   const std::string atArg = "@" + file.path();
   const char* argv[] = {"pnoc_run", atArg.c_str(), "seed=3"};
   ScenarioSpec spec;
@@ -370,6 +370,37 @@ TEST(CliBackendKeys, EveryRunnerBinaryRefusesTheBackendKey) {
     EXPECT_EQ(helpStatus, 0) << binary << "\n" << help;
     EXPECT_NE(help.find("shards="), std::string::npos) << binary << "\n" << help;
     EXPECT_EQ(help.find("backend"), std::string::npos) << binary << "\n" << help;
+  }
+}
+
+TEST(CliBackendKeys, DeletedPatternsAreRefusedByName) {
+  // The fixed-target permutations, the CSV matrix replay and hotspot's
+  // nested base= spec are gone: each is an unknown family or option, and
+  // no help listing names them.
+  const std::filesystem::path dir =
+      std::filesystem::read_symlink("/proc/self/exe").parent_path();
+  const std::pair<const char*, const char*> refusals[] = {
+      {"tornado", "unknown traffic pattern: 'tornado'"},
+      {"matrix:rates=a,demands=b", "unknown traffic pattern: 'matrix'"},
+      {"hotspot:base=uniform", "traffic pattern 'hotspot' does not take option 'base'"},
+  };
+  for (const char* binary : {"quickstart", "pnoc_run"}) {
+    const std::filesystem::path path = dir / binary;
+    if (!std::filesystem::exists(path)) GTEST_SKIP() << path << " is not built";
+    for (const auto& [pattern, message] : refusals) {
+      const auto [status, output] =
+          runCommand(path.string() + " pattern=" + pattern);
+      EXPECT_EQ(status, 1) << binary << " " << pattern << "\n" << output;
+      EXPECT_NE(output.find(message), std::string::npos)
+          << binary << " " << pattern << "\n" << output;
+    }
+    const auto [helpStatus, help] = runCommand(path.string() + " help=1");
+    EXPECT_EQ(helpStatus, 0) << binary << "\n" << help;
+    EXPECT_NE(help.find("skewed-hotspot"), std::string::npos) << binary << "\n" << help;
+    for (const char* gone :
+         {"transpose", "tornado", "bitcomp", "permutation", "matrix", "base="}) {
+      EXPECT_EQ(help.find(gone), std::string::npos) << binary << ": " << gone;
+    }
   }
 }
 

@@ -112,7 +112,7 @@ TEST(Wire, PeakSearchResultRoundTripIsByteIdentical) {
 TEST(Wire, JobAndReplyLinesRoundTrip) {
   ScenarioJob job;
   job.op = ScenarioJob::Op::kFindPeak;
-  job.spec.set("pattern", "tornado");
+  job.spec.set("pattern", "hotspot:frac=0.3,hot=5");
   const std::string line = wire::jobLine(42, job);
   std::size_t index = 0;
   const ScenarioJob back = wire::parseJobLine(line, index);

@@ -379,6 +379,33 @@ TEST(ServeDaemon, WorkerCrashHealsAndBytesStayIdentical) {
   std::remove(lock.c_str());
 }
 
+TEST(ServeDaemon, PoisonUnitOnAOneWorkerFleetSparesLaterJobs) {
+  // crash@1 kills every attempt of wire index 1, so the first job's unit 1
+  // fails.  The death that fails it must not spend the one slot's respawn:
+  // a worker is left for the second job, which completes byte-identically.
+  ScopedEnv fault("PNOC_TEST_FAULT", "crash@1");
+  DaemonHarness harness;
+  harness.options.hosts = fleetOf(1);
+  harness.options.policy.backoffBaseMs = 0;
+  harness.start();
+
+  ServeClient client(harness.options.socketPath);
+  const std::uint64_t poisoned =
+      client.request(submitLine(quickGrid(2, 1100), harness.dir(), "poisoned"))
+          .at("job")
+          .asU64();
+  EXPECT_EQ(watchToTerminal(client, poisoned), "failed");
+  const std::vector<scenario::ScenarioSpec> grid = quickGrid(2, 1200);
+  const std::uint64_t spared =
+      client.request(submitLine(grid, harness.dir(), "spared")).at("job").asU64();
+  EXPECT_EQ(watchToTerminal(client, spared), "done");
+
+  const std::string expectedDir = harness.dir() + "/expected";
+  ::mkdir(expectedDir.c_str(), 0755);
+  EXPECT_EQ(readAll(harness.dir() + "/BENCH_spared.json"),
+            expectedBenchText(grid, expectedDir, "spared"));
+}
+
 TEST(ServeDaemon, FailureRecordsMatchTheStreamingBackendByteForByte) {
   // crash@1 without a once-lock kills every attempt of wire index 1.  Both
   // drivers deal a fresh grid in index order and a unit keeps its wire

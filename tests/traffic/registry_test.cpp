@@ -48,14 +48,29 @@ TEST(PatternSpecGrammar, RejectsMalformedSpecs) {
   EXPECT_THROW(parsePatternSpec("hotspot:frac=0.3,,hot=1"), std::invalid_argument);
 }
 
+TEST(PatternSpecGrammar, EveryCommaSplitsAndTheFirstEqualsSeparates) {
+  // No grouping: a value is the text between its first '=' and the next
+  // comma, so a trace path may hold '=' but not ','.
+  const auto parsed = parsePatternSpec("trace:path=runs/seed=3.ndjson");
+  EXPECT_EQ(parsed.family, "trace");
+  EXPECT_EQ(parsed.options.getString("path", ""), "runs/seed=3.ndjson");
+
+  const auto split = parsePatternSpec("hotspot:frac=(0.3,hot=5)");
+  EXPECT_EQ(split.options.getString("frac", ""), "(0.3");
+  EXPECT_EQ(split.options.getString("hot", ""), "5)");
+
+  EXPECT_THROW(parsePatternSpec("hotspot:frac=0.3,"), std::invalid_argument);
+  EXPECT_THROW(parsePatternSpec("hotspot:,frac=0.3"), std::invalid_argument);
+}
+
 TEST(PatternRegistry, BuiltinFamiliesAreRegistered) {
   std::set<std::string> names;
   for (const PatternFamily& family : patternFamilies()) names.emplace(family.name);
-  for (const char* family : {"uniform", "skewed", "skewed-hotspot", "hotspot",
-                             "real-apps", "transpose", "tornado", "bitcomp",
-                             "permutation", "matrix"}) {
-    EXPECT_EQ(names.count(family), 1u) << family;
-  }
+  // The exact set: a family stays only while a paper grid, a perfbench
+  // workload, a CI smoke or an oracle test runs it, so adding one back is a
+  // deliberate edit here.
+  EXPECT_EQ(names, (std::set<std::string>{"hotspot", "real-apps", "skewed",
+                                          "skewed-hotspot", "uniform"}));
 }
 
 TEST(PatternRegistry, LegacyAliasesStillBuildThePaperPatterns) {
@@ -80,18 +95,18 @@ TEST(PatternRegistry, UnknownFamilyAndUnknownOptionAreRejected) {
                std::invalid_argument);
   EXPECT_THROW(makePattern("hotspot:frac=1.5", topo(), BandwidthSet::set1()),
                std::invalid_argument);
-  EXPECT_THROW(makePattern("tornado:offset=16", topo(), BandwidthSet::set1()),
+  EXPECT_THROW(makePattern("hotspot:frac=-0.1", topo(), BandwidthSet::set1()),
                std::invalid_argument);
 }
 
 TEST(PatternRegistry, ParameterizedHotspotSpecWorks) {
   const auto pattern =
-      makePattern("hotspot:frac=0.3,hot=5,base=skewed2", topo(), BandwidthSet::set1());
+      makePattern("hotspot:frac=0.3,hot=5", topo(), BandwidthSet::set1());
   const auto* overlay = dynamic_cast<const HotspotOverlayPattern*>(pattern.get());
   ASSERT_NE(overlay, nullptr);
   EXPECT_DOUBLE_EQ(overlay->fraction(), 0.3);
   EXPECT_EQ(overlay->hotspotCore(), 5u);
-  EXPECT_EQ(overlay->base().name(), "skewed2");
+  EXPECT_EQ(overlay->base().name(), "uniform");
 
   // The hotspot core receives ~frac of draws plus its base share.
   sim::Rng rng(3);
@@ -101,6 +116,25 @@ TEST(PatternRegistry, ParameterizedHotspotSpecWorks) {
     hits += (pattern->sampleDestination(20, rng) == 5) ? 1 : 0;
   }
   EXPECT_NEAR(static_cast<double>(hits) / kDraws, 0.30 + 0.70 / 63.0, 0.01);
+}
+
+TEST(PatternRegistry, HotspotFamilyOverlaysUniformTraffic) {
+  // Off the hotspot, `hotspot` is the uniform pattern: same source weights,
+  // demands and classes on every pair, and a name that carries its options.
+  const auto set = BandwidthSet::set1();
+  const auto hotspot = makePattern("hotspot:frac=0.3,hot=5", topo(), set);
+  const auto uniform = makePattern("uniform", topo(), set);
+  EXPECT_EQ(hotspot->name(), "hotspot:frac=0.3,hot=5");
+  for (CoreId core = 0; core < topo().numCores(); ++core) {
+    EXPECT_EQ(hotspot->sourceWeight(core), uniform->sourceWeight(core)) << core;
+  }
+  for (ClusterId src = 0; src < topo().numClusters(); ++src) {
+    for (ClusterId dst = 0; dst < topo().numClusters(); ++dst) {
+      if (src == dst) continue;
+      EXPECT_EQ(hotspot->wavelengthDemand(src, dst), uniform->wavelengthDemand(src, dst));
+      EXPECT_EQ(hotspot->bandwidthClass(src, dst), uniform->bandwidthClass(src, dst));
+    }
+  }
 }
 
 TEST(PatternRegistry, SkewedHotspotRejectsOutOfRangeCoreAndVariant) {
@@ -120,39 +154,31 @@ TEST(PatternRegistry, OutOfRangeHotspotCoreIsNamedInTheError) {
   EXPECT_EQ(errorOf("skewed-hotspot:variant=2,hot=100"),
             "skewed-hotspot2: hotspot core 100 out of range for 64 cores");
   EXPECT_EQ(errorOf("hotspot:frac=0.3,hot=64"),
-            "hotspot:frac=0.3,hot=64,base=uniform: hotspot core 64 out of range for 64 "
-            "cores");
+            "hotspot:frac=0.3,hot=64: hotspot core 64 out of range for 64 cores");
 }
 
-TEST(PatternRegistry, ParenthesizedBaseSpecKeepsNestedOptions) {
-  // The nested spec's own comma-separated options must reach the base
-  // factory, not be split off and consumed by the outer family.
-  const auto pattern = makePattern("hotspot:frac=0.2,base=(skewed-hotspot:variant=2,hot=5)",
-                                     topo(), BandwidthSet::set1());
-  const auto* overlay = dynamic_cast<const HotspotOverlayPattern*>(pattern.get());
-  ASSERT_NE(overlay, nullptr);
-  EXPECT_EQ(overlay->hotspotCore(), 0u);  // outer default
-  const auto* base = dynamic_cast<const HotspotOverlayPattern*>(&overlay->base());
-  ASSERT_NE(base, nullptr);
-  EXPECT_EQ(base->hotspotCore(), 5u);  // nested hot=5 landed on the base
-  EXPECT_EQ(base->name(), "skewed-hotspot2");
-
-  EXPECT_THROW(makePattern("hotspot:base=(uniform", topo(), BandwidthSet::set1()),
-               std::invalid_argument);
-  EXPECT_THROW(makePattern("hotspot:base=uniform)", topo(), BandwidthSet::set1()),
-               std::invalid_argument);
+TEST(PatternRegistry, RemovedFamiliesAndTheBaseOptionAreRefused) {
+  // The fixed-target permutations, the CSV matrix replay and hotspot's
+  // nested base spec are gone: each is an unknown family or option now.
+  for (const std::string family :
+       {"transpose", "tornado", "bitcomp", "permutation", "matrix"}) {
+    EXPECT_EQ(errorOf(family).rfind("unknown traffic pattern: '" + family + "'", 0), 0u)
+        << errorOf(family);
+  }
+  EXPECT_EQ(errorOf("hotspot:base=uniform"),
+            "traffic pattern 'hotspot' does not take option 'base'");
 }
 
 TEST(PatternRegistry, OutOfRangeValuesAreRefusedNamingTheOption) {
-  // Values past an option's width were once wrapped: offset=4294967297 ran
-  // as offset=1 and hot=4294967299 as hot=3.
-  EXPECT_EQ(errorOf("tornado:offset=4294967297"),
-            "option 'offset': '4294967297' does not fit in 32 bits");
+  // Values past an option's width were once wrapped: hot=4294967299 ran as
+  // hot=3.
+  EXPECT_EQ(errorOf("skewed-hotspot:variant=4294967297"),
+            "option 'variant': '4294967297' does not fit in 32 bits");
   EXPECT_EQ(errorOf("hotspot:frac=0.3,hot=4294967299"),
             "option 'hot': '4294967299' does not fit in 32 bits");
   EXPECT_EQ(errorOf("skewed:level=-1"), "option 'level': '-1' is not an unsigned integer");
-  EXPECT_EQ(errorOf("permutation:seed=-1"),
-            "option 'seed': '-1' is not an unsigned integer");
+  EXPECT_EQ(errorOf("skewed-hotspot:hot=-1"),
+            "option 'hot': '-1' is not an unsigned integer");
 }
 
 TEST(PatternRegistry, OptionTyposSuggestAKeyTheFamilyReads) {
@@ -160,7 +186,7 @@ TEST(PatternRegistry, OptionTyposSuggestAKeyTheFamilyReads) {
             "traffic pattern 'hotspot' does not take option 'fracc'; did you mean 'frac'?");
   EXPECT_EQ(errorOf("skewed3:level=1"),
             "unknown traffic pattern: 'skewed3'; did you mean 'skewed'?");
-  EXPECT_EQ(errorOf("tornadoo"), "unknown traffic pattern: 'tornadoo'; did you mean 'tornado'?");
+  EXPECT_EQ(errorOf("uniformm"), "unknown traffic pattern: 'uniformm'; did you mean 'uniform'?");
 }
 
 TEST(PatternRegistry, HelpTextListsEveryFamily) {
@@ -197,24 +223,10 @@ TEST(PatternRegistryGolden, DemandsAndClassesArePinnedForEveryFamily) {
       // Hotspot overlays keep the base skewed demands (extra load, not extra
       // provisioned bandwidth).
       {"skewed-hotspot", {{0, 1, 1, 0}, {1, 0, 2, 1}, {2, 0, 4, 2}, {3, 0, 8, 3}}},
-      {"hotspot", {{0, 1, 4, 2}, {3, 9, 4, 2}}},  // default base = uniform
+      {"hotspot", {{0, 1, 4, 2}, {3, 9, 4, 2}}},  // over uniform
       // GPU clusters address memory clusters with the uniform even split in
       // the demand tables (profiled bandwidth shapes the placements).
       {"real-apps", {{0, 1, 4, 2}, {3, 12, 4, 2}}},
-      // Fixed-target patterns demand the full 4-lambda share toward every
-      // targeted cluster (SWMR transmissions serialize, so channel width is
-      // per transmission) and 0 toward untargeted ones.  Transpose: cluster
-      // 0 (row 0, cols 0-3) feeds clusters 2, 4, 6 with one core each.
-      {"transpose",
-       {{0, 2, 4, 2}, {0, 4, 4, 2}, {0, 6, 4, 2}, {0, 1, 0, 0}, {1, 8, 4, 2}}},
-      // Tornado (offset 8): all 4 cores of cluster c feed cluster c+8.
-      {"tornado", {{0, 8, 4, 2}, {1, 9, 4, 2}, {0, 1, 0, 0}, {3, 11, 4, 2}}},
-      // Bit-complement: cluster c feeds cluster 15-c with all 4 cores.
-      {"bitcomp", {{0, 15, 4, 2}, {1, 14, 4, 2}, {3, 12, 4, 2}, {0, 1, 0, 0}}},
-      // Seeded permutation (seed=1): pinned observed flows; a change in the
-      // RNG, the shuffle, or the demand rule shifts these.
-      {"permutation",
-       {{0, 1, 4, 2}, {0, 10, 4, 2}, {0, 13, 4, 2}, {0, 15, 4, 2}, {1, 2, 4, 2}}},
   };
 
   std::set<std::string> covered;
@@ -230,49 +242,24 @@ TEST(PatternRegistryGolden, DemandsAndClassesArePinnedForEveryFamily) {
     covered.insert(family);
   }
 
-  // Every built-in must appear in the golden table ("matrix" needs CSV
-  // inputs and is exempt).  Extending the family table means extending this
-  // table.
+  // Every built-in must appear in the golden table.  Extending the family
+  // table means extending this table.
   for (const PatternFamily& family : patternFamilies()) {
-    if (family.name == "matrix") continue;
     EXPECT_TRUE(covered.count(std::string(family.name)) == 1)
         << "family '" << family.name << "' has no golden demand entries";
   }
 }
 
-TEST(SyntheticPatterns, TargetsAreValidPermutations) {
-  for (const auto& targets :
-       {transposeTargets(topo()), tornadoTargets(topo(), 8),
-        bitComplementTargets(topo()), permutationTargets(topo(), 1)}) {
-    ASSERT_EQ(targets.size(), 64u);
-    std::set<CoreId> seen;
-    for (CoreId src = 0; src < 64; ++src) {
-      EXPECT_NE(targets[src], src);
-      EXPECT_LT(targets[src], 64u);
-      seen.insert(targets[src]);
-    }
-    // transpose's diagonal fallback can collide, so only the strict
-    // permutations must be bijections; every pattern must avoid self-sends.
-  }
-  // Strict permutations: tornado, bitcomp, permutation are bijective.
-  for (const auto& targets : {tornadoTargets(topo(), 8), bitComplementTargets(topo()),
-                              permutationTargets(topo(), 1)}) {
-    std::set<CoreId> seen(targets.begin(), targets.end());
-    EXPECT_EQ(seen.size(), 64u);
-  }
-}
-
-TEST(SyntheticPatterns, PermutationIsDeterministicPerSeed) {
-  EXPECT_EQ(permutationTargets(topo(), 7), permutationTargets(topo(), 7));
-  EXPECT_NE(permutationTargets(topo(), 7), permutationTargets(topo(), 8));
-}
-
 TEST(SyntheticPatterns, GeometryViolationsThrow) {
-  noc::ClusterTopology rectangular(32, 4);  // 32 is not a square
-  EXPECT_THROW(transposeTargets(rectangular), std::invalid_argument);
-  noc::ClusterTopology nonPow2(36, 4);
-  EXPECT_THROW(bitComplementTargets(nonPow2), std::invalid_argument);
-  EXPECT_THROW(tornadoTargets(topo(), 0), std::invalid_argument);
+  // The hotspot core is checked against the topology the pattern is built
+  // for, not against the default 64 cores.
+  const noc::ClusterTopology small(32, 4);
+  const BandwidthSet set = BandwidthSet::set1();
+  EXPECT_NO_THROW(makePattern("hotspot:hot=31", small, set));
+  EXPECT_THROW(makePattern("hotspot:hot=32", small, set), std::invalid_argument);
+  EXPECT_THROW(makePattern("skewed-hotspot:variant=3,hot=32", small, set),
+               std::invalid_argument);
+  EXPECT_NO_THROW(makePattern("hotspot:hot=32", topo(), set));
 }
 
 }  // namespace
